@@ -9,7 +9,7 @@ all: check
 # check is the tier-1 gate: build, vet, tests (also in shuffled order, to
 # catch inter-test state leaks), the race detector over the parallel
 # sweep paths, a short smoke run of every fuzz target, a one-shot run
-# of the dense-vs-sparse solver benchmarks so a broken bench path fails
+# of the thermal-solver benchmarks so a broken bench path fails
 # the gate, the async-runtime smoke (a real shortened fig12 submitted
 # as a run, streamed point by point, compared against the synchronous
 # endpoint), and the policy-sandbox smoke (head-to-head race with the
@@ -42,7 +42,7 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The perf-trajectory harness: per-figure + dense-vs-sparse solver
+# The perf-trajectory harness: per-figure + thermal-solver
 # benchmarks, written as one JSON report for cross-PR comparison. The
 # default output is derived from the current commit so a casual
 # `make bench-report` can never silently overwrite a committed
@@ -64,7 +64,7 @@ bench-compare:
 # One iteration of the thermal-solve benchmarks keeps the bench path
 # compiling and running under the tier-1 gate without paying full
 # benchmark time, and the warm-influence assertion proves the
-# cross-request cache serves repeat platforms with zero CG solves.
+# cross-request cache serves repeat platforms with zero linear solves.
 bench-smoke:
 	$(GO) test -bench=ThermalSolve -benchtime=1x -run='^$$' ./internal/thermal
 	$(GO) test -run='TestInfluenceWarmPathZeroSolves' -count=1 -v ./internal/thermal | grep -E 'TestInfluenceWarmPathZeroSolves|ok '
@@ -103,7 +103,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTableCSV -fuzztime=$(FUZZTIME) -run='^$$' ./internal/report
 	$(GO) test -fuzz=FuzzServiceParams -fuzztime=$(FUZZTIME) -run='^$$' ./internal/service
 	$(GO) test -fuzz=FuzzCSRMulVec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/linalg
-	$(GO) test -fuzz=FuzzCGBlock -fuzztime=$(FUZZTIME) -run='^$$' ./internal/linalg
+	$(GO) test -fuzz=FuzzEnvelopeSolve -fuzztime=$(FUZZTIME) -run='^$$' ./internal/linalg
 	$(GO) test -fuzz=FuzzAffinePowers -fuzztime=$(FUZZTIME) -run='^$$' ./internal/linalg
 	$(GO) test -fuzz=FuzzScenarioSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/scenario
 	$(GO) test -fuzz=FuzzPolicyTrace -fuzztime=$(FUZZTIME) -run='^$$' ./internal/policy

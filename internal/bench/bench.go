@@ -1,6 +1,6 @@
 // Package bench is the perf-trajectory harness behind `darksim bench`:
 // it runs the repository's headline benchmarks — every paper figure plus
-// the dense-vs-sparse thermal-solver and TSP micro-benchmarks — through
+// the thermal-solver, influence, TSP and transient micro-benchmarks — through
 // testing.Benchmark and emits one machine-readable JSON report
 // (BENCH_PR6.json in CI) so successive PRs can be compared on ns/op,
 // allocs/op and solver iterations.
@@ -43,8 +43,11 @@ type Report struct {
 	// the parallel-figures wall-clock entry only makes sense against it.
 	NumCPU  int      `json:"numcpu"`
 	Results []Result `json:"results"`
-	// Speedups maps a benchmark family to the dense-path ns/op divided
-	// by the sparse-path ns/op measured in this same run.
+	// Speedups maps a benchmark family to the ratio of two of its
+	// entries measured in this same run (e.g. TSPWorstCaseSparse over
+	// TSPWorstCaseWarm). The Dense/Sparse entry names predate the single
+	// envelope solver and now run the same path, so their ratios read
+	// about 1.
 	Speedups map[string]float64 `json:"speedups"`
 }
 
@@ -61,10 +64,8 @@ type Options struct {
 // shorter simulated horizon.
 var transientBenchDuration = map[string]float64{"fig11": 2, "fig12": 0.5, "fig13": 0.25}
 
-// solverCoreCounts are the platform sizes the dense-vs-sparse
-// micro-benchmarks sweep (side² cores). The largest is the headline
-// comparison: well above the auto-threshold, where the dense path's
-// cubic factorization dominates.
+// solverCoreCounts are the platform sizes the thermal-solve
+// micro-benchmarks sweep (side² cores); 1024 cores is the headline.
 var solverCoreCounts = []int{10, 32}
 
 // tspCoreSide sizes the TSP worst-case benchmark platform.
@@ -75,10 +76,9 @@ const tspCoreSide = 32
 const influenceCoreSide = 32
 
 // transientSmallSide and transientLargeSide size the transient stepping
-// micro-benchmarks: 100 cores sits below the macro-kernel node gate on
-// both solver paths (so TransientMacro runs there), 1024 cores is the
-// sparse path's realistic large platform (above the gate — exact steps
-// only).
+// micro-benchmarks: 100 cores sits below the macro-kernel node gate (so
+// TransientMacro runs there), 1024 cores is the realistic large platform
+// (above the gate — exact steps only).
 const (
 	transientSmallSide = 10
 	transientLargeSide = 32
@@ -136,8 +136,8 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// computeSpeedups derives dense/sparse ratios for every benchmark family
-// that ran both paths in this report.
+// computeSpeedups derives the ratios between entries of one benchmark
+// family that this report measured (see Report.Speedups).
 func (rep *Report) computeSpeedups() {
 	ns := make(map[string]float64, len(rep.Results))
 	for _, r := range rep.Results {
@@ -233,8 +233,8 @@ func buildSpecs(ctx context.Context, opt Options) ([]spec, error) {
 }
 
 // transientModel builds the side×side-core platform the transient
-// stepping benchmarks share, with the given solver path forced, plus a
-// uniform 2 W power map.
+// stepping benchmarks share, with the given compatibility solver kind
+// (it selects nothing), plus a uniform 2 W power map.
 func transientModel(b *testing.B, side int, k thermal.SolverKind) (*thermal.Transient, []float64) {
 	b.Helper()
 	fp, err := floorplan.NewGrid(side, side, 5.1)
@@ -346,8 +346,9 @@ func parallelFiguresSpec(ctx context.Context) spec {
 	}
 }
 
-// influenceModel builds the sparse side×side-core model the influence
-// benchmarks share as a template (each iteration constructs its own).
+// influenceModel builds the side×side-core model the influence
+// benchmarks share as a template (each iteration constructs its own);
+// the panel is the ignored InfluencePanel compatibility field.
 func influenceModel(b *testing.B, side, panel int) *thermal.Model {
 	b.Helper()
 	fp, err := floorplan.NewGrid(side, side, 5.1)
@@ -364,10 +365,11 @@ func influenceModel(b *testing.B, side, panel int) *thermal.Model {
 	return m
 }
 
-// influenceSpec measures a cold influence-matrix build on the sparse
-// path: panel 1 is PR 5's one-column-at-a-time fan-out, panel 0 the
-// default blocked multi-RHS width. Model construction and cache resets
-// run off the clock; only the column solves are timed.
+// influenceSpec measures a cold influence-matrix build. The Column
+// (panel 1) and Block (panel 0) names once selected different CG
+// fan-outs and now run the same per-column envelope solves. Model
+// construction and cache resets run off the clock; only the column
+// solves are timed.
 func influenceSpec(side, panel int) spec {
 	var last *thermal.Model
 	kind := "Block"
@@ -478,8 +480,8 @@ func tspWarmSpec(side int) spec {
 }
 
 // thermalSolveSpec measures a cold steady-state solve — model assembly,
-// factorization or preconditioning, and one solve — on a side×side-core
-// platform with the given path forced.
+// profile ordering, factorization and one solve — on a side×side-core
+// platform. The Dense/Sparse name records the compatibility kind only.
 func thermalSolveSpec(side int, k thermal.SolverKind) spec {
 	var last *thermal.Model
 	name := fmt.Sprintf("ThermalSolve%s/cores=%d", pathName(k), side*side)

@@ -10,11 +10,13 @@ import (
 )
 
 // Headline names the benchmarks the CI regression gate gates on: the
-// cold sparse thermal solve, the blocked influence-matrix build and the
-// warm (influence-cached) worst-case TSP (the hot paths the PR 5/6
-// optimization work bought), the three transient figures and the
+// cold 1024-core thermal solve, the influence-matrix build and the warm
+// (influence-cached) worst-case TSP, the three transient figures and the
 // transient step/macro kernels behind them (the macro-stepping fast
-// path), and the parallel-figures wall clock.
+// path), and the parallel-figures wall clock. The names predate the
+// single envelope solver — "Sparse", "Dense" and "Block" label the
+// operation the entry has always timed, not a solve path — and are kept
+// so reports stay comparable across the trajectory.
 var Headline = []string{
 	"ThermalSolveSparse/cores=1024",
 	"InfluenceBlock/cores=1024",

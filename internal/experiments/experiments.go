@@ -13,6 +13,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"darksim/internal/apps"
 	"darksim/internal/core"
@@ -38,13 +39,21 @@ type platEntry struct {
 	p    *core.Platform
 	err  error
 	elem *list.Element // position in platLRU; Value is the platformKey
+	done atomic.Bool   // set once p and err are final
 }
+
+// DefaultPlatformCacheCap is the platform cache's LRU bound until
+// SetPlatformCacheCap changes it. The paper's figures use four
+// platforms; the bound keeps a long-running daemon fed never-seen
+// (node, cores) requests from growing the cache — and the factored
+// thermal networks and influence matrices it pins — without limit.
+const DefaultPlatformCacheCap = 32
 
 var (
 	platMu    sync.Mutex // guards the map/list/cap, never held across a build
 	platCache = map[platformKey]*platEntry{}
-	platLRU   = list.New() // front = most recently used
-	platCap   int          // 0 or negative = unbounded
+	platLRU   = list.New()              // front = most recently used
+	platCap   = DefaultPlatformCacheCap // 0 or negative = unbounded
 
 	// buildPlatform is swapped by tests to observe build concurrency.
 	buildPlatform = func(node tech.Node, cores int) (*core.Platform, error) {
@@ -52,58 +61,79 @@ var (
 	}
 )
 
-// platformFor returns a cached Platform: building one factors a Cholesky
-// of the thermal network, which is worth sharing across experiments. The
-// result (including a build error) is cached per (node, cores) key;
-// concurrent callers for different keys build concurrently. When a size
-// cap is set (SetPlatformCacheCap) the least recently used entry is
-// evicted; callers already holding an evicted entry keep using it safely.
+// platformFor returns a cached Platform: building one factors the
+// thermal network, which is worth sharing across experiments. The result
+// (including a build error) is cached per (node, cores) key; concurrent
+// callers for different keys build concurrently. Past the cap (see
+// SetPlatformCacheCap) the least recently used entry is evicted; callers
+// already holding an evicted entry keep using it safely.
 func platformFor(node tech.Node, cores int) (*core.Platform, error) {
 	key := platformKey{node, cores}
 	platMu.Lock()
 	e := platCache[key]
+	var evicted []*platEntry
 	if e == nil {
 		e = &platEntry{}
 		platCache[key] = e
 		e.elem = platLRU.PushFront(key)
-		evictPlatformsLocked()
+		evicted = evictPlatformsLocked()
 	} else {
 		platLRU.MoveToFront(e.elem)
 	}
 	platMu.Unlock()
-	e.once.Do(func() { e.p, e.err = buildPlatform(node, cores) })
+	releasePlatforms(evicted)
+	e.once.Do(func() {
+		e.p, e.err = buildPlatform(node, cores)
+		e.done.Store(true)
+	})
 	return e.p, e.err
 }
 
 // evictPlatformsLocked drops least-recently-used entries until the cache
-// fits the cap. Callers must hold platMu.
-func evictPlatformsLocked() {
+// fits the cap and returns them. Callers must hold platMu.
+func evictPlatformsLocked() []*platEntry {
 	if platCap <= 0 {
-		return
+		return nil
 	}
+	var evicted []*platEntry
 	for platLRU.Len() > platCap {
 		back := platLRU.Back()
-		delete(platCache, back.Value.(platformKey))
+		key := back.Value.(platformKey)
+		evicted = append(evicted, platCache[key])
+		delete(platCache, key)
 		platLRU.Remove(back)
+	}
+	return evicted
+}
+
+// releasePlatforms drops the memoised influence matrix of each evicted,
+// fully built platform, so a caller still holding one does not keep the
+// matrix alive; a later InfluenceMatrix call refetches or recomputes it.
+// A platform still being built is skipped: nothing is memoised yet.
+func releasePlatforms(evicted []*platEntry) {
+	for _, e := range evicted {
+		if e.done.Load() && e.p != nil && e.p.Thermal != nil {
+			e.p.Thermal.ReleaseInfluence()
+		}
 	}
 }
 
 // PlatformFor exposes the shared platform cache: the service layer and
 // external tools reuse the same factored thermal networks the experiments
-// run on, instead of paying a fresh Cholesky per request.
+// run on, instead of factoring a fresh one per request.
 func PlatformFor(node tech.Node, cores int) (*core.Platform, error) {
 	return platformFor(node, cores)
 }
 
 // SetPlatformCacheCap bounds the platform cache to at most n entries
-// (LRU eviction); n <= 0 removes the bound. Long-running daemons set a
-// cap so arbitrary (node, cores) request mixes cannot grow the cache
-// without bound.
+// (LRU eviction); n <= 0 removes the bound. The cache starts at
+// DefaultPlatformCacheCap.
 func SetPlatformCacheCap(n int) {
 	platMu.Lock()
-	defer platMu.Unlock()
 	platCap = n
-	evictPlatformsLocked()
+	evicted := evictPlatformsLocked()
+	platMu.Unlock()
+	releasePlatforms(evicted)
 }
 
 // ResetPlatforms empties the platform cache. In-flight builds are

@@ -11,6 +11,7 @@ import (
 
 	"darksim/internal/core"
 	"darksim/internal/tech"
+	"darksim/internal/thermal"
 )
 
 func renderOK(t *testing.T, r Renderer) string {
@@ -553,7 +554,7 @@ func countingBuilds(t *testing.T, builds *int) (restore func()) {
 	}
 	return func() {
 		buildPlatform = oldBuild
-		SetPlatformCacheCap(0)
+		SetPlatformCacheCap(DefaultPlatformCacheCap)
 		resetPlatformCache()
 	}
 }
@@ -604,6 +605,40 @@ func TestSetPlatformCacheCapShrinksExistingCache(t *testing.T) {
 	SetPlatformCacheCap(1)
 	if n := PlatformCacheLen(); n != 1 {
 		t.Errorf("after SetPlatformCacheCap(1): len = %d, want 1", n)
+	}
+}
+
+// TestPlatformEvictionReleasesInfluence pins that evicting a platform
+// drops its memoised influence matrix: a caller still holding the
+// evicted platform then goes back to the process-wide influence cache
+// (a counted hit) instead of being served from the model's memo.
+func TestPlatformEvictionReleasesInfluence(t *testing.T) {
+	ResetPlatforms()
+	SetPlatformCacheCap(1)
+	defer func() {
+		SetPlatformCacheCap(DefaultPlatformCacheCap)
+		ResetPlatforms()
+	}()
+	held := mustPlatform(t, tech.Node16, 4)
+	if _, err := held.Thermal.InfluenceMatrix(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	hits := thermal.InfluenceCacheStats().Hits
+	if _, err := held.Thermal.InfluenceMatrix(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := thermal.InfluenceCacheStats().Hits; got != hits {
+		t.Fatalf("memoised matrix not served from the model: cache hits %d -> %d", hits, got)
+	}
+	mustPlatform(t, tech.Node16, 9) // evicts the held platform
+	if n := PlatformCacheLen(); n != 1 {
+		t.Fatalf("cache len = %d, want 1", n)
+	}
+	if _, err := held.Thermal.InfluenceMatrix(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := thermal.InfluenceCacheStats().Hits; got != hits+1 {
+		t.Errorf("evicted platform kept its memo: cache hits %d -> %d, want one more", hits, got)
 	}
 }
 

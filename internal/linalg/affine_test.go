@@ -39,7 +39,7 @@ func randomStepMap(rng *rand.Rand, n int) (m *Matrix, err error) {
 	for i := 0; i < n; i++ {
 		a.Add(i, i, capDt[i])
 	}
-	chol, err := NewCholesky(a)
+	chol, err := denseEnvelope(a)
 	if err != nil {
 		return nil, err
 	}
@@ -154,50 +154,45 @@ func TestAffinePowersErrors(t *testing.T) {
 	}
 }
 
-// TestSolveBatchMatchesSingle pins the batched triangular solve to the
-// single-RHS path bit for bit: batching may only interleave independent
-// columns, never change any column's arithmetic.
+// TestSolveBatchMatchesSingle pins the batched envelope solve to the
+// single-RHS path bit for bit, under the natural and the profile
+// ordering: batching may only interleave independent columns, never
+// change any column's arithmetic.
 func TestSolveBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 2, 5, 17, 40} {
 		for _, k := range []int{1, 2, 3, 7} {
-			a := NewMatrix(n, n)
-			for i := 0; i < n; i++ {
-				for j := 0; j <= i; j++ {
-					v := rng.Float64() - 0.5
-					a.Set(i, j, v)
-					a.Set(j, i, v)
+			a := randomSPDCSR(rng, n, 0.2)
+			for _, perm := range [][]int{nil, ProfileOrder(a)} {
+				chol, err := NewEnvelopeCholesky(a, perm)
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
 				}
-				a.Add(i, i, float64(n))
-			}
-			chol, err := NewCholesky(a)
-			if err != nil {
-				t.Fatalf("n=%d: %v", n, err)
-			}
-			batch := make([]Vector, k)
-			single := make([]Vector, k)
-			for c := 0; c < k; c++ {
-				batch[c] = NewVector(n)
-				for i := range batch[c] {
-					batch[c][i] = 10 * (rng.Float64() - 0.5)
+				batch := make([]Vector, k)
+				single := make([]Vector, k)
+				for c := 0; c < k; c++ {
+					batch[c] = NewVector(n)
+					for i := range batch[c] {
+						batch[c][i] = 10 * (rng.Float64() - 0.5)
+					}
+					single[c] = batch[c].Clone()
 				}
-				single[c] = batch[c].Clone()
-			}
-			if err := chol.SolveBatchInPlace(batch); err != nil {
-				t.Fatalf("n=%d k=%d: batch: %v", n, k, err)
-			}
-			for c := 0; c < k; c++ {
-				chol.SolveInPlace(single[c])
-				for i := range single[c] {
-					if batch[c][i] != single[c][i] {
-						t.Fatalf("n=%d k=%d col %d row %d: batch %v != single %v",
-							n, k, c, i, batch[c][i], single[c][i])
+				if err := chol.SolveBatchInPlace(batch); err != nil {
+					t.Fatalf("n=%d k=%d: batch: %v", n, k, err)
+				}
+				for c := 0; c < k; c++ {
+					chol.SolveInPlace(single[c])
+					for i := range single[c] {
+						if batch[c][i] != single[c][i] {
+							t.Fatalf("n=%d k=%d col %d row %d: batch %v != single %v",
+								n, k, c, i, batch[c][i], single[c][i])
+						}
 					}
 				}
 			}
 		}
 	}
-	chol, err := NewCholesky(Identity(3))
+	chol, err := denseEnvelope(Identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,35 +1,42 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 )
 
-// This file implements an exact envelope (skyline) Cholesky
-// factorization for use as a CG preconditioner on many-right-hand-side
-// solves. The thermal RC matrices are layered grid graphs: under a
-// bandwidth-reducing ordering (reverse Cuthill–McKee) their envelope is
-// narrow for grid rows and only widens locally where coarse layers
-// overlap many fine cells. Cholesky fills nothing outside the envelope,
-// so storing each row from its first nonzero to the diagonal captures
-// the exact factor; each application — two triangular sweeps over the
-// envelope, O(nnz(L)) — solves the system to roundoff. Inside a blocked
-// CG solve the factorization cost is amortized over the whole column
-// fan-out and every column converges in one or two iterations, while
-// the CG wrapper still enforces the usual residual tolerance.
+// This file implements the thermal solver's one factorization: an exact
+// envelope (skyline) Cholesky under a profile-reducing ordering. The
+// thermal RC matrices are layered grid graphs: under a Sloan or reverse
+// Cuthill–McKee ordering their envelope is narrow for grid rows and only
+// widens locally where coarse layers overlap many fine cells. Cholesky
+// fills nothing outside the envelope, so storing each row from its first
+// nonzero to the diagonal captures the exact factor, and a solve is two
+// triangular sweeps over it, O(nnz(L)).
 
-// ErrBandwidth reports that a matrix's envelope under the supplied
-// ordering exceeds the caller's cap, i.e. the exact factor would cost
-// more than it saves. Callers fall back to an incomplete factorization.
-var ErrBandwidth = fmt.Errorf("linalg: envelope over cap")
+// ErrNotSPD is returned when a Cholesky factorization meets a pivot that
+// is not a finite positive number, i.e. the matrix is not (numerically)
+// symmetric positive definite. Conductance matrices from well-formed RC
+// networks are always SPD, so this error usually indicates a malformed
+// thermal configuration (e.g. a node with no path to the ambient).
+var ErrNotSPD = errors.New("linalg: matrix is not positive definite")
+
+// ErrOptions is returned for an ordering that is not a permutation.
+var ErrOptions = errors.New("linalg: invalid options")
+
+// sloanWeights are the (distance, degree) weight pairs ProfileOrder
+// tries: Sloan's classic (2, 1), and (1, 2), which favours absorbing
+// cheap nodes and stores about a fifth less on the layered thermal grids.
+var sloanWeights = [...][2]int{{2, 1}, {1, 2}}
 
 // ProfileOrder returns an envelope-reducing ordering of the symmetric
 // sparsity graph of a: order[k] is the original index of the node placed
 // at position k. Per connected component it generates reverse
-// Cuthill–McKee orderings from several pseudo-peripheral roots plus a
-// Sloan ordering, scores each candidate by the envelope it would store,
+// Cuthill–McKee orderings from several pseudo-peripheral roots plus
+// Sloan orderings, scores each candidate by the envelope it would store,
 // and keeps the smallest — so a weak heuristic on an awkward graph can
 // never drag the result below the best candidate.
 func ProfileOrder(a *CSR) []int {
@@ -135,7 +142,7 @@ func ProfileOrder(a *CSR) []int {
 	)
 	prio := make([]int, n)
 	status := make([]int, n)
-	sloanOrder := func(s, e int) []int {
+	sloanOrder := func(s, e, w1, w2 int) []int {
 		// Distance from e over the component, BFS.
 		copy(scratch2, visited)
 		dist := make(map[int]int)
@@ -156,7 +163,6 @@ func ProfileOrder(a *CSR) []int {
 			}
 			frontier = next
 		}
-		const w1, w2 = 2, 1 // Sloan's weights: distance vs. degree
 		for v, d := range dist {
 			prio[v] = w1*d - w2*(deg[v]+1)
 			status[v] = sloanInactive
@@ -254,7 +260,8 @@ func ProfileOrder(a *CSR) []int {
 				best, bestEnv = cand, envelopeSize(cand)
 			}
 		}
-		// Sloan candidates between the pseudo-peripheral pair, both ways.
+		// Sloan candidates between the pseudo-peripheral pair, both ways,
+		// under each weight pair.
 		copy(scratch, visited)
 		last, _ := bfs(root, scratch)
 		end := last[0]
@@ -267,8 +274,11 @@ func ProfileOrder(a *CSR) []int {
 			if pair[0] == pair[1] {
 				continue
 			}
-			if cand := sloanOrder(pair[0], pair[1]); envelopeSize(cand) < bestEnv {
-				best, bestEnv = cand, envelopeSize(cand)
+			for _, w := range sloanWeights {
+				cand := sloanOrder(pair[0], pair[1], w[0], w[1])
+				if env := envelopeSize(cand); env < bestEnv {
+					best, bestEnv = cand, env
+				}
 			}
 		}
 		for _, v := range best {
@@ -281,28 +291,33 @@ func ProfileOrder(a *CSR) []int {
 
 // EnvelopeCholesky is the exact L·Lᵀ factorization of a symmetric
 // positive definite matrix in envelope (skyline) storage under a
-// caller-supplied ordering: row i of L is stored densely from its first
-// nonzero column lo[i] to the diagonal. It implements Preconditioner;
-// because the factorization is exact, a preconditioned CG solve
-// converges in one or two iterations. Immutable after construction;
-// Apply is safe for concurrent use (per-call scratch comes from an
-// internal pool).
+// caller-supplied ordering: row k of L is stored densely from its first
+// nonzero column lo[k] up to, not including, the diagonal, and the
+// diagonal is kept as reciprocals. Both triangular sweeps stream this
+// one array — the forward sweep as a dot product per row, the backward
+// sweep as an axpy per row — so a solve touches nnz(L) factor entries
+// twice and the factor can stay cache-resident across solves.
+// Immutable after construction; every solve method is safe for
+// concurrent use (scratch comes from an internal pool).
 type EnvelopeCholesky struct {
-	n    int
-	lo   []int     // first stored column of row i (in band positions)
-	ptr  []int     // row i occupies f[ptr[i]:ptr[i+1]], diagonal last
-	f    []float64 // factor values, rows packed back to back
-	perm []int     // band position k holds original node perm[k]
-	bw   int       // max half-bandwidth, max_i (i - lo[i])
-	pool sync.Pool // *[]float64 scratch, grown on demand
+	n     int
+	perm  []int     // band position k holds original index perm[k]
+	lo    []int     // row k of L spans columns [lo[k], k)
+	ptr   []int     // strict row k of L is low[ptr[k]:ptr[k+1]]
+	low   []float64 // strict lower rows, packed back to back
+	rdiag []float64 // 1 / L[k][k]
+	bw    int       // max half-bandwidth, max_k (k - lo[k])
+	pool  sync.Pool // *envWork
 }
 
+// envWork is one solve's band-space scratch, one vector per column.
+type envWork struct{ ys [][]float64 }
+
 // NewEnvelopeCholesky factors the SPD matrix a under the ordering perm
-// (nil for the natural order). If the envelope of the reordered matrix
-// holds more than maxMeanBand stored entries per row on average (when
-// maxMeanBand > 0) it returns ErrBandwidth; a non-positive pivot
-// returns ErrNotSPD.
-func NewEnvelopeCholesky(a *CSR, perm []int, maxMeanBand int) (*EnvelopeCholesky, error) {
+// (nil for the natural order). A pivot that is not a finite positive
+// number returns ErrNotSPD, so NaN or infinite entries are rejected
+// rather than factored.
+func NewEnvelopeCholesky(a *CSR, perm []int) (*EnvelopeCholesky, error) {
 	n := a.N
 	if perm == nil {
 		perm = make([]int, n)
@@ -331,64 +346,49 @@ func NewEnvelopeCholesky(a *CSR, perm []int, maxMeanBand int) (*EnvelopeCholesky
 		bi := inv[i]
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			bj := inv[a.Col[k]]
-			if bj < lo[bi] {
-				lo[bi] = bj
-			}
+			lo[bi] = min(lo[bi], bj)
 			// Symmetry: an upper entry (bi < bj) widens row bj.
-			if bi < lo[bj] {
-				lo[bj] = bi
-			}
+			lo[bj] = min(lo[bj], bi)
 		}
 	}
 	ptr := make([]int, n+1)
 	bw := 0
 	for i := 0; i < n; i++ {
-		ptr[i+1] = ptr[i] + i - lo[i] + 1
-		if i-lo[i] > bw {
-			bw = i - lo[i]
-		}
+		ptr[i+1] = ptr[i] + i - lo[i]
+		bw = max(bw, i-lo[i])
 	}
-	if maxMeanBand > 0 && ptr[n] > n*maxMeanBand {
-		return nil, fmt.Errorf("%w: envelope %d entries > %d per row over %d rows", ErrBandwidth, ptr[n], maxMeanBand, n)
-	}
-
-	f := make([]float64, ptr[n])
+	low := make([]float64, ptr[n])
+	diag := make([]float64, n)
 	for bi := 0; bi < n; bi++ {
 		oi := perm[bi]
 		for k := a.RowPtr[oi]; k < a.RowPtr[oi+1]; k++ {
-			if bj := inv[a.Col[k]]; bj <= bi {
-				f[ptr[bi]+bj-lo[bi]] = a.Val[k]
+			switch bj := inv[a.Col[k]]; {
+			case bj < bi:
+				low[ptr[bi]+bj-lo[bi]] = a.Val[k]
+			case bj == bi:
+				diag[bi] = a.Val[k]
 			}
 		}
 	}
-	// In-place envelope Cholesky: the update for entry (i,j) runs over
-	// the overlap [max(lo[i],lo[j]), j) of rows i and j; no fill occurs
-	// outside the envelope.
+	// In-place envelope Cholesky: entry (i,j) subtracts the dot product
+	// of rows i and j over their overlap [max(lo[i],lo[j]), j); no fill
+	// occurs outside the envelope.
+	rdiag := make([]float64, n)
 	for i := 0; i < n; i++ {
-		ri := f[ptr[i]:ptr[i+1]]
+		ri := low[ptr[i]:ptr[i+1]]
 		li := lo[i]
-		for j := li; j <= i; j++ {
-			s := ri[j-li]
-			rj := f[ptr[j]:ptr[j+1]]
-			lj := lo[j]
-			k0 := li
-			if lj > k0 {
-				k0 = lj
-			}
-			for k := k0; k < j; k++ {
-				s -= ri[k-li] * rj[k-lj]
-			}
-			if j < i {
-				ri[j-li] = s / rj[j-lj]
-			} else {
-				if s <= 0 || math.IsNaN(s) {
-					return nil, fmt.Errorf("%w: envelope Cholesky pivot %d = %g", ErrNotSPD, i, s)
-				}
-				ri[j-li] = math.Sqrt(s)
-			}
+		for j := li; j < i; j++ {
+			rj := low[ptr[j]:ptr[j+1]]
+			k0 := max(li, lo[j])
+			ri[j-li] = (ri[j-li] - envDot(ri[k0-li:j-li], rj[k0-lo[j]:])) * rdiag[j]
 		}
+		s := diag[i] - envDot(ri, ri)
+		if !(s > 0) || math.IsInf(s, 0) {
+			return nil, fmt.Errorf("%w: envelope Cholesky pivot %d = %g", ErrNotSPD, i, s)
+		}
+		rdiag[i] = 1 / math.Sqrt(s)
 	}
-	return &EnvelopeCholesky{n: n, lo: lo, ptr: ptr, f: f, perm: perm, bw: bw}, nil
+	return &EnvelopeCholesky{n: n, perm: perm, lo: lo, ptr: ptr, low: low, rdiag: rdiag, bw: bw}, nil
 }
 
 // Bandwidth returns the maximum half-bandwidth of the factor under its
@@ -396,91 +396,156 @@ func NewEnvelopeCholesky(a *CSR, perm []int, maxMeanBand int) (*EnvelopeCholesky
 func (e *EnvelopeCholesky) Bandwidth() int { return e.bw }
 
 // Profile returns the number of stored factor entries, nnz(L).
-func (e *EnvelopeCholesky) Profile() int { return e.ptr[e.n] }
+func (e *EnvelopeCholesky) Profile() int { return len(e.low) + e.n }
 
-func (e *EnvelopeCholesky) getScratch(size int) []float64 {
-	if p, ok := e.pool.Get().(*[]float64); ok && cap(*p) >= size {
-		return (*p)[:size]
+// envDot returns the dot product of a and x[:len(a)], unrolled
+// eight-wide (with a four-wide tail) into independent accumulators so
+// the multiply-add chains overlap instead of serializing on the FP add
+// latency.
+func envDot(a, x []float64) float64 {
+	x = x[:len(a)] // one bounds check here buys check-free inner loops
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	for len(a) >= 8 {
+		aa, xx := a[:8:8], x[:8:8]
+		s0 += aa[0] * xx[0]
+		s1 += aa[1] * xx[1]
+		s2 += aa[2] * xx[2]
+		s3 += aa[3] * xx[3]
+		s4 += aa[4] * xx[4]
+		s5 += aa[5] * xx[5]
+		s6 += aa[6] * xx[6]
+		s7 += aa[7] * xx[7]
+		a, x = a[8:], x[8:]
 	}
-	return make([]float64, size)
+	if len(a) >= 4 {
+		aa, xx := a[:4:4], x[:4:4]
+		s0 += aa[0] * xx[0]
+		s1 += aa[1] * xx[1]
+		s2 += aa[2] * xx[2]
+		s3 += aa[3] * xx[3]
+		a, x = a[4:], x[4:]
+	}
+	for i, v := range a {
+		s0 += v * x[i]
+	}
+	return ((s0 + s4) + (s1 + s5)) + ((s2 + s6) + (s3 + s7))
 }
 
-func (e *EnvelopeCholesky) putScratch(s []float64) {
-	e.pool.Put(&s)
+// envAxpy computes y[:len(a)] -= v·a, unrolled four-wide.
+func envAxpy(y, a []float64, v float64) {
+	y = y[:len(a)]
+	for len(a) >= 4 {
+		aa, yy := a[:4:4], y[:4:4]
+		yy[0] -= aa[0] * v
+		yy[1] -= aa[1] * v
+		yy[2] -= aa[2] * v
+		yy[3] -= aa[3] * v
+		a, y = a[4:], y[4:]
+	}
+	for i, w := range a {
+		y[i] -= w * v
+	}
 }
 
-// Apply solves L·Lᵀ·z = r through the ordering: a row-oriented forward
-// sweep and a column-oriented backward sweep in band space, then a
-// scatter back to the original numbering. z and r may alias.
-func (e *EnvelopeCholesky) Apply(z, r Vector) {
-	n := e.n
-	y := e.getScratch(n)
+// sweep solves L·Lᵀ·y = y in band space for every vector in ys: the
+// forward sweep as one dot product per row, the backward sweep as one
+// axpy per row into the rows below. It is the solver's one kernel: every
+// solve — single, batched, steady, transient, influence column, inverse —
+// goes through it, and per vector its operations and their order depend
+// only on the factor, never on len(ys). That order IS the floating-point
+// contract, which is what keeps a batched solve bit-for-bit equal to
+// solving its vectors one by one. Each factor row is reused across the
+// vectors while it is cache-hot.
+func (e *EnvelopeCholesky) sweep(ys [][]float64) {
+	n, lo, ptr, low, rdiag := e.n, e.lo, e.ptr, e.low, e.rdiag
 	for i := 0; i < n; i++ {
-		ri := e.f[e.ptr[i]:e.ptr[i+1]]
-		li := e.lo[i]
-		s := r[e.perm[i]]
-		for k := li; k < i; k++ {
-			s -= ri[k-li] * y[k]
+		row, l, r := low[ptr[i]:ptr[i+1]], lo[i], rdiag[i]
+		for _, y := range ys {
+			y[i] = (y[i] - envDot(row, y[l:])) * r
 		}
-		y[i] = s / ri[i-li]
 	}
-	for j := n - 1; j >= 0; j-- {
-		rj := e.f[e.ptr[j]:e.ptr[j+1]]
-		lj := e.lo[j]
-		v := y[j] / rj[j-lj]
-		y[j] = v
-		for k := lj; k < j; k++ {
-			y[k] -= rj[k-lj] * v
+	for i := n - 1; i >= 0; i-- {
+		row, l, r := low[ptr[i]:ptr[i+1]], lo[i], rdiag[i]
+		for _, y := range ys {
+			v := y[i] * r
+			y[i] = v
+			envAxpy(y[l:], row, v)
 		}
 	}
-	for i := 0; i < n; i++ {
-		z[e.perm[i]] = y[i]
-	}
-	e.putScratch(y)
 }
 
-// applyPanel runs the envelope sweeps over the ka leading panel columns
-// in one pass, the blocked-CG fast path. Each column's arithmetic
-// matches Apply exactly, so a panel application is bit-identical to ka
-// scalar ones.
-func (e *EnvelopeCholesky) applyPanel(z, r []float64, stride, ka int) {
+// work returns pooled band-space scratch for k vectors.
+func (e *EnvelopeCholesky) work(k int) *envWork {
+	w, _ := e.pool.Get().(*envWork)
+	if w == nil {
+		w = &envWork{}
+	}
+	for len(w.ys) < k {
+		w.ys = append(w.ys, make([]float64, e.n))
+	}
+	return w
+}
+
+// SolveInPlace overwrites b with A⁻¹·b. len(b) must be the matrix
+// dimension.
+func (e *EnvelopeCholesky) SolveInPlace(b Vector) {
+	// A one-column batch cannot fail its length check past this point.
+	_ = e.SolveBatchInPlace([]Vector{b[:e.n]})
+}
+
+// SolveBatchInPlace overwrites each column with A⁻¹·col through one
+// shared sweep of the factor. Per column the result is bit-for-bit equal
+// to SolveInPlace.
+func (e *EnvelopeCholesky) SolveBatchInPlace(cols []Vector) error {
+	for c, col := range cols {
+		if len(col) != e.n {
+			return fmt.Errorf("%w: envelope solve n=%d col %d len=%d", ErrDimension, e.n, c, len(col))
+		}
+	}
+	w := e.work(len(cols))
+	ys := w.ys[:len(cols)]
+	for c, col := range cols {
+		y := ys[c]
+		for k, oi := range e.perm {
+			y[k] = col[oi]
+		}
+	}
+	e.sweep(ys)
+	for c, col := range cols {
+		y := ys[c]
+		for k, oi := range e.perm {
+			col[oi] = y[k]
+		}
+	}
+	e.pool.Put(w)
+	return nil
+}
+
+// inversePanel is how many unit columns Inverse solves per sweep.
+const inversePanel = 16
+
+// Inverse returns A⁻¹ as a dense matrix, solving the unit columns in
+// panels through the shared sweep: O(n·nnz(L)) instead of a dense
+// factorization's O(n³).
+func (e *EnvelopeCholesky) Inverse() *Matrix {
 	n := e.n
-	y := e.getScratch(n * ka)
-	for i := 0; i < n; i++ {
-		ri := e.f[e.ptr[i]:e.ptr[i+1]]
-		li := e.lo[i]
-		yi := y[i*ka : i*ka+ka]
-		copy(yi, r[e.perm[i]*stride:e.perm[i]*stride+ka])
-		for k := li; k < i; k++ {
-			v := ri[k-li]
-			yk := y[k*ka : k*ka+ka : k*ka+ka]
-			for c := range yi {
-				yi[c] -= v * yk[c]
+	inv := NewMatrix(n, n)
+	cols := make([]Vector, inversePanel)
+	for c := range cols {
+		cols[c] = NewVector(n)
+	}
+	for j0 := 0; j0 < n; j0 += inversePanel {
+		panel := cols[:min(inversePanel, n-j0)]
+		for c, col := range panel {
+			col.Fill(0)
+			col[j0+c] = 1
+		}
+		_ = e.SolveBatchInPlace(panel) // lengths are n by construction
+		for c, col := range panel {
+			for i, v := range col {
+				inv.Data[i*n+j0+c] = v
 			}
 		}
-		d := ri[i-li]
-		for c := range yi {
-			yi[c] /= d
-		}
 	}
-	for j := n - 1; j >= 0; j-- {
-		rj := e.f[e.ptr[j]:e.ptr[j+1]]
-		lj := e.lo[j]
-		yj := y[j*ka : j*ka+ka]
-		d := rj[j-lj]
-		for c := range yj {
-			yj[c] /= d
-		}
-		for k := lj; k < j; k++ {
-			v := rj[k-lj]
-			yk := y[k*ka : k*ka+ka : k*ka+ka]
-			for c := range yj {
-				yk[c] -= v * yj[c]
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		copy(z[e.perm[i]*stride:e.perm[i]*stride+ka], y[i*ka:i*ka+ka])
-	}
-	e.putScratch(y)
+	return inv
 }

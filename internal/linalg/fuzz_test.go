@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -83,76 +84,139 @@ func FuzzCSRMulVec(f *testing.F) {
 	})
 }
 
-// FuzzCGBlock differentially tests the blocked multi-RHS CG against the
-// per-column solver: fuzzed bytes become a small diagonally dominant SPD
-// matrix and a panel of 1–4 right-hand sides; the blocked solve must
-// agree with k independent SolveCG calls, including iteration counts
-// (the block solver shares traversals, not arithmetic).
-func FuzzCGBlock(f *testing.F) {
-	f.Add([]byte{4, 2, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120})
-	f.Add([]byte{1, 1, 0xFF})
-	f.Add([]byte{6, 4, 0x80, 0x7F, 0x01, 0xFE, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 22, 33, 44, 55})
+// FuzzEnvelopeSolve drives the envelope Cholesky with thermal-shaped
+// inputs: fuzzed bytes become a layered grid (1–3 layers of up to 6×6
+// cells, each layer coupled cell by cell to the one below, the bottom
+// layer tied to ambient), factored under the profile or a fuzzed
+// ordering. Mode bits cut the ambient tie (every node disconnected from
+// ground, so the matrix is singular) or plant a NaN or infinite entry.
+// The factorization must return a typed error or a factor whose solves
+// have a small backward error, never panic, and a batch of 1–4
+// right-hand sides must match single solves bit for bit.
+func FuzzEnvelopeSolve(f *testing.F) {
+	f.Add([]byte{4, 3, 2, 0, 2, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120})
+	f.Add([]byte{1, 1, 1, 1, 1, 0xFF})
+	f.Add([]byte{6, 6, 3, 2, 4, 0x80, 0x7F, 0x01, 0xFE, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 22, 33})
+	f.Add([]byte{5, 2, 2, 3, 3, 7, 7, 7})
+	f.Add([]byte{3, 4, 2, 4, 1, 200, 100, 50, 25})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		if len(data) < 5 {
 			return
 		}
-		n := int(data[0])%6 + 1
-		k := int(data[1])%4 + 1
-		data = data[2:]
-		at := func(idx int) float64 {
-			if idx >= len(data) || data[idx] == 0 {
-				return 0
-			}
-			return (float64(data[idx]) - 128) / 8
-		}
-		// Symmetric off-diagonals from the byte stream, diagonal padded to
-		// strict dominance so the system is SPD by construction.
-		b := NewCSRBuilder(n)
-		rowAbs := make([]float64, n)
+		nx, ny, layers := int(data[0])%6+1, int(data[1])%6+1, int(data[2])%3+1
+		mode, k := int(data[3])%5, int(data[4])%4+1
+		data = data[5:]
+		// at maps the byte stream to positive weights in (0, 32].
 		idx := 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if v := at(idx); v != 0 {
-					b.Add(i, j, v)
-					b.Add(j, i, v)
-					rowAbs[i] += math.Abs(v)
-					rowAbs[j] += math.Abs(v)
+		at := func() float64 {
+			v := 1.0
+			if idx < len(data) {
+				v = float64(data[idx])/8 + 0.125
+			}
+			idx++
+			return v
+		}
+		per := nx * ny
+		n := per * layers
+		b := NewCSRBuilder(n)
+		pair := func(i, j int, g float64) {
+			b.Add(i, i, g)
+			b.Add(j, j, g)
+			b.Add(i, j, -g)
+			b.Add(j, i, -g)
+		}
+		for l := 0; l < layers; l++ {
+			for y := 0; y < ny; y++ {
+				for x := 0; x < nx; x++ {
+					i := l*per + y*nx + x
+					if x+1 < nx {
+						pair(i, i+1, at())
+					}
+					if y+1 < ny {
+						pair(i, i+nx, at())
+					}
+					if l+1 < layers {
+						pair(i, i+per, at())
+					} else if mode != 1 { // mode 1: no path to ambient
+						b.Add(i, i, at())
+					}
 				}
-				idx++
 			}
 		}
-		for i := 0; i < n; i++ {
-			b.Add(i, i, rowAbs[i]+1+math.Abs(at(idx)))
-			idx++
+		if mode == 2 || mode == 3 {
+			bad := math.NaN()
+			if mode == 3 {
+				bad = math.Inf(1)
+			}
+			i, j := int(at())%n, int(at())%n
+			b.Add(i, j, bad)
+			b.Add(j, i, bad)
 		}
 		a := b.Build()
 		if err := checkCSRInvariants(a); err != nil {
 			t.Fatalf("CSR invariants: %v", err)
 		}
+		perm := ProfileOrder(a)
+		if mode == 4 {
+			// A fuzzed ordering: rotate the profile order.
+			r := int(at()) % n
+			perm = append(perm[r:], perm[:r]...)
+		}
+		e, err := NewEnvelopeCholesky(a, perm)
+		if mode == 2 || mode == 3 {
+			if !errors.Is(err, ErrNotSPD) {
+				t.Fatalf("non-finite entry: err = %v, want ErrNotSPD", err)
+			}
+			return
+		}
+		if err != nil {
+			if mode != 1 || !errors.Is(err, ErrNotSPD) {
+				t.Fatalf("factorization: %v", err)
+			}
+			return
+		}
+		anorm := 0.0
+		for i := 0; i < n; i++ {
+			s := 0.0
+			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+				s += math.Abs(a.Val[p])
+			}
+			anorm = max(anorm, s)
+		}
 		rhs := make([]Vector, k)
+		single := make([]Vector, k)
 		for c := range rhs {
 			rhs[c] = NewVector(n)
 			for i := range rhs[c] {
-				rhs[c][i] = at(idx)
-				idx++
+				rhs[c][i] = at() - 16
 			}
+			single[c] = rhs[c].Clone()
 		}
-		xb, sb, err := SolveCGBlock(a, rhs, CGOptions{})
-		if err != nil {
-			t.Fatalf("block solve: %v", err)
+		batch := make([]Vector, k)
+		for c := range rhs {
+			batch[c] = rhs[c].Clone()
+		}
+		if err := e.SolveBatchInPlace(batch); err != nil {
+			t.Fatalf("batch solve: %v", err)
 		}
 		for c := range rhs {
-			xc, sc, err := SolveCG(a, rhs[c], CGOptions{})
-			if err != nil {
-				t.Fatalf("per-column solve %d: %v", c, err)
-			}
-			if sb[c].Iterations != sc.Iterations {
-				t.Fatalf("col %d: block %d iterations, per-column %d", c, sb[c].Iterations, sc.Iterations)
-			}
-			for i := range xc {
-				if math.Abs(xb[c][i]-xc[i]) > 1e-9*(1+math.Abs(xc[i])) {
-					t.Fatalf("col %d row %d: block %v per-column %v", c, i, xb[c][i], xc[i])
+			e.SolveInPlace(single[c])
+			for i := range single[c] {
+				if math.Float64bits(batch[c][i]) != math.Float64bits(single[c][i]) {
+					t.Fatalf("col %d row %d: batch %v != single %v", c, i, batch[c][i], single[c][i])
 				}
+			}
+			// Backward error: Cholesky is backward stable, so even a
+			// near-singular (disconnected) system that factors must
+			// satisfy ‖A·x − b‖ ≤ tol·(‖A‖·‖x‖ + ‖b‖).
+			ax, err := a.MulVec(single[c], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := ax.AddScaled(-1, rhs[c]).NormInf()
+			bound := 1e-10 * float64(n) * (anorm*single[c].NormInf() + rhs[c].NormInf())
+			if !(res <= bound) {
+				t.Fatalf("col %d: residual %g over bound %g (mode %d, n=%d)", c, res, bound, mode, n)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,29 +126,37 @@ func randomSPD(n int, rng *rand.Rand) *Matrix {
 	return spd
 }
 
+// denseEnvelope factors a dense SPD matrix through the envelope
+// Cholesky under the natural ordering, where the envelope is the whole
+// lower triangle.
+func denseEnvelope(a *Matrix) (*EnvelopeCholesky, error) {
+	c, err := NewCSRFromDense(a, 0)
+	if err != nil {
+		return nil, err
+	}
+	return NewEnvelopeCholesky(c, nil)
+}
+
 func TestCholeskySolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 5, 20, 60} {
 		a := randomSPD(n, rng)
-		ch, err := NewCholesky(a)
+		ch, err := denseEnvelope(a)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if ch.Size() != n {
-			t.Fatalf("Size = %d", ch.Size())
+		if ch.Bandwidth() != n-1 || ch.Profile() != n*(n+1)/2 {
+			t.Fatalf("n=%d: Bandwidth %d, Profile %d", n, ch.Bandwidth(), ch.Profile())
 		}
 		want := NewVector(n)
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
-		b, err := a.MulVec(want)
+		got, err := a.MulVec(want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ch.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ch.SolveInPlace(got)
 		for i := range want {
 			if !almostEqual(got[i], want[i], 1e-8*float64(n)) {
 				t.Fatalf("n=%d: x[%d] = %v, want %v", n, i, got[i], want[i])
@@ -157,44 +166,58 @@ func TestCholeskySolve(t *testing.T) {
 }
 
 func TestCholeskyErrors(t *testing.T) {
-	if _, err := NewCholesky(NewMatrix(2, 3)); err == nil {
-		t.Errorf("non-square should error")
+	if _, err := denseEnvelope(NewMatrix(2, 3)); !errors.Is(err, ErrDimension) {
+		t.Errorf("non-square: %v", err)
 	}
 	notSPD := NewMatrix(2, 2)
 	notSPD.Set(0, 0, 1)
 	notSPD.Set(1, 1, -1)
-	if _, err := NewCholesky(notSPD); err == nil {
-		t.Errorf("indefinite matrix should error")
+	if _, err := denseEnvelope(notSPD); !errors.Is(err, ErrNotSPD) {
+		t.Errorf("indefinite matrix: %v", err)
 	}
-	ch, err := NewCholesky(Identity(2))
+	// Non-finite entries are rejected at a pivot, never factored.
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for _, at := range [][2]int{{0, 0}, {1, 0}} {
+			m := Identity(3)
+			m.Set(at[0], at[1], v)
+			m.Set(at[1], at[0], v)
+			if _, err := denseEnvelope(m); !errors.Is(err, ErrNotSPD) {
+				t.Errorf("%v at %v: %v", v, at, err)
+			}
+		}
+	}
+	ch, err := denseEnvelope(Identity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ch.Solve(Vector{1}); err == nil {
-		t.Errorf("rhs size mismatch should error")
+	if err := ch.SolveBatchInPlace([]Vector{{1}}); !errors.Is(err, ErrDimension) {
+		t.Errorf("rhs size mismatch: %v", err)
 	}
 }
 
 func TestCholeskyInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	a := randomSPD(8, rng)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv := ch.Inverse()
-	prod, err := a.Mul(inv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if !almostEqual(prod.At(i, j), want, 1e-8) {
-				t.Fatalf("A·A⁻¹[%d,%d] = %v", i, j, prod.At(i, j))
+	// 40 spans several inverse panels, the last one partial.
+	for _, n := range []int{8, 40} {
+		a := randomSPD(n, rng)
+		ch, err := denseEnvelope(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv := ch.Inverse()
+		prod, err := a.Mul(inv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				want := 0.0
+				if i == j {
+					want = 1
+				}
+				if !almostEqual(prod.At(i, j), want, 1e-8) {
+					t.Fatalf("n=%d: A·A⁻¹[%d,%d] = %v", n, i, j, prod.At(i, j))
+				}
 			}
 		}
 	}
@@ -286,14 +309,15 @@ func TestSolveLeastSquaresErrors(t *testing.T) {
 	}
 }
 
-// Property: for random SPD systems, the Cholesky solve residual is tiny.
+// Property: for random SPD systems, the envelope Cholesky solve residual
+// is tiny.
 func TestCholeskyResidualProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(25)
 		a := randomSPD(n, r)
-		ch, err := NewCholesky(a)
+		ch, err := denseEnvelope(a)
 		if err != nil {
 			return false
 		}
@@ -301,10 +325,8 @@ func TestCholeskyResidualProperty(t *testing.T) {
 		for i := range b {
 			b[i] = r.NormFloat64() * 10
 		}
-		x, err := ch.Solve(b)
-		if err != nil {
-			return false
-		}
+		x := b.Clone()
+		ch.SolveInPlace(x)
 		ax, err := a.MulVec(x)
 		if err != nil {
 			return false
@@ -344,7 +366,7 @@ func BenchmarkCholeskyFactor200(b *testing.B) {
 	a := randomSPD(200, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewCholesky(a); err != nil {
+		if _, err := denseEnvelope(a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -353,7 +375,7 @@ func BenchmarkCholeskyFactor200(b *testing.B) {
 func BenchmarkCholeskySolve200(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomSPD(200, rng)
-	ch, err := NewCholesky(a)
+	ch, err := denseEnvelope(a)
 	if err != nil {
 		b.Fatal(err)
 	}

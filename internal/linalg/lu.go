@@ -105,8 +105,9 @@ func (f *LU) Det() float64 {
 
 // SolveLeastSquares solves the overdetermined system A·x ≈ b (A is m×n,
 // m ≥ n) in the least-squares sense via the normal equations AᵀA·x = Aᵀb,
-// factored with Cholesky. The model-fitting problems in this code base are
-// tiny and well conditioned, so normal equations are adequate.
+// factored with the envelope Cholesky (the envelope of a dense matrix is
+// its whole lower triangle). The model-fitting problems in this code base
+// are tiny and well conditioned, so normal equations are adequate.
 func SolveLeastSquares(a *Matrix, b Vector) (Vector, error) {
 	if a.Rows != len(b) {
 		return nil, fmt.Errorf("%w: least squares %dx%d rhs=%d", ErrDimension, a.Rows, a.Cols, len(b))
@@ -123,9 +124,14 @@ func SolveLeastSquares(a *Matrix, b Vector) (Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	ch, err := NewCholesky(ata)
+	sparse, err := NewCSRFromDense(ata, 0)
+	if err != nil {
+		return nil, err
+	}
+	ch, err := NewEnvelopeCholesky(sparse, nil)
 	if err != nil {
 		return nil, fmt.Errorf("linalg: normal equations not SPD (rank-deficient design?): %w", err)
 	}
-	return ch.Solve(atb)
+	ch.SolveInPlace(atb)
+	return atb, nil
 }

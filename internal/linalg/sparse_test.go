@@ -1,11 +1,8 @@
 package linalg
 
 import (
-	"errors"
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // laplacian1D builds the SPD tridiagonal system of a 1-D heat chain with
@@ -181,289 +178,5 @@ func TestCSRMulVec(t *testing.T) {
 	}
 	if _, err := c.MulVec(x, Vector{1}); err == nil {
 		t.Errorf("bad y size should error")
-	}
-}
-
-func TestIC0ExactOnTridiagonal(t *testing.T) {
-	// A tridiagonal SPD matrix has a fill-free exact Cholesky factor, so
-	// IC(0) reproduces it and preconditioned CG converges in one step.
-	a, err := NewCSRFromDense(laplacian1D(30), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ic, err := NewIC0(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewVector(30)
-	for i := range b {
-		b[i] = float64(i%5) - 2
-	}
-	x, stats, err := SolveCG(a, b, CGOptions{Precond: ic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Iterations > 2 {
-		t.Errorf("IC(0) on a tridiagonal should converge in ≤2 iterations, took %d", stats.Iterations)
-	}
-	ax, err := a.MulVec(x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ax.AddScaled(-1, b).Norm2() > 1e-9*(1+b.Norm2()) {
-		t.Errorf("IC(0)-CG residual too large")
-	}
-}
-
-func TestIC0BreakdownFallsBackToJacobi(t *testing.T) {
-	// An indefinite matrix breaks the incomplete factorization.
-	bad := NewMatrix(2, 2)
-	bad.Set(0, 0, -1)
-	bad.Set(1, 1, 1)
-	c, err := NewCSRFromDense(bad, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewIC0(c); !errors.Is(err, ErrNotSPD) {
-		t.Errorf("IC(0) of an indefinite matrix: err = %v, want ErrNotSPD", err)
-	}
-	// A diagonally weak but SPD-diagonal matrix where IC(0) itself breaks
-	// down: pivot 2 goes non-positive. The default solver must silently
-	// fall back to Jacobi and still solve.
-	m := NewMatrix(3, 3)
-	m.Set(0, 0, 1)
-	m.Set(1, 1, 1)
-	m.Set(2, 2, 1)
-	m.Set(0, 2, 0.8)
-	m.Set(2, 0, 0.8)
-	m.Set(1, 2, 0.7)
-	m.Set(2, 1, 0.7)
-	cm, err := NewCSRFromDense(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewIC0(cm); err == nil {
-		t.Fatalf("expected IC(0) breakdown for this matrix")
-	}
-	s, err := NewCGSolver(cm, CGOptions{})
-	if err != nil {
-		t.Fatalf("fallback construction failed: %v", err)
-	}
-	if _, ok := s.Preconditioner().(*Jacobi); !ok {
-		t.Errorf("solver should have fallen back to Jacobi, got %T", s.Preconditioner())
-	}
-}
-
-func TestSolveCGMatchesCholesky(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{3, 20, 120} {
-		dense := laplacian1D(n)
-		csr, err := NewCSRFromDense(dense, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := NewVector(n)
-		for i := range b {
-			b[i] = rng.NormFloat64() * 5
-		}
-		ch, err := NewCholesky(dense)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ch.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, err := SolveCG(csr, b, CGOptions{})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if stats.Iterations <= 0 || stats.Iterations > 4*n {
-			t.Errorf("n=%d: iterations = %d", n, stats.Iterations)
-		}
-		if stats.Residual > 1e-10 {
-			t.Errorf("n=%d: residual = %g", n, stats.Residual)
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
-				t.Fatalf("n=%d: CG differs from Cholesky at %d: %v vs %v", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// The satellite property: the sparse IC(0)-preconditioned path and the
-// dense Cholesky agree to 1e-9 on random SPD matrices.
-func TestSparsePreconditionedMatchesDenseCholesky(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		n := 4 + rng.Intn(40)
-		a := randomSPD(n, rng)
-		csr, err := NewCSRFromDense(a, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := NewVector(n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		ch, err := NewCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ch.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := SolveCG(csr, b, CGOptions{Tol: 1e-12})
-		if err != nil {
-			t.Fatalf("trial %d (n=%d): %v", trial, n, err)
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("trial %d (n=%d): solvers disagree at %d: %v vs %v",
-					trial, n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestSolveCGEdgeCases(t *testing.T) {
-	csr, err := NewCSRFromDense(laplacian1D(4), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Zero RHS solves instantly.
-	x, stats, err := SolveCG(csr, NewVector(4), CGOptions{})
-	if err != nil || stats.Iterations != 0 || x.NormInf() != 0 {
-		t.Errorf("zero rhs: %v %+v %v", x, stats, err)
-	}
-	if _, _, err := SolveCG(csr, NewVector(3), CGOptions{}); err == nil {
-		t.Errorf("rhs mismatch should error")
-	}
-	// Option validation.
-	if _, _, err := SolveCG(csr, NewVector(4), CGOptions{MaxIter: -1}); !errors.Is(err, ErrOptions) {
-		t.Errorf("negative MaxIter: err = %v, want ErrOptions", err)
-	}
-	if _, _, err := SolveCG(csr, NewVector(4), CGOptions{Tol: -1e-9}); !errors.Is(err, ErrOptions) {
-		t.Errorf("negative Tol: err = %v, want ErrOptions", err)
-	}
-	// Iteration starvation reports ErrNoConvergence (Jacobi forces a
-	// multi-iteration solve; IC(0) would finish tridiagonals in one).
-	jac, err := NewJacobi(csr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err = SolveCG(csr, Vector{1, 2, 3, 4}, CGOptions{MaxIter: 1, Tol: 1e-15, Precond: jac})
-	if !errors.Is(err, ErrNoConvergence) {
-		t.Errorf("starved CG: err = %v, want ErrNoConvergence", err)
-	}
-	if stats.Iterations != 1 || stats.Residual <= 0 {
-		t.Errorf("starved CG stats = %+v", stats)
-	}
-	// Non-positive diagonal rejected.
-	bad := NewMatrix(2, 2)
-	bad.Set(0, 0, -1)
-	bad.Set(1, 1, 1)
-	badCSR, err := NewCSRFromDense(bad, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := SolveCG(badCSR, Vector{1, 1}, CGOptions{}); err == nil {
-		t.Errorf("indefinite matrix should error")
-	}
-}
-
-func TestCGSolverWarmStart(t *testing.T) {
-	a, err := NewCSRFromDense(laplacian1D(60), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jac, err := NewJacobi(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewCGSolver(a, CGOptions{Precond: jac})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewVector(60)
-	for i := range b {
-		b[i] = math.Sin(float64(i))
-	}
-	cold := NewVector(60)
-	coldStats, err := s.Solve(b, cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm start from the exact solution: no iterations needed.
-	warm := cold.Clone()
-	warmStats, err := s.Solve(b, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.Iterations >= coldStats.Iterations {
-		t.Errorf("warm start took %d iterations, cold took %d", warmStats.Iterations, coldStats.Iterations)
-	}
-	for i := range cold {
-		if math.Abs(cold[i]-warm[i]) > 1e-8 {
-			t.Fatalf("warm-start solution drifted at %d", i)
-		}
-	}
-	// Mismatched x length rejected.
-	if _, err := s.Solve(b, NewVector(3)); err == nil {
-		t.Errorf("bad x size should error")
-	}
-}
-
-// Property: CG solves random SPD (diagonally dominant) systems to the
-// requested tolerance.
-func TestSolveCGProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(40)
-		m := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			var rowSum float64
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				if rng.Float64() < 0.2 {
-					v := -rng.Float64()
-					m.Set(i, j, v)
-					rowSum += -v
-				}
-			}
-			m.Set(i, i, rowSum+0.5+rng.Float64())
-		}
-		// Symmetrize.
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				v := (m.At(i, j) + m.At(j, i)) / 2
-				m.Set(i, j, v)
-				m.Set(j, i, v)
-			}
-		}
-		csr, err := NewCSRFromDense(m, 0)
-		if err != nil {
-			return false
-		}
-		b := NewVector(n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, _, err := SolveCG(csr, b, CGOptions{Tol: 1e-9})
-		if err != nil {
-			return false
-		}
-		ax, err := csr.MulVec(x, nil)
-		if err != nil {
-			return false
-		}
-		return ax.AddScaled(-1, b).Norm2() <= 1e-7*(1+b.Norm2())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }

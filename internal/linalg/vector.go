@@ -1,14 +1,14 @@
-// Package linalg implements the small dense linear-algebra kernel the
-// thermal solver needs: vectors, column-major-free dense matrices,
-// Cholesky and LU factorizations with reusable solves, and a handful of
-// BLAS-1/2 style helpers.
+// Package linalg implements the linear-algebra kernel the thermal solver
+// needs: vectors, row-major dense matrices, CSR sparse matrices, an exact
+// envelope Cholesky factorization with reusable single and batched
+// solves, the affine-powers ladder of the macro-stepping fast path, and a
+// dense LU kept as an independent test oracle.
 //
 // The compact thermal RC model produces symmetric positive-definite
-// conductance matrices of a few hundred to a few thousand unknowns. A dense
-// Cholesky factorization that is computed once and re-used for many
-// right-hand sides (steady-state maps, TSP row sums, implicit-Euler
-// transient steps) is simpler and fast enough at this scale; no sparse
-// machinery is required.
+// conductance matrices of a few hundred to a few thousand unknowns. One
+// factorization, computed once under a profile-reducing ordering and
+// reused for many right-hand sides (steady-state maps, influence columns,
+// implicit-Euler transient steps), serves every solve.
 package linalg
 
 import (

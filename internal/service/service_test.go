@@ -611,3 +611,33 @@ func TestTSPCoresBounded(t *testing.T) {
 		t.Errorf("cores=0: status %d, want 400", code)
 	}
 }
+
+// TestPlatformCacheBoundedByDefault drives a server built by New, with
+// no call to experiments.SetPlatformCacheCap, through more never-seen
+// (node, cores) platforms than the default bound: the shared platform
+// cache must stay within it.
+func TestPlatformCacheBoundedByDefault(t *testing.T) {
+	s := New(Config{}, nil)
+	defer s.Close(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	// Small near-square core counts on every node: 40 distinct keys.
+	bound := experiments.DefaultPlatformCacheCap
+	seen := 0
+	for _, node := range []string{"22nm", "16nm", "11nm", "8nm"} {
+		for _, cores := range []int{1, 2, 4, 6, 9, 12, 16, 20, 25, 30} {
+			path := fmt.Sprintf("/v1/tsp?node=%s&cores=%d&active=1", node, cores)
+			if code, body, _ := get(t, ts, path); code != http.StatusOK {
+				t.Fatalf("%s: status %d, body %s", path, code, body)
+			}
+			seen++
+			if n := experiments.PlatformCacheLen(); n > bound {
+				t.Fatalf("after %d platforms the cache holds %d, bound %d", seen, n, bound)
+			}
+		}
+	}
+	if seen <= bound {
+		t.Fatalf("only %d platforms requested, want more than the bound %d", seen, bound)
+	}
+}

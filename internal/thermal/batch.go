@@ -8,16 +8,16 @@ import (
 
 // TransientBatch steps several independent temperature states of one
 // (model, dt) pair in lockstep. All states share the cached
-// factorization; on the dense path the per-state triangular solves are
-// batched through linalg.SolveBatchInPlace, which streams each factor
-// row once across all states instead of once per state. Per state the
-// arithmetic is bit-for-bit identical to calling Transient.Step — the
-// policy sandbox relies on that to race policies in lockstep without
-// perturbing any policy's trace.
+// factorization, and each step solves every live state through one
+// batched envelope sweep, which streams each factor row once across all
+// states instead of once per state. Per state the arithmetic is
+// bit-for-bit identical to calling Transient.Step, at every model size —
+// the policy sandbox and sim.RunBatch rely on that to race lanes in
+// lockstep without perturbing any lane's trace.
 type TransientBatch struct {
 	m    *Model
 	trs  []*Transient
-	cols []linalg.Vector // reused dense-path batch view
+	cols []linalg.Vector // reused batch view of the live right-hand sides
 }
 
 // NewTransientBatch creates k transient integrators sharing one cached
@@ -48,61 +48,41 @@ func (b *TransientBatch) Len() int { return len(b.trs) }
 // and writes the resulting per-block temperatures into temps[i]. Entries
 // with active[i] == false are skipped entirely (a nil active means all
 // are live). powers and temps must have Len() entries; each live
-// temps[i] must have NumBlocks length.
+// temps[i] must have NumBlocks length. A rejected power map fails the
+// call before any state advances.
 func (b *TransientBatch) StepAll(powers [][]float64, active []bool, temps [][]float64) error {
 	if len(powers) != len(b.trs) || len(temps) != len(b.trs) {
 		return fmt.Errorf("%w: batch step with %d power maps, %d temp buffers for %d states",
 			ErrConfig, len(powers), len(temps), len(b.trs))
 	}
 	live := func(i int) bool { return active == nil || active[i] }
-
-	dense := b.trs[0].cgs == nil
-	if !dense {
-		// Sparse path: each state's warm-started CG solve depends on its
-		// own previous iterate, so states step independently — exactly as
-		// Transient.Step would.
-		for i, tr := range b.trs {
-			if !live(i) {
-				continue
-			}
-			t, err := tr.Step(powers[i])
-			if err != nil {
-				return err
-			}
-			copy(temps[i], t)
-		}
-		return nil
-	}
-
-	// Dense path: assemble every live right-hand side, then solve them
-	// as one batch against the shared factor.
 	b.cols = b.cols[:0]
 	for i, tr := range b.trs {
 		if !live(i) {
 			continue
 		}
-		if err := tr.m.nodePowerInto(tr.rhs, powers[i]); err != nil {
+		if err := b.m.nodePowerInto(tr.rhs, powers[i]); err != nil {
 			return err
 		}
-		p := tr.rhs
-		for j := range p {
-			p[j] += tr.tf.capDt[j]*tr.t[j] + tr.m.ambRHS[j]
-		}
-		b.cols = append(b.cols, p)
+		b.cols = append(b.cols, tr.rhs)
 	}
 	if len(b.cols) == 0 {
 		return nil
 	}
-	if err := b.trs[0].tf.fac.chol.SolveBatchInPlace(b.cols); err != nil {
+	for i, tr := range b.trs {
+		if live(i) {
+			tr.completeRHS()
+		}
+	}
+	if err := b.trs[0].tf.fac.solveBatch(b.cols); err != nil {
 		return err
 	}
 	for i, tr := range b.trs {
 		if !live(i) {
 			continue
 		}
-		tr.tf.fac.record(linalg.CGStats{})
 		tr.t, tr.rhs = tr.rhs, tr.t
-		tr.m.blockTempsInto(temps[i], tr.t)
+		b.m.blockTempsInto(temps[i], tr.t)
 	}
 	return nil
 }

@@ -8,11 +8,8 @@ import (
 )
 
 // benchThermalSolve measures a cold steady-state solve — model
-// construction, factorization/preconditioning and one solve — on an
-// n×n-core platform with the given solver path forced. The cold solve is
-// the honest cost comparison: the dense path pays an O(n³) factorization
-// the sparse path replaces with an O(nnz) preconditioner plus a few dozen
-// CG iterations.
+// construction, profile ordering, factorization and one solve — on an
+// n×n-core platform; the compatibility solver kind selects nothing.
 func benchThermalSolve(b *testing.B, side int, k SolverKind) {
 	fp, err := floorplan.NewGrid(side, side, 5.1)
 	if err != nil {

@@ -6,11 +6,11 @@
 //
 // The conductance matrix is assembled directly in CSR form; steady state
 // solves the SPD linear system G·T = P (+ ambient coupling) behind a
-// solver seam chosen at construction — dense Cholesky for small stacks,
-// IC(0)-preconditioned conjugate gradients for large ones. The transient
-// solver uses unconditionally stable implicit Euler, re-using one cached
-// factorization (or preconditioner) per step size. Both expose per-core
-// (floorplan block) temperatures.
+// solver seam with one implementation: an exact envelope Cholesky under a
+// profile ordering computed once per model. The transient solver uses
+// unconditionally stable implicit Euler, re-using one cached envelope
+// factorization of (C/dt + G) per step size under that same ordering.
+// Both expose per-core (floorplan block) temperatures.
 //
 // The default configuration reproduces the paper's §2.1 HotSpot setup:
 // 0.15 mm die, k_Si = 100 W/(m·K), c_Si = 1.75e6 J/(m³·K); 20 µm interface
@@ -64,16 +64,12 @@ type Config struct {
 	ConvectionC float64
 	// AmbientC is the ambient temperature in °C.
 	AmbientC float64
-	// Solver selects the linear-solver path. The zero value (SolverAuto)
-	// picks dense Cholesky for small stacks and sparse preconditioned CG
-	// above sparseNodeThreshold nodes.
+	// Solver is a compatibility field: every model solves through one
+	// envelope Cholesky. Unknown kinds fail Validate; known kinds select
+	// nothing.
 	Solver SolverKind
-	// InfluencePanel sets how many influence-matrix columns the sparse
-	// path solves per blocked-CG pass. Zero picks the default width,
-	// 1 forces the historical one-column-at-a-time fan-out, larger
-	// values widen the panel. The blocked solver reproduces per-column
-	// arithmetic exactly, so this knob trades throughput only. Ignored
-	// on the dense path.
+	// InfluencePanel is a compatibility field: negative values fail
+	// Validate; others are ignored.
 	InfluencePanel int
 }
 

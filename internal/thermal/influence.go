@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -13,20 +12,6 @@ import (
 	"darksim/internal/linalg"
 	"darksim/internal/runner"
 )
-
-// influenceDefaultPanel is the block width used by the sparse influence
-// fan-out when Config.InfluencePanel is zero: 16 right-hand sides share
-// each CSR traversal and preconditioner sweep. The blocked solver
-// performs each column's arithmetic in the per-column order, so among
-// blocked widths (>1) the width changes throughput only, never results.
-const influenceDefaultPanel = 16
-
-// influenceMaxMeanBand caps the envelope Cholesky preconditioner the
-// blocked fan-out amortizes across its columns: if the profile-reordered
-// matrix stores more than this many factor entries per row on average,
-// the exact factor would cost more than it saves and the blocked path
-// falls back to the model's incomplete factorization.
-const influenceMaxMeanBand = 256
 
 // defaultInfluenceCacheCap bounds the process-wide influence cache. An
 // influence matrix is nb×nb float64s (8 MB at 1024 cores), so a handful
@@ -48,8 +33,8 @@ type CacheStats struct {
 }
 
 // infCache is the process-wide influence cache. The influence matrix is
-// a pure function of the stack configuration, the resolved solver path
-// and the floorplan geometry, so models built from equal platforms — a
+// a pure function of the stack configuration and the floorplan geometry,
+// so models built from equal platforms — a
 // service request, a CLI figure and a bench iteration — share one
 // computation keyed by content hash. Entries are immutable matrices;
 // eviction is LRU.
@@ -139,15 +124,11 @@ func cachePut(key uint64, mat *linalg.Matrix) {
 }
 
 // influenceKey content-hashes everything the influence matrix depends
-// on: the layer stack, the boundary conditions, the resolved solve path
-// (dense Cholesky, per-column IC(0) CG and blocked envelope-
-// preconditioned CG round differently in the last bits, so the three
-// paths must not share entries) and the floorplan geometry. The panel
-// width itself is deliberately excluded: every blocked width performs
-// each column's arithmetic in the same per-column order, so all widths
-// > 1 produce bit-identical matrices. FNV-64a keeps the key dependency-
-// free; the input is structured (length-prefixed fields), not attacker-
-// controlled.
+// on: the layer stack, the boundary conditions and the floorplan
+// geometry. There is one solve path, so Config.Solver and
+// Config.InfluencePanel are deliberately excluded: they cannot change a
+// bit of the matrix. FNV-64a keeps the key dependency-free; the input is
+// structured (length-prefixed fields), not attacker-controlled.
 func (m *Model) influenceKey() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -171,14 +152,6 @@ func (m *Model) influenceKey() uint64 {
 	wf(m.cfg.ConvectionR)
 	wf(m.cfg.ConvectionC)
 	wf(m.cfg.AmbientC)
-	switch {
-	case !m.steady.sparse():
-		wi(0)
-	case m.panelWidth() > 1:
-		wi(2)
-	default:
-		wi(1)
-	}
 	wf(m.fp.DieW)
 	wf(m.fp.DieH)
 	wi(len(m.fp.Blocks))
@@ -198,60 +171,48 @@ func (m *Model) influenceKey() uint64 {
 //
 // Lookup order: the model's own memo, then the process-wide cache (so a
 // freshly constructed model for an already-seen platform pays nothing),
-// then a parallel computation — blocked multi-RHS CG on the sparse path,
-// per-column solves on the dense one. A failed computation is NOT
-// memoized: the next call retries, so a transient CG failure cannot
-// poison the model. The context cancels the column fan-out.
+// then a parallel computation of the columns. A failed computation is NOT
+// memoized: the next call retries, so a transient failure cannot poison
+// the model. The context cancels the column fan-out.
 func (m *Model) InfluenceMatrix(ctx context.Context) (*linalg.Matrix, error) {
+	if mat := m.influence.Load(); mat != nil {
+		return mat, nil
+	}
 	m.infMu.Lock()
 	defer m.infMu.Unlock()
-	if m.influence != nil {
-		return m.influence, nil
+	if mat := m.influence.Load(); mat != nil {
+		return mat, nil
 	}
 	if !m.infKeyed {
 		m.infKey = m.influenceKey()
 		m.infKeyed = true
 	}
 	if mat, ok := cacheGet(m.infKey); ok {
-		m.influence = mat
+		m.influence.Store(mat)
 		return mat, nil
 	}
 	mat, err := m.computeInfluence(ctx)
 	if err != nil {
 		return nil, err
 	}
-	m.influence = mat
+	m.influence.Store(mat)
 	cachePut(m.infKey, mat)
 	return mat, nil
 }
 
-// panelWidth resolves Config.InfluencePanel: 0 means the default width,
-// 1 forces the per-column path, anything larger is the block width.
-func (m *Model) panelWidth() int {
-	if m.cfg.InfluencePanel == 0 {
-		return influenceDefaultPanel
-	}
-	return m.cfg.InfluencePanel
-}
+// ReleaseInfluence drops the model's memoised influence matrix without
+// waiting for a computation in progress, so an evicted platform does not
+// pin it. A later InfluenceMatrix call takes it from the process-wide
+// cache or recomputes it.
+func (m *Model) ReleaseInfluence() { m.influence.Store(nil) }
 
-// computeInfluence builds the influence matrix. Columns (or panels of
-// columns) are independent solves against the shared immutable steady-
-// state factorization and run in parallel on the runner pool. The dense
-// path keeps the historical one-column-per-item shape (bit-identical to
-// every release since the golden corpus was frozen); the sparse path
-// solves panels of panelWidth right-hand sides through the blocked CG,
-// which shares matrix and preconditioner traversals across the panel
-// while performing each column's arithmetic in the per-column order.
+// computeInfluence builds the influence matrix. Columns are independent
+// solves against the shared immutable steady-state factor and run in
+// parallel on the runner pool; every column goes through the same
+// envelope sweep, so the matrix is bit-identical at any runner width.
 func (m *Model) computeInfluence(ctx context.Context) (*linalg.Matrix, error) {
-	nb := len(m.blockCells)
-	inf := linalg.NewMatrix(nb, nb)
-	var err error
-	if m.steady.sparse() && m.panelWidth() > 1 {
-		err = m.influenceBlocked(ctx, inf)
-	} else {
-		err = m.influenceColumns(ctx, inf)
-	}
-	if err != nil {
+	inf := linalg.NewMatrix(len(m.blockCells), len(m.blockCells))
+	if err := m.influenceColumns(ctx, inf); err != nil {
 		return nil, err
 	}
 	return inf, nil
@@ -300,95 +261,8 @@ func (m *Model) influenceColumns(ctx context.Context, inf *linalg.Matrix) error 
 		defer rhsPool.Put(vp)
 		rhs := *vp
 		m.fillColumnRHS(rhs, j)
-		if err := m.steady.solveInPlace(rhs); err != nil {
-			return struct{}{}, fmt.Errorf("influence column %d: %w", j, err)
-		}
+		m.steady.solveInPlace(rhs)
 		m.readColumn(inf, rhs, j)
-		return struct{}{}, nil
-	})
-	return err
-}
-
-// blockWork is one goroutine's reusable blocked-CG state: the solver
-// (which owns its panel scratch) plus RHS and solution columns.
-type blockWork struct {
-	s    *linalg.CGBlockSolver
-	b, x []linalg.Vector
-}
-
-// influenceBlocked is the multi-RHS fan-out: each runner item solves a
-// panel of up to panelWidth columns through one CGBlockSolver, sharing
-// every CSR traversal and preconditioner sweep across the panel. The
-// many-column workload also pays for a preconditioner no single solve
-// could justify: an exact envelope Cholesky of the profile-reordered
-// system, factored once here and shared (it is immutable) by every
-// panel worker, under which each column converges in one or two CG
-// iterations. Matrices whose envelope is too wide fall back to the
-// model's incomplete factorization. Failed panels surface the lowest
-// failing original column, matching the per-column path's error shape;
-// runner.MapN then keeps the lowest-indexed panel's error, so the
-// reported column is deterministic.
-func (m *Model) influenceBlocked(ctx context.Context, inf *linalg.Matrix) error {
-	nb := len(m.blockCells)
-	k := m.panelWidth()
-	if k > nb {
-		k = nb
-	}
-	panels := (nb + k - 1) / k
-	prec := m.steady.prec
-	if env, err := linalg.NewEnvelopeCholesky(m.steady.a, linalg.ProfileOrder(m.steady.a), influenceMaxMeanBand); err == nil {
-		prec = env
-	}
-	var pool sync.Pool
-	pool.New = func() any {
-		s, err := linalg.NewCGBlockSolver(m.steady.a, k, linalg.CGOptions{Tol: cgTol, Precond: prec})
-		if err != nil {
-			// Width and options are validated; this cannot fail.
-			panic(fmt.Sprintf("thermal: block CG construction: %v", err))
-		}
-		w := &blockWork{s: s, b: make([]linalg.Vector, k), x: make([]linalg.Vector, k)}
-		for c := 0; c < k; c++ {
-			w.b[c] = linalg.NewVector(len(m.cells))
-			w.x[c] = linalg.NewVector(len(m.cells))
-		}
-		return w
-	}
-	_, err := runner.MapN(ctx, panels, runner.Options{}, func(ctx context.Context, p int) (struct{}, error) {
-		if err := ctx.Err(); err != nil {
-			return struct{}{}, err
-		}
-		j0 := p * k
-		ka := k
-		if j0+ka > nb {
-			ka = nb - j0
-		}
-		if h := influenceSolveHook; h != nil {
-			for c := 0; c < ka; c++ {
-				if err := h(j0 + c); err != nil {
-					return struct{}{}, fmt.Errorf("influence column %d: %w", j0+c, err)
-				}
-			}
-		}
-		w := pool.Get().(*blockWork)
-		defer pool.Put(w)
-		for c := 0; c < ka; c++ {
-			m.fillColumnRHS(w.b[c], j0+c)
-			w.x[c].Fill(0)
-		}
-		stats, err := w.s.SolveBlock(w.b[:ka], w.x[:ka])
-		for _, st := range stats {
-			m.steady.record(st)
-		}
-		if err != nil {
-			var ce *linalg.ColumnError
-			if errors.As(err, &ce) {
-				return struct{}{}, fmt.Errorf("influence column %d: thermal: sparse solve: %w", j0+ce.Col, ce.Err)
-			}
-			return struct{}{}, fmt.Errorf("influence columns [%d,%d): %w", j0, j0+ka, err)
-		}
-		for c := 0; c < ka; c++ {
-			m.readColumn(inf, w.x[c], j0+c)
-		}
 		return struct{}{}, nil
 	})
 	return err

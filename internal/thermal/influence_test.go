@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -14,8 +13,9 @@ import (
 	"darksim/internal/linalg"
 )
 
-// sparseModelWithPanel builds the 100-core platform on the forced sparse
-// path with the given influence panel width.
+// sparseModelWithPanel builds the 100-core platform with the
+// compatibility fields Solver = SolverSparse and the given InfluencePanel,
+// both of which select nothing.
 func sparseModelWithPanel(t testing.TB, panel int) *Model {
 	t.Helper()
 	fp, err := floorplan.NewGrid(10, 10, 5.1)
@@ -68,9 +68,9 @@ func TestInfluenceRetryAfterFailure(t *testing.T) {
 	}
 }
 
-// TestInfluenceBlockedFailureNamesColumn pins the blocked path's error
-// shape: the reported column is the original (global) column index, not
-// the panel-local one.
+// TestInfluenceBlockedFailureNamesColumn pins the error shape under an
+// InfluencePanel setting that once selected the blocked fan-out: the
+// reported column is the original (global) column index.
 func TestInfluenceBlockedFailureNamesColumn(t *testing.T) {
 	ResetInfluenceCache()
 	defer func() { influenceSolveHook = nil }()
@@ -103,8 +103,6 @@ func TestInfluenceCancelStopsWork(t *testing.T) {
 	ResetInfluenceCache()
 	defer func() { influenceSolveHook = nil }()
 
-	// Panel width 1 keeps one column per work item, the finest
-	// cancellation granularity.
 	m := sparseModelWithPanel(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
@@ -127,47 +125,38 @@ func TestInfluenceCancelStopsWork(t *testing.T) {
 	}
 }
 
-// TestInfluenceBlockedMatchesColumns is the differential between the two
-// sparse fan-outs. The per-column path iterates IC(0)-preconditioned CG
-// while the blocked path amortizes an exact envelope factorization, so
-// the two agree to solver tolerance (1e-9 relative), not bitwise. Among
-// themselves, blocked widths must be bit-identical — each column's
-// arithmetic is performed in the same per-column order at every width —
-// which is what lets the cache key ignore the panel width.
+// TestInfluenceBlockedMatchesColumns pins the influence matrix bitwise
+// across everything that once changed how its columns were solved: the
+// InfluencePanel values that selected the per-column (1) and blocked
+// (2, 16, 200) CG fan-outs, and runner widths 1 and GOMAXPROCS. Every
+// column goes through the same envelope sweep, so none of these may move
+// a bit — which is what lets the cache key ignore them.
 func TestInfluenceBlockedMatchesColumns(t *testing.T) {
-	ResetInfluenceCache()
-	cols := sparseModelWithPanel(t, 1)
-	ref, err := cols.InfluenceMatrix(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop the cached entry so every build below is a real computation.
-	ResetInfluenceCache()
-	var blkRef *linalg.Matrix
-	for _, panel := range []int{2, 7, 16, 100, 200} {
-		blk := sparseModelWithPanel(t, panel)
-		got, err := blk.InfluenceMatrix(context.Background())
-		if err != nil {
-			t.Fatalf("panel %d: %v", panel, err)
-		}
-		for i := 0; i < ref.Rows; i++ {
-			for j := 0; j < ref.Cols; j++ {
-				want := ref.At(i, j)
-				if diff := math.Abs(got.At(i, j) - want); diff > 1e-9*math.Max(1, math.Abs(want)) {
-					t.Fatalf("panel %d: influence differs at (%d,%d): %v vs %v",
-						panel, i, j, got.At(i, j), want)
-				}
-				if blkRef != nil && got.At(i, j) != blkRef.At(i, j) {
-					t.Fatalf("panel %d: blocked widths disagree at (%d,%d): %v vs %v",
-						panel, i, j, got.At(i, j), blkRef.At(i, j))
+	widths := []int{1, runtime.GOMAXPROCS(0)}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref *linalg.Matrix
+	for _, procs := range widths {
+		runtime.GOMAXPROCS(procs)
+		for _, panel := range []int{1, 2, 16, 200} {
+			// Drop cached entries so every build is a real computation.
+			ResetInfluenceCache()
+			got, err := sparseModelWithPanel(t, panel).InfluenceMatrix(context.Background())
+			if err != nil {
+				t.Fatalf("procs %d panel %d: %v", procs, panel, err)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			for i := range ref.Data {
+				if got.Data[i] != ref.Data[i] {
+					t.Fatalf("procs %d panel %d: influence differs at %d: %v vs %v",
+						procs, panel, i, got.Data[i], ref.Data[i])
 				}
 			}
 		}
-		if blkRef == nil {
-			blkRef = got
-		}
-		ResetInfluenceCache()
 	}
+	ResetInfluenceCache()
 }
 
 // TestInfluenceWarmPathZeroSolves is the cache contract `make check`
@@ -203,21 +192,19 @@ func TestInfluenceWarmPathZeroSolves(t *testing.T) {
 }
 
 // TestInfluenceCacheKey checks the content hash separates what it must
-// (boundary conditions, solver path, floorplan) and unifies what it may
-// (panel width).
+// (boundary conditions, floorplan) and pins that the compatibility fields
+// Config.Solver and Config.InfluencePanel no longer split it.
 func TestInfluenceCacheKey(t *testing.T) {
 	base := sparseModelWithPanel(t, 0)
-	widened := sparseModelWithPanel(t, 4)
-	if base.influenceKey() != widened.influenceKey() {
-		t.Errorf("panel width changed the cache key")
+	for _, panel := range []int{1, 4, 16} {
+		if base.influenceKey() != sparseModelWithPanel(t, panel).influenceKey() {
+			t.Errorf("InfluencePanel %d changed the cache key", panel)
+		}
 	}
-	dense := modelWithSolver(t, SolverDense)
-	if base.influenceKey() == dense.influenceKey() {
-		t.Errorf("solver path does not separate cache keys")
-	}
-	legacy := sparseModelWithPanel(t, 1)
-	if base.influenceKey() == legacy.influenceKey() {
-		t.Errorf("per-column and blocked paths share a cache key")
+	for _, kind := range []SolverKind{SolverAuto, SolverDense} {
+		if base.influenceKey() != modelWithSolver(t, kind).influenceKey() {
+			t.Errorf("Solver %v changed the cache key", kind)
+		}
 	}
 	fp, err := floorplan.NewGrid(10, 10, 5.1)
 	if err != nil {

@@ -1,10 +1,6 @@
 package thermal
 
-import (
-	"fmt"
-
-	"darksim/internal/linalg"
-)
+import "darksim/internal/linalg"
 
 // The macro-stepping kernel exploits that the implicit-Euler update with
 // a frozen power map is an affine map of the node temperatures:
@@ -15,8 +11,8 @@ import (
 // so k quiet steps collapse to T ← Mᵏ·T + S_k·b in O(log k) matrix
 // applies via the linalg.AffinePowers ladder. The kernel is cached per
 // (model, dt) on the transFactor, next to the factorization it derives
-// from; sparse models get a one-off dense factorization of (C/dt+G) for
-// the inverse, which the node-count gate keeps affordable.
+// from: (C/dt+G)⁻¹ is n batched solves against that same envelope
+// factor, so the macro path and the exact path share one factorization.
 
 const (
 	// macroNodeLimit gates kernel construction: above it the dense
@@ -62,23 +58,7 @@ func (tf *transFactor) kernel(m *Model) (*macroKernel, error) {
 // buildMacroKernel materializes (C/dt+G)⁻¹ and the affine-powers ladder.
 func buildMacroKernel(m *Model, tf *transFactor) (*macroKernel, error) {
 	n := len(m.cells)
-	var chol *linalg.Cholesky
-	if !tf.fac.sparse() {
-		chol = tf.fac.chol
-	} else {
-		// The sparse path never materializes (C/dt+G) densely; do it
-		// once here — the node gate keeps this a sub-second, few-MB
-		// detour that the whole sweep then shares.
-		a, err := m.gs.AddDiagonal(tf.capDt)
-		if err != nil {
-			return nil, err
-		}
-		chol, err = linalg.NewCholesky(a.Dense())
-		if err != nil {
-			return nil, fmt.Errorf("thermal: macro kernel factorization: %w", err)
-		}
-	}
-	ainv := chol.Inverse()
+	ainv := tf.fac.env.Inverse()
 	// M = A⁻¹·(C/dt): scale column j by capDt[j].
 	step := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {

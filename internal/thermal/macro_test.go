@@ -3,6 +3,8 @@ package thermal
 import (
 	"math"
 	"testing"
+
+	"darksim/internal/tech"
 )
 
 // macroTestPower is an uneven 100-block power map that heats the chip
@@ -17,18 +19,12 @@ func macroTestPower() []float64 {
 
 // TestMacroStepMatchesExact is the macro property test on real models:
 // advancing k frozen-power steps through the affine-powers ladder must
-// agree with k exact steps to within 1e-9 on the dense path. On the
-// sparse path "exact" means CG truncated at a 1e-10 relative residual —
-// about 1e-8 of solution error per step — so there the ladder (which is
-// fully direct) is compared at 1e-6, still three orders of magnitude
-// inside the golden corpus tolerance.
+// agree with k exact steps to within 1e-9, under both compatibility
+// solver kinds.
 func TestMacroStepMatchesExact(t *testing.T) {
 	for _, kind := range []SolverKind{SolverDense, SolverSparse} {
 		m := modelWithSolver(t, kind)
-		tol := 1e-9
-		if kind == SolverSparse {
-			tol = 1e-6
-		}
+		const tol = 1e-9
 		p := macroTestPower()
 		for _, k := range []int{1, 3, 7, 50, 130, 1000} {
 			exact, err := m.NewTransient(1e-3)
@@ -167,11 +163,24 @@ func TestAdvanceQuietRefusesAboveSafetyCap(t *testing.T) {
 }
 
 // TestTransientBatchMatchesStep pins the lockstep batch to the
-// sequential path bit for bit on both solver paths, including inactive
-// lanes staying frozen.
+// sequential path bit for bit, including inactive lanes staying frozen:
+// on the 100-core platform under both compatibility solver kinds, and on
+// fig13's 11 nm / 198-core platform, whose 556 nodes sat above the old
+// dense/sparse switch where lanes could not share a sweep.
 func TestTransientBatchMatchesStep(t *testing.T) {
-	for _, kind := range []SolverKind{SolverDense, SolverSparse} {
-		m := modelWithSolver(t, kind)
+	models := []struct {
+		kind string
+		m    *Model
+	}{
+		{"dense", modelWithSolver(t, SolverDense)},
+		{"sparse", modelWithSolver(t, SolverSparse)},
+		{"11nm/198", paperModel(t, tech.Node11, 198)},
+	}
+	for _, c := range models {
+		kind, m := c.kind, c.m
+		if kind == "11nm/198" && m.NumNodes() <= 512 {
+			t.Fatalf("%s has %d nodes, want more than 512", kind, m.NumNodes())
+		}
 		const lanes = 3
 		batch, err := m.NewTransientBatch(1e-3, lanes)
 		if err != nil {
@@ -208,7 +217,7 @@ func TestTransientBatchMatchesStep(t *testing.T) {
 				}
 				for b := range want {
 					if temps[i][b] != want[b] {
-						t.Fatalf("%v step %d lane %d block %d: batch %v != sequential %v",
+						t.Fatalf("%s step %d lane %d block %d: batch %v != sequential %v",
 							kind, step, i, b, temps[i][b], want[b])
 					}
 				}
@@ -219,7 +228,7 @@ func TestTransientBatchMatchesStep(t *testing.T) {
 		want := seq[1].BlockTemps()
 		for b := range want {
 			if lane1[b] != want[b] {
-				t.Fatalf("%v: dropped lane moved: block %d %v != %v", kind, b, lane1[b], want[b])
+				t.Fatalf("%s: dropped lane moved: block %d %v != %v", kind, b, lane1[b], want[b])
 			}
 		}
 	}

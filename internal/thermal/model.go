@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"darksim/internal/floorplan"
 	"darksim/internal/linalg"
@@ -34,9 +35,12 @@ type Model struct {
 	gs     *linalg.CSR
 	ambRHS linalg.Vector // gAmb·Tamb per node
 
-	// steady is the factored steady-state system behind the solver
-	// seam: dense Cholesky below sparseNodeThreshold nodes, IC(0)-
-	// preconditioned CG above (see Config.Solver to force a path).
+	// order is the profile-reducing ordering of gs, computed once: the
+	// steady factor and every per-dt transient factor share it, since
+	// (C/dt + G) has the sparsity of G.
+	order []int
+
+	// steady is the factored steady-state system behind the solver seam.
 	steady   *factor
 	counters solveCounters
 
@@ -49,18 +53,19 @@ type Model struct {
 	blockCells [][]cellShare
 
 	// influence is the lazily computed block×block matrix of steady
-	// state dT_i/dP_j in K/W (see influence.go). infMu serializes the
+	// state dT_i/dP_j in K/W (see influence.go); ReleaseInfluence may
+	// drop it at any time, hence the atomic. infMu serializes the
 	// computation; a failed computation is never memoized, so callers
 	// retry naturally. infKey memoizes the platform content hash used to
 	// look the matrix up in the process-wide cache.
-	influence *linalg.Matrix
+	influence atomic.Pointer[linalg.Matrix]
 	infMu     sync.Mutex
 	infKey    uint64
 	infKeyed  bool
 
 	// transFacs caches the factored implicit-Euler system per step size
 	// so repeated transients over one model (Fig11–13's sweeps) factor
-	// and precondition each dt exactly once.
+	// each dt exactly once.
 	transMu   sync.Mutex
 	transFacs map[float64]*transFactor
 }
@@ -87,9 +92,7 @@ type cellShare struct {
 }
 
 // NewModel discretizes the stack, assembles the conductance matrix
-// directly in sparse form and prepares the solver path selected by
-// cfg.Solver (dense Cholesky for small models, preconditioned CG above
-// sparseNodeThreshold nodes).
+// directly in sparse form, computes its profile ordering and factors it.
 func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -103,57 +106,23 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	if err := m.bindFloorplan(); err != nil {
 		return nil, err
 	}
-	var (
-		fac *factor
-		err error
-	)
-	if m.useSparse() {
-		fac, err = newSparseFactor(m.gs, &m.counters)
-	} else {
-		fac, err = newDenseFactor(m.gs.Dense(), &m.counters)
-	}
+	m.order = linalg.ProfileOrder(m.gs)
+	fac, err := newFactor(m.gs, m.order, &m.counters)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: conductance matrix not SPD (disconnected node?): %w", err)
 	}
 	m.steady = fac
-	// Solve the zero-power steady state once; it doubles as an early
-	// convergence check of the iterative path.
-	amb := m.ambRHS.Clone()
-	if err := m.steady.solveInPlace(amb); err != nil {
-		return nil, err
-	}
-	m.ambNodes = amb
+	// Solve the zero-power steady state once; it seeds transients and
+	// AmbientField.
+	m.ambNodes = m.ambRHS.Clone()
+	m.steady.solveInPlace(m.ambNodes)
 	return m, nil
-}
-
-// useSparse resolves the configured SolverKind to a concrete path.
-func (m *Model) useSparse() bool {
-	switch m.cfg.Solver {
-	case SolverDense:
-		return false
-	case SolverSparse:
-		return true
-	}
-	return len(m.cells) > sparseNodeThreshold
-}
-
-// SolverPath reports which solver the model selected: "dense" or
-// "sparse".
-func (m *Model) SolverPath() string {
-	if m.steady.sparse() {
-		return "sparse"
-	}
-	return "dense"
 }
 
 // SolverStats snapshots the linear-solver work performed so far by this
 // model and its transients.
 func (m *Model) SolverStats() SolverStats {
-	return SolverStats{
-		Path:         m.SolverPath(),
-		Solves:       m.counters.solves.Load(),
-		CGIterations: m.counters.iterations.Load(),
-	}
+	return SolverStats{Path: solverPath, Solves: m.counters.solves.Load()}
 }
 
 func (m *Model) buildCells() {
@@ -280,8 +249,8 @@ func clampGrid(i, n int) int {
 
 // overlap returns the overlapping area of two cells in m².
 func overlap(a, b cell) float64 {
-	w := math.Min(a.x+a.w, b.x+b.w) - math.Max(a.x, b.x)
-	h := math.Min(a.y+a.h, b.y+b.h) - math.Max(a.y, b.y)
+	w := min(a.x+a.w, b.x+b.w) - max(a.x, b.x)
+	h := min(a.y+a.h, b.y+b.h) - max(a.y, b.y)
 	if w <= 0 || h <= 0 {
 		return 0
 	}
@@ -300,17 +269,29 @@ func (m *Model) bindFloorplan() error {
 			ErrConfig, m.fp.DieW, m.fp.DieH, die.W, die.H)
 	}
 	m.blockCells = make([][]cellShare, len(m.fp.Blocks))
+	cw, ch := die.W/float64(die.Nx), die.H/float64(die.Ny)
 	for bi, b := range m.fp.Blocks {
 		bc := cell{x: b.X + offX, y: b.Y + offY, w: b.W, h: b.H}
+		// Only the die cells under the block's window (padded by one
+		// cell against floating-point edge cases) can overlap it; they
+		// are visited in the same row-major order as the full grid, so
+		// the shares and their sum do not depend on the window.
+		ix0 := clampGrid(int(math.Floor((bc.x+die.W/2)/cw))-1, die.Nx)
+		ix1 := clampGrid(int(math.Floor((bc.x+bc.w+die.W/2)/cw))+1, die.Nx)
+		iy0 := clampGrid(int(math.Floor((bc.y+die.H/2)/ch))-1, die.Ny)
+		iy1 := clampGrid(int(math.Floor((bc.y+bc.h+die.H/2)/ch))+1, die.Ny)
 		var total float64
 		var shares []cellShare
-		for _, ci := range m.layers[0] {
-			ov := overlap(bc, m.cells[ci])
-			if ov <= 0 {
-				continue
+		for iy := iy0; iy <= iy1; iy++ {
+			for ix := ix0; ix <= ix1; ix++ {
+				ci := m.layers[0][iy*die.Nx+ix]
+				ov := overlap(bc, m.cells[ci])
+				if ov <= 0 {
+					continue
+				}
+				shares = append(shares, cellShare{node: ci, fraction: ov})
+				total += ov
 			}
-			shares = append(shares, cellShare{node: ci, fraction: ov})
-			total += ov
 		}
 		if total <= 0 {
 			return fmt.Errorf("%w: block %q does not overlap the die grid", ErrConfig, b.Name)
@@ -349,8 +330,30 @@ func (m *Model) nodePower(blockPower []float64) (linalg.Vector, error) {
 	return p, nil
 }
 
+// PowerError reports a block power the thermal seam rejects: negative,
+// NaN or infinite. It wraps ErrConfig, so a NaN power map ends in a typed
+// error instead of NaN temperatures.
+type PowerError struct {
+	Block int     // floorplan block index
+	Watts float64 // the rejected value
+}
+
+// Error implements the error interface.
+func (e *PowerError) Error() string {
+	if e.Watts < 0 {
+		return fmt.Sprintf("%v: negative power %g W for block %d", ErrConfig, e.Watts, e.Block)
+	}
+	return fmt.Sprintf("%v: non-finite power %g W for block %d", ErrConfig, e.Watts, e.Block)
+}
+
+// Unwrap returns ErrConfig.
+func (e *PowerError) Unwrap() error { return ErrConfig }
+
 // nodePowerInto expands per-block power into per-node power without
-// allocating; dst must have NumNodes length and is overwritten.
+// allocating; dst must have NumNodes length and is overwritten. Every
+// solve entry point (SteadyState, Transient.Step, MacroStep,
+// TransientBatch.StepAll) expands power here, so this is where negative,
+// NaN and infinite powers are rejected with a *PowerError.
 func (m *Model) nodePowerInto(dst linalg.Vector, blockPower []float64) error {
 	if len(blockPower) != len(m.blockCells) {
 		return fmt.Errorf("thermal: power vector length %d, want %d", len(blockPower), len(m.blockCells))
@@ -358,8 +361,8 @@ func (m *Model) nodePowerInto(dst linalg.Vector, blockPower []float64) error {
 	dst.Fill(0)
 	for bi, shares := range m.blockCells {
 		pw := blockPower[bi]
-		if pw < 0 {
-			return fmt.Errorf("thermal: negative power %g W for block %d", pw, bi)
+		if !(pw >= 0) || math.IsInf(pw, 1) {
+			return &PowerError{Block: bi, Watts: pw}
 		}
 		for _, s := range shares {
 			dst[s.node] += pw * s.fraction
@@ -404,9 +407,7 @@ func (m *Model) SteadyStateNodes(blockPower []float64) (linalg.Vector, error) {
 		return nil, err
 	}
 	p.AddScaled(1, m.ambRHS)
-	if err := m.steady.solveInPlace(p); err != nil {
-		return nil, err
-	}
+	m.steady.solveInPlace(p)
 	return p, nil
 }
 
@@ -427,23 +428,6 @@ func (m *Model) AmbientField() []float64 {
 	return m.blockTemps(m.ambNodes)
 }
 
-// SteadyStateIterative solves the steady state with the sparse
-// preconditioned-CG path regardless of the model's selected solver. It
-// is retained for differential testing of the two paths; SteadyState is
-// the production entry point and already uses CG on large models.
-func (m *Model) SteadyStateIterative(blockPower []float64) ([]float64, error) {
-	p, err := m.nodePower(blockPower)
-	if err != nil {
-		return nil, err
-	}
-	p.AddScaled(1, m.ambRHS)
-	x, _, err := linalg.SolveCG(m.gs, p, linalg.CGOptions{Tol: 1e-11})
-	if err != nil {
-		return nil, err
-	}
-	return m.blockTemps(x), nil
-}
-
 // transientFactor returns (building and caching on first use) the
 // factored implicit-Euler system for step size dt. The cache makes
 // repeated transients over one model — a sweep of boosting runs, or
@@ -459,23 +443,11 @@ func (m *Model) transientFactor(dt float64) (*transFactor, error) {
 	for i, c := range m.cells {
 		capDt[i] = c.capJK / dt
 	}
-	var (
-		fac *factor
-		err error
-	)
-	if m.steady.sparse() {
-		a, aerr := m.gs.AddDiagonal(capDt)
-		if aerr != nil {
-			return nil, aerr
-		}
-		fac, err = newSparseFactor(a, &m.counters)
-	} else {
-		a := m.gs.Dense()
-		for i := 0; i < n; i++ {
-			a.Add(i, i, capDt[i])
-		}
-		fac, err = newDenseFactor(a, &m.counters)
+	a, err := m.gs.AddDiagonal(capDt)
+	if err != nil {
+		return nil, err
 	}
+	fac, err := newFactor(a, m.order, &m.counters)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: transient matrix not SPD: %w", err)
 	}

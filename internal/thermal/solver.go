@@ -2,22 +2,22 @@ package thermal
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"darksim/internal/linalg"
 )
 
-// SolverKind selects the linear-solver path of a Model.
+// SolverKind is a compatibility field: every model solves through one
+// exact envelope Cholesky, so the kind is validated and otherwise
+// ignored.
 type SolverKind int
 
 const (
-	// SolverAuto picks the dense direct solver below
-	// sparseNodeThreshold nodes and the sparse iterative solver above.
+	// SolverAuto is the zero value.
 	SolverAuto SolverKind = iota
-	// SolverDense forces the dense Cholesky path.
+	// SolverDense is accepted and ignored.
 	SolverDense
-	// SolverSparse forces the CSR + preconditioned-CG path.
+	// SolverSparse is accepted and ignored.
 	SolverSparse
 )
 
@@ -34,132 +34,58 @@ func (k SolverKind) String() string {
 	return fmt.Sprintf("SolverKind(%d)", int(k))
 }
 
-// sparseNodeThreshold is the node count above which SolverAuto switches
-// from the dense Cholesky to the sparse preconditioned-CG path. Below
-// it, a cached dense triangular solve (O(n²) per RHS after an O(n³)
-// factorization that is cheap at this size) beats CG's iteration loop;
-// above it, the dense factorization's cubic time and quadratic memory
-// take over. The paper's 100-core platforms (364 nodes) stay dense; the
-// 198- and 361-core platforms and everything larger go sparse.
-const sparseNodeThreshold = 512
-
-// cgTol is the relative-residual tolerance of the sparse path. The
-// golden corpus compares at abs 1e-6 / rel 2e-3; 1e-10 leaves four
-// orders of magnitude of headroom while staying a few dozen iterations
-// on IC(0)-preconditioned grids.
-const cgTol = 1e-10
+// solverPath names the one solve path in SolverStats.
+const solverPath = "envelope"
 
 // solveCounters aggregates solver work across a model's lifetime. The
-// counters are atomic because steady-state solves fan out on the runner
+// counter is atomic because steady-state solves fan out on the runner
 // pool (influence columns) and transients may step concurrently.
 type solveCounters struct {
-	solves     atomic.Uint64
-	iterations atomic.Uint64
+	solves atomic.Uint64
 }
 
 // SolverStats is a snapshot of the linear-solver work a model (and its
 // transients) performed.
 type SolverStats struct {
-	// Path is "dense" or "sparse".
+	// Path is always "envelope".
 	Path string `json:"path"`
 	// Solves counts linear solves (steady-state, influence columns and
 	// transient steps combined).
 	Solves uint64 `json:"solves"`
-	// CGIterations counts conjugate-gradient iterations; always zero on
-	// the dense path.
+	// CGIterations is a compatibility field and always zero: no solve
+	// iterates.
 	CGIterations uint64 `json:"cg_iterations"`
 }
 
-// factor is one factored linear system behind the solver seam: either a
-// dense Cholesky or a sparse matrix with its preconditioner. Factors are
-// immutable after construction and safe for concurrent solves; the
-// sparse side pools per-goroutine CG workspaces.
+// factor is one factored linear system behind the solver seam: an exact
+// envelope Cholesky under the model's profile ordering. Factors are
+// immutable after construction and safe for concurrent solves.
 type factor struct {
-	// Dense path.
-	chol *linalg.Cholesky
-	// Sparse path.
-	a    *linalg.CSR
-	prec linalg.Preconditioner
-	pool sync.Pool // of *cgWork
-
+	env   *linalg.EnvelopeCholesky
 	stats *solveCounters
 }
 
-// cgWork is one goroutine's reusable CG state: the solver scratch and a
-// solution buffer.
-type cgWork struct {
-	s *linalg.CGSolver
-	x linalg.Vector
-}
-
-// newDenseFactor factors a dense SPD matrix.
-func newDenseFactor(a *linalg.Matrix, stats *solveCounters) (*factor, error) {
-	ch, err := linalg.NewCholesky(a)
+// newFactor factors the SPD matrix a under the model's ordering.
+func newFactor(a *linalg.CSR, order []int, stats *solveCounters) (*factor, error) {
+	env, err := linalg.NewEnvelopeCholesky(a, order)
 	if err != nil {
 		return nil, err
 	}
-	return &factor{chol: ch, stats: stats}, nil
+	return &factor{env: env, stats: stats}, nil
 }
 
-// newSparseFactor builds the IC(0) (fallback: Jacobi) preconditioner for
-// a sparse SPD matrix.
-func newSparseFactor(a *linalg.CSR, stats *solveCounters) (*factor, error) {
-	var prec linalg.Preconditioner
-	ic, err := linalg.NewIC0(a)
-	if err == nil {
-		prec = ic
-	} else {
-		j, jerr := linalg.NewJacobi(a)
-		if jerr != nil {
-			return nil, jerr
-		}
-		prec = j
-	}
-	f := &factor{a: a, prec: prec, stats: stats}
-	f.pool.New = func() any {
-		return &cgWork{s: f.newSolver(), x: linalg.NewVector(a.N)}
-	}
-	return f, nil
-}
-
-// newSolver creates a CG solver bound to this factor's matrix and
-// shared preconditioner. Callers that solve sequentially (the transient
-// stepper) hold one; concurrent callers go through solveInPlace's pool.
-func (f *factor) newSolver() *linalg.CGSolver {
-	s, err := linalg.NewCGSolver(f.a, linalg.CGOptions{Tol: cgTol, Precond: f.prec})
-	if err != nil {
-		// Options are fixed and valid; this cannot fail.
-		panic(fmt.Sprintf("thermal: CG solver construction: %v", err))
-	}
-	return s
-}
-
-// sparse reports whether this factor uses the iterative path.
-func (f *factor) sparse() bool { return f.chol == nil }
-
-// record folds one solve's statistics into the model counters.
-func (f *factor) record(st linalg.CGStats) {
+// solveInPlace overwrites b (NumNodes long) with A⁻¹·b.
+func (f *factor) solveInPlace(b linalg.Vector) {
+	f.env.SolveInPlace(b)
 	f.stats.solves.Add(1)
-	if st.Iterations > 0 {
-		f.stats.iterations.Add(uint64(st.Iterations))
-	}
 }
 
-// solveInPlace overwrites b with A⁻¹·b. It is safe for concurrent use.
-func (f *factor) solveInPlace(b linalg.Vector) error {
-	if f.chol != nil {
-		f.chol.SolveInPlace(b)
-		f.record(linalg.CGStats{})
-		return nil
+// solveBatch overwrites each column with A⁻¹·col in one shared sweep,
+// bit-for-bit equal to solving the columns one by one.
+func (f *factor) solveBatch(cols []linalg.Vector) error {
+	if err := f.env.SolveBatchInPlace(cols); err != nil {
+		return err
 	}
-	w := f.pool.Get().(*cgWork)
-	defer f.pool.Put(w)
-	w.x.Fill(0)
-	st, err := w.s.Solve(b, w.x)
-	f.record(st)
-	if err != nil {
-		return fmt.Errorf("thermal: sparse solve: %w", err)
-	}
-	copy(b, w.x)
+	f.stats.solves.Add(uint64(len(cols)))
 	return nil
 }

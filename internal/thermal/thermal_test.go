@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"darksim/internal/floorplan"
 	"darksim/internal/linalg"
+	"darksim/internal/tech"
 )
 
 // model16 builds the standard 100-core 16 nm platform model (5.1 mm²
@@ -231,6 +233,71 @@ func TestPowerVectorErrors(t *testing.T) {
 	bad[3] = -1
 	if _, err := m.SteadyState(bad); err == nil {
 		t.Errorf("negative power should error")
+	}
+}
+
+// TestNonFinitePowerRejected is the table test for the thermal seam's
+// power check: every solve entry point rejects a negative, NaN or
+// infinite block power with a *PowerError that wraps ErrConfig and names
+// the block, and no state advances.
+func TestNonFinitePowerRejected(t *testing.T) {
+	m := model16(t)
+	entries := []struct {
+		name string
+		call func(p []float64) ([]float64, error)
+	}{
+		{"SteadyState", m.SteadyState},
+		{"Transient.Step", func(p []float64) ([]float64, error) {
+			tr, err := m.NewTransient(1e-3)
+			if err != nil {
+				return nil, err
+			}
+			before := tr.BlockTemps()
+			temps, err := tr.Step(p)
+			if after := tr.BlockTemps(); !floatsEqual(before, after) {
+				t.Errorf("Step advanced the state on a rejected power map")
+			}
+			return temps, err
+		}},
+		{"MacroStep", func(p []float64) ([]float64, error) {
+			tr, err := m.NewTransient(1e-3)
+			if err != nil {
+				return nil, err
+			}
+			return tr.MacroStep(p, 50)
+		}},
+		{"TransientBatch.StepAll", func(p []float64) ([]float64, error) {
+			b, err := m.NewTransientBatch(1e-3, 2)
+			if err != nil {
+				return nil, err
+			}
+			good := make([]float64, m.NumBlocks())
+			temps := [][]float64{make([]float64, m.NumBlocks()), make([]float64, m.NumBlocks())}
+			before := b.Transient(0).BlockTemps()
+			err = b.StepAll([][]float64{good, p}, nil, temps)
+			if after := b.Transient(0).BlockTemps(); !floatsEqual(before, after) {
+				t.Errorf("StepAll advanced a healthy lane on a rejected power map")
+			}
+			return nil, err
+		}},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for _, e := range entries {
+			p := make([]float64, m.NumBlocks())
+			p[7] = bad
+			temps, err := e.call(p)
+			if !errors.Is(err, ErrConfig) {
+				t.Errorf("%s(%v): error %v does not wrap ErrConfig", e.name, bad, err)
+				continue
+			}
+			var pe *PowerError
+			if !errors.As(err, &pe) || pe.Block != 7 {
+				t.Errorf("%s(%v): error %v is not a *PowerError for block 7", e.name, bad, err)
+			}
+			if temps != nil {
+				t.Errorf("%s(%v): returned temperatures with an error", e.name, bad)
+			}
+		}
 	}
 }
 
@@ -491,18 +558,11 @@ func modelWithSolver(t testing.TB, k SolverKind) *Model {
 	return m
 }
 
+// TestSolverPathSelection pins that there is one solve path: every
+// compatibility SolverKind and InfluencePanel value, and a model above
+// the old 512-node dense/sparse switch, report the envelope path and
+// zero CG iterations after real work.
 func TestSolverPathSelection(t *testing.T) {
-	// 364 nodes: auto stays dense; forcing sparse flips the path.
-	if got := model16(t).SolverPath(); got != "dense" {
-		t.Errorf("auto path on 364 nodes = %q, want dense", got)
-	}
-	if got := modelWithSolver(t, SolverSparse).SolverPath(); got != "sparse" {
-		t.Errorf("forced sparse path = %q", got)
-	}
-	if got := modelWithSolver(t, SolverDense).SolverPath(); got != "dense" {
-		t.Errorf("forced dense path = %q", got)
-	}
-	// A model above the threshold goes sparse on auto.
 	fp, err := floorplan.NewGrid(15, 15, 5.1)
 	if err != nil {
 		t.Fatal(err)
@@ -511,11 +571,30 @@ func TestSolverPathSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if big.NumNodes() <= sparseNodeThreshold {
-		t.Fatalf("15x15 platform has %d nodes, expected above threshold", big.NumNodes())
+	if big.NumNodes() <= 512 {
+		t.Fatalf("15x15 platform has %d nodes, expected above 512", big.NumNodes())
 	}
-	if got := big.SolverPath(); got != "sparse" {
-		t.Errorf("auto path on %d nodes = %q, want sparse", big.NumNodes(), got)
+	models := map[string]*Model{"auto": model16(t), "dense": modelWithSolver(t, SolverDense),
+		"sparse": modelWithSolver(t, SolverSparse), "big": big}
+	for name, m := range models {
+		p := make([]float64, m.NumBlocks())
+		for i := range p {
+			p[i] = 1.5
+		}
+		if _, err := m.SteadyState(p); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := m.NewTransient(1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Step(p); err != nil {
+			t.Fatal(err)
+		}
+		st := m.SolverStats()
+		if st.Path != "envelope" || st.Solves < 3 || st.CGIterations != 0 {
+			t.Errorf("%s: stats = %+v, want the envelope path, >= 3 solves, 0 CG iterations", name, st)
+		}
 	}
 	// SolverKind strings and config validation.
 	if SolverAuto.String() != "auto" || SolverDense.String() != "dense" || SolverSparse.String() != "sparse" {
@@ -531,56 +610,139 @@ func TestSolverPathSelection(t *testing.T) {
 	}
 }
 
-// TestSparseMatchesDenseSteadyState is the cross-path differential: the
-// sparse preconditioned-CG engine must reproduce the dense Cholesky
-// solution far inside the golden-corpus tolerance.
-func TestSparseMatchesDenseSteadyState(t *testing.T) {
-	dense := modelWithSolver(t, SolverDense)
-	sparse := modelWithSolver(t, SolverSparse)
-	rng := rand.New(rand.NewSource(7))
-	p := make([]float64, 100)
-	for i := range p {
-		p[i] = 4 * rng.Float64()
-	}
-	td, err := dense.SteadyState(p)
+// paperModel builds the thermal model of a paper platform the way
+// core.NewPlatformWith does: the node's core area on the standard grid,
+// discretized at the core grid.
+func paperModel(t testing.TB, node tech.Node, cores int) *Model {
+	t.Helper()
+	spec, err := tech.SpecFor(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := sparse.SteadyState(p)
+	fp, err := floorplan.NewGridForCount(cores, spec.CoreAreaMM2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range td {
-		if math.Abs(td[i]-ts[i]) > 1e-7 {
-			t.Fatalf("paths disagree at %d: dense %v sparse %v", i, td[i], ts[i])
+	m, err := NewModel(fp, DefaultConfig(fp.DieW, fp.DieH, fp.Cols, fp.Rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// luSolve solves a·x = b with the dense LU oracle. The system is
+// relabelled symmetrically by order first: partial-pivoting LU skips zero
+// multipliers, so a banded labelling keeps the 1024-core oracle under a
+// second. The permutation is undone before returning.
+func luSolve(t *testing.T, a *linalg.CSR, order []int, b linalg.Vector) linalg.Vector {
+	t.Helper()
+	d := a.Dense()
+	n := a.N
+	pd := linalg.NewMatrix(n, n)
+	pb := linalg.NewVector(n)
+	for i, oi := range order {
+		pb[i] = b[oi]
+		for j, oj := range order {
+			pd.Set(i, j, d.At(oi, oj))
 		}
 	}
-	// Influence matrices agree too (parallel multi-RHS on the seam).
-	id, err := dense.InfluenceMatrix(context.Background())
+	lu, err := linalg.NewLU(pd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, err := sparse.InfluenceMatrix(context.Background())
+	px, err := lu.Solve(pb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < id.Rows; i++ {
-		for j := 0; j < id.Cols; j++ {
-			if math.Abs(id.At(i, j)-is.At(i, j)) > 1e-8 {
-				t.Fatalf("influence disagrees at (%d,%d)", i, j)
+	x := linalg.NewVector(n)
+	for i, oi := range order {
+		x[oi] = px[i]
+	}
+	return x
+}
+
+// TestEnvelopeMatchesLUOracle checks the one solve path against an
+// independent dense LU with partial pivoting: steady-state and
+// implicit-Euler transient node temperatures on the four paper platforms
+// and a 1024-core grid, to relative 1e-10.
+func TestEnvelopeMatchesLUOracle(t *testing.T) {
+	type platform struct {
+		name  string
+		model func(testing.TB) *Model
+	}
+	platforms := []platform{
+		{"22nm/100", func(tb testing.TB) *Model { return paperModel(tb, tech.Node22, 100) }},
+		{"16nm/100", func(tb testing.TB) *Model { return paperModel(tb, tech.Node16, 100) }},
+		{"11nm/198", func(tb testing.TB) *Model { return paperModel(tb, tech.Node11, 198) }},
+		{"8nm/361", func(tb testing.TB) *Model { return paperModel(tb, tech.Node8, 361) }},
+		{"grid/1024", func(tb testing.TB) *Model {
+			fp, err := floorplan.NewGrid(32, 32, 5.1)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			m, err := NewModel(fp, DefaultConfig(fp.DieW, fp.DieH, 32, 32))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return m
+		}},
+	}
+	rng := rand.New(rand.NewSource(13))
+	check := func(name string, got, want linalg.Vector) {
+		t.Helper()
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-10*math.Abs(want[i]) {
+				t.Fatalf("%s: node %d = %.17g, LU oracle %.17g", name, i, got[i], want[i])
 			}
 		}
 	}
-	// Stats reflect the work done.
-	sd, ss := dense.SolverStats(), sparse.SolverStats()
-	if sd.Path != "dense" || sd.Solves == 0 || sd.CGIterations != 0 {
-		t.Errorf("dense stats = %+v", sd)
-	}
-	if ss.Path != "sparse" || ss.Solves == 0 || ss.CGIterations == 0 {
-		t.Errorf("sparse stats = %+v", ss)
+	for _, pl := range platforms {
+		m := pl.model(t)
+		p := make([]float64, m.NumBlocks())
+		for i := range p {
+			p[i] = 4 * rng.Float64()
+		}
+		// Steady state: G·T = P + P_amb.
+		got, err := m.SteadyStateNodes(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rhs, err := m.nodePower(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rhs.AddScaled(1, m.ambRHS)
+		check(pl.name+" steady", got, luSolve(t, m.gs, m.order, rhs))
+
+		// One transient step from a non-uniform state:
+		// (C/dt + G)·T⁺ = (C/dt)·T + P + P_amb.
+		const dt = 1e-3
+		tr, err := m.NewTransient(dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tr.t {
+			tr.t[i] = 45 + 10*rng.Float64()
+		}
+		t0 := tr.t.Clone()
+		if _, err := tr.Step(p); err != nil {
+			t.Fatal(err)
+		}
+		a, err := m.gs.AddDiagonal(tr.tf.capDt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rhs, _ = m.nodePower(p)
+		for i := range rhs {
+			rhs[i] += tr.tf.capDt[i]*t0[i] + m.ambRHS[i]
+		}
+		check(pl.name+" transient", tr.t, luSolve(t, a, m.order, rhs))
 	}
 }
 
+// TestSparseMatchesDenseTransient pins that the compatibility solver
+// kinds select nothing: models built with SolverDense and SolverSparse
+// step bit-identically. It also pins the per-dt factor cache.
 func TestSparseMatchesDenseTransient(t *testing.T) {
 	dense := modelWithSolver(t, SolverDense)
 	sparse := modelWithSolver(t, SolverSparse)
@@ -606,7 +768,7 @@ func TestSparseMatchesDenseTransient(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range td {
-			if math.Abs(td[i]-ts[i]) > 1e-6 {
+			if td[i] != ts[i] {
 				t.Fatalf("step %d block %d: dense %v sparse %v", step, i, td[i], ts[i])
 			}
 		}
@@ -716,49 +878,6 @@ func TestBlocksSpanningMultipleDieCells(t *testing.T) {
 	for i := range temps {
 		if math.Abs(temps[i]-tf[i]) > 1.0 {
 			t.Errorf("block %d: coarse %v vs fine %v", i, temps[i], tf[i])
-		}
-	}
-}
-
-func TestSteadyStateIterativeMatchesDirect(t *testing.T) {
-	m := model16(t)
-	rng := rand.New(rand.NewSource(31))
-	p := make([]float64, 100)
-	for i := range p {
-		p[i] = 4 * rng.Float64()
-	}
-	direct, err := m.SteadyState(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iter, err := m.SteadyStateIterative(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range direct {
-		if math.Abs(direct[i]-iter[i]) > 1e-5 {
-			t.Fatalf("solvers disagree at %d: %v vs %v", i, direct[i], iter[i])
-		}
-	}
-	// Error paths propagate.
-	if _, err := m.SteadyStateIterative(make([]float64, 3)); err == nil {
-		t.Errorf("bad power length should error")
-	}
-}
-
-func BenchmarkSteadyStateIterative100(b *testing.B) {
-	m := model16(b)
-	p := make([]float64, 100)
-	for i := range p {
-		p[i] = 2
-	}
-	if _, err := m.SteadyStateIterative(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.SteadyStateIterative(p); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -12,14 +12,11 @@ import (
 //	C·(T⁺ − T)/dt = −G·T⁺ + P + P_amb
 //	(C/dt + G)·T⁺ = (C/dt)·T + P + P_amb
 //
-// The left-hand matrix depends only on dt, so one factorization (dense
-// path) or preconditioner (sparse path) serves the whole run, and the
-// model caches it per dt across runs. On the dense path each step is a
-// single triangular solve; on the sparse path each step is a CG solve
-// warm-started from the previous temperatures, which converges in a
-// handful of iterations at small dt because consecutive states are
-// close. This is what makes the paper's §6 boosting experiments (100 s
-// at 1 ms control period, i.e. 10⁵ steps) tractable.
+// The left-hand matrix depends only on dt, so one envelope factorization
+// serves the whole run, and the model caches it per dt across runs. Each
+// step is one exact pair of triangular sweeps, at every model size. This
+// is what makes the paper's §6 boosting experiments (100 s at 1 ms
+// control period, i.e. 10⁵ steps) tractable.
 //
 // On top of the exact per-step path, MacroStep and AdvanceQuiet expose
 // the macro-stepping fast path for intervals of frozen power (see
@@ -31,24 +28,17 @@ type Transient struct {
 	dt float64
 	tf *transFactor
 	t  linalg.Vector // current node temperatures
-	// cgs/x are the sparse path's private solver and solution buffer; a
-	// Transient is not safe for concurrent Steps, so no pooling needed.
-	cgs *linalg.CGSolver
-	x   linalg.Vector
 
-	// rhs is the pooled node-power / right-hand-side buffer every step
-	// assembles into; on the dense path it swaps with t after the solve.
+	// rhs is the node-power / right-hand-side buffer every step
+	// assembles into; it swaps with t after the solve.
 	rhs linalg.Vector
 
 	// Macro-path state: ladder vectors and the frozen-power steady-state
-	// cache. tinf is T∞ for the power map frozen in tinfPow; steadyCG
-	// warm-starts successive T∞ solves on the sparse path, where
-	// consecutive frozen power maps differ only through leakage drift.
+	// cache. tinf is T∞ for the power map frozen in tinfPow.
 	b, scratch linalg.Vector
 	tinf       linalg.Vector
 	tinfPow    []float64
 	haveTinf   bool
-	steadyCG   *linalg.CGSolver
 }
 
 // NewTransient creates a transient integrator with step size dt (seconds),
@@ -62,13 +52,7 @@ func (m *Model) NewTransient(dt float64) (*Transient, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(m.cells)
-	tr := &Transient{m: m, dt: dt, tf: tf, t: m.ambNodes.Clone(), rhs: linalg.NewVector(n)}
-	if tf.fac.sparse() {
-		tr.cgs = tf.fac.newSolver()
-		tr.x = linalg.NewVector(n)
-	}
-	return tr, nil
+	return &Transient{m: m, dt: dt, tf: tf, t: m.ambNodes.Clone(), rhs: linalg.NewVector(len(m.cells))}, nil
 }
 
 // Dt returns the integrator step size in seconds.
@@ -85,9 +69,6 @@ func (tr *Transient) SetSteadyState(blockPower []float64) error {
 		return err
 	}
 	tr.t = nodeT
-	if tr.x != nil && len(tr.x) != len(tr.t) {
-		tr.x = linalg.NewVector(len(tr.t))
-	}
 	return nil
 }
 
@@ -97,36 +78,25 @@ func (tr *Transient) Step(blockPower []float64) ([]float64, error) {
 	if err := tr.m.nodePowerInto(tr.rhs, blockPower); err != nil {
 		return nil, err
 	}
-	if err := tr.stepNodes(); err != nil {
-		return nil, err
-	}
+	tr.stepNodes()
 	return tr.m.blockTemps(tr.t), nil
+}
+
+// completeRHS turns tr.rhs, holding the expanded node power, into the
+// implicit-Euler right-hand side (C/dt)·T + P + P_amb.
+func (tr *Transient) completeRHS() {
+	p, capDt, t, amb := tr.rhs, tr.tf.capDt, tr.t, tr.m.ambRHS
+	for i := range p {
+		p[i] += capDt[i]*t[i] + amb[i]
+	}
 }
 
 // stepNodes performs one implicit-Euler step assuming tr.rhs holds the
 // expanded node power; it completes the right-hand side and solves.
-func (tr *Transient) stepNodes() error {
-	p := tr.rhs
-	for i := range p {
-		p[i] += tr.tf.capDt[i]*tr.t[i] + tr.m.ambRHS[i]
-	}
-	if tr.cgs == nil {
-		tr.tf.fac.chol.SolveInPlace(p)
-		tr.tf.fac.record(linalg.CGStats{})
-		tr.t, tr.rhs = p, tr.t
-	} else {
-		// Warm start from the current temperatures: at control-period
-		// step sizes consecutive states differ by millikelvins, so CG
-		// typically converges in a few iterations.
-		copy(tr.x, tr.t)
-		st, err := tr.cgs.Solve(p, tr.x)
-		tr.tf.fac.record(st)
-		if err != nil {
-			return fmt.Errorf("thermal: transient step: %w", err)
-		}
-		tr.t, tr.x = tr.x, tr.t
-	}
-	return nil
+func (tr *Transient) stepNodes() {
+	tr.completeRHS()
+	tr.tf.fac.solveInPlace(tr.rhs)
+	tr.t, tr.rhs = tr.rhs, tr.t
 }
 
 // MacroSupported reports whether this model/dt pair can macro-step,
@@ -181,9 +151,7 @@ func (tr *Transient) stepFrozen(blockPower []float64, k int) ([]float64, error) 
 	}
 	for s := 0; s < k; s++ {
 		copy(tr.rhs, tr.b)
-		if err := tr.stepNodes(); err != nil {
-			return nil, err
-		}
+		tr.stepNodes()
 	}
 	return tr.m.blockTemps(tr.t), nil
 }
@@ -238,28 +206,9 @@ func (tr *Transient) frozenSteadyNodes(blockPower []float64) (linalg.Vector, err
 	if err := tr.m.nodePowerInto(tr.scratch, blockPower); err != nil {
 		return nil, err
 	}
-	rhs := tr.scratch
-	rhs.AddScaled(1, tr.m.ambRHS)
-	if !tr.m.steady.sparse() {
-		tr.m.steady.chol.SolveInPlace(rhs)
-		tr.m.steady.record(linalg.CGStats{})
-		copy(tr.tinf, rhs)
-	} else {
-		if tr.steadyCG == nil {
-			tr.steadyCG = tr.m.steady.newSolver()
-		}
-		// Warm start from the previous steady target (or the current
-		// state on the first solve): successive frozen power maps differ
-		// only by leakage drift, so CG converges in a few iterations.
-		if !tr.haveTinf {
-			copy(tr.tinf, tr.t)
-		}
-		st, err := tr.steadyCG.Solve(rhs, tr.tinf)
-		tr.m.steady.record(st)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: frozen steady state: %w", err)
-		}
-	}
+	tr.tinf, tr.scratch = tr.scratch, tr.tinf
+	tr.tinf.AddScaled(1, tr.m.ambRHS)
+	tr.m.steady.solveInPlace(tr.tinf)
 	tr.tinfPow = append(tr.tinfPow[:0], blockPower...)
 	tr.haveTinf = true
 	return tr.tinf, nil
