@@ -276,3 +276,49 @@ func TestEnvelopeMatchesDenseLU(t *testing.T) {
 		}
 	}
 }
+
+// TestSparsePreconditionedMatchesDenseCholesky checks that exploiting
+// sparsity does not change the answer: on random sparse SPD matrices the
+// envelope factor under the profile ordering (the sparse factor that
+// once preconditioned CG and now solves outright) agrees to 1e-9 with
+// the dense Cholesky, the factor of the whole lower triangle in natural
+// order.
+func TestSparsePreconditionedMatchesDenseCholesky(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 20; trial++ {
+		n := 4 + rng.Intn(40)
+		a := randomSPDCSR(rng, n, 0.1)
+		b := NewVector(n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		// A negative drop tolerance keeps every entry, zeros included,
+		// so the natural-order envelope is the whole lower triangle.
+		full, err := NewCSRFromDense(a.Dense(), -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, err := NewEnvelopeCholesky(full, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dense.Profile() != n*(n+1)/2 {
+			t.Fatalf("trial %d (n=%d): dense profile %d, want %d", trial, n, dense.Profile(), n*(n+1)/2)
+		}
+		want := b.Clone()
+		dense.SolveInPlace(want)
+		sparse, err := NewEnvelopeCholesky(a, ProfileOrder(a))
+		if err != nil {
+			t.Fatalf("trial %d (n=%d): %v", trial, n, err)
+		}
+		if sparse.Profile() > dense.Profile() {
+			t.Errorf("trial %d (n=%d): sparse profile %d exceeds dense %d", trial, n, sparse.Profile(), dense.Profile())
+		}
+		sparse.SolveInPlace(b)
+		for i := range want {
+			if math.Abs(b[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+				t.Fatalf("trial %d (n=%d): solvers disagree at %d: %v vs %v", trial, n, i, b[i], want[i])
+			}
+		}
+	}
+}

@@ -740,6 +740,93 @@ func TestEnvelopeMatchesLUOracle(t *testing.T) {
 	}
 }
 
+// TestSparseMatchesDenseSteadyState pins that the compatibility solver
+// kinds select nothing at steady state: models built with SolverDense
+// and SolverSparse give bit-identical steady temperatures and influence
+// matrices, and both report the one envelope path with no CG work.
+func TestSparseMatchesDenseSteadyState(t *testing.T) {
+	dense := modelWithSolver(t, SolverDense)
+	sparse := modelWithSolver(t, SolverSparse)
+	rng := rand.New(rand.NewSource(7))
+	p := make([]float64, 100)
+	for i := range p {
+		p[i] = 4 * rng.Float64()
+	}
+	td, err := dense.SteadyState(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := sparse.SteadyState(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range td {
+		if td[i] != ts[i] {
+			t.Fatalf("block %d: dense %v sparse %v", i, td[i], ts[i])
+		}
+	}
+	id, err := dense.InfluenceMatrix(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	is, err := sparse.InfluenceMatrix(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < id.Rows; i++ {
+		for j := 0; j < id.Cols; j++ {
+			if id.At(i, j) != is.At(i, j) {
+				t.Fatalf("influence differs at (%d,%d): dense %v sparse %v", i, j, id.At(i, j), is.At(i, j))
+			}
+		}
+	}
+	for name, st := range map[string]SolverStats{"dense": dense.SolverStats(), "sparse": sparse.SolverStats()} {
+		if st.Path != "envelope" || st.Solves == 0 || st.CGIterations != 0 {
+			t.Errorf("%s stats = %+v", name, st)
+		}
+	}
+}
+
+// TestSteadyStateIterativeMatchesDirect reaches steady state
+// iteratively, by implicit-Euler pseudo-time steps far longer than the
+// package's slowest time constant, and checks that the fixed point is
+// the direct steady solve. The two use different factors, (C/dt + G)
+// and G, under the one profile ordering.
+func TestSteadyStateIterativeMatchesDirect(t *testing.T) {
+	m := model16(t)
+	rng := rand.New(rand.NewSource(31))
+	p := make([]float64, 100)
+	for i := range p {
+		p[i] = 4 * rng.Float64()
+	}
+	direct, err := m.SteadyState(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := m.NewTransient(1e4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var iter []float64
+	for k := 0; k < 50; k++ {
+		if iter, err = tr.Step(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range direct {
+		if math.Abs(direct[i]-iter[i]) > 1e-9 {
+			t.Fatalf("solvers disagree at %d: %v vs %v", i, direct[i], iter[i])
+		}
+	}
+	// Error paths propagate.
+	if _, err := tr.Step(make([]float64, 3)); err == nil {
+		t.Errorf("bad power length should error")
+	}
+	if _, err := m.SteadyState(make([]float64, 3)); err == nil {
+		t.Errorf("bad power length should error")
+	}
+}
+
 // TestSparseMatchesDenseTransient pins that the compatibility solver
 // kinds select nothing: models built with SolverDense and SolverSparse
 // step bit-identically. It also pins the per-dt factor cache.
