@@ -186,51 +186,3 @@ func FindConstantLevel(p *core.Platform, plan *mapping.Plan, ladder *vf.Ladder, 
 var _ sim.Controller = (*Closed)(nil)
 var _ sim.Controller = Constant{}
 var _ sim.FixedLevelController = Constant{}
-
-// PerPlacement drives one closed loop per placement: per-application DVFS
-// islands. Each loop reacts to its own placement's hottest core, so a
-// cool application keeps boosting while a hot neighbour throttles — the
-// control-side counterpart of DsRem's per-application v/f assignment.
-// It implements sim.GroupController.
-type PerPlacement struct {
-	loops  []*Closed
-	levels []int
-}
-
-// NewPerPlacement creates one closed loop per start level.
-func NewPerPlacement(thresholdC float64, startLevels []int, maxLevel int) (*PerPlacement, error) {
-	if len(startLevels) == 0 {
-		return nil, errors.New("boost: no placements")
-	}
-	pp := &PerPlacement{levels: make([]int, len(startLevels))}
-	for i, s := range startLevels {
-		loop, err := NewClosed(thresholdC, s, maxLevel)
-		if err != nil {
-			return nil, fmt.Errorf("boost: placement %d: %w", i, err)
-		}
-		pp.loops = append(pp.loops, loop)
-		pp.levels[i] = s
-	}
-	return pp, nil
-}
-
-// NextLevels implements sim.GroupController. The chip peak is ignored:
-// the placement owning the hottest core sees it as its own peak.
-func (pp *PerPlacement) NextLevels(_ float64, placementPeakC []float64) []int {
-	for i, loop := range pp.loops {
-		if i < len(placementPeakC) {
-			pp.levels[i] = loop.Next(placementPeakC[i])
-		}
-	}
-	return pp.levels
-}
-
-// CurrentLevels implements sim.GroupController.
-func (pp *PerPlacement) CurrentLevels() []int {
-	for i, loop := range pp.loops {
-		pp.levels[i] = loop.Current()
-	}
-	return pp.levels
-}
-
-var _ sim.GroupController = (*PerPlacement)(nil)

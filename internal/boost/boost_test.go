@@ -1,6 +1,7 @@
 package boost
 
 import (
+	"context"
 	"testing"
 
 	"darksim/internal/apps"
@@ -195,35 +196,6 @@ func TestClosedLoopOscillatesAroundThreshold(t *testing.T) {
 	}
 }
 
-func TestNewPerPlacementErrors(t *testing.T) {
-	if _, err := NewPerPlacement(80, nil, 5); err == nil {
-		t.Errorf("no placements should error")
-	}
-	if _, err := NewPerPlacement(80, []int{0, 9}, 5); err == nil {
-		t.Errorf("start above max should error")
-	}
-}
-
-func TestPerPlacementIndependence(t *testing.T) {
-	pp, err := NewPerPlacement(80, []int{3, 3}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pp.CurrentLevels(); got[0] != 3 || got[1] != 3 {
-		t.Fatalf("CurrentLevels = %v", got)
-	}
-	// Placement 0 is hot (descends), placement 1 is cool (climbs).
-	levels := pp.NextLevels(85, []float64{85, 60})
-	if levels[0] != 2 || levels[1] != 4 {
-		t.Errorf("NextLevels = %v, want [2 4]", levels)
-	}
-	// Short peak slice leaves the missing placements unchanged.
-	levels = pp.NextLevels(85, []float64{85})
-	if levels[0] != 1 || levels[1] != 4 {
-		t.Errorf("NextLevels short = %v, want [1 4]", levels)
-	}
-}
-
 func TestPerAppIslandsCharacterization(t *testing.T) {
 	// A hot app (x264) next to a cool one (canneal) under per-placement
 	// DVFS islands versus one chip-wide loop. The chip is strongly
@@ -277,18 +249,27 @@ func TestPerAppIslandsCharacterization(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	startLevels := make([]int, len(plan.Placements))
-	for i := range startLevels {
-		startLevels[i] = start
+	islands := &islandLoops{levels: make([]int, len(plan.Placements))}
+	for range plan.Placements {
+		loop, err := NewClosed(p.TDTM, start, len(ladder.Points)-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		islands.loops = append(islands.loops, loop)
 	}
-	islands, err := NewPerPlacement(p.TDTM, startLevels, len(ladder.Points)-1)
-	if err != nil {
+	lane := &sim.Lane{
+		Plans:       sim.StaticPlan{Plan: plan},
+		Ctrl:        islands,
+		Ladder:      ladder,
+		StartSteady: opts.StartSteady,
+	}
+	if err := sim.RunLanes(context.Background(), p, []*sim.Lane{lane}, opts); err != nil {
 		t.Fatal(err)
 	}
-	islandRes, err := sim.RunGrouped(p, plan, islands, ladder, opts)
-	if err != nil {
-		t.Fatal(err)
+	if lane.Err != nil {
+		t.Fatal(lane.Err)
 	}
+	islandRes := lane.Result
 
 	// Islands stay within a few per cent of global control.
 	if rel := (globalRes.AvgGIPS - islandRes.AvgGIPS) / globalRes.AvgGIPS; rel > 0.05 || rel < -0.05 {
@@ -299,7 +280,7 @@ func TestPerAppIslandsCharacterization(t *testing.T) {
 		t.Errorf("islands overshoot: %.2f °C", islandRes.MaxTempC)
 	}
 	// Per-placement levels actually diverged (the point of islands).
-	final := islands.CurrentLevels()
+	final := islands.Start().Levels
 	minL, maxL := final[0], final[0]
 	for _, l := range final {
 		if l < minL {
@@ -312,4 +293,25 @@ func TestPerAppIslandsCharacterization(t *testing.T) {
 	if minL == maxL {
 		t.Errorf("island levels never diverged: %v", final)
 	}
+}
+
+// islandLoops drives one closed loop per placement — per-application
+// DVFS islands, each reacting to its own placement's hottest core.
+type islandLoops struct {
+	loops  []*Closed
+	levels []int
+}
+
+func (c *islandLoops) Start() sim.Decision {
+	for i, loop := range c.loops {
+		c.levels[i] = loop.Current()
+	}
+	return sim.Decision{Levels: c.levels}
+}
+
+func (c *islandLoops) Next(obs sim.Observation) sim.Decision {
+	for i, loop := range c.loops {
+		c.levels[i] = loop.Next(obs.PlacementPeakC[i])
+	}
+	return sim.Decision{Levels: c.levels}
 }

@@ -282,8 +282,8 @@ func (p *Platform) SteadyTemps(plan *mapping.Plan, mode PowerMode) ([]float64, [
 }
 
 // PlacementCorePowerAt evaluates the Equation (1) power of one core of a
-// placement at a specific core temperature. The transient simulator uses
-// it to couple leakage to the instantaneous thermal state.
+// placement at a specific core temperature. SteadyTemps couples leakage
+// through it; the transient engine uses the bit-identical PowerCoef form.
 func (p *Platform) PlacementCorePowerAt(pl mapping.Placement, tempC float64, mode PowerMode) (float64, error) {
 	return p.placementCorePower(pl, tempC, mode)
 }

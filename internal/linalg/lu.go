@@ -10,13 +10,13 @@ import (
 // pivot even after partial pivoting.
 var ErrSingular = errors.New("linalg: matrix is singular")
 
-// LU holds a row-pivoted LU factorization P·A = L·U. It backs the general
-// least-squares fitting code; the thermal path uses Cholesky.
+// LU holds a row-pivoted LU factorization P·A = L·U. It is the dense
+// oracle the envelope Cholesky is tested against; the thermal path uses
+// the envelope factor.
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
 // NewLU factors the square matrix a with partial pivoting.
@@ -31,7 +31,6 @@ func NewLU(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Find pivot row.
 		p, maxAbs := k, math.Abs(lu[k*n+k])
@@ -48,7 +47,6 @@ func NewLU(a *Matrix) (*LU, error) {
 				lu[p*n+j], lu[k*n+j] = lu[k*n+j], lu[p*n+j]
 			}
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		pivVal := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -62,7 +60,7 @@ func NewLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{n: n, lu: lu, piv: piv, sign: sign}, nil
+	return &LU{n: n, lu: lu, piv: piv}, nil
 }
 
 // Solve returns x with A·x = b.
@@ -92,15 +90,6 @@ func (f *LU) Solve(b Vector) (Vector, error) {
 		x[i] = s / f.lu[i*n+i]
 	}
 	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }
 
 // SolveLeastSquares solves the overdetermined system A·x ≈ b (A is m×n,

@@ -8,34 +8,7 @@ import (
 	"darksim/internal/boost"
 	"darksim/internal/mapping"
 	"darksim/internal/sim"
-	"darksim/internal/vf"
 )
-
-// chipWide adapts a chip-wide sim.Controller (the §6 boosting loops) to
-// the per-placement Controller interface: every placement gets the same
-// level, driven by the chip peak — exactly sim.Run's control model, so a
-// chip-wide adapter reproduces the boost figures bit for bit.
-type chipWide struct {
-	ctrl   sim.Controller
-	ladder *vf.Ladder
-	levels []int
-}
-
-func newChipWide(ctrl sim.Controller, ladder *vf.Ladder, placements int) *chipWide {
-	return &chipWide{ctrl: ctrl, ladder: ladder, levels: make([]int, placements)}
-}
-
-func (c *chipWide) set(level int) Decision {
-	level = c.ladder.Clamp(level)
-	for i := range c.levels {
-		c.levels[i] = level
-	}
-	return Decision{Levels: c.levels}
-}
-
-func (c *chipWide) Start() Decision { return c.set(c.ctrl.Current()) }
-
-func (c *chipWide) Next(obs Observation) Decision { return c.set(c.ctrl.Next(obs.PeakC)) }
 
 // holdLevels keeps a fixed per-placement level assignment — the control
 // side of the static mapping policies (TDPmap, patterned, DsRem).
@@ -86,7 +59,7 @@ func (Constant) Prepare(ctx context.Context, env *Env) (*Prepared, error) {
 	return &Prepared{
 		Plan:        plan,
 		Ladder:      p.BoostLadder,
-		Ctrl:        newChipWide(boost.Constant{Level: level}, p.BoostLadder, len(plan.Placements)),
+		Ctrl:        sim.ChipWide(boost.Constant{Level: level}, p.BoostLadder, len(plan.Placements)),
 		StartSteady: true,
 	}, nil
 }
@@ -130,7 +103,7 @@ func (b *Boost) Prepare(ctx context.Context, env *Env) (*Prepared, error) {
 	return &Prepared{
 		Plan:        plan,
 		Ladder:      ladder,
-		Ctrl:        newChipWide(ctrl, ladder, len(plan.Placements)),
+		Ctrl:        sim.ChipWide(ctrl, ladder, len(plan.Placements)),
 		StartSteady: true,
 	}, nil
 }
@@ -191,7 +164,7 @@ func (UnsafeBoost) Prepare(ctx context.Context, env *Env) (*Prepared, error) {
 	return &Prepared{
 		Plan:        plan,
 		Ladder:      ladder,
-		Ctrl:        newChipWide(ctrl, ladder, len(plan.Placements)),
+		Ctrl:        sim.ChipWide(ctrl, ladder, len(plan.Placements)),
 		StartSteady: true,
 	}, nil
 }

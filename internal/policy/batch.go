@@ -2,390 +2,146 @@ package policy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
-	"darksim/internal/core"
-	"darksim/internal/mapping"
-	"darksim/internal/metrics"
-	"darksim/internal/thermal"
+	"darksim/internal/sim"
 	"darksim/internal/trace"
 )
 
-// lane is one policy's in-flight run inside a lockstep pack. All lanes of
-// a pack share the thermal model's cached factorization through a
-// thermal.TransientBatch, so the pack pays one factor sweep per control
-// period for every live lane instead of one per lane; per lane the
-// arithmetic is bit-for-bit what a solo Env.Run performs (the batch and
-// power-coefficient layers both carry exactness pins).
-type lane struct {
-	out  *Outcome
-	prep *Prepared
-	work *mapping.Plan
-	nPl  int
-
-	levels []int
-	gated  []bool
-
-	tr    *thermal.Transient
-	temps []float64
-	peak  float64
-	power []float64
-
-	placementPeaks []float64
-	placementW     []float64
-
-	// coefs caches the fused power coefficients per (placement, clamped
-	// level); a placement's coefficient set is fixed for the run since
-	// the plan is static and only frequencies move.
-	coefs   [][]core.PowerCoef
-	coefSet [][]bool
-
-	energy    metrics.EnergyMeter
+// packLane is one policy's lane in a lockstep race: the engine lane plus
+// the trace its hook records.
+type packLane struct {
+	sim.Lane
+	out       *Outcome
+	prep      *Prepared
 	tspByMask map[string]float64
 	activeSum int
-
-	// Per-step scratch carried from the decision half to the record half
-	// of the control period (the shared batch solve sits between them).
-	totalP, totalG, maxCoreW, tspW float64
-	active                         int
-	dtm                            bool
 
 	// Per-run arenas for the trace's per-step slices: one backing array
 	// per field instead of one allocation per step per field.
 	levelsBuf []int
 	gatedBuf  []bool
 	wBuf      []float64
-
-	// failed marks a lane whose policy errored (recorded in out.Err);
-	// the pack keeps racing the others while this lane's state freezes.
-	failed bool
 }
 
-// fail records a policy-level error and retires the lane.
-func (ln *lane) fail(err error) {
-	ln.out.Err = err.Error()
-	ln.failed = true
-}
-
-// adoptDecision validates and installs a controller decision.
-func (ln *lane) adoptDecision(d Decision) error {
-	if len(d.Levels) != ln.nPl || (d.Gated != nil && len(d.Gated) != ln.nPl) {
-		return fmt.Errorf("%w: controller returned %d levels / %d gates for %d placements",
-			ErrPolicy, len(d.Levels), len(d.Gated), ln.nPl)
-	}
-	copy(ln.levels, d.Levels)
-	if d.Gated == nil {
-		for i := range ln.gated {
-			ln.gated[i] = false
-		}
-	} else {
-		copy(ln.gated, d.Gated)
-	}
-	return nil
-}
-
-// setFreqs writes the decided frequencies into the working plan.
-func (ln *lane) setFreqs() {
-	ladder := ln.prep.Ladder
-	for i := range ln.work.Placements {
-		ln.work.Placements[i].FGHz = ladder.Points[ladder.Clamp(ln.levels[i])].FGHz
-	}
-}
-
-// coefFor returns the fused coefficients of placement i at its current
-// (clamped) level, computing and caching them on first use. setFreqs must
-// have run for the current decision.
-func (ln *lane) coefFor(p *core.Platform, i int, mode core.PowerMode) (core.PowerCoef, error) {
-	lvl := ln.prep.Ladder.Clamp(ln.levels[i])
-	if ln.coefSet[i][lvl] {
-		return ln.coefs[i][lvl], nil
-	}
-	c, err := p.PowerCoefFor(ln.work.Placements[i], mode)
-	if err != nil {
-		return core.PowerCoef{}, err
-	}
-	ln.coefs[i][lvl] = c
-	ln.coefSet[i][lvl] = true
-	return c, nil
-}
-
-// newLane binds one prepared policy to a batch transient. A policy-level
-// preparation failure is recorded in the lane's Outcome (the lane starts
-// retired); only infrastructure errors are returned.
-func (e *Env) newLane(ctx context.Context, pol Policy, tr *thermal.Transient, opt Options, steps int) (*lane, error) {
-	p := e.Platform
-	ln := &lane{out: &Outcome{Policy: pol.Name(), Info: pol.Info()}, tr: tr}
-	prep, err := pol.Prepare(ctx, e)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		ln.fail(err)
-		return ln, nil
-	}
-	ln.prep = prep
-	plan := prep.Plan
-	if err := plan.Validate(); err != nil {
-		ln.fail(err)
-		return ln, nil
-	}
-	if plan.NumCores != p.NumCores() {
-		ln.fail(fmt.Errorf("%w: plan has %d cores, platform %d", ErrPolicy, plan.NumCores, p.NumCores()))
-		return ln, nil
-	}
-	ln.work = &mapping.Plan{NumCores: plan.NumCores}
-	ln.work.Placements = append([]mapping.Placement(nil), plan.Placements...)
-	ln.nPl = len(ln.work.Placements)
-	ln.levels = make([]int, ln.nPl)
-	ln.gated = make([]bool, ln.nPl)
-
-	dec := prep.Ctrl.Start()
-	if len(dec.Levels) != ln.nPl {
-		ln.fail(fmt.Errorf("%w: controller starts %d placements, plan has %d", ErrPolicy, len(dec.Levels), ln.nPl))
-		return ln, nil
-	}
-	if err := ln.adoptDecision(dec); err != nil {
-		ln.fail(err)
-		return ln, nil
-	}
-	ln.setFreqs()
-
-	ln.peak, _ = tr.PeakBlockTemp()
-	if prep.StartSteady {
-		// Steady state of the initial decision's ungated placements.
-		steady := &mapping.Plan{NumCores: plan.NumCores}
-		for i, pl := range ln.work.Placements {
-			if !ln.gated[i] {
-				steady.Placements = append(steady.Placements, pl)
-			}
-		}
-		_, power, err := p.SteadyTemps(steady, opt.Mode)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			ln.fail(err)
-			return ln, nil
-		}
-		if err := tr.SetSteadyState(power); err != nil {
-			ln.fail(err)
-			return ln, nil
-		}
-		ln.peak, _ = tr.PeakBlockTemp()
-	}
-
-	ln.temps = append([]float64(nil), tr.BlockTemps()...)
-	ln.power = make([]float64, plan.NumCores)
-	ln.placementPeaks = make([]float64, ln.nPl)
-	ln.placementW = make([]float64, ln.nPl)
-	nLevels := len(prep.Ladder.Points)
-	ln.coefs = make([][]core.PowerCoef, ln.nPl)
-	ln.coefSet = make([][]bool, ln.nPl)
-	for i := range ln.coefs {
-		ln.coefs[i] = make([]core.PowerCoef, nLevels)
-		ln.coefSet[i] = make([]bool, nLevels)
-	}
-	ln.tspByMask = make(map[string]float64, 2)
-	ln.out.MaxTempC = ln.peak
-	ln.out.Steps = make([]trace.Step, 0, steps)
-	ln.levelsBuf = make([]int, 0, steps*ln.nPl)
-	ln.gatedBuf = make([]bool, 0, steps*ln.nPl)
-	ln.wBuf = make([]float64, 0, steps*ln.nPl)
-	return ln, nil
-}
-
-// runPack prepares one lane per policy and races them in lockstep for the
-// configured duration. Policy-level failures retire their lane and are
-// recorded in its Outcome; only infrastructure errors (bad options,
-// context cancellation) abort the pack. Outcomes come back in input
-// order, stepping engine complete but assertions not yet checked.
-func (e *Env) runPack(ctx context.Context, pols []Policy, opt Options) ([]*lane, error) {
+// race prepares one lane per policy and races them in lockstep through
+// sim.RunLanes, the engine the boosting figures run on. Policy-level
+// failures (preparation, an invalid plan or decision, a failed TSP
+// lookup) retire their lane into its Outcome; only infrastructure errors
+// (bad options, context cancellation) abort the race. Outcomes come back
+// in input order, assertions not yet checked.
+func (e *Env) race(ctx context.Context, pols []Policy, opt Options) ([]*packLane, error) {
 	p := e.Platform
 	opt.fillDefaults(p)
 	if opt.Duration <= 0 || opt.ControlPeriod <= 0 || opt.ControlPeriod > opt.Duration {
 		return nil, fmt.Errorf("%w: duration %g s, control period %g s", ErrPolicy, opt.Duration, opt.ControlPeriod)
 	}
-	if len(pols) == 0 {
-		return nil, nil
-	}
 	steps := int(opt.Duration/opt.ControlPeriod + 0.5)
-	batch, err := p.Thermal.NewTransientBatch(opt.ControlPeriod, len(pols))
-	if err != nil {
+	packs := make([]*packLane, len(pols))
+	var lanes []*sim.Lane
+	for i, pol := range pols {
+		pl := &packLane{out: &Outcome{Policy: pol.Name(), Info: pol.Info()}}
+		packs[i] = pl
+		prep, err := pol.Prepare(ctx, e)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			pl.out.Err = err.Error()
+			continue
+		}
+		pl.prep = prep
+		pl.tspByMask = make(map[string]float64, 2)
+		pl.Lane = sim.Lane{
+			Plans:       sim.StaticPlan{Plan: prep.Plan},
+			Ctrl:        prep.Ctrl,
+			Ladder:      prep.Ladder,
+			StartSteady: prep.StartSteady,
+			Hook:        e.recorder(ctx, pl, steps),
+		}
+		lanes = append(lanes, &pl.Lane)
+	}
+	// One recorded sample is enough: the trace, not the series, is the
+	// sandbox's record.
+	if err := sim.RunLanes(ctx, p, lanes, sim.Options{
+		Duration:      opt.Duration,
+		ControlPeriod: opt.ControlPeriod,
+		Mode:          opt.Mode,
+		EmergencyC:    opt.EmergencyC,
+		RecordPoints:  1,
+	}); err != nil {
 		return nil, err
 	}
-
-	lanes := make([]*lane, len(pols))
-	active := make([]bool, len(pols))
-	powers := make([][]float64, len(pols))
-	temps := make([][]float64, len(pols))
-	for i, pol := range pols {
-		ln, err := e.newLane(ctx, pol, batch.Transient(i), opt, steps)
-		if err != nil {
-			return nil, err
-		}
-		lanes[i] = ln
-	}
-
-	for step := 0; step < steps; step++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		now := float64(step) * opt.ControlPeriod
-
-		for i, ln := range lanes {
-			active[i] = false
-			if ln.failed {
-				continue
-			}
-			if err := ln.stepDecision(ctx, e, step, now, opt); err != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				ln.fail(err)
-				continue
-			}
-			active[i] = true
-			powers[i] = ln.power
-			temps[i] = ln.temps
-		}
-
-		if err := batch.StepAll(powers, active, temps); err != nil {
-			return nil, err
-		}
-
-		for i, ln := range lanes {
-			if !active[i] {
-				continue
-			}
-			ln.recordStep(step, now, opt)
+	for _, pl := range packs {
+		if pl.prep != nil {
+			pl.finish(opt, steps, p.NumCores())
 		}
 	}
-
-	for _, ln := range lanes {
-		if ln.failed {
-			continue
-		}
-		ln.finish(opt, steps)
-	}
-	return lanes, nil
+	return packs, nil
 }
 
-// stepDecision runs one lane's pre-solve half of a control period: the
-// policy decision, DTM clamp, frequency update, fused power evaluation
-// and TSP lookup. The post-solve half lives in recordStep; the two halves
-// bracket the pack's shared batched thermal solve.
-func (ln *lane) stepDecision(ctx context.Context, e *Env, step int, now float64, opt Options) error {
-	p := e.Platform
-	for i, pl := range ln.work.Placements {
-		pp := 0.0
-		for _, c := range pl.Cores {
-			if ln.temps[c] > pp {
-				pp = ln.temps[c]
-			}
-		}
-		ln.placementPeaks[i] = pp
-	}
-	if err := ln.adoptDecision(ln.prep.Ctrl.Next(Observation{
-		Step: step, TimeS: now, PeakC: ln.peak, PlacementPeakC: ln.placementPeaks,
-	})); err != nil {
-		return err
-	}
-	ln.dtm = false
-	if ln.peak > opt.EmergencyC {
-		for i := range ln.levels {
-			ln.levels[i] = 0
-		}
-		ln.dtm = true
-		ln.out.DTMEvents++
-	}
-	ln.setFreqs()
-
-	for i := range ln.power {
-		ln.power[i] = 0
-	}
-	ln.totalP, ln.totalG, ln.maxCoreW = 0, 0, 0
-	ln.active = 0
-	for i, pl := range ln.work.Placements {
-		ln.placementW[i] = 0
-		if ln.gated[i] {
-			continue
-		}
-		ln.totalG += pl.GIPS()
-		ln.active += len(pl.Cores)
-		coef, err := ln.coefFor(p, i, opt.Mode)
+// recorder is a lane's hook: it looks up the period's TSP budget and
+// appends the period to the lane's trace.
+func (e *Env) recorder(ctx context.Context, pl *packLane, steps int) func(*sim.Period) error {
+	return func(pd *sim.Period) error {
+		tspW, err := e.tspFor(ctx, pd.Gated, pd.ActiveCores, pl.tspByMask)
 		if err != nil {
 			return err
 		}
-		for _, c := range pl.Cores {
-			cp := coef.At(ln.temps[c])
-			ln.power[c] = cp
-			ln.placementW[i] += cp
-			ln.totalP += cp
-			if cp > ln.maxCoreW {
-				ln.maxCoreW = cp
-			}
+		if pl.out.Steps == nil {
+			n := len(pd.Levels)
+			pl.out.Steps = make([]trace.Step, 0, steps)
+			pl.levelsBuf = make([]int, 0, steps*n)
+			pl.gatedBuf = make([]bool, 0, steps*n)
+			pl.wBuf = make([]float64, 0, steps*n)
 		}
+		pl.activeSum += pd.ActiveCores
+		ls := len(pl.levelsBuf)
+		pl.levelsBuf = append(pl.levelsBuf, pd.Levels...)
+		gs := len(pl.gatedBuf)
+		pl.gatedBuf = append(pl.gatedBuf, pd.Gated...)
+		ws := len(pl.wBuf)
+		pl.wBuf = append(pl.wBuf, pd.PlacementW...)
+		pl.out.Steps = append(pl.out.Steps, trace.Step{
+			Index:       pd.Step,
+			TimeS:       pd.TimeS,
+			Levels:      pl.levelsBuf[ls:len(pl.levelsBuf):len(pl.levelsBuf)],
+			Gated:       pl.gatedBuf[gs:len(pl.gatedBuf):len(pl.gatedBuf)],
+			PlacementW:  pl.wBuf[ws:len(pl.wBuf):len(pl.wBuf)],
+			TotalW:      pd.TotalW,
+			MaxCoreW:    pd.MaxCoreW,
+			PeakC:       pd.PeakC,
+			GIPS:        pd.GIPS,
+			ActiveCores: pd.ActiveCores,
+			TSPPerCoreW: tspW,
+			DTM:         pd.DTM,
+		})
+		return nil
 	}
-
-	var err error
-	ln.tspW, err = e.tspFor(ctx, ln.gated, ln.active, ln.tspByMask)
-	return err
 }
 
-// recordStep runs the post-solve half of a control period: peak update,
-// energy and trace accounting. The batch solve has already advanced
-// ln.temps in place.
-func (ln *lane) recordStep(step int, now float64, opt Options) {
-	ln.peak = 0
-	for _, t := range ln.temps {
-		if t > ln.peak {
-			ln.peak = t
+// finish copies the engine's aggregates into the Outcome, or the lane's
+// error when it retired.
+func (pl *packLane) finish(opt Options, steps, cores int) {
+	out := pl.out
+	if pl.Err != nil {
+		// The engine's run-shape errors are policy errors here.
+		err := pl.Err
+		if errors.Is(err, sim.ErrRun) {
+			err = fmt.Errorf("%w: %w", ErrPolicy, err)
 		}
+		out.Err = err.Error()
+		return
 	}
-	// EnergyMeter.Add only rejects non-finite or negative inputs; both
-	// are already excluded by the options validation above.
-	_ = ln.energy.Add(opt.ControlPeriod, ln.totalP)
-	if ln.totalP > ln.out.PeakPowerW {
-		ln.out.PeakPowerW = ln.totalP
-	}
-	if ln.peak > ln.out.MaxTempC {
-		ln.out.MaxTempC = ln.peak
-	}
-	ln.out.AvgGIPS += ln.totalG
-	ln.activeSum += ln.active
-
-	ls := len(ln.levelsBuf)
-	ln.levelsBuf = append(ln.levelsBuf, ln.levels...)
-	gs := len(ln.gatedBuf)
-	ln.gatedBuf = append(ln.gatedBuf, ln.gated...)
-	ws := len(ln.wBuf)
-	ln.wBuf = append(ln.wBuf, ln.placementW...)
-	ln.out.Steps = append(ln.out.Steps, trace.Step{
-		Index:       step,
-		TimeS:       now,
-		Levels:      ln.levelsBuf[ls:len(ln.levelsBuf):len(ln.levelsBuf)],
-		Gated:       ln.gatedBuf[gs:len(ln.gatedBuf):len(ln.gatedBuf)],
-		PlacementW:  ln.wBuf[ws:len(ln.wBuf):len(ln.wBuf)],
-		TotalW:      ln.totalP,
-		MaxCoreW:    ln.maxCoreW,
-		PeakC:       ln.peak,
-		GIPS:        ln.totalG,
-		ActiveCores: ln.active,
-		TSPPerCoreW: ln.tspW,
-		DTM:         ln.dtm,
-	})
-}
-
-// finish normalizes the run aggregates once all steps are in.
-func (ln *lane) finish(opt Options, steps int) {
-	out := ln.out
-	out.AvgGIPS /= float64(steps)
-	out.EnergyJ = ln.energy.TotalJ()
+	r := pl.Result
+	out.AvgGIPS, out.EnergyJ, out.PeakPowerW = r.AvgGIPS, r.EnergyJ, r.PeakPowerW
+	out.MaxTempC, out.DTMEvents = r.MaxTempC, r.DTMEvents
 	if work := out.AvgGIPS * opt.Duration; work > 0 {
 		out.EnergyPerGinstr = out.EnergyJ / work
 	}
-	if n := ln.work.NumCores; n > 0 {
-		avgActive := float64(ln.activeSum) / float64(steps)
-		out.DarkPercent = 100 * (1 - avgActive/float64(n))
+	if cores > 0 {
+		avgActive := float64(pl.activeSum) / float64(steps)
+		out.DarkPercent = 100 * (1 - avgActive/float64(cores))
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"darksim/internal/core"
 	"darksim/internal/mapping"
 	"darksim/internal/scenario"
+	"darksim/internal/sim"
 	"darksim/internal/tsp"
 	"darksim/internal/vf"
 )
@@ -53,36 +54,16 @@ func NewEnv(sc *scenario.Scenario) (*Env, error) {
 	return &Env{Scenario: sc, Platform: sc.Platform, TSP: calc}, nil
 }
 
-// Observation is what a policy sees at the top of each control period.
-type Observation struct {
-	// Step is the control-period index; TimeS its simulated start time.
-	Step  int
-	TimeS float64
-	// PeakC is the chip peak core temperature; PlacementPeakC each
-	// placement's own hottest core. The slice is owned by the sandbox
-	// and must not be retained.
-	PeakC          float64
-	PlacementPeakC []float64
-}
-
-// Decision is a policy's control output for the coming period: one
-// ladder level per placement plus an optional power-gating mask (nil
-// means nothing gated). Both slices are owned by the controller; the
-// sandbox copies what it records.
-type Decision struct {
-	Levels []int
-	Gated  []bool
-}
-
-// Controller is a prepared policy's per-period decision loop.
-// Implementations own their state and are used by one run at a time.
-type Controller interface {
-	// Start returns the initial decision without advancing state; the
-	// sandbox uses it to pick the StartSteady operating point.
-	Start() Decision
-	// Next returns the decision for the coming control period.
-	Next(obs Observation) Decision
-}
+// Observation is what a policy sees at the top of each control period,
+// Decision its control output for the coming period (one ladder level
+// per placement plus an optional gating mask), and Controller a prepared
+// policy's per-period decision loop. They are the stepping engine's
+// own types: the sandbox races policies on sim.RunLanes.
+type (
+	Observation = sim.Observation
+	Decision    = sim.Decision
+	Controller  = sim.PlacementController
+)
 
 // Prepared is a policy bound to an environment: the static plan it
 // drives, the ladder its levels index into, and a fresh controller.

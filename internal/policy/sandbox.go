@@ -11,11 +11,11 @@ import (
 	"darksim/internal/trace"
 )
 
-// Options configures a sandbox run. The stepping engine mirrors
-// internal/sim (implicit-Euler thermal stepping, 1 ms control period,
-// temperature-coupled leakage, DTM emergency clamp at TDTM+5) so a
-// chip-wide policy adapter reproduces the §6 figure machinery bit for
-// bit — with power gating and per-step trace capture added on top.
+// Options configures a sandbox run. Policies race on sim.RunLanes, the
+// lockstep engine behind Figures 11–13 (implicit-Euler thermal stepping,
+// 1 ms control period, temperature-coupled leakage, DTM emergency clamp
+// at TDTM+5), so a chip-wide policy reproduces the §6 figure machinery
+// bit for bit; each lane's hook adds the per-step trace and TSP lookup.
 type Options struct {
 	// Duration of the simulated run in seconds (default 0.5).
 	Duration float64
@@ -28,11 +28,6 @@ type Options struct {
 	// Assertions overrides the standard invariant set (nil = standard
 	// for the platform's TDTM and the policy's ladder).
 	Assertions []Assertion
-	// Workers is retained for configuration compatibility: RunAll now
-	// races policies as one lockstep pack on a shared batched solver
-	// rather than fanning out over the runner pool, so the field has no
-	// effect on execution.
-	Workers int
 }
 
 func (o *Options) fillDefaults(p *core.Platform) {
@@ -80,7 +75,7 @@ func (o *Outcome) Passed() bool { return o.Err == "" && len(o.Violations) == 0 }
 // Errors reaching the caller are infrastructure failures (bad options,
 // context cancellation); policy-level failures (infeasible preparation,
 // assertion violations) are recorded in the Outcome. A solo run is a
-// one-lane pack: the stepping engine is the same code head-to-head races
+// one-lane race: the stepping engine is the same code head-to-head races
 // use, and per lane the two are bit-for-bit identical.
 func (e *Env) Run(ctx context.Context, pol Policy, opt Options) (*Outcome, error) {
 	outs, err := e.RunAll(ctx, []Policy{pol}, opt, nil)
@@ -96,37 +91,38 @@ func (e *Env) tspFor(ctx context.Context, gated []bool, active int, memo map[str
 	if active == 0 {
 		return 0, nil
 	}
-	mask := make([]byte, len(gated))
-	for i, g := range gated {
+	// A stack-buffered mask and an in-place lookup: hits do not allocate.
+	var buf [64]byte
+	mask := buf[:0]
+	for _, g := range gated {
 		if g {
-			mask[i] = '1'
+			mask = append(mask, '1')
 		} else {
-			mask[i] = '0'
+			mask = append(mask, '0')
 		}
 	}
-	key := string(mask)
-	if v, ok := memo[key]; ok {
+	if v, ok := memo[string(mask)]; ok {
 		return v, nil
 	}
 	budget, _, err := e.TSP.WorstCase(ctx, active)
 	if err != nil {
 		return 0, err
 	}
-	memo[key] = budget
+	memo[string(mask)] = budget
 	return budget, nil
 }
 
-// RunAll executes the policies head-to-head as one lockstep pack and
+// RunAll executes the policies head-to-head as one lockstep race and
 // returns their outcomes in input order. All lanes advance through the
 // same control periods together, sharing one batched solve against the
-// cached thermal factorization per period (see runPack); per lane the
+// cached thermal factorization per period (see race); per lane the
 // result is bit-for-bit what a solo Run produces. Policy-level failures
 // stay inside their Outcome; only infrastructure errors (bad options,
 // context cancellation) abort the set. onDone, when non-nil, observes
 // each outcome after the pack completes, in input order (the service
 // layer streams frontier rows from here).
 func (e *Env) RunAll(ctx context.Context, pols []Policy, opt Options, onDone func(*Outcome)) ([]*Outcome, error) {
-	lanes, err := e.runPack(ctx, pols, opt)
+	lanes, err := e.race(ctx, pols, opt)
 	if err != nil {
 		return nil, err
 	}

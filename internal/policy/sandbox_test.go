@@ -236,11 +236,11 @@ func (s staticCtrl) Next(Observation) Decision { return s.d }
 // preparedPolicy injects a hand-built Prepared into the sandbox.
 type preparedPolicy struct{ prep *Prepared }
 
-func (p preparedPolicy) Name() string { return "test-prepared" }
-func (p preparedPolicy) Info() string { return "hand-built prepared policy" }
+func (p preparedPolicy) Name() string                                     { return "test-prepared" }
+func (p preparedPolicy) Info() string                                     { return "hand-built prepared policy" }
 func (p preparedPolicy) Prepare(context.Context, *Env) (*Prepared, error) { return p.prep, nil }
 
-// TestRunAllMatchesSoloRuns pins the lockstep pack's exactness contract:
+// TestRunAllMatchesSoloRuns pins the lockstep race's exactness contract:
 // racing policies together on the shared batched solver must produce,
 // per lane, exactly the outcome a solo Run produces — metrics, every
 // trace step, and violations, bit for bit.
@@ -262,4 +262,102 @@ func TestRunAllMatchesSoloRuns(t *testing.T) {
 				pol.Name(), packed[i], solo)
 		}
 	}
+}
+
+// TestBadDecisionRetiresLane drives controllers whose decisions do not
+// match the plan: each lane retires with an ErrPolicy error in its
+// Outcome instead of panicking or failing the race.
+func TestBadDecisionRetiresLane(t *testing.T) {
+	env := testEnv(t, scenario.PackSymmetric)
+	prep, err := TDPMap{}.Prepare(context.Background(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(prep.Plan.Placements)
+	good := Decision{Levels: make([]int, n)}
+	cases := []struct {
+		name        string
+		start, next Decision
+	}{
+		{"start too few levels", Decision{Levels: make([]int, n-1)}, good},
+		{"next too many levels", good, Decision{Levels: make([]int, n+1)}},
+		{"next wrong gate count", good, Decision{Levels: make([]int, n), Gated: make([]bool, n+2)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := env.Run(context.Background(), preparedPolicy{&Prepared{
+				Plan:   prep.Plan,
+				Ladder: env.Platform.Ladder,
+				Ctrl:   shapeCtrl{tc.start, tc.next},
+			}}, Options{Duration: 0.005})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(out.Err, ErrPolicy.Error()) || !strings.Contains(out.Err, "placements") {
+				t.Fatalf("outcome error %q, want an ErrPolicy decision-shape error", out.Err)
+			}
+			if out.Passed() {
+				t.Fatal("retired lane reported as passed")
+			}
+		})
+	}
+}
+
+// TestRetiredLaneLeavesOthersUnchanged races a lane that retires mid-run
+// between two healthy policies: the healthy lanes must match their solo
+// runs bit for bit.
+func TestRetiredLaneLeavesOthersUnchanged(t *testing.T) {
+	env := testEnv(t, scenario.PackSymmetric)
+	prep, err := TDPMap{}.Prepare(context.Background(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(prep.Plan.Placements)
+	bad := preparedPolicy{&Prepared{
+		Plan:   prep.Plan,
+		Ladder: env.Platform.Ladder,
+		Ctrl:   &failAfter{steps: 5, d: Decision{Levels: make([]int, n)}},
+	}}
+	opt := Options{Duration: 0.02}
+	pols := []Policy{NewBoost(), bad, NewDarkGates()}
+	raced, err := env.RunAll(context.Background(), pols, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raced[1].Err == "" {
+		t.Fatal("the failing lane did not retire")
+	}
+	if len(raced[1].Steps) != 5 {
+		t.Fatalf("failing lane recorded %d steps before retiring, want 5", len(raced[1].Steps))
+	}
+	for _, i := range []int{0, 2} {
+		solo, err := env.Run(context.Background(), pols[i], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(raced[i], solo) {
+			t.Fatalf("%s: outcome beside a retired lane differs from its solo run", pols[i].Name())
+		}
+	}
+}
+
+type shapeCtrl struct{ start, next Decision }
+
+func (c shapeCtrl) Start() Decision           { return c.start }
+func (c shapeCtrl) Next(Observation) Decision { return c.next }
+
+// failAfter answers d for its first steps periods, then an empty
+// decision that the engine must reject.
+type failAfter struct {
+	steps int
+	d     Decision
+}
+
+func (c *failAfter) Start() Decision { return c.d }
+func (c *failAfter) Next(Observation) Decision {
+	if c.steps == 0 {
+		return Decision{}
+	}
+	c.steps--
+	return c.d
 }

@@ -68,6 +68,48 @@ func TestRunBatchMatchesSoloRuns(t *testing.T) {
 	if batched[0].DTMEvents == 0 {
 		t.Errorf("hot lane saw no DTM events; the override path went uncovered")
 	}
+
+	// Under StepAuto macro eligibility is a lane property: a fixed-level
+	// lane macro-steps exactly as its solo StepAuto run does, while the
+	// closed-loop lane beside it stays on its StepExact trajectory.
+	t.Run("StepAuto", func(t *testing.T) {
+		auto := Options{Duration: 0.2, StartSteady: true, RecordPoints: 10, StepMode: StepAuto}
+		exact := auto
+		exact.StepMode = StepExact
+		level := p.Ladder.Nearest(3.0)
+		mk := func() []BatchRun {
+			return []BatchRun{
+				{Plan: plan, Ctrl: fixedQuiet(level)},
+				{Plan: plan, Ctrl: &thermostat{max: top, tripC: p.TDTM - 2}},
+			}
+		}
+		batched, err := RunBatch(context.Background(), p, mk(), p.Ladder, auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solos := mk()
+		fixedAuto, err := Run(p, solos[0].Plan, solos[0].Ctrl, p.Ladder, auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixedExact, err := Run(p, solos[0].Plan, solos[0].Ctrl, p.Ladder, exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loopExact, err := Run(p, solos[1].Plan, solos[1].Ctrl, p.Ladder, exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(fixedAuto, fixedExact) {
+			t.Fatal("fixed-level lane never macro-stepped; the StepAuto case is vacuous")
+		}
+		if !reflect.DeepEqual(batched[0], fixedAuto) {
+			t.Errorf("fixed-level lane differs from its solo StepAuto run")
+		}
+		if !reflect.DeepEqual(batched[1], loopExact) {
+			t.Errorf("closed-loop lane differs from its solo StepExact run")
+		}
+	})
 }
 
 func TestRunBatchValidation(t *testing.T) {

@@ -1,24 +1,28 @@
 // Package sim is the transient co-simulation engine behind the paper's §6
-// boosting experiments (Figures 11–13): it advances the thermal RC model
-// in lockstep with the Equation (1) power model and a DVFS controller that
-// picks one chip-wide frequency level per control period — exactly the
-// closed-loop Turbo-Boost-style control the paper describes (1 ms period,
-// 200 MHz steps, 80 °C threshold).
+// boosting experiments (Figures 11–13) and the policy sandbox: it advances
+// the thermal RC model in lockstep with the Equation (1) power model and a
+// DVFS controller — exactly the closed-loop Turbo-Boost-style control the
+// paper describes (1 ms period, 200 MHz steps, 80 °C threshold).
 //
-// Each control period the engine:
-//  1. asks the controller for the next ladder level given the current
-//     peak core temperature,
+// One engine, RunLanes, does all stepping. Each control period, for every
+// lane, it:
+//  1. asks the lane's controller for a ladder level per placement given
+//     the current peak temperatures (ChipWide turns a chip-wide
+//     Controller into one level for every placement),
 //  2. re-evaluates every placement's per-core power at that level and at
 //     each core's current temperature (leakage is temperature-dependent),
-//  3. steps the implicit-Euler transient thermal model,
+//  3. steps the implicit-Euler transient thermal model, all lanes through
+//     one batched solve,
 //  4. records performance (GIPS), power and peak temperature.
 //
-// A DTM guard clamps the system to the lowest level while the temperature
-// is above an emergency threshold, mirroring the hardware thermal
-// protection the paper's TDTM is defined against.
+// A DTM guard clamps a lane to the lowest level while its temperature is
+// above an emergency threshold, mirroring the hardware thermal protection
+// the paper's TDTM is defined against. Run, RunDynamic and RunBatch are
+// chip-wide wrappers over RunLanes.
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -119,7 +123,7 @@ type Result struct {
 	GIPS     metrics.Series // total chip throughput over time
 	PeakTemp metrics.Series // °C over time
 	PowerW   metrics.Series // total chip power over time
-	LevelGHz metrics.Series // controller level over time
+	LevelGHz metrics.Series // highest placement frequency over time
 
 	AvgGIPS    float64
 	EnergyJ    float64
@@ -160,9 +164,10 @@ func Run(p *core.Platform, plan *mapping.Plan, ctrl Controller, ladder *vf.Ladde
 	return RunDynamic(p, StaticPlan{Plan: plan}, ctrl, ladder, opt)
 }
 
-// RunDynamic simulates a time-varying workload. Plans returned by the
-// provider must all be for the platform's core count; each distinct plan
-// is validated on first sight.
+// RunDynamic simulates a time-varying workload as a one-lane RunLanes
+// under a ChipWide controller; opt.Observer becomes the lane's hook.
+// Plans returned by the provider must all be for the platform's core
+// count; each newly adopted plan is validated.
 func RunDynamic(p *core.Platform, provider PlanProvider, ctrl Controller, ladder *vf.Ladder, opt Options) (Result, error) {
 	if p == nil || provider == nil || ctrl == nil || ladder == nil {
 		return Result{}, fmt.Errorf("%w: nil argument", ErrRun)
@@ -171,281 +176,66 @@ func RunDynamic(p *core.Platform, provider PlanProvider, ctrl Controller, ladder
 	if plan == nil {
 		return Result{}, fmt.Errorf("%w: provider returned nil plan", ErrRun)
 	}
-	if opt.Duration <= 0 {
-		return Result{}, fmt.Errorf("%w: duration %g s", ErrRun, opt.Duration)
-	}
-	if opt.ControlPeriod == 0 {
-		opt.ControlPeriod = 1e-3
-	}
-	if opt.ControlPeriod <= 0 || opt.ControlPeriod > opt.Duration {
-		return Result{}, fmt.Errorf("%w: control period %g s", ErrRun, opt.ControlPeriod)
-	}
-	if opt.RecordPoints == 0 {
-		opt.RecordPoints = 1000
-	}
-	if opt.EmergencyC == 0 {
-		opt.EmergencyC = p.TDTM + 5
-	}
-	steps := int(opt.Duration/opt.ControlPeriod + 0.5)
-	recordEvery := steps / opt.RecordPoints
-	if recordEvery < 1 {
-		recordEvery = 1
-	}
-
-	tr, err := p.Thermal.NewTransient(opt.ControlPeriod)
-	if err != nil {
-		return Result{}, err
-	}
-
-	// Fast-path state (StepAuto): fused power coefficients per level —
-	// bit-identical to PlacementCorePowerAt, see core.PowerCoef — and
-	// macro-step eligibility. Eligibility is proven, not assumed: the
-	// controller must be a FixedLevelController, the plan static, no
-	// Observer attached and the model under the macro kernel's node
-	// gate; anything else steps exactly, period by period.
-	useAuto := opt.StepMode == StepAuto
-	type levelPower struct {
-		coefs  []core.PowerCoef
-		totalG float64
-	}
-	byLevel := map[int]*levelPower{}
-
-	// Working copy of the current plan so the controller can retune
-	// frequencies without mutating the provider's plans. Each distinct
-	// plan pointer is validated once.
-	validated := map[*mapping.Plan]bool{}
-	work := &mapping.Plan{NumCores: p.NumCores()}
-	var current *mapping.Plan
-	adopt := func(next *mapping.Plan) error {
-		if next == current {
+	lane := chipLane(provider, ctrl, len(plan.Placements), ladder, opt)
+	if obs := opt.Observer; obs != nil {
+		lane.Hook = func(pd *Period) error {
+			if err := obs(pd.TimeS, pd.TempsC, pd.PowerW); err != nil {
+				return fmt.Errorf("sim: observer: %w", err)
+			}
 			return nil
 		}
-		if next == nil {
-			return fmt.Errorf("%w: provider returned nil plan", ErrRun)
-		}
-		if !validated[next] {
-			if err := next.Validate(); err != nil {
-				return err
-			}
-			if next.NumCores != p.NumCores() {
-				return fmt.Errorf("%w: plan has %d cores, platform %d", ErrRun, next.NumCores, p.NumCores())
-			}
-			validated[next] = true
-		}
-		current = next
-		work.Placements = append(work.Placements[:0], next.Placements...)
-		for k := range byLevel {
-			delete(byLevel, k)
-		}
-		return nil
+		opt.Observer = nil
 	}
-	if err := adopt(plan); err != nil {
+	if err := RunLanes(context.TODO(), p, []*Lane{lane}, opt); err != nil {
 		return Result{}, err
 	}
-
-	setLevel := func(level int) float64 {
-		f := ladder.Points[ladder.Clamp(level)].FGHz
-		for i := range work.Placements {
-			work.Placements[i].FGHz = f
-		}
-		return f
+	if lane.Err != nil {
+		return Result{}, lane.Err
 	}
+	return lane.Result, nil
+}
 
-	// levelPowerFor caches the fused coefficients for the current level;
-	// setLevel(level) must have run first. The cache is invalidated on
-	// plan adoption (adopt clears it below).
-	levelPowerFor := func(level int) (*levelPower, error) {
-		if lp, ok := byLevel[level]; ok {
-			return lp, nil
-		}
-		lp := &levelPower{coefs: make([]core.PowerCoef, len(work.Placements))}
-		for i, pl := range work.Placements {
-			c, err := p.PowerCoefFor(pl, opt.Mode)
-			if err != nil {
-				return nil, err
-			}
-			lp.coefs[i] = c
-			lp.totalG += pl.GIPS()
-		}
-		byLevel[level] = lp
-		return lp, nil
+// BatchRun is one lane of RunBatch: a static plan simulated under its
+// own controller. Lanes share the platform, ladder and Options.
+type BatchRun struct {
+	Plan *mapping.Plan
+	Ctrl Controller
+}
+
+// RunBatch simulates every run as a chip-wide lane of one RunLanes, so
+// each control period's thermal solve is shared across lanes. Every
+// lane's Result is bit-for-bit identical to Run(p, run.Plan, run.Ctrl,
+// ladder, opt), StepMode included; any lane error fails the call, and
+// an Observer is rejected.
+func RunBatch(ctx context.Context, p *core.Platform, runs []BatchRun, ladder *vf.Ladder, opt Options) ([]Result, error) {
+	if ladder == nil {
+		return nil, fmt.Errorf("%w: nil argument", ErrRun)
 	}
-
-	// Initial state: the controller's current level, without advancing
-	// its state (the first Next happens inside the loop).
-	peak, _ := tr.PeakBlockTemp()
-	level := ladder.Clamp(ctrl.Current())
-	setLevel(level)
-	if opt.StartSteady {
-		_, power, err := p.SteadyTemps(work, opt.Mode)
-		if err != nil {
-			return Result{}, err
+	lanes := make([]*Lane, len(runs))
+	for i, r := range runs {
+		if r.Plan == nil || r.Ctrl == nil {
+			return nil, fmt.Errorf("%w: nil argument in lane %d", ErrRun, i)
 		}
-		if err := tr.SetSteadyState(power); err != nil {
-			return Result{}, err
-		}
-		peak, _ = tr.PeakBlockTemp()
+		lanes[i] = chipLane(StaticPlan{Plan: r.Plan}, r.Ctrl, len(r.Plan.Placements), ladder, opt)
 	}
-
-	var res Result
-	var energy metrics.EnergyMeter
-	res.MaxTempC = peak
-
-	// Macro-step eligibility for quiet intervals. Note the short-circuit
-	// order: the macro kernel is only built once a run has proven itself
-	// quiet in every other respect.
-	fixed, _ := ctrl.(FixedLevelController)
-	_, static := provider.(StaticPlan)
-	macroOK := useAuto && fixed != nil && static && opt.Observer == nil && tr.MacroSupported()
-	maxSafeC := opt.EmergencyC - macroDTMGuardC
-
-	// evalPower fills power[] from the current temperatures and returns
-	// (ΣP, ΣGIPS). The coefficient path and the direct path are
-	// bit-identical per core; StepExact keeps the direct path anyway so
-	// the historical pins exercise historical code.
-	temps := tr.BlockTemps()
-	power := make([]float64, p.NumCores())
-	evalPower := func(level int) (totalP, totalG float64, err error) {
-		for i := range power {
-			power[i] = 0
-		}
-		if useAuto {
-			lp, err := levelPowerFor(level)
-			if err != nil {
-				return 0, 0, err
-			}
-			for pi, pl := range work.Placements {
-				for _, c := range pl.Cores {
-					cp := lp.coefs[pi].At(temps[c])
-					power[c] = cp
-					totalP += cp
-				}
-			}
-			return totalP, lp.totalG, nil
-		}
-		for _, pl := range work.Placements {
-			totalG += pl.GIPS()
-			for _, c := range pl.Cores {
-				cp, err := p.PlacementCorePowerAt(pl, temps[c], opt.Mode)
-				if err != nil {
-					return 0, 0, err
-				}
-				power[c] = cp
-				totalP += cp
-			}
-		}
-		return totalP, totalG, nil
+	if err := RunLanes(ctx, p, lanes, opt); err != nil || len(runs) == 0 {
+		return nil, err
 	}
-
-	for step := 0; step < steps; step++ {
-		now := float64(step) * opt.ControlPeriod
-
-		// Workload migration (spatio-temporal mapping).
-		if err := adopt(provider.PlanAt(now)); err != nil {
-			return Result{}, err
+	out := make([]Result, len(lanes))
+	for i, l := range lanes {
+		if l.Err != nil {
+			return nil, l.Err
 		}
-
-		// Quiet interval: collapse every step up to the next recording
-		// point into one macro advance of the frozen power map. The
-		// interval must start and (per its frozen steady state) stay a
-		// guard band below the DTM threshold, else it falls through to
-		// the exact per-period path and its emergency checks.
-		if macroOK && peak <= maxSafeC {
-			end := step + (recordEvery-step%recordEvery)%recordEvery
-			if end > steps-1 {
-				end = steps - 1
-			}
-			k := end - step + 1
-			level = ladder.Clamp(fixed.FixedLevel())
-			fGHz := setLevel(level)
-			totalP, totalG, err := evalPower(level)
-			if err != nil {
-				return Result{}, err
-			}
-			next, ok, err := tr.AdvanceQuiet(power, k, stepAutoSnapTolC, maxSafeC)
-			if err != nil {
-				return Result{}, err
-			}
-			if ok {
-				temps = next
-				peak = 0
-				for _, t := range temps {
-					if t > peak {
-						peak = t
-					}
-				}
-				if err := energy.Add(float64(k)*opt.ControlPeriod, totalP); err != nil {
-					return Result{}, err
-				}
-				if totalP > res.PeakPowerW {
-					res.PeakPowerW = totalP
-				}
-				if peak > res.MaxTempC {
-					res.MaxTempC = peak
-				}
-				res.AvgGIPS += totalG * float64(k)
-				endNow := float64(end) * opt.ControlPeriod
-				res.Time.Append(endNow, endNow)
-				res.GIPS.Append(endNow, totalG)
-				res.PeakTemp.Append(endNow, peak)
-				res.PowerW.Append(endNow, totalP)
-				res.LevelGHz.Append(endNow, fGHz)
-				step = end
-				continue
-			}
-		}
-
-		// Controller decision (with DTM emergency override).
-		level = ladder.Clamp(ctrl.Next(peak))
-		if peak > opt.EmergencyC {
-			level = 0
-			res.DTMEvents++
-		}
-		fGHz := setLevel(level)
-
-		// Per-core power at current temperatures.
-		totalP, totalG, err := evalPower(level)
-		if err != nil {
-			return Result{}, err
-		}
-
-		// Advance the thermal state.
-		temps, err = tr.Step(power)
-		if err != nil {
-			return Result{}, err
-		}
-		peak = 0
-		for _, t := range temps {
-			if t > peak {
-				peak = t
-			}
-		}
-
-		// Accounting.
-		if opt.Observer != nil {
-			if err := opt.Observer(now, temps, power); err != nil {
-				return Result{}, fmt.Errorf("sim: observer: %w", err)
-			}
-		}
-		if err := energy.Add(opt.ControlPeriod, totalP); err != nil {
-			return Result{}, err
-		}
-		if totalP > res.PeakPowerW {
-			res.PeakPowerW = totalP
-		}
-		if peak > res.MaxTempC {
-			res.MaxTempC = peak
-		}
-		res.AvgGIPS += totalG
-		if step%recordEvery == 0 || step == steps-1 {
-			res.Time.Append(now, now)
-			res.GIPS.Append(now, totalG)
-			res.PeakTemp.Append(now, peak)
-			res.PowerW.Append(now, totalP)
-			res.LevelGHz.Append(now, fGHz)
-		}
+		out[i] = l.Result
 	}
-	res.AvgGIPS /= float64(steps)
-	res.EnergyJ = energy.TotalJ()
-	return res, nil
+	return out, nil
+}
+
+func chipLane(plans PlanProvider, ctrl Controller, placements int, ladder *vf.Ladder, opt Options) *Lane {
+	return &Lane{
+		Plans:       plans,
+		Ctrl:        ChipWide(ctrl, ladder, placements),
+		Ladder:      ladder,
+		StartSteady: opt.StartSteady,
+	}
 }

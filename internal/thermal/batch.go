@@ -12,8 +12,9 @@ import (
 // batched envelope sweep, which streams each factor row once across all
 // states instead of once per state. Per state the arithmetic is
 // bit-for-bit identical to calling Transient.Step, at every model size —
-// the policy sandbox and sim.RunBatch rely on that to race lanes in
-// lockstep without perturbing any lane's trace.
+// sim.RunLanes, the one stepping engine behind the figures and the policy
+// sandbox, relies on that to race lanes in lockstep without perturbing
+// any lane's trace.
 type TransientBatch struct {
 	m    *Model
 	trs  []*Transient
@@ -41,13 +42,10 @@ func (m *Model) NewTransientBatch(dt float64, k int) (*TransientBatch, error) {
 // (SetSteadyState, BlockTemps, ...).
 func (b *TransientBatch) Transient(i int) *Transient { return b.trs[i] }
 
-// Len returns the number of states in the batch.
-func (b *TransientBatch) Len() int { return len(b.trs) }
-
 // StepAll advances every active state by one dt under its own power map
 // and writes the resulting per-block temperatures into temps[i]. Entries
 // with active[i] == false are skipped entirely (a nil active means all
-// are live). powers and temps must have Len() entries; each live
+// are live). powers and temps must have one entry per state; each live
 // temps[i] must have NumBlocks length. A rejected power map fails the
 // call before any state advances.
 func (b *TransientBatch) StepAll(powers [][]float64, active []bool, temps [][]float64) error {
