@@ -2,25 +2,33 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint test test-short test-shuffle race bench bench-report bench-compare bench-smoke profile-smoke fuzz-smoke jobs-smoke policy-smoke cover verify golden experiments ablations serve clean
+.PHONY: all check build vet perfbench-check lint test test-short test-shuffle race bench bench-report bench-compare bench-smoke profile-smoke fuzz-smoke jobs-smoke policy-smoke cover verify golden experiments ablations serve clean
 
 all: check
 
-# check is the tier-1 gate: build, vet, tests (also in shuffled order, to
-# catch inter-test state leaks), the race detector over the parallel
+# check is the tier-1 gate: build, vet, the nested perfbench module's vet
+# and tests, tests (also in shuffled order, to catch inter-test state
+# leaks), the race detector over the parallel
 # sweep paths, a short smoke run of every fuzz target, a one-shot run
 # of the thermal-solver benchmarks so a broken bench path fails
 # the gate, the async-runtime smoke (a real shortened fig12 submitted
 # as a run, streamed point by point, compared against the synchronous
 # endpoint), and the policy-sandbox smoke (head-to-head race with the
 # unsafe negative control caught, under the race detector).
-check: build vet test test-shuffle race fuzz-smoke bench-smoke jobs-smoke policy-smoke
+check: build vet perfbench-check test test-shuffle race fuzz-smoke bench-smoke jobs-smoke policy-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is a nested module (replace darksim => ../), so the root
+# module's build, vet and tests never compile it: an internal API change
+# that breaks the benchmark harness would go unseen. Vet and test it
+# offline (GOPROXY=off; GOFLAGS= drops any inherited -mod flag).
+perfbench-check:
+	cd perfbench && GOPROXY=off GOFLAGS= $(GO) vet ./... && GOPROXY=off GOFLAGS= $(GO) test ./...
 
 test:
 	$(GO) test ./...

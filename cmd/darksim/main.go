@@ -20,11 +20,11 @@
 // SSE (reconnecting with Last-Event-ID after drops) and exits 0/1/3 for
 // done/failed/cancelled.
 //
-// Transient experiments (fig11–fig13) default to the paper's run lengths;
-// -duration trades fidelity for speed. With `all` and `ablations` the
-// independent experiments run concurrently (bounded by -parallel), but
-// their outputs are printed in registry order, byte-identical to a
-// sequential run. On -timeout expiry the exit is non-zero and the error
+// Transient experiments default to the paper's run lengths; -duration
+// trades fidelity for speed and rejects negative or non-finite values.
+// With `all` and `ablations` the independent experiments run concurrently
+// (bounded by -parallel), but their outputs are printed in registry
+// order, byte-identical to a sequential run. On -timeout expiry the exit is non-zero and the error
 // names the figures that did not complete.
 package main
 
@@ -59,7 +59,7 @@ type output struct {
 }
 
 func main() {
-	duration := flag.Float64("duration", 0, "override transient duration in seconds (fig11–fig13)")
+	duration := flag.Float64("duration", 0, "override the transient experiments' simulated duration in seconds (0 = default)")
 	parallel := flag.Int("parallel", 0, "experiments to run concurrently for 'all'/'ablations' (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long, e.g. 10m (0 = no timeout)")
 	format := flag.String("format", "text", "output format: text or json")
@@ -381,7 +381,7 @@ func runAll(ctx context.Context, entries []experiments.Experiment, parallel int,
 				}
 				return fmt.Errorf("%s: %w", e.ID, err)
 			}
-			r, rerr := runEntry(ctx, e, duration)
+			r, rerr := experiments.RunWithDuration(ctx, e, duration)
 			if rerr != nil {
 				return nil, fail(rerr)
 			}
@@ -413,11 +413,7 @@ func runAll(ctx context.Context, entries []experiments.Experiment, parallel int,
 func makeOutput(id string, r experiments.Renderer, format string) (*output, error) {
 	o := &output{ID: id}
 	if format == "json" {
-		tables, ok := experiments.TablesOf(r)
-		if !ok {
-			return nil, fmt.Errorf("%s has no structured output", id)
-		}
-		o.Tables = tables
+		o.Tables = r.Tables()
 		return o, nil
 	}
 	var buf bytes.Buffer
@@ -475,22 +471,11 @@ func runOne(ctx context.Context, id string, duration float64, format string, w i
 	return err
 }
 
-// runEntry runs one registry entry, honoring the duration override for
-// the transient experiments.
-func runEntry(ctx context.Context, e experiments.Experiment, duration float64) (experiments.Renderer, error) {
-	return experiments.RunWithDuration(ctx, e, duration)
-}
-
-// run dispatches by id with the optional duration override for the
-// transient experiments.
+// run looks id up in both registries and runs it with the optional run
+// length override (0 = default; negative or non-finite is an error).
 func run(ctx context.Context, id string, duration float64) (experiments.Renderer, error) {
 	e, err := experiments.ByID(id)
 	if err != nil {
-		for _, ab := range experiments.AblationRegistry() {
-			if ab.ID == id {
-				return ab.Run(ctx)
-			}
-		}
 		return nil, err
 	}
 	return experiments.RunWithDuration(ctx, e, duration)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -51,6 +53,21 @@ func TestRunDurationOverride(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadDuration pins the -duration validation: a negative or
+// non-finite run length fails with ErrOptions (main exits 1) instead of
+// silently running the default length, for one experiment and for `all`.
+func TestRunRejectsBadDuration(t *testing.T) {
+	for _, d := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := run(context.Background(), "fig11", d); !errors.Is(err, experiments.ErrOptions) {
+			t.Errorf("fig11 -duration %g: err = %v, want ErrOptions", d, err)
+		}
+		err := runAll(context.Background(), fastEntries(t, "fig1", "fig2"), 1, d, "text", &bytes.Buffer{})
+		if !errors.Is(err, experiments.ErrOptions) || !strings.Contains(err.Error(), "fig1") {
+			t.Errorf("all -duration %g: err = %v, want ErrOptions naming fig1", d, err)
+		}
+	}
+}
+
 // fastEntries picks quick analytic experiments for the concurrency tests.
 func fastEntries(t *testing.T, ids ...string) []experiments.Experiment {
 	t.Helper()
@@ -93,7 +110,7 @@ func TestRunAllReportsFailingExperiment(t *testing.T) {
 	entries = append(entries, experiments.Experiment{
 		ID:          "fig99",
 		Description: "bogus",
-		Run:         func(context.Context) (experiments.Renderer, error) { return nil, nil },
+		Run:         func(context.Context, float64) (experiments.Renderer, error) { return nil, nil },
 	})
 	var buf bytes.Buffer
 	err := runAll(context.Background(), entries, 2, 0, "text", &buf)
@@ -174,7 +191,7 @@ func TestRunAllTimeoutNamesIncompleteFigures(t *testing.T) {
 	slow := experiments.Experiment{
 		ID:          "figslow",
 		Description: "hangs until cancelled",
-		Run: func(ctx context.Context) (experiments.Renderer, error) {
+		Run: func(ctx context.Context, _ float64) (experiments.Renderer, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		},

@@ -46,7 +46,7 @@ func runRun(ctx context.Context, args []string, format string, w io.Writer) (int
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	addr := fs.String("addr", "http://localhost:8080", "darksimd base URL")
 	specFile := fs.String("spec", "", "JSON scenario spec file ('-' for stdin) to run instead of an experiment")
-	duration := fs.Float64("duration", 0, "override transient duration in seconds (fig11–fig13)")
+	duration := fs.Float64("duration", 0, "override the transient experiments' simulated duration in seconds (0 = default)")
 	follow := fs.Bool("follow", false, "stream the run's events until it finishes; exit code reflects the terminal state")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: darksim run [-addr url] [-duration s] [-follow] <experiment>\n"+

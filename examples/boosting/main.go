@@ -29,15 +29,9 @@ func main() {
 
 	// 12 instances × 8 threads, patterned across the chip.
 	const instances = 12
-	cores, err := mapping.PeripheryFirst(platform.Floorplan, instances*8)
+	plan, err := mapping.Pack(platform.Floorplan, mapping.PeripheryFirst, instances*8, app, 8, 3.0)
 	if err != nil {
 		log.Fatal(err)
-	}
-	plan := &mapping.Plan{NumCores: platform.NumCores()}
-	for i := 0; i < instances; i++ {
-		plan.Placements = append(plan.Placements, mapping.Placement{
-			App: app, Cores: cores[i*8 : (i+1)*8], FGHz: 3.0, Threads: 8,
-		})
 	}
 
 	ladder := platform.BoostLadder

@@ -44,10 +44,8 @@ type Report struct {
 	NumCPU  int      `json:"numcpu"`
 	Results []Result `json:"results"`
 	// Speedups maps a benchmark family to the ratio of two of its
-	// entries measured in this same run (e.g. TSPWorstCaseSparse over
-	// TSPWorstCaseWarm). The Dense/Sparse entry names predate the single
-	// envelope solver and now run the same path, so their ratios read
-	// about 1.
+	// entries measured in this same run (e.g. InfluenceBlock over
+	// InfluenceWarm): cold over warm cache, exact over macro stepping.
 	Speedups map[string]float64 `json:"speedups"`
 }
 
@@ -59,9 +57,9 @@ type Options struct {
 	Out io.Writer
 }
 
-// transientBenchDuration shortens the fig11–fig13 transients for
+// transientBenchDuration shortens the registry's transient figures for
 // benchmarking; the control loop is exercised identically, just over a
-// shorter simulated horizon.
+// shorter simulated horizon. Other figures get 0, their default.
 var transientBenchDuration = map[string]float64{"fig11": 2, "fig12": 0.5, "fig13": 0.25}
 
 // solverCoreCounts are the platform sizes the thermal-solve
@@ -71,14 +69,15 @@ var solverCoreCounts = []int{10, 32}
 // tspCoreSide sizes the TSP worst-case benchmark platform.
 const tspCoreSide = 32
 
-// influenceCoreSide sizes the influence-matrix fan-out benchmarks
-// (side² = 1024 cores, the ROADMAP target for interactive TSP service).
+// influenceCoreSide sizes the influence-matrix benchmarks (side² = 1024
+// cores, the ROADMAP target for interactive TSP service).
 const influenceCoreSide = 32
 
 // transientSmallSide and transientLargeSide size the transient stepping
 // micro-benchmarks: 100 cores sits below the macro-kernel node gate (so
 // TransientMacro runs there), 1024 cores is the realistic large platform
-// (above the gate — exact steps only).
+// (above the gate — exact steps only). The Dense/Sparse name suffixes
+// predate the single envelope solver and are kept for comparability.
 const (
 	transientSmallSide = 10
 	transientLargeSide = 32
@@ -143,44 +142,24 @@ func (rep *Report) computeSpeedups() {
 	for _, r := range rep.Results {
 		ns[r.Name] = r.NsPerOp
 	}
-	for _, side := range solverCoreCounts {
-		cores := side * side
-		d, okd := ns[fmt.Sprintf("ThermalSolveDense/cores=%d", cores)]
-		s, oks := ns[fmt.Sprintf("ThermalSolveSparse/cores=%d", cores)]
-		if okd && oks && s > 0 {
-			rep.Speedups[fmt.Sprintf("thermal_solve/cores=%d", cores)] = d / s
+	ratio := func(key, num, den string, scale float64) {
+		n, okn := ns[num]
+		d, okd := ns[den]
+		if okn && okd && d > 0 {
+			rep.Speedups[key] = n * scale / d
 		}
 	}
-	cores := tspCoreSide * tspCoreSide
-	d, okd := ns[fmt.Sprintf("TSPWorstCaseDense/cores=%d", cores)]
-	s, oks := ns[fmt.Sprintf("TSPWorstCaseSparse/cores=%d", cores)]
-	if okd && oks && s > 0 {
-		rep.Speedups[fmt.Sprintf("tsp_worstcase/cores=%d", cores)] = d / s
-	}
 	icores := influenceCoreSide * influenceCoreSide
-	col, okc := ns[fmt.Sprintf("InfluenceColumn/cores=%d", icores)]
-	blk, okb := ns[fmt.Sprintf("InfluenceBlock/cores=%d", icores)]
-	if okc && okb && blk > 0 {
-		rep.Speedups[fmt.Sprintf("influence_block/cores=%d", icores)] = col / blk
-	}
-	wrm, okw := ns[fmt.Sprintf("InfluenceWarm/cores=%d", icores)]
-	if okb && okw && wrm > 0 {
-		rep.Speedups[fmt.Sprintf("influence_warm/cores=%d", icores)] = blk / wrm
-	}
-	tw, okt := ns[fmt.Sprintf("TSPWorstCaseWarm/cores=%d", cores)]
-	if oks && okt && tw > 0 {
-		rep.Speedups[fmt.Sprintf("tsp_warm/cores=%d", cores)] = s / tw
-	}
+	ratio(fmt.Sprintf("influence_warm/cores=%d", icores),
+		fmt.Sprintf("InfluenceBlock/cores=%d", icores), fmt.Sprintf("InfluenceWarm/cores=%d", icores), 1)
+	cores := tspCoreSide * tspCoreSide
+	ratio(fmt.Sprintf("tsp_warm/cores=%d", cores),
+		fmt.Sprintf("TSPWorstCaseSparse/cores=%d", cores), fmt.Sprintf("TSPWorstCaseWarm/cores=%d", cores), 1)
 	// Macro vs exact stepping: one TransientMacro op advances
 	// macroBenchSteps periods, so the fair exact-path cost is step × k.
 	mcores := transientSmallSide * transientSmallSide
-	for _, p := range []struct{ path, key string }{{"Dense", "dense"}, {"Sparse", "sparse"}} {
-		st, okst := ns[fmt.Sprintf("TransientStep%s/cores=%d", p.path, mcores)]
-		mc, okmc := ns[fmt.Sprintf("TransientMacro%s/cores=%d", p.path, mcores)]
-		if okst && okmc && mc > 0 {
-			rep.Speedups[fmt.Sprintf("transient_macro_%s/cores=%d", p.key, mcores)] = st * macroBenchSteps / mc
-		}
-	}
+	ratio(fmt.Sprintf("transient_macro_dense/cores=%d", mcores),
+		fmt.Sprintf("TransientStepDense/cores=%d", mcores), fmt.Sprintf("TransientMacroDense/cores=%d", mcores), macroBenchSteps)
 }
 
 // WriteJSON marshals the report with stable indentation.
@@ -209,22 +188,16 @@ func buildSpecs(ctx context.Context, opt Options) ([]spec, error) {
 		}
 	}
 	for _, side := range solverCoreCounts {
-		specs = append(specs, thermalSolveSpec(side, thermal.SolverDense), thermalSolveSpec(side, thermal.SolverSparse))
+		specs = append(specs, thermalSolveSpec(side))
 	}
-	specs = append(specs, tspSpec(tspCoreSide, thermal.SolverDense), tspSpec(tspCoreSide, thermal.SolverSparse))
 	specs = append(specs,
-		influenceSpec(influenceCoreSide, 1),
-		influenceSpec(influenceCoreSide, 0),
+		tspSpec(tspCoreSide),
+		influenceSpec(influenceCoreSide),
 		influenceWarmSpec(influenceCoreSide),
 		tspWarmSpec(tspCoreSide),
-	)
-	specs = append(specs,
-		transientStepSpec(transientSmallSide, thermal.SolverDense),
-		transientStepSpec(transientSmallSide, thermal.SolverSparse),
-		transientStepSpec(transientLargeSide, thermal.SolverDense),
-		transientStepSpec(transientLargeSide, thermal.SolverSparse),
-		transientMacroSpec(transientSmallSide, thermal.SolverDense),
-		transientMacroSpec(transientSmallSide, thermal.SolverSparse),
+		transientStepSpec("Dense", transientSmallSide),
+		transientStepSpec("Sparse", transientLargeSide),
+		transientMacroSpec(transientSmallSide),
 	)
 	if opt.Figures {
 		specs = append(specs, parallelFiguresSpec(ctx))
@@ -233,17 +206,14 @@ func buildSpecs(ctx context.Context, opt Options) ([]spec, error) {
 }
 
 // transientModel builds the side×side-core platform the transient
-// stepping benchmarks share, with the given compatibility solver kind
-// (it selects nothing), plus a uniform 2 W power map.
-func transientModel(b *testing.B, side int, k thermal.SolverKind) (*thermal.Transient, []float64) {
+// stepping benchmarks share, plus a uniform 2 W power map.
+func transientModel(b *testing.B, side int) (*thermal.Transient, []float64) {
 	b.Helper()
 	fp, err := floorplan.NewGrid(side, side, 5.1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := thermal.DefaultConfig(fp.DieW, fp.DieH, side, side)
-	cfg.Solver = k
-	m, err := thermal.NewModel(fp, cfg)
+	m, err := thermal.NewModel(fp, thermal.DefaultConfig(fp.DieW, fp.DieH, side, side))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -260,15 +230,15 @@ func transientModel(b *testing.B, side int, k thermal.SolverKind) (*thermal.Tran
 }
 
 // transientStepSpec measures one exact implicit-Euler transient step —
-// the unit of work every control period pays on the slow path. Model
-// construction and the factorization (warmed by one untimed step) run
-// off the clock.
-func transientStepSpec(side int, k thermal.SolverKind) spec {
-	name := fmt.Sprintf("TransientStep%s/cores=%d", pathName(k), side*side)
+// the unit of work every control period pays on the slow path — under
+// the historical TransientStep<label> name. Model construction and the
+// factorization (warmed by one untimed step) run off the clock.
+func transientStepSpec(label string, side int) spec {
+	name := fmt.Sprintf("TransientStep%s/cores=%d", label, side*side)
 	return spec{
 		name: name,
 		run: func(b *testing.B) {
-			tr, p := transientModel(b, side, k)
+			tr, p := transientModel(b, side)
 			if _, err := tr.Step(p); err != nil {
 				b.Fatal(err)
 			}
@@ -288,12 +258,12 @@ func transientStepSpec(side int, k thermal.SolverKind) spec {
 // applies instead of k triangular solves. The kernel build (dense
 // inverse + ladder rungs) is warmed off the clock, matching how the
 // figure sweeps amortize it across a whole run.
-func transientMacroSpec(side int, k thermal.SolverKind) spec {
-	name := fmt.Sprintf("TransientMacro%s/cores=%d", pathName(k), side*side)
+func transientMacroSpec(side int) spec {
+	name := fmt.Sprintf("TransientMacroDense/cores=%d", side*side)
 	return spec{
 		name: name,
 		run: func(b *testing.B) {
-			tr, p := transientModel(b, side, k)
+			tr, p := transientModel(b, side)
 			if !tr.MacroSupported() {
 				b.Fatalf("%s: macro path unsupported at %d cores", name, side*side)
 			}
@@ -323,7 +293,7 @@ func parallelFiguresSpec(ctx context.Context) spec {
 		run: func(b *testing.B) {
 			var figs []experiments.Experiment
 			for _, e := range experiments.Registry() {
-				if _, ok := transientBenchDuration[e.ID]; ok {
+				if e.Transient {
 					figs = append(figs, e)
 				}
 			}
@@ -347,36 +317,26 @@ func parallelFiguresSpec(ctx context.Context) spec {
 }
 
 // influenceModel builds the side×side-core model the influence
-// benchmarks share as a template (each iteration constructs its own);
-// the panel is the ignored InfluencePanel compatibility field.
-func influenceModel(b *testing.B, side, panel int) *thermal.Model {
+// benchmarks share as a template (each iteration constructs its own).
+func influenceModel(b *testing.B, side int) *thermal.Model {
 	b.Helper()
 	fp, err := floorplan.NewGrid(side, side, 5.1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := thermal.DefaultConfig(fp.DieW, fp.DieH, side, side)
-	cfg.Solver = thermal.SolverSparse
-	cfg.InfluencePanel = panel
-	m, err := thermal.NewModel(fp, cfg)
+	m, err := thermal.NewModel(fp, thermal.DefaultConfig(fp.DieW, fp.DieH, side, side))
 	if err != nil {
 		b.Fatal(err)
 	}
 	return m
 }
 
-// influenceSpec measures a cold influence-matrix build. The Column
-// (panel 1) and Block (panel 0) names once selected different CG
-// fan-outs and now run the same per-column envelope solves. Model
-// construction and cache resets run off the clock; only the column
-// solves are timed.
-func influenceSpec(side, panel int) spec {
+// influenceSpec measures a cold influence-matrix build under its
+// historical InfluenceBlock name. Model construction and cache resets
+// run off the clock; only the column solves are timed.
+func influenceSpec(side int) spec {
 	var last *thermal.Model
-	kind := "Block"
-	if panel == 1 {
-		kind = "Column"
-	}
-	name := fmt.Sprintf("Influence%s/cores=%d", kind, side*side)
+	name := fmt.Sprintf("InfluenceBlock/cores=%d", side*side)
 	return spec{
 		name: name,
 		run: func(b *testing.B) {
@@ -385,7 +345,7 @@ func influenceSpec(side, panel int) spec {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				thermal.ResetInfluenceCache()
-				m := influenceModel(b, side, panel)
+				m := influenceModel(b, side)
 				b.StartTimer()
 				if _, err := m.InfluenceMatrix(context.Background()); err != nil {
 					b.Fatal(err)
@@ -413,7 +373,7 @@ func influenceWarmSpec(side int) spec {
 		name: name,
 		run: func(b *testing.B) {
 			thermal.ResetInfluenceCache()
-			warm := influenceModel(b, side, 0)
+			warm := influenceModel(b, side)
 			if _, err := warm.InfluenceMatrix(context.Background()); err != nil {
 				b.Fatal(err)
 			}
@@ -421,7 +381,7 @@ func influenceWarmSpec(side int) spec {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				m := influenceModel(b, side, 0)
+				m := influenceModel(b, side)
 				b.StartTimer()
 				if _, err := m.InfluenceMatrix(context.Background()); err != nil {
 					b.Fatal(err)
@@ -451,14 +411,14 @@ func tspWarmSpec(side int) spec {
 		name: name,
 		run: func(b *testing.B) {
 			thermal.ResetInfluenceCache()
-			warm := influenceModel(b, side, 0)
+			warm := influenceModel(b, side)
 			if _, err := warm.InfluenceMatrix(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m := influenceModel(b, side, 0)
+				m := influenceModel(b, side)
 				c, err := tsp.New(m, 80)
 				if err != nil {
 					b.Fatal(err)
@@ -481,10 +441,10 @@ func tspWarmSpec(side int) spec {
 
 // thermalSolveSpec measures a cold steady-state solve — model assembly,
 // profile ordering, factorization and one solve — on a side×side-core
-// platform. The Dense/Sparse name records the compatibility kind only.
-func thermalSolveSpec(side int, k thermal.SolverKind) spec {
+// platform, under its historical ThermalSolveSparse name.
+func thermalSolveSpec(side int) spec {
 	var last *thermal.Model
-	name := fmt.Sprintf("ThermalSolve%s/cores=%d", pathName(k), side*side)
+	name := fmt.Sprintf("ThermalSolveSparse/cores=%d", side*side)
 	return spec{
 		name: name,
 		run: func(b *testing.B) {
@@ -493,7 +453,6 @@ func thermalSolveSpec(side int, k thermal.SolverKind) spec {
 				b.Fatal(err)
 			}
 			cfg := thermal.DefaultConfig(fp.DieW, fp.DieH, side, side)
-			cfg.Solver = k
 			p := make([]float64, side*side)
 			for i := range p {
 				p[i] = 2
@@ -523,11 +482,11 @@ func thermalSolveSpec(side int, k thermal.SolverKind) spec {
 
 // tspSpec measures a cold worst-case TSP computation — thermal model,
 // influence matrix (one solve per core) and the greedy adversarial walk —
-// at side² cores.
-func tspSpec(side int, k thermal.SolverKind) spec {
+// at side² cores, under its historical TSPWorstCaseSparse name.
+func tspSpec(side int) spec {
 	var last *thermal.Model
 	cores := side * side
-	name := fmt.Sprintf("TSPWorstCase%s/cores=%d", pathName(k), cores)
+	name := fmt.Sprintf("TSPWorstCaseSparse/cores=%d", cores)
 	return spec{
 		name: name,
 		run: func(b *testing.B) {
@@ -536,7 +495,6 @@ func tspSpec(side int, k thermal.SolverKind) spec {
 				b.Fatal(err)
 			}
 			cfg := thermal.DefaultConfig(fp.DieW, fp.DieH, side, side)
-			cfg.Solver = k
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -565,11 +523,4 @@ func tspSpec(side int, k thermal.SolverKind) spec {
 			return &st
 		},
 	}
-}
-
-func pathName(k thermal.SolverKind) string {
-	if k == thermal.SolverSparse {
-		return "Sparse"
-	}
-	return "Dense"
 }

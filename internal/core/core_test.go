@@ -117,7 +117,7 @@ func TestSteadyTempsFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := p.buildPlanFor(s, 48, 3.6, mapping.Contiguous)
+	plan, err := mapping.Pack(p.Floorplan, mapping.Contiguous, 48, s, apps.MaxThreadsPerInstance, 3.6)
 	if err != nil {
 		t.Fatal(err)
 	}

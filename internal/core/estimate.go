@@ -37,28 +37,6 @@ func (p *Platform) DarkSiliconUnderTDP(app apps.App, tdpW, fGHz float64) (TDPEst
 	return TDPEstimate{Plan: plan, Summary: sum}, nil
 }
 
-// buildPlanFor places n cores of the application at fGHz using the
-// strategy, grouping cores into 8-thread instances (last instance may be
-// partial).
-func (p *Platform) buildPlanFor(app apps.App, n int, fGHz float64, strategy mapping.Strategy) (*mapping.Plan, error) {
-	cores, err := strategy(p.Floorplan, n)
-	if err != nil {
-		return nil, err
-	}
-	plan := &mapping.Plan{NumCores: p.NumCores()}
-	for len(cores) > 0 {
-		take := apps.MaxThreadsPerInstance
-		if len(cores) < take {
-			take = len(cores)
-		}
-		plan.Placements = append(plan.Placements, mapping.Placement{
-			App: app, Cores: cores[:take], FGHz: fGHz, Threads: take,
-		})
-		cores = cores[take:]
-	}
-	return plan, plan.Validate()
-}
-
 // MaxCoresUnderTemp finds the largest number of active cores (8-thread
 // instances of the application at fGHz, placed by the strategy) whose
 // steady-state peak temperature stays at or below TDTM. Binary search over
@@ -72,7 +50,7 @@ func (p *Platform) MaxCoresUnderTemp(app apps.App, fGHz float64, strategy mappin
 		if n == 0 {
 			return true, nil
 		}
-		plan, err := p.buildPlanFor(app, n, fGHz, strategy)
+		plan, err := mapping.Pack(p.Floorplan, strategy, n, app, apps.MaxThreadsPerInstance, fGHz)
 		if err != nil {
 			return false, err
 		}
@@ -118,7 +96,7 @@ func (p *Platform) DarkSiliconUnderTemp(app apps.App, fGHz float64, strategy map
 		return TDPEstimate{}, fmt.Errorf("%w: %s cannot run a single core at %.1f GHz below %.1f °C",
 			ErrInfeasible, app.Name, fGHz, p.TDTM)
 	}
-	plan, err := p.buildPlanFor(app, n, fGHz, strategy)
+	plan, err := mapping.Pack(p.Floorplan, strategy, n, app, apps.MaxThreadsPerInstance, fGHz)
 	if err != nil {
 		return TDPEstimate{}, err
 	}
@@ -192,18 +170,5 @@ func (p *Platform) PlanFromConfig(app apps.App, instances int, cfg DVFSConfig, s
 	if strategy == nil {
 		strategy = mapping.Contiguous
 	}
-	cores, err := strategy(p.Floorplan, instances*cfg.Threads)
-	if err != nil {
-		return nil, err
-	}
-	plan := &mapping.Plan{NumCores: p.NumCores()}
-	for i := 0; i < instances; i++ {
-		plan.Placements = append(plan.Placements, mapping.Placement{
-			App:     app,
-			Cores:   cores[i*cfg.Threads : (i+1)*cfg.Threads],
-			FGHz:    cfg.FGHz,
-			Threads: cfg.Threads,
-		})
-	}
-	return plan, plan.Validate()
+	return mapping.Pack(p.Floorplan, strategy, instances*cfg.Threads, app, cfg.Threads, cfg.FGHz)
 }

@@ -21,22 +21,6 @@ import (
 	"darksim/internal/vf"
 )
 
-// buildAppPlanInstances2 is buildAppPlanInstances with an explicit
-// placement strategy.
-func buildAppPlanInstances2(p *core.Platform, a apps.App, instances, threads int, fGHz float64, strat mapping.Strategy) (*mapping.Plan, error) {
-	cores, err := strat(p.Floorplan, instances*threads)
-	if err != nil {
-		return nil, err
-	}
-	plan := &mapping.Plan{NumCores: p.NumCores()}
-	for i := 0; i < instances; i++ {
-		plan.Placements = append(plan.Placements, mapping.Placement{
-			App: a, Cores: cores[i*threads : (i+1)*threads], FGHz: fGHz, Threads: threads,
-		})
-	}
-	return plan, plan.Validate()
-}
-
 // newLadderWithStep builds a non-default-granularity ladder for a
 // platform's curve.
 func newLadderWithStep(p *core.Platform, stepGHz float64) (*vf.Ladder, error) {
@@ -45,18 +29,75 @@ func newLadderWithStep(p *core.Platform, stepGHz float64) (*vf.Ladder, error) {
 
 // AblationRegistry lists the ablation studies for the design choices
 // DESIGN.md calls out. They are not paper figures; they quantify how much
-// each modelling decision matters.
+// each modelling decision matters. None takes a run length.
 func AblationRegistry() []Experiment {
 	return []Experiment{
-		{"ab-rotation", "Spatio-temporal rotation vs static mapping (peak temperature)", func(context.Context) (Renderer, error) { return AblationRotation() }},
-		{"ab-grid", "Thermal model grid-resolution sensitivity", func(context.Context) (Renderer, error) { return AblationGrid() }},
-		{"ab-holdband", "Boost controller hold-band sensitivity", func(context.Context) (Renderer, error) { return AblationHoldBand() }},
-		{"ab-strategy", "Placement strategies: thermally safe core counts", func(ctx context.Context) (Renderer, error) { return AblationStrategies(ctx) }},
-		{"ab-ladder", "DVFS ladder granularity vs estimation quality", func(context.Context) (Renderer, error) { return AblationLadderStep() }},
-		{"ab-aging", "Aging balance: rotation vs static mapping", func(context.Context) (Renderer, error) { return AblationAging() }},
-		{"ab-baseline", "ISCA'11 power-budget baseline vs temperature-aware estimation", func(context.Context) (Renderer, error) { return Baseline() }},
-		{"ab-variability", "Variability-aware vs oblivious core selection (DaSim angle)", func(context.Context) (Renderer, error) { return AblationVariability() }},
+		{"ab-rotation", "Spatio-temporal rotation vs static mapping (peak temperature)", false, fixed(AblationRotation)},
+		{"ab-grid", "Thermal model grid-resolution sensitivity", false, fixed(AblationGrid)},
+		{"ab-holdband", "Boost controller hold-band sensitivity", false, fixed(AblationHoldBand)},
+		{"ab-strategy", "Placement strategies: thermally safe core counts", false, cancellable(AblationStrategies)},
+		{"ab-ladder", "DVFS ladder granularity vs estimation quality", false, fixed(AblationLadderStep)},
+		{"ab-aging", "Aging balance: rotation vs static mapping", false, fixed(AblationAging)},
+		{"ab-baseline", "ISCA'11 power-budget baseline vs temperature-aware estimation", false, fixed(Baseline)},
+		{"ab-variability", "Variability-aware vs oblivious core selection (DaSim angle)", false, fixed(AblationVariability)},
 	}
+}
+
+// rotationPolicies are the three mappings the rotation and aging studies
+// compare, in row order.
+var rotationPolicies = []string{"static contiguous", "static checkerboard", "rotated (2 phases, 1 ms)"}
+
+// rotationStudy is the shared setup of the rotation and aging studies:
+// 6 swaptions instances (48 cores) at 3.6 GHz on the 16 nm platform,
+// mapped statically contiguous, statically on the checkerboard, and
+// rotated across the checkerboard parities every 1 ms — one constant-level
+// lane per rotationPolicies entry, to step as one RunLanes batch with a
+// 0.5 ms control period.
+func rotationStudy() (*core.Platform, *rotate.Schedule, []*sim.Lane, error) {
+	p, err := platformFor(tech.Node16, 100)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	a, err := apps.ByName("swaptions")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	const instances = 6
+	sched, err := rotate.New(p.Floorplan, a, rotate.Options{
+		Instances: instances, FGHz: 3.6, Phases: 2, PeriodS: 1e-3,
+		Base: mapping.Checkerboard,
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	contig, err := mapping.Pack(p.Floorplan, mapping.Contiguous, instances*8, a, 8, 3.6)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	level := p.Ladder.Nearest(3.6)
+	var lanes []*sim.Lane
+	for _, provider := range []sim.PlanProvider{sim.StaticPlan{Plan: contig}, sim.StaticPlan{Plan: sched.Phases[0]}, sched} {
+		lanes = append(lanes, &sim.Lane{
+			Plans:  provider,
+			Ctrl:   sim.ChipWide(boost.Constant{Level: level}, p.Ladder, instances),
+			Ladder: p.Ladder,
+		})
+	}
+	return p, sched, lanes, nil
+}
+
+// runRotationStudy steps the rotation study's lanes for durationS and
+// returns the first lane failure.
+func runRotationStudy(p *core.Platform, lanes []*sim.Lane, durationS float64) error {
+	if err := sim.RunLanes(context.Background(), p, lanes, sim.Options{Duration: durationS, ControlPeriod: 0.5e-3}); err != nil {
+		return err
+	}
+	for i, l := range lanes {
+		if l.Err != nil {
+			return fmt.Errorf("%s: %w", rotationPolicies[i], l.Err)
+		}
+	}
+	return nil
 }
 
 // AblationAgingRow is one policy of the aging study.
@@ -78,62 +119,33 @@ type AblationAgingResult struct {
 // checkerboard rotation. Rotation both lowers the hottest core's wear and
 // levels wear across the chip.
 func AblationAging() (*AblationAgingResult, error) {
-	p, err := platformFor(tech.Node16, 100)
+	p, _, lanes, err := rotationStudy()
 	if err != nil {
 		return nil, err
 	}
-	a, err := apps.ByName("swaptions")
-	if err != nil {
-		return nil, err
-	}
-	const instances = 6
-	sched, err := rotate.New(p.Floorplan, a, rotate.Options{
-		Instances: instances, FGHz: 3.6, Phases: 2, PeriodS: 1e-3,
-		Base: mapping.Checkerboard,
-	})
-	if err != nil {
-		return nil, err
-	}
-	contig, err := buildAppPlanInstances2(p, a, instances, 8, 3.6, mapping.Contiguous)
-	if err != nil {
-		return nil, err
-	}
-	level := p.Ladder.Nearest(3.6)
-	res := &AblationAgingResult{Duration: 10}
-	run := func(label string, provider sim.PlanProvider) error {
+	integs := make([]*aging.Integrator, len(lanes))
+	for i, l := range lanes {
 		integ, err := aging.NewIntegrator(aging.DefaultModel(), p.NumCores())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		opts := sim.Options{
-			Duration:      res.Duration,
-			ControlPeriod: 0.5e-3,
-			Observer: func(_ float64, temps, _ []float64) error {
-				return integ.Add(0.5e-3, temps)
-			},
-		}
-		if _, err := sim.RunDynamic(p, provider, boost.Constant{Level: level}, p.Ladder, opts); err != nil {
-			return err
-		}
+		integs[i] = integ
+		l.Hook = func(pd *sim.Period) error { return integ.Add(0.5e-3, pd.TempsC) }
+	}
+	res := &AblationAgingResult{Duration: 10}
+	if err := runRotationStudy(p, lanes, res.Duration); err != nil {
+		return nil, err
+	}
+	for i, integ := range integs {
 		maxWear, _ := integ.MaxWear()
 		res.Rows = append(res.Rows, AblationAgingRow{
-			Policy: label, MaxWearS: maxWear, Imbalance: integ.Imbalance(),
+			Policy: rotationPolicies[i], MaxWearS: maxWear, Imbalance: integ.Imbalance(),
 		})
-		return nil
-	}
-	if err := run("static contiguous", sim.StaticPlan{Plan: contig}); err != nil {
-		return nil, err
-	}
-	if err := run("static checkerboard", sim.StaticPlan{Plan: sched.Phases[0]}); err != nil {
-		return nil, err
-	}
-	if err := run("rotated (2 phases, 1 ms)", sched); err != nil {
-		return nil, err
 	}
 	return res, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *AblationAgingResult) Tables() []*report.Table {
 	t := &report.Table{
 		Title:   fmt.Sprintf("Ablation: wear balancing (6× swaptions @3.6 GHz, 16 nm, %.0f s, Arrhenius Ea=0.8 eV)", r.Duration),
@@ -166,50 +178,23 @@ type AblationRotationResult struct {
 // 10 s under three policies: static contiguous, static checkerboard, and
 // checkerboard-parity rotation with a 1 ms period.
 func AblationRotation() (*AblationRotationResult, error) {
-	p, err := platformFor(tech.Node16, 100)
+	p, sched, lanes, err := rotationStudy()
 	if err != nil {
 		return nil, err
 	}
-	a, err := apps.ByName("swaptions")
-	if err != nil {
+	if err := runRotationStudy(p, lanes, 10); err != nil {
 		return nil, err
 	}
-	const instances = 6
-	sched, err := rotate.New(p.Floorplan, a, rotate.Options{
-		Instances: instances, FGHz: 3.6, Phases: 2, PeriodS: 1e-3,
-		Base: mapping.Checkerboard,
-	})
-	if err != nil {
-		return nil, err
-	}
-	contig, err := buildAppPlanInstances2(p, a, instances, 8, 3.6, mapping.Contiguous)
-	if err != nil {
-		return nil, err
-	}
-	level := p.Ladder.Nearest(3.6)
-	opts := sim.Options{Duration: 10, ControlPeriod: 0.5e-3}
 	res := &AblationRotationResult{PeriodS: sched.PeriodS}
-	run := func(label string, provider sim.PlanProvider) error {
-		r, err := sim.RunDynamic(p, provider, boost.Constant{Level: level}, p.Ladder, opts)
-		if err != nil {
-			return err
-		}
-		res.Rows = append(res.Rows, AblationRotationRow{Policy: label, AvgGIPS: r.AvgGIPS, MaxTempC: r.MaxTempC})
-		return nil
-	}
-	if err := run("static contiguous", sim.StaticPlan{Plan: contig}); err != nil {
-		return nil, err
-	}
-	if err := run("static checkerboard", sim.StaticPlan{Plan: sched.Phases[0]}); err != nil {
-		return nil, err
-	}
-	if err := run("rotated (2 phases, 1 ms)", sched); err != nil {
-		return nil, err
+	for i, l := range lanes {
+		res.Rows = append(res.Rows, AblationRotationRow{
+			Policy: rotationPolicies[i], AvgGIPS: l.Result.AvgGIPS, MaxTempC: l.Result.MaxTempC,
+		})
 	}
 	return res, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *AblationRotationResult) Tables() []*report.Table {
 	t := &report.Table{
 		Title:   "Ablation: spatio-temporal rotation (6× swaptions @3.6 GHz, 16 nm, 10 s)",
@@ -274,7 +259,7 @@ func AblationGrid() (*AblationGridResult, error) {
 	return res, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *AblationGridResult) Tables() []*report.Table {
 	t := &report.Table{
 		Title:   "Ablation: spreader/sink grid resolution (52 cores × 3.77 W, 16 nm)",
@@ -321,7 +306,7 @@ func AblationHoldBand() (*AblationHoldBandResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := instancesPlan(p, x, 12, 3.0)
+	plan, err := mapping.Pack(p.Floorplan, mapping.PeripheryFirst, 12*8, x, 8, 3.0)
 	if err != nil {
 		return nil, err
 	}
@@ -329,34 +314,39 @@ func AblationHoldBand() (*AblationHoldBandResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &AblationHoldBandResult{TDTM: p.TDTM}
-	for _, band := range []float64{0, 0.2, 0.5, 1.0} {
+	bands := []float64{0, 0.2, 0.5, 1.0}
+	runs := make([]sim.BatchRun, len(bands))
+	for i, band := range bands {
 		ctrl, err := boost.NewClosed(p.TDTM, constLevel, len(p.BoostLadder.Points)-1)
 		if err != nil {
 			return nil, err
 		}
 		ctrl.HoldBandC = band
-		r, err := sim.Run(p, plan, ctrl, p.BoostLadder, sim.Options{
-			Duration:      5,
-			ControlPeriod: 1e-3,
-			StartSteady:   true,
-		})
-		if err != nil {
-			return nil, err
-		}
+		runs[i] = sim.BatchRun{Plan: plan, Ctrl: ctrl}
+	}
+	results, err := sim.RunBatch(context.Background(), p, runs, p.BoostLadder, sim.Options{
+		Duration:      5,
+		ControlPeriod: 1e-3,
+		StartSteady:   true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &AblationHoldBandResult{TDTM: p.TDTM}
+	for i, r := range results {
 		over := r.MaxTempC - p.TDTM
 		if over < 0 {
 			over = 0
 		}
 		res.Rows = append(res.Rows, AblationHoldBandRow{
-			BandC: band, AvgGIPS: r.AvgGIPS, MaxTempC: r.MaxTempC,
+			BandC: bands[i], AvgGIPS: r.AvgGIPS, MaxTempC: r.MaxTempC,
 			OvershootC: over, DTMEvents: r.DTMEvents,
 		})
 	}
 	return res, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *AblationHoldBandResult) Tables() []*report.Table {
 	t := &report.Table{
 		Title:   fmt.Sprintf("Ablation: boost hold band (12× x264 @16nm, TDTM = %.0f °C, 5 s)", r.TDTM),
@@ -448,7 +438,7 @@ func AblationStrategies(ctx context.Context) (*AblationStrategiesResult, error) 
 	return res, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *AblationStrategiesResult) Tables() []*report.Table {
 	t := &report.Table{
 		Title:   fmt.Sprintf("Ablation: placement strategies (swaptions @%.1f GHz, 16 nm, TDTM 80 °C)", r.FGHz),
@@ -511,7 +501,7 @@ func AblationLadderStep() (*AblationLadderResult, error) {
 	return res, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *AblationLadderResult) Tables() []*report.Table {
 	t := &report.Table{
 		Title:   "Ablation: DVFS ladder granularity (x264, 12 instances, 100 W, 16 nm)",
@@ -575,7 +565,7 @@ func AblationVariability() (*AblationVariabilityResult, error) {
 
 	res := &AblationVariabilityResult{}
 	run := func(label string, strat mapping.Strategy) error {
-		plan, err := buildAppPlanInstances2(p, a, 7, 8, 3.6, strat) // 56 cores
+		plan, err := mapping.Pack(p.Floorplan, strat, 7*8, a, 8, 3.6)
 		if err != nil {
 			return err
 		}
@@ -616,7 +606,7 @@ func AblationVariability() (*AblationVariabilityResult, error) {
 	return res, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *AblationVariabilityResult) Tables() []*report.Table {
 	t := &report.Table{
 		Title:   "Ablation: variability-aware core selection (7× swaptions @3.6 GHz, 16 nm, σ_leak = 0.25)",

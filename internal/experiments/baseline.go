@@ -80,7 +80,7 @@ func Baseline() (*BaselineResult, error) {
 	return res, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *BaselineResult) Tables() []*report.Table {
 	t := &report.Table{
 		Title: fmt.Sprintf("Baseline [6] (power budget, %.0f W) vs revised (temperature-aware) dark silicon, %s",

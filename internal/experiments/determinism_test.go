@@ -27,7 +27,7 @@ func TestFiguresDeterministicAcrossRuns(t *testing.T) {
 		entry := struct {
 			id  string
 			run func(context.Context) (Renderer, error)
-		}{id: e.ID, run: e.Run}
+		}{id: e.ID, run: func(ctx context.Context) (Renderer, error) { return e.Run(ctx, 0) }}
 		switch e.ID {
 		case "fig11":
 			entry.run = func(ctx context.Context) (Renderer, error) {

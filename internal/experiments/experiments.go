@@ -171,28 +171,23 @@ func coresForNode(node tech.Node) int {
 // outside this package (e.g. the service layer's TSP endpoint defaults).
 func CoresForNode(node tech.Node) int { return coresForNode(node) }
 
-// Renderer is implemented by every experiment result.
+// Renderer is implemented by every experiment result: Render prints the
+// ASCII rows and charts, Tables emits the same rows as structured
+// report.Tables (chart-shaped figures as long-form series tables). The
+// HTTP service marshals the tables as JSON, and `darksim -format json`
+// prints them.
 type Renderer interface {
 	Render(w io.Writer) error
-}
-
-// Tabler is implemented by every experiment result that can emit its
-// rows as structured report.Tables in addition to rendering ASCII. The
-// HTTP service marshals these tables as JSON, and `darksim -format json`
-// prints them; chart-shaped figures emit their series as long-form
-// tables. Every result in Registry and AblationRegistry implements it.
-type Tabler interface {
 	Tables() []*report.Table
 }
 
-// TablesOf extracts the structured tables of a result, reporting whether
-// the result supports structured output.
+// TablesOf extracts the structured tables of a result, reporting false
+// for a nil result.
 func TablesOf(r Renderer) ([]*report.Table, bool) {
-	t, ok := r.(Tabler)
-	if !ok {
+	if r == nil {
 		return nil, false
 	}
-	return t.Tables(), true
+	return r.Tables(), true
 }
 
 // renderTables renders tables in order — the common body of the Render
@@ -207,37 +202,58 @@ func renderTables(w io.Writer, tables []*report.Table) error {
 }
 
 // Experiment couples an id with its runner for the CLI registry. Run
-// receives a context for cancellation; experiments without long sweeps
-// may ignore it.
+// receives a context for cancellation (experiments without long sweeps
+// may ignore it) and the simulated run length in seconds, 0 selecting the
+// experiment's default. Only Transient experiments take a run length;
+// the others ignore it.
 type Experiment struct {
 	ID          string
 	Description string
-	Run         func(ctx context.Context) (Renderer, error)
+	Transient   bool
+	Run         func(ctx context.Context, durationS float64) (Renderer, error)
+}
+
+// fixed adapts a result builder without context or run length to
+// Experiment.Run.
+func fixed[R Renderer](run func() (R, error)) func(context.Context, float64) (Renderer, error) {
+	return func(context.Context, float64) (Renderer, error) { return run() }
+}
+
+// cancellable adapts a result builder that takes only a context to
+// Experiment.Run.
+func cancellable[R Renderer](run func(context.Context) (R, error)) func(context.Context, float64) (Renderer, error) {
+	return func(ctx context.Context, _ float64) (Renderer, error) { return run(ctx) }
 }
 
 // Registry lists all experiments in figure order.
 func Registry() []Experiment {
 	return []Experiment{
-		{"fig1", "ITRS scaling factors and derived per-node specs (Figure 1)", func(context.Context) (Renderer, error) { return Fig1() }},
-		{"fig2", "Frequency vs voltage design space, Eq.(2) (Figure 2)", func(context.Context) (Renderer, error) { return Fig2() }},
-		{"fig3", "Power model fit vs synthetic McPAT samples, x264 @22nm (Figure 3)", func(context.Context) (Renderer, error) { return Fig3() }},
-		{"fig4", "Speed-up vs parallel threads (Figure 4)", func(context.Context) (Renderer, error) { return Fig4() }},
-		{"fig5", "Dark silicon under optimistic/pessimistic TDP (Figure 5)", func(context.Context) (Renderer, error) { return Fig5() }},
-		{"fig6", "TDP- vs temperature-constrained dark silicon (Figure 6)", func(context.Context) (Renderer, error) { return Fig6() }},
-		{"fig7", "DVFS scenarios: performance and dark silicon (Figure 7)", func(context.Context) (Renderer, error) { return Fig7() }},
-		{"fig8", "Dark silicon patterning vs contiguous mapping (Figure 8)", func(context.Context) (Renderer, error) { return Fig8() }},
-		{"fig9", "TDPmap vs DsRem (Figure 9)", func(context.Context) (Renderer, error) { return Fig9() }},
-		{"fig10", "Performance under TSP across nodes (Figure 10)", func(ctx context.Context) (Renderer, error) { return Fig10(ctx) }},
-		{"fig11", "Boosting vs constant frequency transients (Figure 11)", func(ctx context.Context) (Renderer, error) { return Fig11(ctx, DefaultFig11Options()) }},
-		{"fig12", "Boost/constant scaling with active cores (Figure 12)", func(ctx context.Context) (Renderer, error) { return Fig12(ctx, DefaultFig12Options()) }},
-		{"fig13", "Boost/constant across applications @11nm (Figure 13)", func(ctx context.Context) (Renderer, error) { return Fig13(ctx, DefaultFig13Options()) }},
-		{"fig14", "STC vs NTC performance and energy (Figure 14)", func(context.Context) (Renderer, error) { return Fig14() }},
+		{"fig1", "ITRS scaling factors and derived per-node specs (Figure 1)", false, fixed(Fig1)},
+		{"fig2", "Frequency vs voltage design space, Eq.(2) (Figure 2)", false, fixed(Fig2)},
+		{"fig3", "Power model fit vs synthetic McPAT samples, x264 @22nm (Figure 3)", false, fixed(Fig3)},
+		{"fig4", "Speed-up vs parallel threads (Figure 4)", false, fixed(Fig4)},
+		{"fig5", "Dark silicon under optimistic/pessimistic TDP (Figure 5)", false, fixed(Fig5)},
+		{"fig6", "TDP- vs temperature-constrained dark silicon (Figure 6)", false, fixed(Fig6)},
+		{"fig7", "DVFS scenarios: performance and dark silicon (Figure 7)", false, fixed(Fig7)},
+		{"fig8", "Dark silicon patterning vs contiguous mapping (Figure 8)", false, fixed(Fig8)},
+		{"fig9", "TDPmap vs DsRem (Figure 9)", false, fixed(Fig9)},
+		{"fig10", "Performance under TSP across nodes (Figure 10)", false, cancellable(Fig10)},
+		{"fig11", "Boosting vs constant frequency transients (Figure 11)", true, func(ctx context.Context, d float64) (Renderer, error) {
+			return Fig11(ctx, Fig11Options{DurationS: d})
+		}},
+		{"fig12", "Boost/constant scaling with active cores (Figure 12)", true, func(ctx context.Context, d float64) (Renderer, error) {
+			return Fig12(ctx, Fig12Options{DurationS: d})
+		}},
+		{"fig13", "Boost/constant across applications @11nm (Figure 13)", true, func(ctx context.Context, d float64) (Renderer, error) {
+			return Fig13(ctx, Fig13Options{DurationS: d})
+		}},
+		{"fig14", "STC vs NTC performance and energy (Figure 14)", false, fixed(Fig14)},
 	}
 }
 
-// ByID finds one experiment.
+// ByID finds one experiment in Registry or AblationRegistry.
 func ByID(id string) (Experiment, error) {
-	for _, e := range Registry() {
+	for _, e := range append(Registry(), AblationRegistry()...) {
 		if e.ID == id {
 			return e, nil
 		}
@@ -245,23 +261,18 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
-// RunWithDuration runs one registry entry, overriding the simulated
-// duration of the transient experiments (fig11–fig13) when duration > 0.
-// Non-transient experiments ignore the override. This is the shared entry
-// point of the CLI's -duration flag and the bench harness's shortened
-// per-figure runs.
+// RunWithDuration validates a run length and runs one registry entry
+// with it: duration > 0 overrides a transient experiment's simulated run
+// length, 0 keeps its default, and the other experiments ignore it. A
+// negative or non-finite duration is rejected with ErrOptions for every
+// experiment. This is the shared entry point of the CLI's -duration flag,
+// the HTTP service's duration parameter, golden verification and the
+// bench harness's shortened per-figure runs.
 func RunWithDuration(ctx context.Context, e Experiment, duration float64) (Renderer, error) {
-	if duration > 0 {
-		switch e.ID {
-		case "fig11":
-			return Fig11(ctx, Fig11Options{DurationS: duration})
-		case "fig12":
-			return Fig12(ctx, Fig12Options{DurationS: duration})
-		case "fig13":
-			return Fig13(ctx, Fig13Options{DurationS: duration})
-		}
+	if err := CheckDuration(e.ID, duration); err != nil {
+		return nil, err
 	}
-	r, err := e.Run(ctx)
+	r, err := e.Run(ctx, duration)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,6 @@ import (
 	"darksim/internal/metrics"
 	"darksim/internal/progress"
 	"darksim/internal/report"
-	"darksim/internal/runner"
 	"darksim/internal/sim"
 	"darksim/internal/tech"
 	"darksim/internal/vf"
@@ -26,148 +25,72 @@ import (
 // 5000-step constant arm into a few dozen macro hops.
 const sweepRecordPoints = 64
 
-// checkDuration rejects negative or non-finite durations. Zero is always
-// allowed: it selects the figure's default run length.
-func checkDuration(fig string, seconds float64) error {
+// CheckDuration rejects negative or non-finite run lengths with
+// ErrOptions, naming experiment id. Zero is always allowed: it selects the
+// experiment's default run length.
+func CheckDuration(id string, seconds float64) error {
 	if seconds < 0 || math.IsNaN(seconds) || math.IsInf(seconds, 0) {
-		return fmt.Errorf("%w: %s: duration %g s", ErrOptions, fig, seconds)
+		return fmt.Errorf("%w: %s: duration %g s", ErrOptions, id, seconds)
 	}
 	return nil
 }
 
-// instancesPlan places `instances` 8-thread instances of one application
-// with periphery-first patterning.
-func instancesPlan(p *core.Platform, a apps.App, instances int, fGHz float64) (*mapping.Plan, error) {
-	return buildAppPlanInstances(p, a, instances, apps.MaxThreadsPerInstance, fGHz)
-}
-
-func buildAppPlanInstances(p *core.Platform, a apps.App, instances, threads int, fGHz float64) (*mapping.Plan, error) {
-	cores, err := mapping.PeripheryFirst(p.Floorplan, instances*threads)
-	if err != nil {
-		return nil, err
-	}
-	plan := &mapping.Plan{NumCores: p.NumCores()}
-	for i := 0; i < instances; i++ {
-		plan.Placements = append(plan.Placements, mapping.Placement{
-			App: a, Cores: cores[i*threads : (i+1)*threads], FGHz: fGHz, Threads: threads,
-		})
-	}
-	return plan, plan.Validate()
-}
-
-// runBoostPair simulates the boosting controller and the constant-
-// frequency baseline on the same plan and returns both results. The two
-// transients are independent runs against read-only shared state (sim.Run
-// works on a private copy of the plan), so they execute as a pair on the
-// shared runner; ctx cancellation is honored between the phases.
-//
-// Both runs use sim.StepAuto: the boosting arm degrades to exact
-// per-period stepping (its controller is stateful) while the constant arm
-// macro-steps its quiet intervals, which is where the figure sweeps spend
-// almost all of their simulated time. recordPoints caps the stored series
-// (0 = sim default); the table-only sweeps pass a small cap so quiet
-// intervals collapse into long macro hops.
-func runBoostPair(ctx context.Context, p *core.Platform, plan *mapping.Plan, duration float64, recordPoints int) (boostRes, constRes sim.Result, constLevel int, err error) {
+// boostSweep runs the boost-vs-constant comparison for every plan of a
+// figure as one lockstep sim.RunLanes: lane 2i is plan i's constant arm
+// at its sustainable level, lane 2i+1 its closed-loop boosting arm.
+// Under sim.StepAuto the constant lanes are provably quiet and macro-step
+// their intervals inside the batch, while the boosting lanes' stateful
+// controllers step exactly, every period's triangular solve streaming the
+// cached thermal factor once across all of them. Each lane is bit-for-bit
+// its solo sim.Run. Results are indexed like plans; constLevels[i] is
+// plan i's constant level. label(i) names plan i in the errors of its
+// level search and lanes; recordPoints caps the stored series (0 = sim
+// default), and the table-only sweeps pass a small cap so quiet intervals
+// collapse into long macro hops.
+func boostSweep(ctx context.Context, p *core.Platform, plans []*mapping.Plan, duration float64, recordPoints int, label func(i int) string) (boostRes, constRes []sim.Result, constLevels []int, err error) {
 	ladder := p.BoostLadder
-	if err = ctx.Err(); err != nil {
-		return
+	fail := func(i int, err error) ([]sim.Result, []sim.Result, []int, error) {
+		return nil, nil, nil, fmt.Errorf("%s: %w", label(i), err)
 	}
-	constLevel, err = boost.FindConstantLevel(p, plan, ladder, p.TDTM)
-	if err != nil {
-		return
-	}
-	opts := sim.Options{
-		Duration:      duration,
-		ControlPeriod: 1e-3,
-		StartSteady:   true,
-		StepMode:      sim.StepAuto,
-		RecordPoints:  recordPoints,
-	}
-	g, _ := runner.WithContext(ctx, 2)
-	g.Go(func(ctx context.Context) error {
+	lanes := make([]*sim.Lane, 0, 2*len(plans))
+	constLevels = make([]int, len(plans))
+	for i, plan := range plans {
 		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var err error
-		constRes, err = sim.Run(p, plan, boost.Constant{Level: constLevel}, ladder, opts)
-		return err
-	})
-	g.Go(func(ctx context.Context) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ctrl, err := boost.NewClosed(p.TDTM, constLevel, len(ladder.Points)-1)
-		if err != nil {
-			return err
-		}
-		boostRes, err = sim.Run(p, plan, ctrl, ladder, opts)
-		return err
-	})
-	err = g.Wait()
-	return
-}
-
-// runBoostSweep runs the boost-vs-constant comparison for every plan of
-// a table sweep. The two arms want opposite engines: the constant arm is
-// provably quiet, so each plan's baseline runs individually under
-// sim.StepAuto and macro-steps its intervals; the boosting arm's stateful
-// controller must step exactly, period by period — so all boosting arms
-// run as one sim.RunBatch, where every control period's triangular solve
-// streams the cached thermal factor once across the whole sweep instead
-// of once per point. Results are indexed like plans; constLevels[i] is
-// plan i's sustainable constant level. label(i) names plan i in errors
-// so a failing arm is reported with its sweep identity.
-func runBoostSweep(ctx context.Context, p *core.Platform, plans []*mapping.Plan, duration float64, recordPoints int, label func(i int) string) (boostRes, constRes []sim.Result, constLevels []int, err error) {
-	ladder := p.BoostLadder
-	opts := sim.Options{
-		Duration:      duration,
-		ControlPeriod: 1e-3,
-		StartSteady:   true,
-		StepMode:      sim.StepAuto,
-		RecordPoints:  recordPoints,
-	}
-	type constArm struct {
-		level int
-		res   sim.Result
-	}
-	// Constant arms (and the level search each boosting controller needs
-	// as its floor) are independent macro-stepped runs; fan them out on
-	// the pool.
-	arms, err := runner.Map(ctx, plans, runner.Options{}, func(ctx context.Context, i int, plan *mapping.Plan) (constArm, error) {
-		fail := func(err error) (constArm, error) {
-			return constArm{}, fmt.Errorf("%s: %w", label(i), err)
-		}
-		if err := ctx.Err(); err != nil {
-			return fail(err)
+			return fail(i, err)
 		}
 		level, err := boost.FindConstantLevel(p, plan, ladder, p.TDTM)
 		if err != nil {
-			return fail(err)
+			return fail(i, err)
 		}
-		res, err := sim.Run(p, plan, boost.Constant{Level: level}, ladder, opts)
+		ctrl, err := boost.NewClosed(p.TDTM, level, len(ladder.Points)-1)
 		if err != nil {
-			return fail(err)
+			return fail(i, err)
 		}
-		return constArm{level: level, res: res}, nil
-	})
-	if err != nil {
+		constLevels[i] = level
+		static, n := sim.StaticPlan{Plan: plan}, len(plan.Placements)
+		lanes = append(lanes,
+			&sim.Lane{Plans: static, Ctrl: sim.ChipWide(boost.Constant{Level: level}, ladder, n), Ladder: ladder, StartSteady: true},
+			&sim.Lane{Plans: static, Ctrl: sim.ChipWide(ctrl, ladder, n), Ladder: ladder, StartSteady: true})
+	}
+	if err := sim.RunLanes(ctx, p, lanes, sim.Options{
+		Duration:      duration,
+		ControlPeriod: 1e-3,
+		StepMode:      sim.StepAuto,
+		RecordPoints:  recordPoints,
+	}); err != nil {
 		return nil, nil, nil, err
 	}
-	lanes := make([]sim.BatchRun, len(plans))
+	boostRes = make([]sim.Result, len(plans))
 	constRes = make([]sim.Result, len(plans))
-	constLevels = make([]int, len(plans))
-	for i, arm := range arms {
-		constRes[i] = arm.res
-		constLevels[i] = arm.level
-		ctrl, err := boost.NewClosed(p.TDTM, arm.level, len(ladder.Points)-1)
-		if err != nil {
-			return nil, nil, nil, err
+	for j, l := range lanes {
+		if l.Err != nil {
+			return fail(j/2, l.Err)
 		}
-		lanes[i] = sim.BatchRun{Plan: plans[i], Ctrl: ctrl}
-	}
-	boostRes, err = sim.RunBatch(ctx, p, lanes, ladder, opts)
-	if err != nil {
-		return nil, nil, nil, err
+		if j%2 == 0 {
+			constRes[j/2] = l.Result
+		} else {
+			boostRes[j/2] = l.Result
+		}
 	}
 	return boostRes, constRes, constLevels, nil
 }
@@ -184,7 +107,7 @@ func DefaultFig11Options() Fig11Options { return Fig11Options{DurationS: 100, In
 
 // Validate rejects nonsensical options; zero values mean "use default".
 func (o Fig11Options) Validate() error {
-	if err := checkDuration("fig11", o.DurationS); err != nil {
+	if err := CheckDuration("fig11", o.DurationS); err != nil {
 		return err
 	}
 	if o.Instances < 0 {
@@ -225,15 +148,17 @@ func Fig11(ctx context.Context, opt Fig11Options) (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := instancesPlan(p, x, opt.Instances, 3.0)
+	plan, err := mapping.Pack(p.Floorplan, mapping.PeripheryFirst, opt.Instances*apps.MaxThreadsPerInstance, x, apps.MaxThreadsPerInstance, 3.0)
 	if err != nil {
 		return nil, err
 	}
 	// fig11 plots full traces, so it keeps the default recording grid.
-	b, c, constLevel, err := runBoostPair(ctx, p, plan, opt.DurationS, 0)
+	bs, cs, levels, err := boostSweep(ctx, p, []*mapping.Plan{plan}, opt.DurationS, 0,
+		func(int) string { return fmt.Sprintf("%d x264 instances", opt.Instances) })
 	if err != nil {
-		return nil, fmt.Errorf("fig11: %d x264 instances: %w", opt.Instances, err)
+		return nil, fmt.Errorf("fig11: %w", err)
 	}
+	b, c, constLevel := bs[0], cs[0], levels[0]
 	res := &Fig11Result{
 		Boost:     b,
 		Constant:  c,
@@ -281,7 +206,7 @@ func (r *Fig11Result) summaryTable() *report.Table {
 	return sum
 }
 
-// Tables implements Tabler: a summary table plus the downsampled
+// Tables implements Renderer: a summary table plus the downsampled
 // performance and temperature traces in long form.
 func (r *Fig11Result) Tables() []*report.Table {
 	names := []string{"boosting", "constant"}
@@ -333,7 +258,7 @@ func DefaultFig12Options() Fig12Options { return Fig12Options{DurationS: 5, Step
 // (integer divide-by-zero for 0) or a non-advancing sweep loop; it is now
 // a reportable error instead of a panic.
 func (o Fig12Options) Validate() error {
-	if err := checkDuration("fig12", o.DurationS); err != nil {
+	if err := CheckDuration("fig12", o.DurationS); err != nil {
 		return err
 	}
 	if o.StepCores < 0 {
@@ -383,22 +308,21 @@ func Fig12(ctx context.Context, opt Fig12Options) (*Fig12Result, error) {
 			coreCounts = append(coreCounts, cores)
 		}
 	}
-	// Build every sweep point's plan, then hand the whole sweep to
-	// runBoostSweep: constant baselines fan out as independent
-	// macro-stepped runs (table-only sweep, so the coarse recording grid
-	// turns quiet intervals into long hops) while all boosting arms
-	// advance as one lockstep batch sharing each period's thermal solve.
-	// With a progress sink on the context, the per-point fragments stream
-	// once the batch completes, in sweep order.
+	// Build every sweep point's plan, then run the whole sweep as one
+	// boostSweep batch: the constant lanes macro-step (table-only sweep,
+	// so the coarse recording grid turns quiet intervals into long hops)
+	// while the boosting lanes share each period's thermal solve. With a
+	// progress sink on the context, the per-point fragments stream once
+	// the batch completes, in sweep order.
 	plans := make([]*mapping.Plan, len(coreCounts))
 	for i, cores := range coreCounts {
-		plan, err := instancesPlan(p, x, cores/apps.MaxThreadsPerInstance, 3.0)
+		plan, err := mapping.Pack(p.Floorplan, mapping.PeripheryFirst, cores-cores%apps.MaxThreadsPerInstance, x, apps.MaxThreadsPerInstance, 3.0)
 		if err != nil {
 			return nil, fmt.Errorf("fig12: sweep point %d active cores: %w", cores, err)
 		}
 		plans[i] = plan
 	}
-	boostRes, constRes, _, err := runBoostSweep(ctx, p, plans, opt.DurationS, sweepRecordPoints,
+	boostRes, constRes, _, err := boostSweep(ctx, p, plans, opt.DurationS, sweepRecordPoints,
 		func(i int) string { return fmt.Sprintf("sweep point %d active cores", coreCounts[i]) })
 	if err != nil {
 		return nil, fmt.Errorf("fig12: %w", err)
@@ -444,7 +368,7 @@ func fig12Row(pt Fig12Point) []string {
 	}
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *Fig12Result) Tables() []*report.Table {
 	t := fig12Table("Figure 12: x264 @16nm — performance and power vs active cores")
 	for _, pt := range r.Points {
@@ -471,7 +395,7 @@ func DefaultFig13Options() Fig13Options {
 // list means "use default", but explicit non-positive instance counts are
 // errors.
 func (o Fig13Options) Validate() error {
-	if err := checkDuration("fig13", o.DurationS); err != nil {
+	if err := CheckDuration("fig13", o.DurationS); err != nil {
 		return err
 	}
 	for _, n := range o.Instances {
@@ -530,21 +454,21 @@ func Fig13(ctx context.Context, opt Fig13Options) (*Fig13Result, error) {
 			scenarios = append(scenarios, scenario{app: a, instances: instances})
 		}
 	}
-	// Build every scenario's plan, then hand the sweep to runBoostSweep:
-	// constant baselines fan out as independent macro-stepped runs, all
-	// boosting arms advance as one lockstep batch sharing each period's
-	// thermal solve. With a progress sink on the context, the per-scenario
-	// fragments stream once the batch completes, in sweep order.
+	// Build every scenario's plan, then run the sweep as one boostSweep
+	// batch of macro-stepped constant and exact boosting lanes. With a
+	// progress sink on the context, the per-scenario fragments stream once
+	// the batch completes, in sweep order.
 	plans := make([]*mapping.Plan, len(scenarios))
 	for i, sc := range scenarios {
-		plan, err := instancesPlan(p, sc.app, sc.instances, 3.0)
+		plan, err := mapping.Pack(p.Floorplan, mapping.PeripheryFirst, sc.instances*apps.MaxThreadsPerInstance, sc.app, apps.MaxThreadsPerInstance, 3.0)
 		if err != nil {
 			return nil, fmt.Errorf("fig13: scenario %s x%d instances: %w", sc.app.Name, sc.instances, err)
 		}
 		plans[i] = plan
 	}
-	boostRes, constRes, constLevels, err := runBoostSweep(ctx, p, plans, opt.DurationS, sweepRecordPoints,
-		func(i int) string { return fmt.Sprintf("scenario %s x%d instances", scenarios[i].app.Name, scenarios[i].instances) })
+	boostRes, constRes, constLevels, err := boostSweep(ctx, p, plans, opt.DurationS, sweepRecordPoints, func(i int) string {
+		return fmt.Sprintf("scenario %s x%d instances", scenarios[i].app.Name, scenarios[i].instances)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fig13: %w", err)
 	}
@@ -606,7 +530,7 @@ func fig13Row(row Fig13Row) []string {
 	}
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *Fig13Result) Tables() []*report.Table {
 	t := fig13Table("Figure 13: boosting vs constant frequency, 11 nm (198 cores), 8 threads/instance")
 	for _, row := range r.Rows {
@@ -688,7 +612,7 @@ func Fig14() (*Fig14Result, error) {
 
 	stcFloorF := p.Curve.FrequencyGHz(vf.STCFloorVolts)
 	energyOf := func(a apps.App, threads int, fGHz float64, mode core.PowerMode) (gips, kj float64, err error) {
-		plan, err := buildAppPlanInstances(p, a, instances, threads, fGHz)
+		plan, err := mapping.Pack(p.Floorplan, mapping.PeripheryFirst, instances*threads, a, threads, fGHz)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -762,7 +686,7 @@ func Fig14() (*Fig14Result, error) {
 	return res, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *Fig14Result) Tables() []*report.Table {
 	t := &report.Table{
 		Title: fmt.Sprintf("Figure 14: STC vs NTC, 11 nm, %d instances, %.0f Ginstr/instance (NTC: 8 threads @ %.1f GHz / %.2f V)",

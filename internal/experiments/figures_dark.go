@@ -105,7 +105,7 @@ func (r *Fig5Result) tablesFor(tdp float64) []*report.Table {
 	return []*report.Table{t, pt}
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *Fig5Result) Tables() []*report.Table {
 	var out []*report.Table
 	for _, tdp := range r.TDPs {
@@ -207,7 +207,7 @@ func (r *Fig6Result) tableFor(node tech.Node) *report.Table {
 	return t
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *Fig6Result) Tables() []*report.Table {
 	var out []*report.Table
 	for _, node := range r.Nodes {
@@ -332,7 +332,7 @@ func (r *Fig7Result) tableFor(node tech.Node) *report.Table {
 	return t
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *Fig7Result) Tables() []*report.Table {
 	var out []*report.Table
 	for _, node := range r.Nodes {
@@ -400,7 +400,7 @@ func Fig8() (*Fig8Result, error) {
 		return nil, err
 	}
 	summarize := func(n int, strat mapping.Strategy) (metrics.Summary, []float64, error) {
-		plan, err := buildAppPlan(p, a, n, f, strat)
+		plan, err := mapping.Pack(p.Floorplan, strat, n, a, apps.MaxThreadsPerInstance, f)
 		if err != nil {
 			return metrics.Summary{}, nil, err
 		}
@@ -431,7 +431,7 @@ func Fig8() (*Fig8Result, error) {
 	return res, nil
 }
 
-// Tables implements Tabler (the heatmap panels stay ASCII-only).
+// Tables implements Renderer (the heatmap panels stay ASCII-only).
 func (r *Fig8Result) Tables() []*report.Table {
 	t := &report.Table{
 		Title: fmt.Sprintf("Figure 8: dark silicon patterning (%s @16nm, %.1f GHz, TDTM = %.0f °C)",
@@ -556,7 +556,7 @@ func Fig9() (*Fig9Result, error) {
 	return res, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *Fig9Result) Tables() []*report.Table {
 	t := &report.Table{
 		Title:   fmt.Sprintf("Figure 9: TDPmap (%.0f W) vs DsRem (80 °C), 16 nm", r.TDPW),
@@ -656,7 +656,7 @@ func Fig10(ctx context.Context) (*Fig10Result, error) {
 	return res, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *Fig10Result) Tables() []*report.Table {
 	t := &report.Table{
 		Title:   "Figure 10: overall performance under TSP across technology nodes",
@@ -683,26 +683,6 @@ func (r *Fig10Result) Tables() []*report.Table {
 
 // Render implements Renderer.
 func (r *Fig10Result) Render(w io.Writer) error { return renderTables(w, r.Tables()) }
-
-// buildAppPlan places n cores of one app as 8-thread instances.
-func buildAppPlan(p *core.Platform, a apps.App, n int, fGHz float64, strat mapping.Strategy) (*mapping.Plan, error) {
-	cores, err := strat(p.Floorplan, n)
-	if err != nil {
-		return nil, err
-	}
-	plan := &mapping.Plan{NumCores: p.NumCores()}
-	for len(cores) > 0 {
-		take := apps.MaxThreadsPerInstance
-		if len(cores) < take {
-			take = len(cores)
-		}
-		plan.Placements = append(plan.Placements, mapping.Placement{
-			App: a, Cores: cores[:take], FGHz: fGHz, Threads: take,
-		})
-		cores = cores[take:]
-	}
-	return plan, plan.Validate()
-}
 
 func floatHeaders(xs []float64, format string) []string {
 	out := make([]string, len(xs))

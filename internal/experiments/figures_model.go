@@ -31,7 +31,7 @@ func Fig1() (*Fig1Result, error) {
 	return &Fig1Result{Specs: specs}, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *Fig1Result) Tables() []*report.Table {
 	t := &report.Table{
 		Title:   "Figure 1: ITRS scaling factors (w.r.t. 22 nm) and derived node specs",
@@ -80,7 +80,7 @@ func Fig2() (*Fig2Result, error) {
 	return res, nil
 }
 
-// Tables implements Tabler: the design-space sweep in long form, one row
+// Tables implements Renderer: the design-space sweep in long form, one row
 // per sampled voltage.
 func (r *Fig2Result) Tables() []*report.Table {
 	t := &report.Table{
@@ -157,7 +157,7 @@ func Fig3() (*Fig3Result, error) {
 	return res, nil
 }
 
-// Tables implements Tabler: every synthetic sample next to the model fit.
+// Tables implements Renderer: every synthetic sample next to the model fit.
 func (r *Fig3Result) Tables() []*report.Table {
 	t := &report.Table{
 		Title:   "Figure 3: x264 @22nm, 1 thread — Eq.(1) model vs experimental samples",
@@ -222,7 +222,7 @@ func Fig4() (*Fig4Result, error) {
 	return res, nil
 }
 
-// Tables implements Tabler.
+// Tables implements Renderer.
 func (r *Fig4Result) Tables() []*report.Table {
 	t := &report.Table{
 		Title:   "Figure 4: speed-up vs parallel threads (Amdahl, gem5-calibrated fractions)",

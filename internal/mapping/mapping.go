@@ -288,13 +288,52 @@ func (f NodePowerFunc) CorePower(a apps.App, fGHz, tempC float64) (float64, erro
 	return f(a, fGHz, tempC)
 }
 
-// chunk splits the ordered core list into per-instance groups of size
-// threads (the last group may be smaller and is dropped when below min).
-func chunk(cores []int, threads int) [][]int {
-	var out [][]int
-	for len(cores) >= threads {
-		out = append(out, cores[:threads])
-		cores = cores[threads:]
+// AddInstances is the one instance packer: it splits the ordered core
+// list into consecutive threads-sized placements of app at fGHz, the last
+// one partial when len(cores) is not a multiple of threads, and appends
+// them to the plan. The placements share the cores slice. A threads
+// below 1 packs every core into one placement.
+func (pl *Plan) AddInstances(app apps.App, cores []int, threads int, fGHz float64) {
+	for len(cores) > 0 {
+		n := min(threads, len(cores))
+		if n < 1 {
+			n = len(cores)
+		}
+		pl.Placements = append(pl.Placements, Placement{App: app, Cores: cores[:n], FGHz: fGHz, Threads: n})
+		cores = cores[n:]
 	}
-	return out
+}
+
+// Pack selects n cores of fp with strat and packs them with AddInstances
+// as threads-thread instances of app at fGHz into a validated plan.
+func Pack(fp *floorplan.Floorplan, strat Strategy, n int, app apps.App, threads int, fGHz float64) (*Plan, error) {
+	cores, err := strat(fp, n)
+	if err != nil {
+		return nil, err
+	}
+	plan := &Plan{NumCores: fp.NumBlocks()}
+	plan.AddInstances(app, cores, threads, fGHz)
+	return plan, plan.Validate()
+}
+
+// FillCount is TDPmap's fill arithmetic, shared with the scenario engine:
+// a budget of budgetW at perCoreW per core powers int(budgetW/perCoreW)
+// cores (none for a non-positive budget), at most freeCores of them. They
+// make whole threads-thread instances, at most maxInstances (0 = no cap),
+// and, when allowPartial is set and the cap leaves room, the leftover
+// cores one partial instance of partial threads.
+func FillCount(budgetW, perCoreW float64, freeCores, threads, maxInstances int, allowPartial bool) (instances, partial int) {
+	budgetCores := 0
+	if budgetW > 0 {
+		budgetCores = int(budgetW / perCoreW)
+	}
+	budgetCores = min(budgetCores, freeCores)
+	instances = budgetCores / threads
+	if maxInstances > 0 && instances > maxInstances {
+		instances = maxInstances
+	}
+	if allowPartial && (maxInstances == 0 || instances < maxInstances) {
+		partial = max(budgetCores-instances*threads, 0)
+	}
+	return instances, partial
 }

@@ -3,6 +3,7 @@ package mapping
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -509,5 +510,98 @@ func TestReplaceMovesNotResizes(t *testing.T) {
 	}}
 	if _, err := Replace(big, fp, PeripheryFirst); err == nil {
 		t.Fatal("replace onto a mismatched floorplan succeeded")
+	}
+}
+
+func TestAddInstancesPacks(t *testing.T) {
+	x, err := apps.ByName("x264")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := func(from, n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = from + i
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		cores   []int
+		threads int
+		want    [][]int
+	}{
+		{"exact multiple", seq(0, 16), 8, [][]int{seq(0, 8), seq(8, 8)}},
+		{"partial tail", seq(10, 11), 4, [][]int{seq(10, 4), seq(14, 4), seq(18, 3)}},
+		{"fewer than one instance", seq(5, 3), 8, [][]int{seq(5, 3)}},
+		{"empty", nil, 8, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := &Plan{NumCores: 100}
+			plan.AddInstances(x, tc.cores, tc.threads, 2.5)
+			if len(plan.Placements) != len(tc.want) {
+				t.Fatalf("%d placements, want %d", len(plan.Placements), len(tc.want))
+			}
+			for i, pl := range plan.Placements {
+				if !reflect.DeepEqual(pl.Cores, tc.want[i]) || pl.Threads != len(tc.want[i]) ||
+					pl.FGHz != 2.5 || pl.App.Name != "x264" {
+					t.Errorf("placement %d = %+v, want cores %v", i, pl, tc.want[i])
+				}
+			}
+			if err := plan.Validate(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestPackMatchesStrategy pins Pack to "strategy, then AddInstances":
+// periphery-first cores in order, 8-thread instances, a partial last one.
+func TestPackMatchesStrategy(t *testing.T) {
+	fp := grid10(t)
+	x, err := apps.ByName("x264")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Pack(fp, PeripheryFirst, 20, x, 8, 3.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores, err := PeripheryFirst(fp, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Plan{NumCores: fp.NumBlocks()}
+	want.AddInstances(x, cores, 8, 3.0)
+	if !reflect.DeepEqual(plan, want) || len(plan.Placements) != 3 || plan.Placements[2].Threads != 4 {
+		t.Fatalf("Pack = %+v, want %+v", plan, want)
+	}
+	if _, err := Pack(fp, PeripheryFirst, 101, x, 8, 3.0); err == nil {
+		t.Error("an oversized request must fail")
+	}
+}
+
+func TestFillCount(t *testing.T) {
+	cases := []struct {
+		name                   string
+		budgetW, perCoreW      float64
+		free, threads, maxInst int
+		partialOK              bool
+		instances, partial     int
+	}{
+		{"whole instances only", 100, 4, 100, 8, 0, false, 3, 0},
+		{"partial tail", 100, 4, 100, 8, 0, true, 3, 1},
+		{"capped by free cores", 1e6, 4, 20, 8, 0, true, 2, 4},
+		{"capped by max instances", 100, 4, 100, 8, 2, true, 2, 0},
+		{"cap leaves room", 100, 4, 100, 8, 5, true, 3, 1},
+		{"no budget", 0, 4, 100, 8, 0, true, 0, 0},
+		{"overspent budget", -10, 4, 100, 8, 0, true, 0, 0},
+	}
+	for _, tc := range cases {
+		inst, part := FillCount(tc.budgetW, tc.perCoreW, tc.free, tc.threads, tc.maxInst, tc.partialOK)
+		if inst != tc.instances || part != tc.partial {
+			t.Errorf("%s: FillCount = (%d, %d), want (%d, %d)", tc.name, inst, part, tc.instances, tc.partial)
+		}
 	}
 }

@@ -59,40 +59,8 @@ func TDPMap(fp *floorplan.Floorplan, app apps.App, pow NodePowerer, opt TDPMapOp
 	if perCore <= 0 {
 		return nil, fmt.Errorf("%w: non-positive per-core power", ErrMapping)
 	}
-	budgetCores := int(opt.TDPW / perCore)
-	if budgetCores > fp.NumBlocks() {
-		budgetCores = fp.NumBlocks()
-	}
-	instances := budgetCores / opt.Threads
-	if opt.MaxInstances > 0 && instances > opt.MaxInstances {
-		instances = opt.MaxInstances
-	}
-	active := instances * opt.Threads
-	partial := 0
-	if opt.AllowPartialInstance && (opt.MaxInstances == 0 || instances < opt.MaxInstances) {
-		partial = budgetCores - active
-		if partial > 0 {
-			active += partial
-		}
-	}
-	cores, err := opt.Strategy(fp, active)
-	if err != nil {
-		return nil, err
-	}
-	plan := &Plan{NumCores: fp.NumBlocks()}
-	groups := chunk(cores[:instances*opt.Threads], opt.Threads)
-	for _, g := range groups {
-		plan.Placements = append(plan.Placements, Placement{
-			App: app, Cores: g, FGHz: opt.FGHz, Threads: len(g),
-		})
-	}
-	if partial > 0 {
-		g := cores[instances*opt.Threads:]
-		plan.Placements = append(plan.Placements, Placement{
-			App: app, Cores: g, FGHz: opt.FGHz, Threads: len(g),
-		})
-	}
-	return plan, plan.Validate()
+	instances, partial := FillCount(opt.TDPW, perCore, fp.NumBlocks(), opt.Threads, opt.MaxInstances, opt.AllowPartialInstance)
+	return Pack(fp, opt.Strategy, instances*opt.Threads+partial, app, opt.Threads, opt.FGHz)
 }
 
 // Evaluator reports the steady-state peak temperature of a plan; the
@@ -185,17 +153,10 @@ func DsRem(fp *floorplan.Floorplan, mix []apps.App, pow NodePowerer, eval Evalua
 			return nil, err
 		}
 		plan := &Plan{NumCores: fp.NumBlocks()}
-		at := 0
 		for _, s := range states {
-			for k := 0; k < s.instances; k++ {
-				plan.Placements = append(plan.Placements, Placement{
-					App:     s.app,
-					Cores:   cores[at : at+opt.Threads],
-					FGHz:    opt.Levels[s.level],
-					Threads: opt.Threads,
-				})
-				at += opt.Threads
-			}
+			n := s.instances * opt.Threads
+			plan.AddInstances(s.app, cores[:n], opt.Threads, opt.Levels[s.level])
+			cores = cores[n:]
 		}
 		return plan, plan.Validate()
 	}

@@ -91,18 +91,12 @@ func New(fp *floorplan.Floorplan, app apps.App, opt Options) (*Schedule, error) 
 	sched := &Schedule{PeriodS: opt.PeriodS}
 	for phase := 0; phase < opt.Phases; phase++ {
 		offset := phase * n / opt.Phases
-		plan := &mapping.Plan{NumCores: n}
-		at := 0
-		for i := 0; i < opt.Instances; i++ {
-			cores := make([]int, opt.Threads)
-			for t := range cores {
-				cores[t] = ring[(offset+at)%n]
-				at++
-			}
-			plan.Placements = append(plan.Placements, mapping.Placement{
-				App: app, Cores: cores, FGHz: opt.FGHz, Threads: opt.Threads,
-			})
+		cores := make([]int, need)
+		for k := range cores {
+			cores[k] = ring[(offset+k)%n]
 		}
+		plan := &mapping.Plan{NumCores: n}
+		plan.AddInstances(app, cores, opt.Threads, opt.FGHz)
 		if err := plan.Validate(); err != nil {
 			return nil, err
 		}

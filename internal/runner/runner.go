@@ -107,11 +107,11 @@ func MapN[Out any](ctx context.Context, n int, opt Options, fn func(ctx context.
 					out[i] = o
 				}
 				if opt.Progress != nil {
+					// Report under the lock so the counts arrive in order.
 					mu.Lock()
 					done++
-					d := done
+					opt.Progress(done, n)
 					mu.Unlock()
-					opt.Progress(d, n)
 				}
 			}
 		}()

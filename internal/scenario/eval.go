@@ -180,43 +180,11 @@ func (sc *Scenario) fill(onEntry func(entryIdx int, entry AppResult)) (*mapping.
 		}
 		// mapping.TDPMap's arithmetic: whole instances out of the
 		// budgeted cores, a partial instance only while under the cap.
-		budgetCores := 0
-		if budget > 0 {
-			budgetCores = int(budget / perCore)
-		}
-		if free := ct.End - cursor[ct.Name]; budgetCores > free {
-			budgetCores = free
-		}
-		instances := budgetCores / m.Threads
-		if instances > m.Instances {
-			instances = m.Instances
-		}
-		active := instances * m.Threads
-		partial := 0
-		if instances < m.Instances {
-			partial = budgetCores - active
-			if partial > 0 {
-				active += partial
-			}
-		}
+		instances, partial := mapping.FillCount(budget, perCore, ct.End-cursor[ct.Name], m.Threads, m.Instances, true)
+		active := instances*m.Threads + partial
 		start := cursor[ct.Name]
 		cursor[ct.Name] = start + active
-		for i := 0; i < instances; i++ {
-			plan.Placements = append(plan.Placements, mapping.Placement{
-				App:     app,
-				Cores:   blockRange(start+i*m.Threads, m.Threads),
-				FGHz:    m.FGHz,
-				Threads: m.Threads,
-			})
-		}
-		if partial > 0 {
-			plan.Placements = append(plan.Placements, mapping.Placement{
-				App:     app,
-				Cores:   blockRange(start+instances*m.Threads, partial),
-				FGHz:    m.FGHz,
-				Threads: partial,
-			})
-		}
+		plan.AddInstances(app, blockRange(start, active), m.Threads, m.FGHz)
 		entry := AppResult{
 			App:                m.App,
 			CoreType:           m.CoreType,

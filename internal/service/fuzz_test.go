@@ -20,7 +20,7 @@ func FuzzServiceParams(f *testing.F) {
 		return experiments.Experiment{
 			ID:          id,
 			Description: "fuzz stub",
-			Run: func(ctx context.Context) (experiments.Renderer, error) {
+			Run: func(ctx context.Context, _ float64) (experiments.Renderer, error) {
 				return &fakeResult{tables: []*report.Table{{
 					Title: id, Columns: []string{"v"}, Rows: [][]string{{"1"}},
 				}}}, nil

@@ -69,12 +69,6 @@ func (s *Server) handleRunSubmit(w http.ResponseWriter, r *http.Request) {
 			errors.New(`run request must name exactly one of "experiment", "scenario" or "policy"`))
 		return
 	}
-	if req.Duration != 0 && (req.Duration < 0 || math.IsInf(req.Duration, 0) || math.IsNaN(req.Duration)) {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("invalid duration %v: want a positive number of seconds", req.Duration))
-		return
-	}
-
 	var kind, label, key string
 	var params map[string]string
 	var fn computeFn

@@ -27,7 +27,7 @@ func progressExp(id string, points int, computes *atomic.Int64, gate chan struct
 	return experiments.Experiment{
 		ID:          id,
 		Description: "async test experiment " + id,
-		Run: func(ctx context.Context) (experiments.Renderer, error) {
+		Run: func(ctx context.Context, _ float64) (experiments.Renderer, error) {
 			computes.Add(1)
 			for i := 1; i <= points; i++ {
 				if gate != nil {

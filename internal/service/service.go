@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -378,10 +377,6 @@ func (s *Server) runFlight(key, id string, params map[string]string, c *call, fn
 	})
 }
 
-// transientFigures can be re-parameterized with a shorter duration, like
-// the CLI's -duration flag.
-var transientFigures = map[string]bool{"fig11": true, "fig12": true, "fig13": true}
-
 // maxTSPCores caps the platform size /v1/tsp will build. With the
 // sparse-first thermal solver the model itself is O(nnz), and the
 // remaining quadratic allocation is the block×block influence matrix
@@ -407,7 +402,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var duration float64
 	if v := r.URL.Query().Get("duration"); v != "" {
 		d, err := strconv.ParseFloat(v, 64)
-		if err != nil || d <= 0 || math.IsInf(d, 0) {
+		if err != nil || d == 0 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid duration %q: want a positive number of seconds", v))
 			return
 		}
@@ -435,42 +430,26 @@ func (s *Server) experimentCompute(name string, duration float64) (string, map[s
 	if !ok {
 		return "", nil, nil, fmt.Errorf("%w %q", errUnknownExperiment, name)
 	}
+	if err := experiments.CheckDuration(name, duration); err != nil {
+		return "", nil, nil, fmt.Errorf("invalid duration %v: %w", duration, err)
+	}
 	key := name
 	params := map[string]string{}
 	if duration > 0 {
-		if !transientFigures[name] {
-			return "", nil, nil, fmt.Errorf("duration is only supported for the transient figures (fig11–fig13), not %q", name)
+		if !e.Transient {
+			return "", nil, nil, fmt.Errorf("duration is only supported for the transient experiments, not %q", name)
 		}
 		key = fmt.Sprintf("%s?duration=%g", name, duration)
 		params["duration"] = strconv.FormatFloat(duration, 'g', -1, 64)
 	}
 	fn := func(ctx context.Context) ([]*report.Table, error) {
-		res, err := runExperiment(ctx, e, duration)
+		res, err := experiments.RunWithDuration(ctx, e, duration)
 		if err != nil {
 			return nil, err
 		}
-		tables, ok := experiments.TablesOf(res)
-		if !ok {
-			return nil, fmt.Errorf("experiment %q has no structured output", name)
-		}
-		return tables, nil
+		return res.Tables(), nil
 	}
 	return key, params, fn, nil
-}
-
-// runExperiment dispatches with the optional duration override.
-func runExperiment(ctx context.Context, e experiments.Experiment, duration float64) (experiments.Renderer, error) {
-	if duration > 0 {
-		switch e.ID {
-		case "fig11":
-			return experiments.Fig11(ctx, experiments.Fig11Options{DurationS: duration})
-		case "fig12":
-			return experiments.Fig12(ctx, experiments.Fig12Options{DurationS: duration})
-		case "fig13":
-			return experiments.Fig13(ctx, experiments.Fig13Options{DurationS: duration})
-		}
-	}
-	return e.Run(ctx)
 }
 
 func (s *Server) handleTSP(w http.ResponseWriter, r *http.Request) {

@@ -18,7 +18,7 @@ import (
 	"darksim/internal/report"
 )
 
-// fakeResult is a canned experiment result implementing Renderer+Tabler.
+// fakeResult is a canned experiment result implementing Renderer.
 type fakeResult struct{ tables []*report.Table }
 
 func (r *fakeResult) Render(w io.Writer) error { return nil }
@@ -35,7 +35,7 @@ func fakeExp(id string, computes *atomic.Int64, gate chan struct{}) experiments.
 	return experiments.Experiment{
 		ID:          id,
 		Description: "test experiment " + id,
-		Run: func(ctx context.Context) (experiments.Renderer, error) {
+		Run: func(ctx context.Context, _ float64) (experiments.Renderer, error) {
 			computes.Add(1)
 			if gate != nil {
 				select {
@@ -102,7 +102,9 @@ func TestListExperiments(t *testing.T) {
 
 func TestParamValidationAndNotFound(t *testing.T) {
 	var computes atomic.Int64
-	s := New(Config{}, []experiments.Experiment{fakeExp("figx", &computes, nil)})
+	transient := fakeExp("figt", &computes, nil)
+	transient.Transient = true
+	s := New(Config{}, []experiments.Experiment{fakeExp("figx", &computes, nil), transient})
 	defer s.Close(context.Background())
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -117,6 +119,14 @@ func TestParamValidationAndNotFound(t *testing.T) {
 		{"/v1/experiments/figx?duration=abc", http.StatusBadRequest, "invalid duration"},
 		{"/v1/experiments/figx?duration=-3", http.StatusBadRequest, "invalid duration"},
 		{"/v1/experiments/figx?duration=5", http.StatusBadRequest, "transient"},
+		// A transient experiment takes a run length, but never a negative
+		// or non-finite one (ParseFloat accepts NaN and Inf spellings).
+		{"/v1/experiments/figt?duration=NaN", http.StatusBadRequest, "invalid duration"},
+		{"/v1/experiments/figt?duration=nan", http.StatusBadRequest, "invalid duration"},
+		{"/v1/experiments/figt?duration=Inf", http.StatusBadRequest, "invalid duration"},
+		{"/v1/experiments/figt?duration=-inf", http.StatusBadRequest, "invalid duration"},
+		{"/v1/experiments/figt?duration=-5", http.StatusBadRequest, "invalid duration"},
+		{"/v1/experiments/figt?duration=0", http.StatusBadRequest, "invalid duration"},
 		{"/v1/tsp?node=7&active=1", http.StatusBadRequest, "invalid node"},
 		{"/v1/tsp?node=16&active=0", http.StatusBadRequest, "invalid active"},
 		{"/v1/tsp?node=16&active=999", http.StatusBadRequest, "invalid active"},
@@ -161,7 +171,7 @@ func TestFig1JSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(context.Background())
+	res, err := e.Run(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +474,7 @@ func TestComputeErrorNotCached(t *testing.T) {
 	exp := experiments.Experiment{
 		ID:          "figflaky",
 		Description: "fails once",
-		Run: func(ctx context.Context) (experiments.Renderer, error) {
+		Run: func(ctx context.Context, _ float64) (experiments.Renderer, error) {
 			if n.Add(1) == 1 {
 				return nil, fmt.Errorf("transient failure")
 			}
@@ -562,7 +572,7 @@ func TestErrOptionsMapsTo400(t *testing.T) {
 	exp := experiments.Experiment{
 		ID:          "figopt",
 		Description: "always rejects its options",
-		Run: func(ctx context.Context) (experiments.Renderer, error) {
+		Run: func(ctx context.Context, _ float64) (experiments.Renderer, error) {
 			return nil, fmt.Errorf("%w: figopt: 0 instances", experiments.ErrOptions)
 		},
 	}

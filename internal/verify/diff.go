@@ -174,7 +174,7 @@ func diffRenderings(id string, tables []*report.Table) []Failure {
 	return fails
 }
 
-// stubResult serves precomputed tables through the Renderer/Tabler pair,
+// stubResult serves precomputed tables through the Renderer interface,
 // so the HTTP differential check exercises the real service pipeline
 // (routing, coalescing, JSON encoding) without recomputing figures.
 type stubResult struct{ tables []*report.Table }
@@ -200,7 +200,7 @@ func diffHTTP(results []*figureResult) []Failure {
 		exps = append(exps, experiments.Experiment{
 			ID:          fr.spec.ID,
 			Description: "verification stub serving precomputed tables",
-			Run: func(context.Context) (experiments.Renderer, error) {
+			Run: func(context.Context, float64) (experiments.Renderer, error) {
 				return res, nil
 			},
 		})

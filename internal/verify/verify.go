@@ -21,7 +21,7 @@ import (
 	"darksim/internal/runner"
 )
 
-// transientDurationS pins fig11–fig13 to a short transient so a full
+// transientDurationS pins the transient figures to a short transient so a full
 // verification run stays interactive; the value is recorded in each
 // golden file's options.
 const transientDurationS = 2.0
@@ -36,29 +36,19 @@ type figureSpec struct {
 }
 
 // Specs returns the canonical run configuration for every registered
-// figure: defaults everywhere except the transient figures, which run
-// with a short pinned duration.
+// figure: defaults everywhere except the registry's transient figures,
+// which run with a short pinned duration.
 func Specs() []figureSpec {
-	durOpt := map[string]string{"duration_s": strconv.FormatFloat(transientDurationS, 'g', -1, 64)}
 	var specs []figureSpec
 	for _, e := range experiments.Registry() {
-		sp := figureSpec{ID: e.ID, Run: e.Run}
-		switch e.ID {
-		case "fig11":
-			sp.Options = durOpt
-			sp.Run = func(ctx context.Context) (experiments.Renderer, error) {
-				return experiments.Fig11(ctx, experiments.Fig11Options{DurationS: transientDurationS})
-			}
-		case "fig12":
-			sp.Options = durOpt
-			sp.Run = func(ctx context.Context) (experiments.Renderer, error) {
-				return experiments.Fig12(ctx, experiments.Fig12Options{DurationS: transientDurationS})
-			}
-		case "fig13":
-			sp.Options = durOpt
-			sp.Run = func(ctx context.Context) (experiments.Renderer, error) {
-				return experiments.Fig13(ctx, experiments.Fig13Options{DurationS: transientDurationS})
-			}
+		sp := figureSpec{ID: e.ID}
+		var duration float64
+		if e.Transient {
+			duration = transientDurationS
+			sp.Options = map[string]string{"duration_s": strconv.FormatFloat(duration, 'g', -1, 64)}
+		}
+		sp.Run = func(ctx context.Context) (experiments.Renderer, error) {
+			return experiments.RunWithDuration(ctx, e, duration)
 		}
 		specs = append(specs, sp)
 	}
@@ -237,11 +227,7 @@ func computeAll(ctx context.Context, specs []figureSpec, workers int) ([]*figure
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", sp.ID, err)
 			}
-			tables, ok := experiments.TablesOf(res)
-			if !ok {
-				return nil, fmt.Errorf("%s: result has no structured tables", sp.ID)
-			}
-			return &figureResult{spec: sp, res: res, tables: tables}, nil
+			return &figureResult{spec: sp, res: res, tables: res.Tables()}, nil
 		})
 }
 
@@ -302,13 +288,7 @@ func checkDeterminism(ctx context.Context, results []*figureResult) []Failure {
 				Detail: fmt.Sprintf("sequential recomputation failed: %v", err)})
 			continue
 		}
-		tables, ok := experiments.TablesOf(res)
-		if !ok {
-			fails = append(fails, Failure{Figure: fr.spec.ID, Check: "determinism",
-				Detail: "sequential recomputation lost structured tables"})
-			continue
-		}
-		got, err := renderAll(tables)
+		got, err := renderAll(res.Tables())
 		if err != nil {
 			fails = append(fails, Failure{Figure: fr.spec.ID, Check: "determinism", Detail: err.Error()})
 			continue

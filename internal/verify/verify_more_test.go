@@ -323,12 +323,6 @@ func TestCheckAmdahlLimitBranches(t *testing.T) {
 	}
 }
 
-// plainRenderer implements experiments.Renderer without structured
-// tables, to drive the pipeline's no-tables error branches.
-type plainRenderer struct{}
-
-func (plainRenderer) Render(io.Writer) error { return nil }
-
 func TestComputeAllErrors(t *testing.T) {
 	ctx := context.Background()
 	boom := figureSpec{ID: "boom", Run: func(context.Context) (experiments.Renderer, error) {
@@ -336,12 +330,6 @@ func TestComputeAllErrors(t *testing.T) {
 	}}
 	if _, err := computeAll(ctx, []figureSpec{boom}, 1); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("failing figure not reported: %v", err)
-	}
-	bare := figureSpec{ID: "bare", Run: func(context.Context) (experiments.Renderer, error) {
-		return plainRenderer{}, nil
-	}}
-	if _, err := computeAll(ctx, []figureSpec{bare}, 1); err == nil || !strings.Contains(err.Error(), "structured tables") {
-		t.Errorf("table-less figure not reported: %v", err)
 	}
 }
 
@@ -359,20 +347,16 @@ func TestCheckDeterminismBranches(t *testing.T) {
 		{spec: figureSpec{ID: "err", Run: func(context.Context) (experiments.Renderer, error) {
 			return nil, context.DeadlineExceeded
 		}}, tables: mkTable("1")},
-		{spec: figureSpec{ID: "bare", Run: func(context.Context) (experiments.Renderer, error) {
-			return plainRenderer{}, nil
-		}}, tables: mkTable("1")},
 		{spec: figureSpec{ID: "drift", Run: func(context.Context) (experiments.Renderer, error) {
 			return stubResult{tables: mkTable("2")}, nil
 		}}, tables: mkTable("1")},
 	}
 	fails := checkDeterminism(context.Background(), results)
-	if len(fails) != 3 {
-		t.Fatalf("got %d failures, want 3: %v", len(fails), fails)
+	if len(fails) != 2 {
+		t.Fatalf("got %d failures, want 2: %v", len(fails), fails)
 	}
 	wants := map[string]string{
 		"err":   "recomputation failed",
-		"bare":  "lost structured tables",
 		"drift": "rendered differently",
 	}
 	for _, f := range fails {
