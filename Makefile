@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet perfbench-check lint test test-short test-shuffle race bench bench-report bench-compare bench-smoke profile-smoke fuzz-smoke jobs-smoke policy-smoke cover verify golden experiments ablations serve clean
+.PHONY: all check build vet perfbench-check lint test test-short test-shuffle race bench bench-report bench-compare bench-smoke profile-smoke fuzz-smoke jobs-smoke policy-smoke cli-smoke cover verify golden experiments ablations serve clean
 
 all: check
 
@@ -13,9 +13,10 @@ all: check
 # of the thermal-solver benchmarks so a broken bench path fails
 # the gate, the async-runtime smoke (a real shortened fig12 submitted
 # as a run, streamed point by point, compared against the synchronous
-# endpoint), and the policy-sandbox smoke (head-to-head race with the
-# unsafe negative control caught, under the race detector).
-check: build vet perfbench-check test test-shuffle race fuzz-smoke bench-smoke jobs-smoke policy-smoke
+# endpoint), the policy-sandbox smoke (head-to-head race with the
+# unsafe negative control caught, under the race detector), and the CLI
+# smoke (the README toolflow through the built darksim binary).
+check: build vet perfbench-check test test-shuffle race fuzz-smoke bench-smoke jobs-smoke policy-smoke cli-smoke
 
 build:
 	$(GO) build ./...
@@ -102,6 +103,26 @@ jobs-smoke:
 # sandbox's concurrent/cancellation paths under the race detector.
 policy-smoke:
 	$(GO) test -race -run='TestExecute|TestExecuteUnsafeCaught|TestRunAllConcurrent|TestRunAllCancel' -count=1 -v ./internal/policy | grep -E 'TestExecute|TestRunAll|ok '
+
+# The CLI smoke: build darksim once and drive the README toolflow
+# through the real binary — a floorplan, a .ptrace written from its unit
+# names, a transient thermal run, the TSP table as JSON — and require
+# exit status 1 for bad input (-cores 0, a NaN core area), which only a
+# real process exit shows.
+cli-smoke:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/darksim" ./cmd/darksim; \
+	"$$dir/darksim" floorplan -node 16 -cores 4 > "$$dir/c.flp"; \
+	awk '!/^#/ && NF {n[++k] = $$1} END {for (r = 0; r <= 10; r++) for (i = 1; i <= k; i++) printf "%s%s", (r ? "2.0" : n[i]), (i < k ? "\t" : "\n")}' "$$dir/c.flp" > "$$dir/run.ptrace"; \
+	"$$dir/darksim" thermal -flp "$$dir/c.flp" -ptrace "$$dir/run.ptrace" -transient > "$$dir/thermal.out"; \
+	grep -q '^t=0.010000' "$$dir/thermal.out"; grep -q '^# final temperatures$$' "$$dir/thermal.out"; \
+	"$$dir/darksim" -format json tsp -node 16 -cores 4 > "$$dir/tsp.json"; \
+	grep -q '"title": "Worst-case TSP, 16nm, 4 cores, Tcrit = 80.0 °C"' "$$dir/tsp.json"; \
+	for bad in "tsp -cores 0" "floorplan -cols 2 -rows 2 -area NaN"; do \
+		code=0; "$$dir/darksim" $$bad > /dev/null 2>&1 || code=$$?; \
+		if [ $$code -ne 1 ]; then echo "cli-smoke: darksim $$bad exited $$code, want 1"; exit 1; fi; \
+	done; \
+	echo "cli-smoke: ok"
 
 # Short runs of the native fuzz targets ("go test -fuzz" takes exactly
 # one target per invocation); full fuzzing uses longer -fuzztime.

@@ -1,5 +1,7 @@
 // Command darksim runs the paper-reproduction experiments and prints the
-// rows and series the paper's tables and figures report.
+// rows and series the paper's tables and figures report, and carries the
+// paper's toolflow steps — floorplan generation, the HotSpot-style
+// thermal simulation and the Thermal Safe Power table — as subcommands.
 //
 // Usage:
 //
@@ -14,11 +16,17 @@
 //	darksim verify -update       # regenerate the golden corpus
 //	darksim bench                # write the perf-trajectory JSON report
 //	darksim run -follow fig12    # submit to a darksimd daemon and stream
+//	darksim tsp -node 16 -cores 100                # TSP vs active cores
+//	darksim floorplan -node 8 -cores 361 > c.flp   # HotSpot-style floorplan
+//	darksim thermal -flp c.flp -ptrace run.ptrace -transient
 //
-// `darksim run` submits the computation to a running darksimd as an
+// Every subcommand is one row of the commands table, which also generates
+// the usage text; an argument that names no subcommand is an experiment
+// id. `darksim run` submits the computation to a running darksimd as an
 // asynchronous run; -follow streams its per-point partial results over
 // SSE (reconnecting with Last-Event-ID after drops) and exits 0/1/3 for
-// done/failed/cancelled.
+// done/failed/cancelled. `darksim tsp` prints the same table GET /v1/tsp
+// serves (experiments.TSPTable).
 //
 // Transient experiments default to the paper's run lengths; -duration
 // trades fidelity for speed and rejects negative or non-finite values.
@@ -50,118 +58,202 @@ import (
 	"darksim/internal/verify"
 )
 
-// output is one experiment's result in either representation: rendered
-// text, or the structured tables the JSON format marshals.
-type output struct {
-	ID     string          `json:"id"`
-	Tables []*report.Table `json:"tables,omitempty"`
-	text   []byte
+// env is what the dispatcher hands a subcommand: the global flags, the
+// output stream, and a flag set for the subcommand's own flags whose
+// usage prints the subcommand's synopsis.
+type env struct {
+	duration float64
+	parallel int
+	format   string
+	out      io.Writer
+	flags    *flag.FlagSet
+}
+
+// parse parses args into the subcommand's flags; positional arguments
+// are an error.
+func (e *env) parse(args []string) error {
+	if err := e.flags.Parse(args); err != nil {
+		return err
+	}
+	if e.flags.NArg() != 0 {
+		e.flags.Usage()
+		return fmt.Errorf("%s takes no positional arguments", e.flags.Name())
+	}
+	return nil
+}
+
+// command is one row of the dispatch table.
+type command struct {
+	name string
+	// synopsis follows "darksim" in the usage text. Commands without one
+	// take no arguments and share the experiment usage line.
+	synopsis string
+	run      func(ctx context.Context, e *env, args []string) error
+}
+
+// commands is the dispatch table: every darksim subcommand, in usage
+// order.
+var commands = []command{
+	{name: "list", run: func(_ context.Context, e *env, _ []string) error {
+		for _, x := range append(experiments.Registry(), experiments.AblationRegistry()...) {
+			fmt.Fprintf(e.out, "%-12s %s\n", x.ID, x.Description)
+		}
+		return nil
+	}},
+	{name: "all", run: func(ctx context.Context, e *env, _ []string) error {
+		return runAll(ctx, experiments.Registry(), e.parallel, e.duration, e.format, e.out)
+	}},
+	{name: "ablations", run: func(ctx context.Context, e *env, _ []string) error {
+		return runAll(ctx, experiments.AblationRegistry(), e.parallel, e.duration, e.format, e.out)
+	}},
+	{name: "verify", synopsis: "verify [-update] [-golden dir] [-figs fig1,fig2,...]", run: runVerify},
+	{name: "bench", synopsis: "bench [-out file] [-benchtime 1x|2s] [-figures=false] [-compare old.json [-threshold 1.25]] [-cpuprofile cpu.out] [-memprofile mem.out]", run: runBench},
+	{name: "scenario", synopsis: "scenario -spec file.json | -name <pack scenario> | -list", run: runScenario},
+	{name: "policy", synopsis: "policy -spec file.json | -pack <pack scenario> [-policies a,b,c] [-tune name] | -list", run: runPolicy},
+	{name: "run", synopsis: "run [-addr url] [-duration s] [-follow] <experiment> | -spec file.json", run: runRun},
+	{name: "tsp", synopsis: "tsp [-node nm] [-cores n] [-tcrit °C] [-max n] [-step n]", run: runTSP},
+	{name: "floorplan", synopsis: "floorplan -node nm [-cores n] | -cols n -rows n -area mm²", run: runFloorplan},
+	{name: "thermal", synopsis: "thermal -flp file.flp [-config file.config] -ptrace file.ptrace [-transient [-dt s]]", run: runThermal},
+}
+
+// lookup returns the named command, or one that runs the experiment of
+// that id.
+func lookup(name string) command {
+	for _, c := range commands {
+		if c.name == name {
+			return c
+		}
+	}
+	return command{name: name, run: func(ctx context.Context, e *env, _ []string) error {
+		return runOne(ctx, name, e.duration, e.format, e.out)
+	}}
+}
+
+// Process exit statuses. `darksim run -follow` maps the run's terminal
+// state onto them: done exits 0, failed exits 1, cancelled exits 3.
+const (
+	exitOK        = 0
+	exitFailed    = 1
+	exitUsage     = 2
+	exitCancelled = 3
+)
+
+// exitError carries an exit status other than exitFailed.
+type exitError struct {
+	code int
+	err  error
+}
+
+func (e *exitError) Error() string { return e.err.Error() }
+
+func (e *exitError) Unwrap() error { return e.err }
+
+// exitStatus maps a subcommand's error to its process exit status.
+func exitStatus(err error) int {
+	var ee *exitError
+	if errors.As(err, &ee) {
+		return ee.code
+	}
+	if err != nil {
+		return exitFailed
+	}
+	return exitOK
 }
 
 func main() {
-	duration := flag.Float64("duration", 0, "override the transient experiments' simulated duration in seconds (0 = default)")
-	parallel := flag.Int("parallel", 0, "experiments to run concurrently for 'all'/'ablations' (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "abort the whole run after this long, e.g. 10m (0 = no timeout)")
-	format := flag.String("format", "text", "output format: text or json")
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
-	subcommands := map[string]bool{"verify": true, "bench": true, "scenario": true, "run": true, "policy": true}
-	if len(args) == 0 || (len(args) != 1 && !subcommands[args[0]]) || (*format != "text" && *format != "json") {
-		usage()
-		os.Exit(2)
+	os.Exit(execute(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// execute parses the global flags, dispatches the rest of args through
+// the commands table and returns the process exit status.
+func execute(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	global := flag.NewFlagSet("darksim", flag.ContinueOnError)
+	global.SetOutput(stderr)
+	e := &env{out: stdout}
+	global.Float64Var(&e.duration, "duration", 0, "override the transient experiments' simulated duration in seconds (0 = default)")
+	global.IntVar(&e.parallel, "parallel", 0, "experiments to run concurrently for 'all'/'ablations' (0 = GOMAXPROCS)")
+	timeout := global.Duration("timeout", 0, "abort the whole run after this long, e.g. 10m (0 = no timeout)")
+	global.StringVar(&e.format, "format", "text", "output format: text or json")
+	global.Usage = func() { usage(global) }
+	if err := global.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitOK
+		}
+		return exitUsage
 	}
-	ctx := context.Background()
+	args = global.Args()
+	if len(args) == 0 || (e.format != "text" && e.format != "json") {
+		global.Usage()
+		return exitUsage
+	}
+	cmd := lookup(args[0])
+	if cmd.synopsis == "" && len(args) != 1 {
+		global.Usage()
+		return exitUsage
+	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	switch args[0] {
-	case "verify":
-		if err := runVerify(ctx, args[1:], *parallel, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "darksim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "bench":
-		if err := runBench(ctx, args[1:], os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "darksim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "scenario":
-		if err := runScenario(ctx, args[1:], *format, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "darksim: %v\n", err)
-			os.Exit(1)
-		}
-	case "run":
-		code, err := runRun(ctx, args[1:], *format, os.Stdout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "darksim: %v\n", err)
-		}
-		os.Exit(code)
-	case "policy":
-		if err := runPolicy(ctx, args[1:], *format, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "darksim: %v\n", err)
-			os.Exit(1)
-		}
-	case "list":
-		for _, e := range experiments.Registry() {
-			fmt.Printf("%-12s %s\n", e.ID, e.Description)
-		}
-		for _, e := range experiments.AblationRegistry() {
-			fmt.Printf("%-12s %s\n", e.ID, e.Description)
-		}
-	case "all":
-		if err := runAll(ctx, experiments.Registry(), *parallel, *duration, *format, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "darksim: %v\n", err)
-			os.Exit(1)
-		}
-	case "ablations":
-		if err := runAll(ctx, experiments.AblationRegistry(), *parallel, *duration, *format, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "darksim: %v\n", err)
-			os.Exit(1)
-		}
-	default:
-		if err := runOne(ctx, args[0], *duration, *format, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "darksim: %v\n", err)
-			os.Exit(1)
+	e.flags = flag.NewFlagSet(cmd.name, flag.ContinueOnError)
+	e.flags.SetOutput(stderr)
+	e.flags.Usage = func() {
+		fmt.Fprintf(stderr, "usage: darksim %s\n\n", cmd.synopsis)
+		e.flags.PrintDefaults()
+	}
+	err := cmd.run(ctx, e, args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return exitOK
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "darksim: %v\n", err)
+	}
+	return exitStatus(err)
+}
+
+// usage prints the usage text generated from the commands table.
+func usage(global *flag.FlagSet) {
+	w := global.Output()
+	var bare []string
+	var lines strings.Builder
+	for _, c := range commands {
+		if c.synopsis == "" {
+			bare = append(bare, c.name)
+		} else {
+			fmt.Fprintf(&lines, "       darksim %s\n", c.synopsis)
 		}
 	}
+	fmt.Fprintf(w, "usage: darksim [-duration s] [-parallel n] [-timeout d] [-format text|json] <experiment|%s>\n%s", strings.Join(bare, "|"), lines.String())
+	fmt.Fprint(w, `
+Reproduces the tables and figures of "New Trends in Dark Silicon"
+(Henkel, Khdr, Pagani, Shafique — DAC 2015), plus ablation studies of
+this implementation's design choices. `+"`darksim verify`"+` recomputes
+every figure and checks it against the embedded golden corpus, the
+paper's physics invariants, and differential text/CSV/JSON/HTTP
+renderings.
+
+`)
+	global.PrintDefaults()
 }
 
 // runVerify parses the verify subcommand's own flags and runs the
 // three-layer verification pipeline, returning an error naming the
 // failing figure/cell when any check fails.
-func runVerify(ctx context.Context, args []string, parallel int, w io.Writer) error {
-	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
+func runVerify(ctx context.Context, e *env, args []string) error {
+	fs, w := e.flags, e.out
 	update := fs.Bool("update", false, "regenerate the golden corpus instead of checking it")
 	golden := fs.String("golden", experiments.GoldenDir, "directory -update writes golden files to")
 	figs := fs.String("figs", "", "comma-separated figure subset, e.g. fig1,fig5 (default: all)")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: darksim verify [-update] [-golden dir] [-figs fig1,fig2,...]\n\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
+	if err := e.parse(args); err != nil {
 		return err
-	}
-	if fs.NArg() != 0 {
-		fs.Usage()
-		return fmt.Errorf("verify takes no positional arguments")
 	}
 	opt := verify.Options{
 		Update:    *update,
 		GoldenDir: *golden,
-		Workers:   parallel,
+		Workers:   e.parallel,
 		Out:       w,
-	}
-	if *figs != "" {
-		for _, id := range strings.Split(*figs, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				opt.Figures = append(opt.Figures, id)
-			}
-		}
+		Figures:   splitList(*figs),
 	}
 	fails, err := verify.Run(ctx, opt)
 	if err != nil {
@@ -182,21 +274,13 @@ func runVerify(ctx context.Context, args []string, parallel int, w io.Writer) er
 // runScenario compiles and evaluates a declarative chip/workload spec —
 // from a JSON file (-spec), or the built-in Charm exemplar pack (-name,
 // -list) — through the same platform/thermal machinery the figures use.
-func runScenario(ctx context.Context, args []string, format string, w io.Writer) error {
-	fs := flag.NewFlagSet("scenario", flag.ContinueOnError)
+func runScenario(ctx context.Context, e *env, args []string) error {
+	fs, w := e.flags, e.out
 	specFile := fs.String("spec", "", "JSON scenario spec file ('-' for stdin)")
 	name := fs.String("name", "", "run a built-in pack scenario by name")
 	list := fs.Bool("list", false, "list the built-in scenario pack")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: darksim scenario -spec file.json | -name <pack scenario> | -list\n\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
+	if err := e.parse(args); err != nil {
 		return err
-	}
-	if fs.NArg() != 0 {
-		fs.Usage()
-		return fmt.Errorf("scenario takes no positional arguments")
 	}
 	if *list {
 		for _, s := range scenario.Pack() {
@@ -239,18 +323,7 @@ func runScenario(ctx context.Context, args []string, format string, w io.Writer)
 		return err
 	}
 	tables := res.Tables()
-	if format == "json" {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(output{ID: "scenario", Tables: tables})
-	}
-	for _, t := range tables {
-		if err := t.Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+	return writeTables(w, e.format, "scenario", tables, tableText(tables))
 }
 
 // readSpecFile loads a spec document from a path or stdin ("-").
@@ -265,8 +338,8 @@ func readSpecFile(path string) ([]byte, error) {
 // dense-vs-sparse thermal-solver and TSP micro-benchmarks plus (by
 // default) one benchmark per paper figure, written as a JSON report for
 // cross-PR perf tracking.
-func runBench(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+func runBench(ctx context.Context, e *env, args []string) error {
+	fs, w := e.flags, e.out
 	out := fs.String("out", "", "file the JSON report is written to ('-' for stdout; empty writes no report)")
 	benchtime := fs.String("benchtime", "1x", "per-benchmark time or iteration budget (testing -benchtime syntax)")
 	figures := fs.Bool("figures", true, "include the per-figure experiment benchmarks")
@@ -275,16 +348,8 @@ func runBench(ctx context.Context, args []string, w io.Writer) error {
 		"new/old ns-per-op ratio above which a headline benchmark fails -compare")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after the benchmark run to this file")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: darksim bench [-out file] [-benchtime 1x|2s] [-figures=false] [-compare old.json [-threshold 1.25]] [-cpuprofile cpu.out] [-memprofile mem.out]\n\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
+	if err := e.parse(args); err != nil {
 		return err
-	}
-	if fs.NArg() != 0 {
-		fs.Usage()
-		return fmt.Errorf("bench takes no positional arguments")
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -365,6 +430,14 @@ func runBench(ctx context.Context, args []string, w io.Writer) error {
 	return nil
 }
 
+// output is one result in either representation: rendered
+// text, or the structured tables the JSON format marshals.
+type output struct {
+	ID     string          `json:"id"`
+	Tables []*report.Table `json:"tables,omitempty"`
+	text   []byte
+}
+
 // runAll runs every experiment with up to `parallel` running concurrently
 // and writes the outputs to w in registry order regardless of completion
 // order. On failure the outputs that did complete are still written (in
@@ -385,11 +458,14 @@ func runAll(ctx context.Context, entries []experiments.Experiment, parallel int,
 			if rerr != nil {
 				return nil, fail(rerr)
 			}
-			o, rerr := makeOutput(e.ID, r, format)
-			if rerr != nil {
+			if format == "json" {
+				return &output{ID: e.ID, Tables: r.Tables()}, nil
+			}
+			var buf bytes.Buffer
+			if rerr := experimentText(e.ID, r)(&buf); rerr != nil {
 				return nil, fail(rerr)
 			}
-			return o, nil
+			return &output{ID: e.ID, text: buf.Bytes()}, nil
 		})
 	if werr := writeOutputs(w, outs, format); werr != nil {
 		return werr
@@ -409,25 +485,43 @@ func runAll(ctx context.Context, entries []experiments.Experiment, parallel int,
 	return err
 }
 
-// makeOutput realizes one result in the requested format.
-func makeOutput(id string, r experiments.Renderer, format string) (*output, error) {
-	o := &output{ID: id}
+// writeTables writes one result in format: the text render writes, or
+// one indented JSON output of its tables. Every single-result
+// subcommand (an experiment, scenario, policy, tsp) prints through it.
+func writeTables(w io.Writer, format, id string, tables []*report.Table, render func(io.Writer) error) error {
 	if format == "json" {
-		o.Tables = r.Tables()
-		return o, nil
+		return writeJSON(w, output{ID: id, Tables: tables})
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "==== %s ====\n", id)
-	if err := r.Render(&buf); err != nil {
-		return nil, err
-	}
-	fmt.Fprintln(&buf)
-	o.text = buf.Bytes()
-	return o, nil
+	return render(w)
 }
 
-// writeOutputs writes the completed outputs in order: concatenated text,
-// or one JSON array.
+// tableText renders each table followed by a blank line, the text form
+// of a scenario, a policy race and a finished run.
+func tableText(tables []*report.Table) func(io.Writer) error {
+	return func(w io.Writer) error {
+		for _, t := range tables {
+			if err := t.Render(w); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+		}
+		return nil
+	}
+}
+
+// experimentText renders one experiment's result under its
+// "==== id ====" heading.
+func experimentText(id string, r experiments.Renderer) func(io.Writer) error {
+	return func(w io.Writer) error {
+		fmt.Fprintf(w, "==== %s ====\n", id)
+		err := r.Render(w)
+		fmt.Fprintln(w)
+		return err
+	}
+}
+
+// writeOutputs writes the completed outputs (nil entries did not
+// complete) in order: their text concatenated, or one JSON array.
 func writeOutputs(w io.Writer, outs []*output, format string) error {
 	if format == "json" {
 		done := make([]*output, 0, len(outs))
@@ -436,9 +530,7 @@ func writeOutputs(w io.Writer, outs []*output, format string) error {
 				done = append(done, o)
 			}
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(done)
+		return writeJSON(w, done)
 	}
 	for _, o := range outs {
 		if o != nil {
@@ -450,6 +542,14 @@ func writeOutputs(w io.Writer, outs []*output, format string) error {
 	return nil
 }
 
+// writeJSON writes v as indented JSON, the encoding of every -format
+// json result.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
 func runOne(ctx context.Context, id string, duration float64, format string, w io.Writer) error {
 	r, err := run(ctx, id, duration)
 	if err != nil {
@@ -458,17 +558,7 @@ func runOne(ctx context.Context, id string, duration float64, format string, w i
 		}
 		return err
 	}
-	o, err := makeOutput(id, r, format)
-	if err != nil {
-		return err
-	}
-	if format == "json" {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(o)
-	}
-	_, err = w.Write(o.text)
-	return err
+	return writeTables(w, format, id, r.Tables(), experimentText(id, r))
 }
 
 // run looks id up in both registries and runs it with the optional run
@@ -479,23 +569,4 @@ func run(ctx context.Context, id string, duration float64) (experiments.Renderer
 		return nil, err
 	}
 	return experiments.RunWithDuration(ctx, e, duration)
-}
-
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: darksim [-duration s] [-parallel n] [-timeout d] [-format text|json] <experiment|all|ablations|list>
-       darksim verify [-update] [-golden dir] [-figs fig1,fig2,...]
-       darksim bench [-out file] [-benchtime 1x|2s] [-figures=false]
-       darksim scenario -spec file.json | -name <pack scenario> | -list
-       darksim policy -spec file.json | -pack <pack scenario> [-policies a,b,c] [-tune name] | -list
-       darksim run [-addr url] [-duration s] [-follow] <experiment>|-spec file.json
-
-Reproduces the tables and figures of "New Trends in Dark Silicon"
-(Henkel, Khdr, Pagani, Shafique — DAC 2015), plus ablation studies of
-this implementation's design choices. `+"`darksim verify`"+` recomputes
-every figure and checks it against the embedded golden corpus, the
-paper's physics invariants, and differential text/CSV/JSON/HTTP
-renderings.
-
-`)
-	flag.PrintDefaults()
 }

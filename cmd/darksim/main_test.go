@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -14,6 +16,14 @@ import (
 	"darksim/internal/experiments"
 	"darksim/internal/report"
 )
+
+// testEnv returns a subcommand environment writing to w, with a fresh
+// flag set whose misuse messages are discarded.
+func testEnv(format string, w io.Writer) *env {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return &env{format: format, out: w, flags: fs}
+}
 
 func TestRunDispatch(t *testing.T) {
 	ctx := context.Background()
@@ -218,10 +228,10 @@ func TestRunAllTimeoutNamesIncompleteFigures(t *testing.T) {
 
 func TestRunBenchArgErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runBench(context.Background(), []string{"extra"}, &buf); err == nil {
+	if err := runBench(context.Background(), testEnv("text", &buf), []string{"extra"}); err == nil {
 		t.Errorf("positional argument should error")
 	}
-	if err := runBench(context.Background(), []string{"-benchtime", "not-a-time"}, &buf); err == nil {
+	if err := runBench(context.Background(), testEnv("text", &buf), []string{"-benchtime", "not-a-time"}); err == nil {
 		t.Errorf("malformed benchtime should error")
 	}
 }

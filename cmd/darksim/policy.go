@@ -2,11 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 
 	"darksim/internal/policy"
@@ -18,8 +14,8 @@ import (
 // traces, and an optional tuning pass. The exit status reflects the
 // assertion engine: a violated trace exits non-zero even though the
 // frontier still prints, so scripted sweeps notice unsafe policies.
-func runPolicy(ctx context.Context, args []string, format string, w io.Writer) error {
-	fs := flag.NewFlagSet("policy", flag.ContinueOnError)
+func runPolicy(ctx context.Context, e *env, args []string) error {
+	fs, w := e.flags, e.out
 	specFile := fs.String("spec", "", "JSON policy-sandbox spec file ('-' for stdin)")
 	pack := fs.String("pack", "", "race on a built-in pack scenario by name")
 	list := fs.Bool("list", false, "list the registered policies")
@@ -28,16 +24,8 @@ func runPolicy(ctx context.Context, args []string, format string, w io.Writer) e
 	tune := fs.String("tune", "", "hill-climb this policy's parameters after the head-to-head")
 	seed := fs.Int64("seed", 0, "tuner seed with -tune (default 1)")
 	budget := fs.Int("budget", 0, "tuner evaluation budget with -tune (default 12)")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: darksim policy -spec file.json | -pack <pack scenario> [-policies a,b,c] [-tune name] | -list\n\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
+	if err := e.parse(args); err != nil {
 		return err
-	}
-	if fs.NArg() != 0 {
-		fs.Usage()
-		return fmt.Errorf("policy takes no positional arguments")
 	}
 	if *list {
 		for _, name := range policy.Names() {
@@ -69,10 +57,8 @@ func runPolicy(ctx context.Context, args []string, format string, w io.Writer) e
 		}
 	case *pack != "":
 		spec = policy.Spec{Pack: *pack, DurationS: *duration, Tune: *tune, Seed: *seed, Budget: *budget}
-		if *policies != "" {
-			for _, name := range splitList(*policies) {
-				spec.Policies = append(spec.Policies, policy.PolicyConfig{Name: name})
-			}
+		for _, name := range splitList(*policies) {
+			spec.Policies = append(spec.Policies, policy.PolicyConfig{Name: name})
 		}
 	default:
 		fs.Usage()
@@ -84,19 +70,8 @@ func runPolicy(ctx context.Context, args []string, format string, w io.Writer) e
 		return err
 	}
 	tables := res.Tables()
-	if format == "json" {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(output{ID: "policy", Tables: tables}); err != nil {
-			return err
-		}
-	} else {
-		for _, t := range tables {
-			if err := t.Render(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
+	if err := writeTables(w, e.format, "policy", tables, tableText(tables)); err != nil {
+		return err
 	}
 	if res.Violated() {
 		return fmt.Errorf("policy: assertion violations or run errors (see tables above)")

@@ -14,7 +14,7 @@ import (
 
 func TestRunPolicyList(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runPolicy(context.Background(), []string{"-list"}, "text", &buf); err != nil {
+	if err := runPolicy(context.Background(), testEnv("text", &buf), []string{"-list"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"constant", "boost", "dsrem", "boost-unsafe", "tunable"} {
@@ -28,7 +28,7 @@ func TestRunPolicyHeadToHead(t *testing.T) {
 	var buf bytes.Buffer
 	args := []string{"-pack", scenario.PackSymmetric, "-duration", "0.02",
 		"-policies", "constant,boost,dsrem"}
-	if err := runPolicy(context.Background(), args, "text", &buf); err != nil {
+	if err := runPolicy(context.Background(), testEnv("text", &buf), args); err != nil {
 		t.Fatalf("safe trio failed: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
@@ -40,7 +40,7 @@ func TestRunPolicyHeadToHead(t *testing.T) {
 	buf.Reset()
 	args = []string{"-pack", scenario.PackSymmetric, "-duration", "0.02",
 		"-policies", "constant,boost-unsafe"}
-	err := runPolicy(context.Background(), args, "text", &buf)
+	err := runPolicy(context.Background(), testEnv("text", &buf), args)
 	if err == nil {
 		t.Fatalf("boost-unsafe run exited clean:\n%s", buf.String())
 	}
@@ -61,7 +61,7 @@ func TestRunPolicySpecFileAndJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := runPolicy(context.Background(), []string{"-spec", path}, "json", &buf); err != nil {
+	if err := runPolicy(context.Background(), testEnv("json", &buf), []string{"-spec", path}); err != nil {
 		t.Fatalf("spec run failed: %v\n%s", err, buf.String())
 	}
 	var o output
@@ -86,7 +86,7 @@ func TestRunPolicyArgErrors(t *testing.T) {
 	}
 	for _, args := range cases {
 		var buf bytes.Buffer
-		if err := runPolicy(context.Background(), args, "text", &buf); err == nil {
+		if err := runPolicy(context.Background(), testEnv("text", &buf), args); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
 	}

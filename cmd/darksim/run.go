@@ -5,24 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"darksim/internal/jobs"
-)
-
-// Exit codes for `darksim run -follow`, mapping the run's terminal state:
-// done exits 0, failed exits 1, cancelled exits 3 (2 is flag misuse).
-const (
-	exitOK        = 0
-	exitFailed    = 1
-	exitCancelled = 3
 )
 
 // runSubmission mirrors the POST /v1/runs request body.
@@ -40,32 +30,27 @@ type submittedRun struct {
 
 // runRun submits a computation to a darksimd daemon as an asynchronous
 // run and, with -follow, streams its events — rendering each partial
-// result as it lands — until the run reaches a terminal state. The
-// returned code is the process exit code.
-func runRun(ctx context.Context, args []string, format string, w io.Writer) (int, error) {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+// result as it lands — until the run reaches a terminal state. The exit
+// status (see exitStatus) reflects that state; misuse exits 2.
+func runRun(ctx context.Context, e *env, args []string) error {
+	fs, w := e.flags, e.out
 	addr := fs.String("addr", "http://localhost:8080", "darksimd base URL")
 	specFile := fs.String("spec", "", "JSON scenario spec file ('-' for stdin) to run instead of an experiment")
 	duration := fs.Float64("duration", 0, "override the transient experiments' simulated duration in seconds (0 = default)")
 	follow := fs.Bool("follow", false, "stream the run's events until it finishes; exit code reflects the terminal state")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: darksim run [-addr url] [-duration s] [-follow] <experiment>\n"+
-			"       darksim run [-addr url] [-follow] -spec file.json\n\n")
-		fs.PrintDefaults()
-	}
 	if err := fs.Parse(args); err != nil {
-		return 2, err
+		return &exitError{exitUsage, err}
 	}
 
 	var sub runSubmission
 	switch {
 	case *specFile != "" && fs.NArg() != 0:
 		fs.Usage()
-		return 2, fmt.Errorf("run: -spec and an experiment name are mutually exclusive")
+		return &exitError{exitUsage, fmt.Errorf("run: -spec and an experiment name are mutually exclusive")}
 	case *specFile != "":
 		data, err := readSpecFile(*specFile)
 		if err != nil {
-			return exitFailed, err
+			return err
 		}
 		sub.Scenario = data
 	case fs.NArg() == 1:
@@ -73,14 +58,14 @@ func runRun(ctx context.Context, args []string, format string, w io.Writer) (int
 		sub.Duration = *duration
 	default:
 		fs.Usage()
-		return 2, fmt.Errorf("run: exactly one experiment name (or -spec) is required")
+		return &exitError{exitUsage, fmt.Errorf("run: exactly one experiment name (or -spec) is required")}
 	}
 
 	base := strings.TrimRight(*addr, "/")
 	client := &http.Client{}
 	run, err := submitRun(ctx, client, base, sub)
 	if err != nil {
-		return exitFailed, err
+		return err
 	}
 	joined := ""
 	if run.Deduped {
@@ -88,19 +73,18 @@ func runRun(ctx context.Context, args []string, format string, w io.Writer) (int
 	}
 	fmt.Fprintf(w, "run %s: %s%s\n", run.ID, run.State, joined)
 	if !*follow {
-		return exitOK, nil
+		return nil
 	}
-	state, err := followRun(ctx, client, base, run.ID, run.LastSeq, format, w)
-	if err != nil {
-		return exitFailed, err
-	}
-	switch state {
-	case jobs.StateDone:
-		return exitOK, nil
-	case jobs.StateCancelled:
-		return exitCancelled, nil
+	state, err := followRun(ctx, client, base, run.ID, run.LastSeq, e.format, w)
+	switch {
+	case err != nil:
+		return err
+	case state == jobs.StateDone:
+		return nil
+	case state == jobs.StateCancelled:
+		return &exitError{exitCancelled, fmt.Errorf("run %s %s", run.ID, state)}
 	default:
-		return exitFailed, nil
+		return fmt.Errorf("run %s %s", run.ID, state)
 	}
 }
 
@@ -230,12 +214,7 @@ func printEvent(ev jobs.Event, format string, w io.Writer) error {
 		}
 		if ev.State == jobs.StateDone {
 			fmt.Fprintln(w)
-			for _, t := range ev.Tables {
-				if err := t.Render(w); err != nil {
-					return err
-				}
-				fmt.Fprintln(w)
-			}
+			return tableText(ev.Tables)(w)
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -89,7 +90,8 @@ func TestRunFollowStreamsToTerminalState(t *testing.T) {
 	defer ts.Close()
 
 	var out bytes.Buffer
-	code, err := runRun(context.Background(), []string{"-addr", ts.URL, "-follow", "fig12"}, "text", &out)
+	err := runRun(context.Background(), testEnv("text", &out), []string{"-addr", ts.URL, "-follow", "fig12"})
+	code := exitStatus(err)
 	if err != nil || code != exitOK {
 		t.Fatalf("runRun = code %d, err %v\noutput:\n%s", code, err, out.String())
 	}
@@ -109,7 +111,8 @@ func TestRunFollowReconnectsWithLastEventID(t *testing.T) {
 	defer ts.Close()
 
 	var out bytes.Buffer
-	code, err := runRun(context.Background(), []string{"-addr", ts.URL, "-follow", "fig12"}, "text", &out)
+	err := runRun(context.Background(), testEnv("text", &out), []string{"-addr", ts.URL, "-follow", "fig12"})
+	code := exitStatus(err)
 	if err != nil || code != exitOK {
 		t.Fatalf("runRun after drop = code %d, err %v\noutput:\n%s", code, err, out.String())
 	}
@@ -139,10 +142,27 @@ func TestRunFollowExitCodes(t *testing.T) {
 		d := &fakeDaemon{t: t, events: runEvents(c.state, "boom")}
 		ts := d.server()
 		var out bytes.Buffer
-		code, err := runRun(context.Background(), []string{"-addr", ts.URL, "-follow", "fig12"}, "text", &out)
+		err := runRun(context.Background(), testEnv("text", &out), []string{"-addr", ts.URL, "-follow", "fig12"})
+		code := exitStatus(err)
 		ts.Close()
-		if err != nil || code != c.code {
+		if code != c.code {
 			t.Errorf("%s: code %d err %v, want %d", c.state, code, err, c.code)
+		}
+		// A done run returns no error; a failed or cancelled one returns
+		// an error naming the run and its terminal state, so a broken
+		// stream (also exit 1) cannot pass for a followed failure.
+		if c.state == jobs.StateDone {
+			if err != nil {
+				t.Errorf("%s: err %v, want nil", c.state, err)
+			}
+			continue
+		}
+		if want := "run r1 " + string(c.state); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err %v, want one naming %q", c.state, err, want)
+		}
+		var ee *exitError
+		if isExit := errors.As(err, &ee); isExit != (c.state == jobs.StateCancelled) {
+			t.Errorf("%s: errors.As(*exitError) = %v, want %v", c.state, isExit, c.state == jobs.StateCancelled)
 		}
 	}
 }
@@ -153,7 +173,8 @@ func TestRunWithoutFollowSubmitsAndReturns(t *testing.T) {
 	defer ts.Close()
 
 	var out bytes.Buffer
-	code, err := runRun(context.Background(), []string{"-addr", ts.URL, "fig12"}, "text", &out)
+	err := runRun(context.Background(), testEnv("text", &out), []string{"-addr", ts.URL, "fig12"})
+	code := exitStatus(err)
 	if err != nil || code != exitOK {
 		t.Fatalf("runRun = code %d, err %v", code, err)
 	}
@@ -167,10 +188,10 @@ func TestRunWithoutFollowSubmitsAndReturns(t *testing.T) {
 
 func TestRunFlagValidation(t *testing.T) {
 	var out bytes.Buffer
-	if code, err := runRun(context.Background(), nil, "text", &out); code != 2 || err == nil {
-		t.Errorf("no args = code %d err %v, want usage failure", code, err)
+	if err := runRun(context.Background(), testEnv("text", &out), nil); exitStatus(err) != exitUsage {
+		t.Errorf("no args = err %v, want usage failure", err)
 	}
-	if code, err := runRun(context.Background(), []string{"-spec", "x.json", "fig12"}, "text", &out); code != 2 || err == nil {
-		t.Errorf("-spec plus experiment = code %d err %v, want usage failure", code, err)
+	if err := runRun(context.Background(), testEnv("text", &out), []string{"-spec", "x.json", "fig12"}); exitStatus(err) != exitUsage {
+		t.Errorf("-spec plus experiment = err %v, want usage failure", err)
 	}
 }

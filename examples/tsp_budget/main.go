@@ -30,12 +30,12 @@ func main() {
 	// headroom per source.
 	ctx := context.Background()
 	fmt.Println("worst-case TSP per core:")
-	for _, n := range []int{16, 32, 48, 64, 80, 100} {
-		budget, _, err := calc.WorstCase(ctx, n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %3d active cores -> %.2f W/core (%.0f W total)\n", n, budget, budget*float64(n))
+	table, err := calc.Table(ctx, platform.NumCores(), 20)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, e := range table {
+		fmt.Printf("  %3d active cores -> %.2f W/core (%.0f W total)\n", e.ActiveCores, e.PerCoreW, e.TotalW)
 	}
 
 	// Mapping-aware TSP: a patterned placement earns a higher budget than

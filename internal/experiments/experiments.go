@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -19,6 +20,7 @@ import (
 	"darksim/internal/core"
 	"darksim/internal/report"
 	"darksim/internal/tech"
+	"darksim/internal/tsp"
 )
 
 // ErrOptions reports invalid experiment options (negative durations,
@@ -123,6 +125,56 @@ func releasePlatforms(evicted []*platEntry) {
 // run on, instead of factoring a fresh one per request.
 func PlatformFor(node tech.Node, cores int) (*core.Platform, error) {
 	return platformFor(node, cores)
+}
+
+// MaxTSPCores caps the platform a TSP table builds: the influence matrix
+// grows quadratically (~134 MB here), while the paper's largest platform
+// has 361 cores.
+const MaxTSPCores = 4096
+
+// CheckTSPCores rejects cores outside [1, MaxTSPCores] with ErrOptions.
+func CheckTSPCores(cores int) error {
+	if cores <= 0 || cores > MaxTSPCores {
+		return fmt.Errorf("%w: invalid cores %d: want an integer in [1,%d]", ErrOptions, cores, MaxTSPCores)
+	}
+	return nil
+}
+
+// TSPTable is the worst-case TSP table of the cached (node, cores)
+// platform at critical temperature tcrit for active-core counts step,
+// 2·step, … up to max (all cores if out of range; step below 1 means 1),
+// from one tsp.Calculator.Table walk. `darksim tsp` and GET /v1/tsp
+// (max = step = active) both serve it.
+func TSPTable(ctx context.Context, node tech.Node, cores int, tcrit float64, max, step int) (*report.Table, error) {
+	if err := CheckTSPCores(cores); err != nil {
+		return nil, err
+	}
+	if max <= 0 || max > cores {
+		max = cores
+	}
+	if step <= 0 {
+		step = 1
+	}
+	p, err := platformFor(node, cores)
+	if err != nil {
+		return nil, err
+	}
+	calc, err := tsp.New(p.Thermal, tcrit)
+	if err != nil {
+		return nil, err
+	}
+	entries, err := calc.Table(ctx, max, step)
+	if err != nil {
+		return nil, err
+	}
+	t := &report.Table{
+		Title:   fmt.Sprintf("Worst-case TSP, %s, %d cores, Tcrit = %.1f °C", node, cores, tcrit),
+		Columns: []string{"active cores", "TSP/core [W]", "total [W]"},
+	}
+	for _, e := range entries {
+		t.AddRow(strconv.Itoa(e.ActiveCores), fmt.Sprintf("%.3f", e.PerCoreW), fmt.Sprintf("%.1f", e.TotalW))
+	}
+	return t, nil
 }
 
 // SetPlatformCacheCap bounds the platform cache to at most n entries

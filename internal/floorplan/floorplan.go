@@ -53,7 +53,7 @@ func NewGrid(cols, rows int, coreAreaMM2 float64) (*Floorplan, error) {
 	if cols <= 0 || rows <= 0 {
 		return nil, fmt.Errorf("%w: grid %dx%d", ErrInvalid, cols, rows)
 	}
-	if coreAreaMM2 <= 0 {
+	if coreAreaMM2 <= 0 || math.IsInf(coreAreaMM2, 0) || math.IsNaN(coreAreaMM2) {
 		return nil, fmt.Errorf("%w: core area %g mm²", ErrInvalid, coreAreaMM2)
 	}
 	side := math.Sqrt(coreAreaMM2 * 1e-6) // metres

@@ -2,6 +2,7 @@ package floorplan
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -40,8 +41,10 @@ func TestNewGridErrors(t *testing.T) {
 	if _, err := NewGrid(5, -1, 1); err == nil {
 		t.Errorf("negative rows should error")
 	}
-	if _, err := NewGrid(5, 5, 0); err == nil {
-		t.Errorf("zero area should error")
+	for _, area := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := NewGrid(5, 5, area); !errors.Is(err, ErrInvalid) {
+			t.Errorf("area %g: err = %v, want ErrInvalid", area, err)
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"darksim/internal/core"
 	"darksim/internal/experiments"
 	"darksim/internal/jobs"
 	"darksim/internal/policy"
@@ -36,7 +37,6 @@ import (
 	"darksim/internal/runner"
 	"darksim/internal/scenario"
 	"darksim/internal/tech"
-	"darksim/internal/tsp"
 )
 
 // ErrDraining is returned for computations requested after Close began.
@@ -377,14 +377,6 @@ func (s *Server) runFlight(key, id string, params map[string]string, c *call, fn
 	})
 }
 
-// maxTSPCores caps the platform size /v1/tsp will build. With the
-// sparse-first thermal solver the model itself is O(nnz), and the
-// remaining quadratic allocation is the block×block influence matrix
-// (~134 MB at this cap), so an unbounded query parameter would still let
-// one request exhaust memory; the paper's largest platform (8 nm) has
-// 361 cores, far below this limit.
-const maxTSPCores = 4096
-
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.order)
 }
@@ -465,8 +457,12 @@ func (s *Server) handleTSP(w http.ResponseWriter, r *http.Request) {
 	}
 	cores := experiments.CoresForNode(node)
 	if v := q.Get("cores"); v != "" {
-		if cores, err = strconv.Atoi(v); err != nil || cores <= 0 || cores > maxTSPCores {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid cores %q: want an integer in [1,%d]", v, maxTSPCores))
+		if cores, err = strconv.Atoi(v); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid cores %q: want an integer in [1,%d]", v, experiments.MaxTSPCores))
+			return
+		}
+		if err := experiments.CheckTSPCores(cores); err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 	}
@@ -485,26 +481,10 @@ func (s *Server) handleTSP(w http.ResponseWriter, r *http.Request) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := experiments.PlatformFor(node, cores)
+		t, err := experiments.TSPTable(ctx, node, cores, core.DefaultTDTM, active, active)
 		if err != nil {
 			return nil, err
 		}
-		calc, err := tsp.New(p.Thermal, p.TDTM)
-		if err != nil {
-			return nil, err
-		}
-		budget, _, err := calc.WorstCase(ctx, active)
-		if err != nil {
-			return nil, err
-		}
-		t := &report.Table{
-			Title:   fmt.Sprintf("TSP worst-case budget, %s, %d cores", node, cores),
-			Columns: []string{"active cores", "TSP/core [W]", "total [W]"},
-		}
-		t.AddRow(strconv.Itoa(active),
-			fmt.Sprintf("%.3f", budget),
-			fmt.Sprintf("%.1f", budget*float64(active)))
-		t.AddNote("critical temperature (TDTM): %.0f °C", calc.Tcrit())
 		return []*report.Table{t}, nil
 	}
 	s.serveResult(w, r, key, "tsp", params, fn)

@@ -361,8 +361,8 @@ func TestTSPEndpoint(t *testing.T) {
 	if rr.Params["cores"] != "100" {
 		t.Errorf("default cores = %q, want 100 (16nm platform)", rr.Params["cores"])
 	}
-	if len(tbl.Notes) == 0 || !strings.Contains(tbl.Notes[0], "80") {
-		t.Errorf("notes should state the 80 °C TDTM: %v", tbl.Notes)
+	if !strings.Contains(tbl.Title, "Tcrit = 80.0 °C") {
+		t.Errorf("title should state the 80 °C TDTM: %q", tbl.Title)
 	}
 	// Same query again is a cache hit.
 	_, _, hdr := get(t, ts, "/v1/tsp?node=16nm&active=40")
@@ -602,7 +602,7 @@ func TestErrOptionsMapsTo400(t *testing.T) {
 
 // TestTSPCoresBounded pins the /v1/tsp request-size guard: the influence
 // matrix still grows quadratically with cores, so the endpoint must
-// reject sizes above maxTSPCores as a client error instead of building
+// reject sizes above experiments.MaxTSPCores as a client error instead of building
 // them.
 func TestTSPCoresBounded(t *testing.T) {
 	s := New(Config{}, nil)

@@ -466,8 +466,10 @@ func TestTransientStateControls(t *testing.T) {
 	if _, err := tr.Step(make([]float64, 3)); err == nil {
 		t.Errorf("bad power length in Step should error")
 	}
-	if _, err := m.NewTransient(0); err == nil {
-		t.Errorf("zero dt should error")
+	for _, dt := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := m.NewTransient(dt); !errors.Is(err, ErrConfig) {
+			t.Errorf("dt %g: err = %v, want ErrConfig", dt, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"fmt"
+	"math"
 
 	"darksim/internal/linalg"
 )
@@ -45,7 +46,7 @@ type Transient struct {
 // initialized to the ambient-only steady state (a cold chip). Repeated
 // calls with the same dt share one cached factorization.
 func (m *Model) NewTransient(dt float64) (*Transient, error) {
-	if dt <= 0 {
+	if !(dt > 0) || math.IsInf(dt, 1) {
 		return nil, fmt.Errorf("%w: transient step %g s", ErrConfig, dt)
 	}
 	tf, err := m.transientFactor(dt)

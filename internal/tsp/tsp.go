@@ -260,20 +260,31 @@ type TableEntry struct {
 	TotalW      float64 // ActiveCores · PerCoreW
 }
 
-// Table computes the worst-case TSP for every core count in [1, max],
-// the curve §5 describes ("as the number of active cores grows, the TSP
-// values decrease"). Because the greedy placement for n cores is a prefix
-// of the one for n+1, the whole table falls out of a single worstWalk:
-// every prefix is evaluated from the incrementally maintained row sums,
-// turning the former O(max) repeated walks (O(max²·cores²) influence
-// accumulations) into one O(max·cores²) pass with values bit-identical
-// to calling WorstCase per entry.
-func (c *Calculator) Table(ctx context.Context, max int) ([]TableEntry, error) {
+// Table computes the worst-case TSP for the core counts step, 2·step, …
+// up to max, the curve §5 describes ("as the number of active cores
+// grows, the TSP values decrease"). Because the greedy placement for n
+// cores is a prefix of the one for n+1, the whole table falls out of a
+// single worstWalk that stops at the last tabulated count and evaluates
+// only the tabulated prefixes from the incrementally maintained row sums.
+// The values are bit-identical to calling WorstCase per entry, and
+// Table(ctx, n, n) costs exactly one WorstCase(n). A step above max
+// yields an empty table.
+func (c *Calculator) Table(ctx context.Context, max, step int) ([]TableEntry, error) {
 	if max <= 0 || max > c.model.NumBlocks() {
 		return nil, fmt.Errorf("tsp: table size %d out of range", max)
 	}
-	out := make([]TableEntry, 0, max)
-	_, err := c.worstWalk(ctx, max, func(k int, rowSum []float64) error {
+	if step <= 0 {
+		return nil, fmt.Errorf("tsp: table step %d not positive", step)
+	}
+	last := max - max%step
+	if last == 0 {
+		return nil, nil
+	}
+	out := make([]TableEntry, 0, last/step)
+	_, err := c.worstWalk(ctx, last, func(k int, rowSum []float64) error {
+		if k%step != 0 {
+			return nil
+		}
 		p, err := c.evalTSP(rowSum, k)
 		if err != nil {
 			return err

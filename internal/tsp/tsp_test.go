@@ -205,10 +205,13 @@ func TestRangeErrors(t *testing.T) {
 	if _, _, err := c.BestCase(context.Background(), -1); err == nil {
 		t.Errorf("n<0 should error")
 	}
-	if _, err := c.Table(context.Background(), 0); err == nil {
+	if _, err := c.Table(context.Background(), 0, 1); err == nil {
 		t.Errorf("table 0 should error")
 	}
-	if _, err := c.Table(context.Background(), 101); err == nil {
+	if _, err := c.Table(context.Background(), 10, 0); err == nil {
+		t.Errorf("table step 0 should error")
+	}
+	if _, err := c.Table(context.Background(), 101, 1); err == nil {
 		t.Errorf("oversized table should error")
 	}
 	if c.Tcrit() != 80 {
@@ -222,7 +225,7 @@ func TestTableMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := c.Table(context.Background(), 30)
+	tab, err := c.Table(context.Background(), 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +318,7 @@ func TestWorstCasePrefixConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := c.Table(context.Background(), max)
+	table, err := c.Table(context.Background(), max, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,6 +348,31 @@ func TestWorstCasePrefixConsistency(t *testing.T) {
 		if given != p {
 			t.Fatalf("Given(placement) = %v, WorstCase = %v", given, p)
 		}
+		// A one-row table at n is the single-count query /v1/tsp serves.
+		one, err := c.Table(context.Background(), n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(one) != 1 || one[0] != table[n-1] {
+			t.Fatalf("Table(%d, %d) = %v, want [%v]", n, n, one, table[n-1])
+		}
+	}
+	// A strided table evaluates only the multiples of step, with the
+	// same bits as the dense table at those counts.
+	strided, err := c.Table(context.Background(), max, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(strided) != max/7 {
+		t.Fatalf("strided table length %d, want %d", len(strided), max/7)
+	}
+	for i, e := range strided {
+		if want := table[(i+1)*7-1]; e != want {
+			t.Fatalf("strided entry %d = %v, want %v", i, e, want)
+		}
+	}
+	if empty, err := c.Table(context.Background(), 5, 7); err != nil || len(empty) != 0 {
+		t.Fatalf("Table(5, 7) = %v, %v; want an empty table", empty, err)
 	}
 }
 
@@ -366,7 +394,7 @@ func BenchmarkTSPWorstCase(b *testing.B) {
 	})
 	b.Run("Table100", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Table(context.Background(), 100); err != nil {
+			if _, err := c.Table(context.Background(), 100, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
