@@ -165,12 +165,13 @@ lint:
 # The golden-corpus verification gate: recompute every figure and check
 # it against the embedded corpus, the paper's physics invariants and the
 # differential renderings, then run the repeat/raced/shuffled test modes
-# that catch state leaking through the platform LRU cache.
+# that catch state leaking through a process-wide cache (the platform,
+# influence and result caches are all one runner.Cache type).
 verify:
 	$(GO) vet ./...
 	$(GO) run ./cmd/darksim verify
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -count=2 ./internal/experiments ./internal/service
+	$(GO) test -count=2 ./internal/experiments ./internal/service ./internal/thermal ./internal/runner
 
 # Regenerate the golden corpus after an intentional model change.
 golden:

@@ -6,19 +6,17 @@
 package experiments
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"darksim/internal/apps"
 	"darksim/internal/core"
 	"darksim/internal/report"
+	"darksim/internal/runner"
 	"darksim/internal/tech"
 	"darksim/internal/tsp"
 )
@@ -33,29 +31,16 @@ type platformKey struct {
 	cores int
 }
 
-// platEntry is one cache slot: the once serializes the build of this key
-// only, so distinct keys factor their thermal networks in parallel while
-// duplicate requests share a single build.
-type platEntry struct {
-	once sync.Once
-	p    *core.Platform
-	err  error
-	elem *list.Element // position in platLRU; Value is the platformKey
-	done atomic.Bool   // set once p and err are final
-}
-
-// DefaultPlatformCacheCap is the platform cache's LRU bound until
-// SetPlatformCacheCap changes it. The paper's figures use four
-// platforms; the bound keeps a long-running daemon fed never-seen
-// (node, cores) requests from growing the cache — and the factored
-// thermal networks and influence matrices it pins — without limit.
+// DefaultPlatformCacheCap is the platform cache's LRU bound. The
+// paper's figures use four platforms; the bound keeps a long-running
+// daemon fed never-seen (node, cores) requests from growing the cache —
+// and the factored thermal networks and influence matrices it pins —
+// without limit.
 const DefaultPlatformCacheCap = 32
 
 var (
-	platMu    sync.Mutex // guards the map/list/cap, never held across a build
-	platCache = map[platformKey]*platEntry{}
-	platLRU   = list.New()              // front = most recently used
-	platCap   = DefaultPlatformCacheCap // 0 or negative = unbounded
+	// platforms is the shared platform cache.
+	platforms = newPlatformCache(DefaultPlatformCacheCap)
 
 	// buildPlatform is swapped by tests to observe build concurrency.
 	buildPlatform = func(node tech.Node, cores int) (*core.Platform, error) {
@@ -63,61 +48,29 @@ var (
 	}
 )
 
-// platformFor returns a cached Platform: building one factors the
-// thermal network, which is worth sharing across experiments. The result
-// (including a build error) is cached per (node, cores) key; concurrent
-// callers for different keys build concurrently. Past the cap (see
-// SetPlatformCacheCap) the least recently used entry is evicted; callers
-// already holding an evicted entry keep using it safely.
-func platformFor(node tech.Node, cores int) (*core.Platform, error) {
-	key := platformKey{node, cores}
-	platMu.Lock()
-	e := platCache[key]
-	var evicted []*platEntry
-	if e == nil {
-		e = &platEntry{}
-		platCache[key] = e
-		e.elem = platLRU.PushFront(key)
-		evicted = evictPlatformsLocked()
-	} else {
-		platLRU.MoveToFront(e.elem)
-	}
-	platMu.Unlock()
-	releasePlatforms(evicted)
-	e.once.Do(func() {
-		e.p, e.err = buildPlatform(node, cores)
-		e.done.Store(true)
-	})
-	return e.p, e.err
-}
-
-// evictPlatformsLocked drops least-recently-used entries until the cache
-// fits the cap and returns them. Callers must hold platMu.
-func evictPlatformsLocked() []*platEntry {
-	if platCap <= 0 {
-		return nil
-	}
-	var evicted []*platEntry
-	for platLRU.Len() > platCap {
-		back := platLRU.Back()
-		key := back.Value.(platformKey)
-		evicted = append(evicted, platCache[key])
-		delete(platCache, key)
-		platLRU.Remove(back)
-	}
-	return evicted
-}
-
-// releasePlatforms drops the memoised influence matrix of each evicted,
-// fully built platform, so a caller still holding one does not keep the
-// matrix alive; a later InfluenceMatrix call refetches or recomputes it.
-// A platform still being built is skipped: nothing is memoised yet.
-func releasePlatforms(evicted []*platEntry) {
-	for _, e := range evicted {
-		if e.done.Load() && e.p != nil && e.p.Thermal != nil {
-			e.p.Thermal.ReleaseInfluence()
+// newPlatformCache returns a platform cache of the given capacity whose
+// evictions drop the evicted platform's memoised influence matrix, so a
+// caller still holding the platform does not pin the matrix; a later
+// InfluenceMatrix call refetches or recomputes it.
+func newPlatformCache(capacity int) *runner.Cache[platformKey, *core.Platform] {
+	return runner.NewCache(capacity, 0, nil, func(_ platformKey, p *core.Platform) {
+		if p.Thermal != nil {
+			p.Thermal.ReleaseInfluence()
 		}
-	}
+	})
+}
+
+// platformFor returns a cached Platform: building one factors the
+// thermal network, which is worth sharing across experiments. Concurrent
+// callers for one (node, cores) key share one build, distinct keys build
+// concurrently, and a build error is returned but not cached. Past
+// DefaultPlatformCacheCap the least recently used entry is evicted;
+// callers already holding it keep using it safely.
+func platformFor(node tech.Node, cores int) (*core.Platform, error) {
+	p, _, err := platforms.Do(context.TODO(), platformKey{node, cores}, func() (*core.Platform, error) {
+		return buildPlatform(node, cores)
+	})
+	return p, err
 }
 
 // PlatformFor exposes the shared platform cache: the service layer and
@@ -177,33 +130,13 @@ func TSPTable(ctx context.Context, node tech.Node, cores int, tcrit float64, max
 	return t, nil
 }
 
-// SetPlatformCacheCap bounds the platform cache to at most n entries
-// (LRU eviction); n <= 0 removes the bound. The cache starts at
-// DefaultPlatformCacheCap.
-func SetPlatformCacheCap(n int) {
-	platMu.Lock()
-	platCap = n
-	evicted := evictPlatformsLocked()
-	platMu.Unlock()
-	releasePlatforms(evicted)
-}
-
-// ResetPlatforms empties the platform cache. In-flight builds are
-// unaffected (their entries stay valid for the callers holding them);
-// subsequent calls rebuild. Tests use this to isolate cache state.
-func ResetPlatforms() {
-	platMu.Lock()
-	defer platMu.Unlock()
-	platCache = map[platformKey]*platEntry{}
-	platLRU.Init()
-}
+// ResetPlatforms empties the platform cache. Builds in flight still
+// reach their callers but are not stored; subsequent calls rebuild.
+// Tests use this to isolate cache state.
+func ResetPlatforms() { platforms.Reset() }
 
 // PlatformCacheLen reports the number of cached platforms.
-func PlatformCacheLen() int {
-	platMu.Lock()
-	defer platMu.Unlock()
-	return len(platCache)
-}
+func PlatformCacheLen() int { return platforms.Stats().Entries }
 
 // coresForNode returns the paper's platform size per node (§2.1: "manycore
 // systems composed of 100, 198, and 361 cores"): the chip grows as cores

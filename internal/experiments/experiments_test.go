@@ -541,22 +541,26 @@ func TestFig13CancelledContextNamesScenario(t *testing.T) {
 	}
 }
 
-// countingBuilds swaps buildPlatform for a cheap counting stub; the
-// returned restore func must be deferred.
-func countingBuilds(t *testing.T, builds *int) (restore func()) {
+// usePlatformCache swaps in an empty platform cache of the given
+// capacity for the rest of the test.
+func usePlatformCache(t *testing.T, capacity int) {
+	t.Helper()
+	prev := platforms
+	platforms = newPlatformCache(capacity)
+	t.Cleanup(func() { platforms = prev })
+}
+
+// countingBuilds swaps buildPlatform for a cheap counting stub behind an
+// empty default-capacity cache for the rest of the test.
+func countingBuilds(t *testing.T, builds *int) {
 	t.Helper()
 	oldBuild := buildPlatform
-	resetPlatformCache()
-	SetPlatformCacheCap(0)
+	usePlatformCache(t, DefaultPlatformCacheCap)
 	buildPlatform = func(node tech.Node, cores int) (*core.Platform, error) {
 		*builds++
 		return &core.Platform{}, nil
 	}
-	return func() {
-		buildPlatform = oldBuild
-		SetPlatformCacheCap(DefaultPlatformCacheCap)
-		resetPlatformCache()
-	}
+	t.Cleanup(func() { buildPlatform = oldBuild })
 }
 
 func mustPlatform(t *testing.T, node tech.Node, cores int) *core.Platform {
@@ -570,8 +574,8 @@ func mustPlatform(t *testing.T, node tech.Node, cores int) *core.Platform {
 
 func TestPlatformCacheCapEvictsLRU(t *testing.T) {
 	builds := 0
-	defer countingBuilds(t, &builds)()
-	SetPlatformCacheCap(2)
+	countingBuilds(t, &builds)
+	usePlatformCache(t, 2)
 
 	a := mustPlatform(t, tech.Node22, 1)
 	mustPlatform(t, tech.Node22, 2)
@@ -592,33 +596,12 @@ func TestPlatformCacheCapEvictsLRU(t *testing.T) {
 	}
 }
 
-func TestSetPlatformCacheCapShrinksExistingCache(t *testing.T) {
-	builds := 0
-	defer countingBuilds(t, &builds)()
-
-	for cores := 1; cores <= 3; cores++ {
-		mustPlatform(t, tech.Node22, cores)
-	}
-	if n := PlatformCacheLen(); n != 3 {
-		t.Fatalf("unbounded cache len = %d, want 3", n)
-	}
-	SetPlatformCacheCap(1)
-	if n := PlatformCacheLen(); n != 1 {
-		t.Errorf("after SetPlatformCacheCap(1): len = %d, want 1", n)
-	}
-}
-
 // TestPlatformEvictionReleasesInfluence pins that evicting a platform
 // drops its memoised influence matrix: a caller still holding the
 // evicted platform then goes back to the process-wide influence cache
 // (a counted hit) instead of being served from the model's memo.
 func TestPlatformEvictionReleasesInfluence(t *testing.T) {
-	ResetPlatforms()
-	SetPlatformCacheCap(1)
-	defer func() {
-		SetPlatformCacheCap(DefaultPlatformCacheCap)
-		ResetPlatforms()
-	}()
+	usePlatformCache(t, 1)
 	held := mustPlatform(t, tech.Node16, 4)
 	if _, err := held.Thermal.InfluenceMatrix(context.Background()); err != nil {
 		t.Fatal(err)
@@ -644,7 +627,7 @@ func TestPlatformEvictionReleasesInfluence(t *testing.T) {
 
 func TestResetPlatformsForcesRebuild(t *testing.T) {
 	builds := 0
-	defer countingBuilds(t, &builds)()
+	countingBuilds(t, &builds)
 
 	mustPlatform(t, tech.Node22, 1)
 	mustPlatform(t, tech.Node22, 1)
@@ -658,6 +641,32 @@ func TestResetPlatformsForcesRebuild(t *testing.T) {
 	mustPlatform(t, tech.Node22, 1)
 	if builds != 2 {
 		t.Errorf("builds = %d, want 2 after reset", builds)
+	}
+}
+
+// TestPlatformForDoesNotCacheBuildError pins that a failed build is
+// returned but not stored: the next call for the same key builds again
+// and gets the platform.
+func TestPlatformForDoesNotCacheBuildError(t *testing.T) {
+	builds := 0
+	countingBuilds(t, &builds)
+	okBuild := buildPlatform
+	buildPlatform = func(node tech.Node, cores int) (*core.Platform, error) {
+		if builds == 0 {
+			builds++
+			return nil, errors.New("transient build failure")
+		}
+		return okBuild(node, cores)
+	}
+	if _, err := platformFor(tech.Node22, 1); err == nil {
+		t.Fatal("first build: want the injected error")
+	}
+	p, err := platformFor(tech.Node22, 1)
+	if err != nil || p == nil {
+		t.Fatalf("second build: platform %v, err %v; a build error must not be cached", p, err)
+	}
+	if builds != 2 {
+		t.Errorf("builds = %d, want 2", builds)
 	}
 }
 

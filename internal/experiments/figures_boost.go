@@ -101,10 +101,6 @@ type Fig11Options struct {
 	Instances int
 }
 
-// DefaultFig11Options returns the paper's setup (100 s, 12 instances).
-// The CLI exposes a shorter duration for quick runs.
-func DefaultFig11Options() Fig11Options { return Fig11Options{DurationS: 100, Instances: 12} }
-
 // Validate rejects nonsensical options; zero values mean "use default".
 func (o Fig11Options) Validate() error {
 	if err := CheckDuration("fig11", o.DurationS); err != nil {
@@ -249,10 +245,6 @@ type Fig12Options struct {
 	StepCores int
 }
 
-// DefaultFig12Options uses a short per-point transient: the sweep has
-// ~12 points and each needs only the sustained regime.
-func DefaultFig12Options() Fig12Options { return Fig12Options{DurationS: 5, StepCores: 8} }
-
 // Validate rejects nonsensical options; zero values mean "use default".
 // A negative StepCores would previously reach `NumCores % StepCores`
 // (integer divide-by-zero for 0) or a non-advancing sweep loop; it is now
@@ -384,11 +376,6 @@ func (r *Fig12Result) Render(w io.Writer) error { return renderTables(w, r.Table
 type Fig13Options struct {
 	DurationS float64
 	Instances []int
-}
-
-// DefaultFig13Options mirrors the paper's 12- and 24-instance scenarios.
-func DefaultFig13Options() Fig13Options {
-	return Fig13Options{DurationS: 4, Instances: []int{12, 24}}
 }
 
 // Validate rejects nonsensical options; a zero duration or empty instance

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"darksim/internal/progress"
 	"darksim/internal/report"
 	"darksim/internal/runner"
 )
@@ -64,9 +65,9 @@ func waitState(t *testing.T, m *Manager, id string, st State) Run {
 
 func TestRunLifecycleAndEvents(t *testing.T) {
 	m := newManager(t, Config{})
-	job := func(ctx context.Context, emit EmitFunc) ([]*report.Table, error) {
+	job := func(ctx context.Context) ([]*report.Table, error) {
 		for i := 1; i <= 3; i++ {
-			emit(frag(i), i, 3)
+			progress.Emit(ctx, progress.Point{Table: frag(i), Done: i, Total: 3})
 		}
 		return []*report.Table{frag(99)}, nil
 	}
@@ -119,7 +120,7 @@ func TestSubmitDedupesLiveRuns(t *testing.T) {
 	m := newManager(t, Config{})
 	gate := make(chan struct{})
 	computes := 0
-	job := func(ctx context.Context, emit EmitFunc) ([]*report.Table, error) {
+	job := func(ctx context.Context) ([]*report.Table, error) {
 		computes++
 		<-gate
 		return []*report.Table{frag(1)}, nil
@@ -165,7 +166,7 @@ func TestQueueFullRejects(t *testing.T) {
 			close(gate)
 		}
 	}()
-	blocked := func(ctx context.Context, emit EmitFunc) ([]*report.Table, error) {
+	blocked := func(ctx context.Context) ([]*report.Table, error) {
 		select {
 		case <-gate:
 			return nil, nil
@@ -205,7 +206,7 @@ func TestCancelQueuedRun(t *testing.T) {
 	m := newManager(t, Config{Pool: pool, QueueSize: 4})
 	gate := make(chan struct{})
 	defer close(gate)
-	blocked := func(ctx context.Context, emit EmitFunc) ([]*report.Table, error) {
+	blocked := func(ctx context.Context) ([]*report.Table, error) {
 		select {
 		case <-gate:
 			return nil, nil
@@ -243,8 +244,8 @@ func TestCancelQueuedRun(t *testing.T) {
 func TestCancelRunningFreesPoolSlot(t *testing.T) {
 	pool, _ := runner.WithContext(context.Background(), 1)
 	m := newManager(t, Config{Pool: pool})
-	job := func(ctx context.Context, emit EmitFunc) ([]*report.Table, error) {
-		emit(frag(1), 1, 2)
+	job := func(ctx context.Context) ([]*report.Table, error) {
+		progress.Emit(ctx, progress.Point{Table: frag(1), Done: 1, Total: 2})
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
@@ -272,7 +273,7 @@ func TestCancelRunningFreesPoolSlot(t *testing.T) {
 	}
 	// The freed slot accepts new work.
 	again, _, err := m.Submit("experiment", "figy", "figy", nil,
-		func(ctx context.Context, emit EmitFunc) ([]*report.Table, error) { return nil, nil })
+		func(ctx context.Context) ([]*report.Table, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +283,11 @@ func TestCancelRunningFreesPoolSlot(t *testing.T) {
 func TestSubscribeReplayThenFollowIsGapless(t *testing.T) {
 	m := newManager(t, Config{})
 	release := make(chan struct{})
-	job := func(ctx context.Context, emit EmitFunc) ([]*report.Table, error) {
-		emit(frag(1), 1, 3)
-		emit(frag(2), 2, 3)
+	job := func(ctx context.Context) ([]*report.Table, error) {
+		progress.Emit(ctx, progress.Point{Table: frag(1), Done: 1, Total: 3})
+		progress.Emit(ctx, progress.Point{Table: frag(2), Done: 2, Total: 3})
 		<-release
-		emit(frag(3), 3, 3)
+		progress.Emit(ctx, progress.Point{Table: frag(3), Done: 3, Total: 3})
 		return []*report.Table{frag(9)}, nil
 	}
 	run, _, err := m.Submit("experiment", "figx", "figx", nil, job)
@@ -352,7 +353,7 @@ func TestCloseInterruptsStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	started := make(chan struct{})
-	job := func(ctx context.Context, emit EmitFunc) ([]*report.Table, error) {
+	job := func(ctx context.Context) ([]*report.Table, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"darksim/internal/progress"
 	"darksim/internal/report"
 	"darksim/internal/runner"
 )
@@ -26,15 +27,12 @@ var (
 	ErrNotFound = errors.New("jobs: run not found")
 )
 
-// EmitFunc publishes one completed partial result from inside a job:
-// the fragment table plus how many of the job's points are finished.
-type EmitFunc func(tbl *report.Table, done, total int)
-
-// Job is the unit of work a run executes. It must honor ctx cancellation
-// (that is what frees the compute slot on DELETE and on shutdown), may
-// call emit any number of times from any goroutine, and returns the
-// terminal result tables.
-type Job func(ctx context.Context, emit EmitFunc) ([]*report.Table, error)
+// Job is the unit of work a run executes, and the same compute type the
+// synchronous serving path runs. It must honor ctx cancellation (that is
+// what frees the compute slot on DELETE and on shutdown), may publish
+// completed partial results with progress.Emit on ctx any number of
+// times from any goroutine, and returns the terminal result tables.
+type Job func(ctx context.Context) ([]*report.Table, error)
 
 // Config parameterizes a Manager. Zero values select the defaults.
 type Config struct {
@@ -290,8 +288,8 @@ func (m *Manager) execute(poolCtx context.Context, r *run) {
 		defer tcancel()
 	}
 	m.transition(r, StateRunning, "", nil)
-	emit := func(tbl *report.Table, done, total int) { m.emitPoint(r, tbl, done, total) }
-	tables, err := r.job(ctx, emit)
+	ctx = progress.With(ctx, func(p progress.Point) { m.emitPoint(r, p.Table, p.Done, p.Total) })
+	tables, err := r.job(ctx)
 
 	r.mu.Lock()
 	req, cancelState, cancelErr = r.cancelReq, r.cancelState, r.cancelErr

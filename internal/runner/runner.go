@@ -1,9 +1,10 @@
-// Package runner is the shared parallel-execution layer under the
-// experiment sweeps: a bounded worker pool with context cancellation and
-// errgroup-style first-error-cancels-rest semantics, built on the standard
-// library only (the module has no dependencies).
+// Package runner is the shared concurrency layer under the experiment
+// sweeps, the memos and the daemon: a bounded worker pool with context
+// cancellation and errgroup-style first-error-cancels-rest semantics,
+// and a coalescing LRU cache, built on the standard library only (the
+// module has no dependencies).
 //
-// The package offers two entry points:
+// The package offers three entry points:
 //
 //   - Map / MapN run a fixed set of independent items through a worker
 //     pool and return the results in item order, regardless of completion
@@ -11,6 +12,8 @@
 //     loop.
 //   - Group is a lightweight errgroup clone for heterogeneous tasks that
 //     do not fit the map shape.
+//   - Cache is the one memo type: a bounded LRU with optional TTL whose
+//     Do coalesces concurrent builds of a key into one (singleflight).
 //
 // Cancellation is cooperative: when one item fails (or the caller's
 // context is cancelled), the context passed to every remaining callback is

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"darksim/internal/jobs"
+	"darksim/internal/runner"
 )
 
 // latencyBucketsMS are the upper bounds (milliseconds) of the compute
@@ -13,17 +14,12 @@ var latencyBucketsMS = []float64{1, 5, 10, 50, 100, 500, 1000, 5000, 30000}
 
 // Metrics holds the server's expvar-style counters. All fields are
 // monotonic atomics except InFlight (a gauge); /metrics serves a JSON
-// snapshot.
+// snapshot of them together with the result cache's own counters.
 type Metrics struct {
-	Requests       atomic.Int64 // HTTP requests received
-	CacheHits      atomic.Int64
-	CacheMisses    atomic.Int64
-	CacheEvictions atomic.Int64
-	CacheExpired   atomic.Int64
-	Computes       atomic.Int64 // underlying experiment computations started
-	ComputeErrors  atomic.Int64
-	Coalesced      atomic.Int64 // waiters that joined an in-flight compute
-	InFlight       atomic.Int64 // computations currently running
+	Requests      atomic.Int64 // HTTP requests received
+	Computes      atomic.Int64 // underlying experiment computations started
+	ComputeErrors atomic.Int64
+	InFlight      atomic.Int64 // computations currently running
 
 	latencyCount [10]atomic.Int64 // len(latencyBucketsMS)+1
 	latencySumUS atomic.Int64     // total compute time, microseconds
@@ -70,20 +66,20 @@ type Snapshot struct {
 	Runs jobs.Stats `json:"runs"`
 }
 
-// snapshot captures the counters; cacheSize and runs are sampled by the
-// caller.
-func (m *Metrics) snapshot(cacheSize int, runs jobs.Stats) Snapshot {
+// snapshot captures the counters; the result cache's counters and runs
+// are sampled by the caller.
+func (m *Metrics) snapshot(cache runner.CacheStats, runs jobs.Stats) Snapshot {
 	var s Snapshot
 	s.Requests = m.Requests.Load()
-	s.Cache.Hits = m.CacheHits.Load()
-	s.Cache.Misses = m.CacheMisses.Load()
-	s.Cache.Evictions = m.CacheEvictions.Load()
-	s.Cache.Expired = m.CacheExpired.Load()
-	s.Cache.Size = cacheSize
+	s.Cache.Hits = cache.Hits
+	s.Cache.Misses = cache.Misses
+	s.Cache.Evictions = cache.Evictions
+	s.Cache.Expired = cache.Expired
+	s.Cache.Size = cache.Entries
 	s.Compute.Count = m.Computes.Load()
 	s.Compute.Errors = m.ComputeErrors.Load()
 	s.Compute.InFlight = m.InFlight.Load()
-	s.Compute.CoalescedWaiters = m.Coalesced.Load()
+	s.Compute.CoalescedWaiters = cache.Coalesced
 	s.Compute.TotalMS = float64(m.latencySumUS.Load()) / 1000
 	for i := range m.latencyCount {
 		b := Bucket{Count: m.latencyCount[i].Load()}

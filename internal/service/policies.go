@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"darksim/internal/jobs"
 	"darksim/internal/policy"
 	"darksim/internal/report"
 )
@@ -44,7 +45,7 @@ func (s *Server) handlePolicyPost(w http.ResponseWriter, r *http.Request) {
 // response params, and sandbox-execution closure — shared by
 // POST /v1/policies and POST /v1/runs, so an async policy run dedupes
 // and caches exactly like the synchronous request.
-func policyCompute(spec policy.Spec) (string, map[string]string, computeFn, error) {
+func policyCompute(spec policy.Spec) (string, map[string]string, jobs.Job, error) {
 	hash, err := policy.Hash(spec)
 	if err != nil {
 		return "", nil, nil, err

@@ -9,11 +9,9 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"darksim/internal/jobs"
 	"darksim/internal/policy"
-	"darksim/internal/progress"
 	"darksim/internal/report"
 	"darksim/internal/scenario"
 )
@@ -71,7 +69,7 @@ func (s *Server) handleRunSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var kind, label, key string
 	var params map[string]string
-	var fn computeFn
+	var fn jobs.Job
 	switch {
 	case req.Experiment != "":
 		kind, label = "experiment", req.Experiment
@@ -141,26 +139,18 @@ func (s *Server) handleRunSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, runResponse{Run: run, Deduped: joined})
 }
 
-// runJob adapts a compute closure into a jobs.Job: a progress sink on
-// the context forwards each completed point to the run's event log, and
-// a successful result is written through to the synchronous result cache
-// so later GETs for the same key are served without recomputing. Runs
-// never read that cache — a submission is an explicit request to compute.
-func (s *Server) runJob(key, id string, params map[string]string, fn computeFn) jobs.Job {
-	return func(ctx context.Context, emit jobs.EmitFunc) ([]*report.Table, error) {
-		ctx = progress.With(ctx, func(p progress.Point) { emit(p.Table, p.Done, p.Total) })
+// runJob wraps a compute closure so a successful result is written
+// through to the synchronous result cache, and later GETs for the same
+// key are served without recomputing. Runs never read that cache — a
+// submission is an explicit request to compute.
+func (s *Server) runJob(key, id string, params map[string]string, fn jobs.Job) jobs.Job {
+	return func(ctx context.Context) ([]*report.Table, error) {
 		start := s.cfg.Now()
 		tables, err := fn(ctx)
 		if err != nil {
 			return nil, err
 		}
-		s.cache.put(key, &Result{
-			ID:         id,
-			Params:     params,
-			Tables:     tables,
-			ComputedAt: start,
-			ElapsedMS:  float64(s.cfg.Now().Sub(start)) / float64(time.Millisecond),
-		})
+		s.cache.Put(key, newResult(id, params, tables, start, s.cfg.Now().Sub(start)))
 		return tables, nil
 	}
 }

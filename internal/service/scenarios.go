@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"darksim/internal/jobs"
 	"darksim/internal/report"
 	"darksim/internal/scenario"
 )
@@ -95,7 +96,7 @@ func (s *Server) serveScenario(w http.ResponseWriter, r *http.Request, spec scen
 // response params, and compile+evaluate closure — shared by the
 // synchronous scenario handlers and POST /v1/runs, so an async scenario
 // run dedupes and caches exactly like the synchronous request.
-func scenarioCompute(spec scenario.Spec) (string, map[string]string, computeFn, error) {
+func scenarioCompute(spec scenario.Spec) (string, map[string]string, jobs.Job, error) {
 	hash, err := scenario.Hash(spec)
 	if err != nil {
 		return "", nil, nil, err

@@ -3,14 +3,14 @@
 // concurrent clients in front of computations that each cost seconds to
 // minutes of Cholesky-backed simulation.
 //
-// Three mechanisms keep the expensive core safe under load:
+// Two mechanisms, both from internal/runner, keep the expensive core
+// safe under load:
 //
-//   - request coalescing (singleflight): N concurrent requests for the
-//     same figure trigger exactly one computation, and every waiter gets
-//     the one result;
-//   - a bounded LRU result cache with TTL, so repeated requests are
-//     served without recomputing;
-//   - a bounded compute pool (internal/runner) with per-compute timeouts
+//   - one runner.Cache of results: a bounded LRU with TTL serves repeated
+//     requests without recomputing, and its Do coalesces N concurrent
+//     requests for the same key onto exactly one computation, whose
+//     result every waiter gets;
+//   - a bounded compute pool (runner.Group) with per-compute timeouts
 //     propagated via context into experiments.Run, drained gracefully on
 //     shutdown.
 //
@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"darksim/internal/core"
@@ -43,15 +44,16 @@ import (
 var ErrDraining = errors.New("service: shutting down")
 
 // cacheHeader tells clients (and the request log) how the response was
-// produced: "hit", "miss" (this request computed it) or "coalesced"
-// (this request joined another request's computation).
+// produced: a runner.Outcome, "hit", "miss" (this request computed it)
+// or "coalesced" (this request joined another request's computation).
 const cacheHeader = "X-Darksim-Cache"
 
 // Config parameterizes a Server. Zero values select the defaults.
 type Config struct {
 	// ComputeTimeout bounds one experiment computation (default 10m).
 	ComputeTimeout time.Duration
-	// CacheSize is the max number of cached results (default 64).
+	// CacheSize is the max number of cached results (default 64); a
+	// negative size caches nothing, and requests still coalesce.
 	CacheSize int
 	// CacheTTL is the lifetime of a cached result (default 1h).
 	CacheTTL time.Duration
@@ -73,12 +75,6 @@ type Config struct {
 	Now func() time.Time
 }
 
-// computeFn produces one request key's result tables; it is the unit
-// both the synchronous do pipeline and the asynchronous run runtime
-// execute, which is what guarantees a run's terminal result is identical
-// to the synchronous response for the same key.
-type computeFn func(ctx context.Context) ([]*report.Table, error)
-
 // Result is the computed payload for one request key, as served to
 // clients and stored in the cache.
 type Result struct {
@@ -92,7 +88,7 @@ type Result struct {
 // resultResponse wraps a Result with how it was obtained.
 type resultResponse struct {
 	*Result
-	Cache string `json:"cache"` // hit | miss | coalesced
+	Cache runner.Outcome `json:"cache"` // hit | miss | coalesced
 }
 
 // experimentInfo is one row of the /v1/experiments listing.
@@ -109,19 +105,16 @@ type Server struct {
 	mux     *http.ServeMux
 	exps    map[string]experiments.Experiment
 	order   []experimentInfo
-	cache   *resultCache
-	flights flightGroup
+	cache   *runner.Cache[string, *Result]
 	metrics *Metrics
 	pool    *runner.Group
 	runs    *jobs.Manager
 	stop    context.CancelFunc
 	start   time.Time
 
-	drainMu  chan struct{} // 1-slot semaphore guarding closed
+	mu       sync.Mutex // guards closed; computes.Add happens only under it
 	closed   bool
-	inflight chan struct{} // counts computations; see beginCompute
-	pending  int
-	idle     chan struct{} // closed... (see drain)
+	computes sync.WaitGroup // synchronous computations in flight
 }
 
 // New builds a Server over the given experiments; nil means every
@@ -163,9 +156,8 @@ func New(cfg Config, exps []experiments.Experiment) *Server {
 		pool:    pool,
 		stop:    stop,
 		start:   cfg.Now(),
-		drainMu: make(chan struct{}, 1),
+		cache:   runner.NewCache[string, *Result](cfg.CacheSize, cfg.CacheTTL, cfg.Now, nil),
 	}
-	s.cache = newResultCache(cfg.CacheSize, cfg.CacheTTL, cfg.Now, s.metrics)
 	for _, e := range exps {
 		s.exps[e.ID] = e
 		s.order = append(s.order, experimentInfo{ID: e.ID, Description: e.Description})
@@ -256,15 +248,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // results keep being served after Close.
 func (s *Server) Close(ctx context.Context) error {
 	rerr := s.runs.Close(ctx)
-	s.drainMu <- struct{}{}
-	already := s.closed
+	s.mu.Lock()
 	s.closed = true
-	idle := s.idleLocked()
-	<-s.drainMu
-	if already {
-		<-idle
-		return nil
-	}
+	s.mu.Unlock()
+	idle := make(chan struct{})
+	go func() {
+		s.computes.Wait()
+		close(idle)
+	}()
 	select {
 	case <-idle:
 		s.stop()
@@ -278,103 +269,59 @@ func (s *Server) Close(ctx context.Context) error {
 	}
 }
 
-// beginCompute registers one computation unless the server is draining.
-func (s *Server) beginCompute() bool {
-	s.drainMu <- struct{}{}
-	defer func() { <-s.drainMu }()
+// compute runs fn once on the bounded pool under ComputeTimeout and
+// wraps its tables in a Result; it refuses with ErrDraining once Close
+// began. It is the build behind the result cache's Do, so it runs
+// detached from any one request: a leader's disconnect never kills the
+// result its followers wait on.
+func (s *Server) compute(id string, params map[string]string, fn jobs.Job) (*Result, error) {
+	s.mu.Lock()
 	if s.closed {
-		return false
+		s.mu.Unlock()
+		return nil, ErrDraining
 	}
-	s.pending++
-	return true
-}
+	s.computes.Add(1)
+	s.mu.Unlock()
+	defer s.computes.Done()
 
-// endCompute retires one computation and wakes a pending drain.
-func (s *Server) endCompute() {
-	s.drainMu <- struct{}{}
-	s.pending--
-	if s.pending == 0 && s.idle != nil {
-		close(s.idle)
-		s.idle = nil
-	}
-	<-s.drainMu
-}
-
-// idleLocked returns a channel closed once no computation is pending.
-// Callers must hold drainMu.
-func (s *Server) idleLocked() chan struct{} {
-	ch := make(chan struct{})
-	if s.pending == 0 {
-		close(ch)
-		return ch
-	}
-	if s.idle == nil {
-		s.idle = make(chan struct{})
-	}
-	return s.idle
-}
-
-// do serves key from the cache, or coalesces onto (or starts) the one
-// in-flight computation of fn for that key. The second return value
-// reports how ("hit", "miss", "coalesced").
-func (s *Server) do(reqCtx context.Context, key, id string, params map[string]string, fn func(ctx context.Context) ([]*report.Table, error)) (*Result, string, error) {
-	if res, ok := s.cache.get(key); ok {
-		s.metrics.CacheHits.Add(1)
-		return res, "hit", nil
-	}
-	s.metrics.CacheMisses.Add(1)
-	c, leader := s.flights.join(key)
-	source := "coalesced"
-	if leader {
-		source = "miss"
-		if !s.beginCompute() {
-			s.flights.complete(key, c, nil, ErrDraining)
-		} else {
-			go s.runFlight(key, id, params, c, fn)
-		}
-	} else {
-		s.metrics.Coalesced.Add(1)
-	}
-	select {
-	case <-c.done:
-		return c.res, source, c.err
-	case <-reqCtx.Done():
-		// The client is gone; the computation keeps running for the
-		// other waiters and the cache.
-		return nil, source, reqCtx.Err()
-	}
-}
-
-// runFlight executes one coalesced computation on the bounded pool.
-func (s *Server) runFlight(key, id string, params map[string]string, c *call, fn func(ctx context.Context) ([]*report.Table, error)) {
+	var (
+		res  *Result
+		err  error
+		done = make(chan struct{})
+	)
 	s.pool.Go(func(poolCtx context.Context) error {
-		defer s.endCompute()
+		defer close(done)
 		ctx, cancel := context.WithTimeout(poolCtx, s.cfg.ComputeTimeout)
 		defer cancel()
 		s.metrics.Computes.Add(1)
 		s.metrics.InFlight.Add(1)
 		start := s.cfg.Now()
-		tables, err := fn(ctx)
+		var tables []*report.Table
+		tables, err = fn(ctx)
 		elapsed := s.cfg.Now().Sub(start)
 		s.metrics.InFlight.Add(-1)
 		s.metrics.observe(elapsed)
-		var res *Result
 		if err != nil {
 			s.metrics.ComputeErrors.Add(1)
 		} else {
-			res = &Result{
-				ID:         id,
-				Params:     params,
-				Tables:     tables,
-				ComputedAt: start,
-				ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
-			}
-			s.cache.put(key, res)
+			res = newResult(id, params, tables, start, elapsed)
 		}
-		s.flights.complete(key, c, res, err)
 		// Per-request failures must not cancel the pool's other work.
 		return nil
 	})
+	<-done
+	return res, err
+}
+
+// newResult stamps tables computed from start for elapsed as a Result.
+func newResult(id string, params map[string]string, tables []*report.Table, start time.Time, elapsed time.Duration) *Result {
+	return &Result{
+		ID:         id,
+		Params:     params,
+		Tables:     tables,
+		ComputedAt: start,
+		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
+	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -417,7 +364,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // the one resolution both GET /v1/experiments/{name} and POST /v1/runs
 // share, so an async run produces the same key and the same tables as
 // the synchronous request.
-func (s *Server) experimentCompute(name string, duration float64) (string, map[string]string, computeFn, error) {
+func (s *Server) experimentCompute(name string, duration float64) (string, map[string]string, jobs.Job, error) {
 	e, ok := s.exps[name]
 	if !ok {
 		return "", nil, nil, fmt.Errorf("%w %q", errUnknownExperiment, name)
@@ -490,11 +437,15 @@ func (s *Server) handleTSP(w http.ResponseWriter, r *http.Request) {
 	s.serveResult(w, r, key, "tsp", params, fn)
 }
 
-// serveResult runs the do pipeline and writes the JSON response with
-// error-to-status mapping.
-func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key, id string, params map[string]string, fn func(ctx context.Context) ([]*report.Table, error)) {
-	res, source, err := s.do(r.Context(), key, id, params, fn)
-	w.Header().Set(cacheHeader, source)
+// serveResult serves key from the result cache, or coalesces onto (or
+// starts) the one computation of fn for it, and writes the JSON response
+// with error-to-status mapping. A client that disconnects stops waiting;
+// the computation runs on for the other waiters and the cache.
+func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key, id string, params map[string]string, fn jobs.Job) {
+	res, source, err := s.cache.Do(r.Context(), key, func() (*Result, error) {
+		return s.compute(id, params, fn)
+	})
+	w.Header().Set(cacheHeader, string(source))
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrDraining):
@@ -522,7 +473,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics.snapshot(s.cache.len(), s.runs.Stats()))
+	writeJSON(w, http.StatusOK, s.metrics.snapshot(s.cache.Stats(), s.runs.Stats()))
 }
 
 // allowParams rejects query parameters outside the allowed set, so typos

@@ -219,9 +219,9 @@ func TestCoalescingOneComputeForConcurrentRequests(t *testing.T) {
 	// Hold the gate until every follower has joined the leader's flight,
 	// so none of them can race past to a cache hit.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().Coalesced.Load() < waiters-1 {
+	for s.cache.Stats().Coalesced < waiters-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d coalesced waiters after 10s", s.Metrics().Coalesced.Load())
+			t.Fatalf("only %d coalesced waiters after 10s", s.cache.Stats().Coalesced)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -327,7 +327,7 @@ func TestCacheEvictionAndTTL(t *testing.T) {
 	if ca.Load() != 2 {
 		t.Errorf("figa computed %d times, want 2 (evicted by figb)", ca.Load())
 	}
-	if s.Metrics().CacheEvictions.Load() == 0 {
+	if s.cache.Stats().Evictions == 0 {
 		t.Errorf("evictions not counted")
 	}
 
@@ -335,7 +335,7 @@ func TestCacheEvictionAndTTL(t *testing.T) {
 	mustGet("/v1/experiments/figa", "hit")
 	advance(2 * time.Minute)
 	mustGet("/v1/experiments/figa", "miss")
-	if s.Metrics().CacheExpired.Load() == 0 {
+	if s.cache.Stats().Expired == 0 {
 		t.Errorf("expiry not counted")
 	}
 }

@@ -1,7 +1,6 @@
 package thermal
 
 import (
-	"container/list"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -13,11 +12,11 @@ import (
 	"darksim/internal/runner"
 )
 
-// defaultInfluenceCacheCap bounds the process-wide influence cache. An
+// influenceCacheCap bounds the process-wide influence cache. An
 // influence matrix is nb×nb float64s (8 MB at 1024 cores), so a handful
 // of entries covers every platform a bench run or service instance
 // cycles through without unbounded growth.
-const defaultInfluenceCacheCap = 8
+const influenceCacheCap = 8
 
 // influenceSolveHook, when non-nil, is invoked once per influence column
 // before its solve and may inject a failure or observe progress. It
@@ -34,93 +33,21 @@ type CacheStats struct {
 
 // infCache is the process-wide influence cache. The influence matrix is
 // a pure function of the stack configuration and the floorplan geometry,
-// so models built from equal platforms — a
-// service request, a CLI figure and a bench iteration — share one
-// computation keyed by content hash. Entries are immutable matrices;
-// eviction is LRU.
-var infCache = struct {
-	sync.Mutex
-	cap    int
-	order  *list.List // front = most recently used; values are *infEntry
-	byKey  map[uint64]*list.Element
-	hits   uint64
-	misses uint64
-}{cap: defaultInfluenceCacheCap, order: list.New(), byKey: make(map[uint64]*list.Element)}
-
-type infEntry struct {
-	key uint64
-	mat *linalg.Matrix
-}
-
-// SetInfluenceCacheCap resizes the process-wide influence cache,
-// evicting least-recently-used entries as needed. A non-positive cap
-// disables caching entirely. It returns the previous cap.
-func SetInfluenceCacheCap(n int) int {
-	infCache.Lock()
-	defer infCache.Unlock()
-	prev := infCache.cap
-	infCache.cap = n
-	for infCache.order.Len() > 0 && infCache.order.Len() > n {
-		evictOldestLocked()
-	}
-	return prev
-}
+// so models built from equal platforms — a service request, a CLI figure
+// and a bench iteration — share one computation keyed by content hash.
+// Entries are immutable matrices; eviction is LRU.
+var infCache = runner.NewCache[uint64, *linalg.Matrix](influenceCacheCap, 0, nil, nil)
 
 // ResetInfluenceCache drops every cached influence matrix and zeroes the
 // hit/miss counters. Benchmarks use it to measure cold builds honestly.
-func ResetInfluenceCache() {
-	infCache.Lock()
-	defer infCache.Unlock()
-	infCache.order.Init()
-	infCache.byKey = make(map[uint64]*list.Element)
-	infCache.hits, infCache.misses = 0, 0
-}
+func ResetInfluenceCache() { infCache.Reset() }
 
 // InfluenceCacheStats snapshots the process-wide influence cache
 // counters; the warm-path assertion in `make check` relies on Hits
 // moving while the model's solve counter does not.
 func InfluenceCacheStats() CacheStats {
-	infCache.Lock()
-	defer infCache.Unlock()
-	return CacheStats{Hits: infCache.hits, Misses: infCache.misses, Entries: infCache.order.Len()}
-}
-
-func evictOldestLocked() {
-	el := infCache.order.Back()
-	if el == nil {
-		return
-	}
-	infCache.order.Remove(el)
-	delete(infCache.byKey, el.Value.(*infEntry).key)
-}
-
-func cacheGet(key uint64) (*linalg.Matrix, bool) {
-	infCache.Lock()
-	defer infCache.Unlock()
-	if el, ok := infCache.byKey[key]; ok {
-		infCache.order.MoveToFront(el)
-		infCache.hits++
-		return el.Value.(*infEntry).mat, true
-	}
-	infCache.misses++
-	return nil, false
-}
-
-func cachePut(key uint64, mat *linalg.Matrix) {
-	infCache.Lock()
-	defer infCache.Unlock()
-	if infCache.cap <= 0 {
-		return
-	}
-	if el, ok := infCache.byKey[key]; ok {
-		el.Value.(*infEntry).mat = mat
-		infCache.order.MoveToFront(el)
-		return
-	}
-	for infCache.order.Len() >= infCache.cap {
-		evictOldestLocked()
-	}
-	infCache.byKey[key] = infCache.order.PushFront(&infEntry{key: key, mat: mat})
+	st := infCache.Stats()
+	return CacheStats{Hits: uint64(st.Hits), Misses: uint64(st.Misses), Entries: st.Entries}
 }
 
 // influenceKey content-hashes everything the influence matrix depends
@@ -187,7 +114,7 @@ func (m *Model) InfluenceMatrix(ctx context.Context) (*linalg.Matrix, error) {
 		m.infKey = m.influenceKey()
 		m.infKeyed = true
 	}
-	if mat, ok := cacheGet(m.infKey); ok {
+	if mat, ok := infCache.Get(m.infKey); ok {
 		m.influence.Store(mat)
 		return mat, nil
 	}
@@ -196,7 +123,7 @@ func (m *Model) InfluenceMatrix(ctx context.Context) (*linalg.Matrix, error) {
 		return nil, err
 	}
 	m.influence.Store(mat)
-	cachePut(m.infKey, mat)
+	infCache.Put(m.infKey, mat)
 	return mat, nil
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"darksim/internal/floorplan"
 	"darksim/internal/linalg"
+	"darksim/internal/runner"
 )
 
 // sparseModelWithPanel builds the 100-core platform with the
@@ -235,12 +236,18 @@ func TestInfluenceCacheKey(t *testing.T) {
 	}
 }
 
+// useInfluenceCache swaps in an empty process-wide influence cache of
+// the given capacity for the rest of the test.
+func useInfluenceCache(t *testing.T, capacity int) {
+	prev := infCache
+	infCache = runner.NewCache[uint64, *linalg.Matrix](capacity, 0, nil, nil)
+	t.Cleanup(func() { infCache = prev })
+}
+
 // TestInfluenceCacheEviction exercises the LRU bound and the disable
 // switch.
 func TestInfluenceCacheEviction(t *testing.T) {
-	ResetInfluenceCache()
-	prev := SetInfluenceCacheCap(1)
-	defer SetInfluenceCacheCap(prev)
+	useInfluenceCache(t, 1)
 
 	builds := []func(testing.TB, int) *Model{
 		sparseModelWithPanel,
@@ -276,8 +283,7 @@ func TestInfluenceCacheEviction(t *testing.T) {
 	}
 
 	// Cap 0 disables caching entirely.
-	ResetInfluenceCache()
-	SetInfluenceCacheCap(0)
+	useInfluenceCache(t, 0)
 	if _, err := builds[0](t, 0).InfluenceMatrix(context.Background()); err != nil {
 		t.Fatal(err)
 	}
