@@ -8,14 +8,14 @@ all: check
 
 # check is the tier-1 gate: build, vet, the nested perfbench module's vet
 # and tests, tests (also in shuffled order, to catch inter-test state
-# leaks), the race detector over the parallel
-# sweep paths, a short smoke run of every fuzz target, a one-shot run
-# of the thermal-solver benchmarks so a broken bench path fails
-# the gate, the async-runtime smoke (a real shortened fig12 submitted
-# as a run, streamed point by point, compared against the synchronous
-# endpoint), the policy-sandbox smoke (head-to-head race with the
-# unsafe negative control caught, under the race detector), and the CLI
-# smoke (the README toolflow through the built darksim binary).
+# leaks), the race detector over the parallel sweep paths, a short smoke
+# run of every fuzz target, a one-shot run of the thermal-solve and
+# influence-build benchmarks so a broken bench path fails the gate, the
+# async-runtime smoke (a real shortened fig12 submitted as a run,
+# streamed point by point, compared against the synchronous endpoint),
+# the policy-sandbox smoke (head-to-head race with the unsafe negative
+# control caught, under the race detector), and the CLI smoke (the
+# README toolflow through the built darksim binary).
 check: build vet perfbench-check test test-shuffle race fuzz-smoke bench-smoke jobs-smoke policy-smoke cli-smoke
 
 build:
@@ -70,12 +70,13 @@ BENCH_BASELINE ?= BENCH_PR6.json
 bench-compare:
 	$(GO) run ./cmd/darksim bench -compare $(BENCH_BASELINE)
 
-# One iteration of the thermal-solve benchmarks keeps the bench path
-# compiling and running under the tier-1 gate without paying full
-# benchmark time, and the warm-influence assertion proves the
-# cross-request cache serves repeat platforms with zero linear solves.
+# One iteration of the thermal-solve and cold influence-build
+# benchmarks keeps both bench paths compiling and running under the
+# tier-1 gate without paying full benchmark time, and the warm-influence
+# assertion proves the cross-request cache serves repeat platforms with
+# zero linear solves.
 bench-smoke:
-	$(GO) test -bench=ThermalSolve -benchtime=1x -run='^$$' ./internal/thermal
+	$(GO) test -bench='ThermalSolve|InfluenceMatrix' -benchtime=1x -run='^$$' ./internal/thermal
 	$(GO) test -run='TestInfluenceWarmPathZeroSolves' -count=1 -v ./internal/thermal | grep -E 'TestInfluenceWarmPathZeroSolves|ok '
 
 # The profiling smoke: run the micro-benchmark harness once with the

@@ -302,6 +302,7 @@ func ProfileOrder(a *CSR) []int {
 type EnvelopeCholesky struct {
 	n     int
 	perm  []int     // band position k holds original index perm[k]
+	inv   []int     // original index i sits at band position inv[i]
 	lo    []int     // row k of L spans columns [lo[k], k)
 	ptr   []int     // strict row k of L is low[ptr[k]:ptr[k+1]]
 	low   []float64 // strict lower rows, packed back to back
@@ -311,7 +312,7 @@ type EnvelopeCholesky struct {
 }
 
 // envWork is one solve's band-space scratch, one vector per column.
-type envWork struct{ ys [][]float64 }
+type envWork struct{ ys []Vector }
 
 // NewEnvelopeCholesky factors the SPD matrix a under the ordering perm
 // (nil for the natural order). A pivot that is not a finite positive
@@ -388,7 +389,7 @@ func NewEnvelopeCholesky(a *CSR, perm []int) (*EnvelopeCholesky, error) {
 		}
 		rdiag[i] = 1 / math.Sqrt(s)
 	}
-	return &EnvelopeCholesky{n: n, perm: perm, lo: lo, ptr: ptr, low: low, rdiag: rdiag, bw: bw}, nil
+	return &EnvelopeCholesky{n: n, perm: perm, inv: inv, lo: lo, ptr: ptr, low: low, rdiag: rdiag, bw: bw}, nil
 }
 
 // Bandwidth returns the maximum half-bandwidth of the factor under its
@@ -397,6 +398,11 @@ func (e *EnvelopeCholesky) Bandwidth() int { return e.bw }
 
 // Profile returns the number of stored factor entries, nnz(L).
 func (e *EnvelopeCholesky) Profile() int { return len(e.low) + e.n }
+
+// BandRow returns the band position of original index i. A right-hand
+// side whose nonzeros all sit at band rows >= k is solved with a forward
+// sweep that starts no earlier than row k.
+func (e *EnvelopeCholesky) BandRow(i int) int { return e.inv[i] }
 
 // envDot returns the dot product of a and x[:len(a)], unrolled
 // eight-wide (with a four-wide tail) into independent accumulators so
@@ -456,9 +462,20 @@ func envAxpy(y, a []float64, v float64) {
 // contract, which is what keeps a batched solve bit-for-bit equal to
 // solving its vectors one by one. Each factor row is reused across the
 // vectors while it is cache-hot.
-func (e *EnvelopeCholesky) sweep(ys [][]float64) {
+//
+// The forward sweep starts at the first row where any vector of the
+// batch is nonzero, and skipping the rows above it cannot move a bit.
+// Every stored factor entry enters its row's pivot as a square, so a
+// factor NewEnvelopeCholesky accepted is finite throughout, with finite
+// positive rdiag. On a row whose inputs y[lo..i] are all ±0 the dot's
+// products are ±0, its accumulators start at +0 and +0 + ±0 = +0, so the
+// dot is +0; y[i] − (+0) = y[i] and y[i]·rdiag keeps the sign of zero.
+// The skipped rows would therefore have rewritten the ±0 they already
+// hold, whether the vector sits in this batch or is solved alone. A
+// dense right-hand side (a transient step) stops the scan at row 0.
+func (e *EnvelopeCholesky) sweep(ys []Vector) {
 	n, lo, ptr, low, rdiag := e.n, e.lo, e.ptr, e.low, e.rdiag
-	for i := 0; i < n; i++ {
+	for i := e.firstNonzeroRow(ys); i < n; i++ {
 		row, l, r := low[ptr[i]:ptr[i+1]], lo[i], rdiag[i]
 		for _, y := range ys {
 			y[i] = (y[i] - envDot(row, y[l:])) * r
@@ -474,6 +491,19 @@ func (e *EnvelopeCholesky) sweep(ys [][]float64) {
 	}
 }
 
+// firstNonzeroRow returns the first band row at which any vector of ys
+// is nonzero (NaN counts as nonzero), or n if every vector is zero.
+func (e *EnvelopeCholesky) firstNonzeroRow(ys []Vector) int {
+	for i := 0; i < e.n; i++ {
+		for _, y := range ys {
+			if y[i] != 0 {
+				return i
+			}
+		}
+	}
+	return e.n
+}
+
 // work returns pooled band-space scratch for k vectors.
 func (e *EnvelopeCholesky) work(k int) *envWork {
 	w, _ := e.pool.Get().(*envWork)
@@ -481,7 +511,7 @@ func (e *EnvelopeCholesky) work(k int) *envWork {
 		w = &envWork{}
 	}
 	for len(w.ys) < k {
-		w.ys = append(w.ys, make([]float64, e.n))
+		w.ys = append(w.ys, NewVector(e.n))
 	}
 	return w
 }
@@ -497,10 +527,8 @@ func (e *EnvelopeCholesky) SolveInPlace(b Vector) {
 // shared sweep of the factor. Per column the result is bit-for-bit equal
 // to SolveInPlace.
 func (e *EnvelopeCholesky) SolveBatchInPlace(cols []Vector) error {
-	for c, col := range cols {
-		if len(col) != e.n {
-			return fmt.Errorf("%w: envelope solve n=%d col %d len=%d", ErrDimension, e.n, c, len(col))
-		}
+	if err := e.checkLens(cols); err != nil {
+		return err
 	}
 	w := e.work(len(cols))
 	ys := w.ys[:len(cols)]
@@ -521,29 +549,58 @@ func (e *EnvelopeCholesky) SolveBatchInPlace(cols []Vector) error {
 	return nil
 }
 
-// inversePanel is how many unit columns Inverse solves per sweep.
-const inversePanel = 16
+// SolveBandInPlace is SolveBatchInPlace for columns already in band
+// order: entry k of each column belongs to original index i with
+// BandRow(i) = k, in and out. It needs neither the permutation copies
+// nor pooled scratch, so a caller that builds many right-hand sides at
+// once (the thermal influence panels) leaves no panel-sized scratch
+// behind on the factor. Per column the result is SolveInPlace's,
+// permuted, bit for bit.
+func (e *EnvelopeCholesky) SolveBandInPlace(cols []Vector) error {
+	if err := e.checkLens(cols); err != nil {
+		return err
+	}
+	e.sweep(cols)
+	return nil
+}
+
+// checkLens rejects a column whose length is not the matrix dimension.
+func (e *EnvelopeCholesky) checkLens(cols []Vector) error {
+	for c, col := range cols {
+		if len(col) != e.n {
+			return fmt.Errorf("%w: envelope solve n=%d col %d len=%d", ErrDimension, e.n, c, len(col))
+		}
+	}
+	return nil
+}
+
+// PanelWidth is how many right-hand sides a multi-column solve (Inverse,
+// the thermal influence matrix) sends through one batched sweep.
+const PanelWidth = 16
 
 // Inverse returns A⁻¹ as a dense matrix, solving the unit columns in
 // panels through the shared sweep: O(n·nnz(L)) instead of a dense
-// factorization's O(n³).
+// factorization's O(n³). The columns go in band order — panel k0…k0+15
+// holds the unit vectors of band rows k0…k0+15 — so each panel's forward
+// sweep skips its first k0 rows.
 func (e *EnvelopeCholesky) Inverse() *Matrix {
 	n := e.n
 	inv := NewMatrix(n, n)
-	cols := make([]Vector, inversePanel)
-	for c := range cols {
-		cols[c] = NewVector(n)
+	ys := make([]Vector, PanelWidth)
+	for c := range ys {
+		ys[c] = NewVector(n)
 	}
-	for j0 := 0; j0 < n; j0 += inversePanel {
-		panel := cols[:min(inversePanel, n-j0)]
-		for c, col := range panel {
-			col.Fill(0)
-			col[j0+c] = 1
+	for k0 := 0; k0 < n; k0 += PanelWidth {
+		panel := ys[:min(PanelWidth, n-k0)]
+		for c, y := range panel {
+			y.Fill(0)
+			y[k0+c] = 1
 		}
-		_ = e.SolveBatchInPlace(panel) // lengths are n by construction
-		for c, col := range panel {
-			for i, v := range col {
-				inv.Data[i*n+j0+c] = v
+		e.sweep(panel)
+		for c, y := range panel {
+			j := e.perm[k0+c]
+			for k, v := range y {
+				inv.Data[e.perm[k]*n+j] = v
 			}
 		}
 	}

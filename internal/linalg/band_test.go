@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -158,27 +159,136 @@ func TestEnvelopeCholeskyExact(t *testing.T) {
 	}
 }
 
+// fullSweepSolve is the reference solve: the envelope sweep with no
+// zero-prefix skip, every row from row 0, one vector at a time. It is
+// kept here, apart from the production kernel, so the skipping sweep is
+// pinned against arithmetic that cannot skip.
+func fullSweepSolve(e *EnvelopeCholesky, b Vector) Vector {
+	y := make([]float64, e.n)
+	for k, oi := range e.perm {
+		y[k] = b[oi]
+	}
+	for i := 0; i < e.n; i++ {
+		row := e.low[e.ptr[i]:e.ptr[i+1]]
+		y[i] = (y[i] - envDot(row, y[e.lo[i]:])) * e.rdiag[i]
+	}
+	for i := e.n - 1; i >= 0; i-- {
+		row := e.low[e.ptr[i]:e.ptr[i+1]]
+		v := y[i] * e.rdiag[i]
+		y[i] = v
+		envAxpy(y[e.lo[i]:], row, v)
+	}
+	x := NewVector(e.n)
+	for k, oi := range e.perm {
+		x[oi] = y[k]
+	}
+	return x
+}
+
+// sameBits fails the test unless got and want agree bit for bit,
+// including the sign of zero.
+func sameBits(t *testing.T, what string, got, want Vector) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: row %d is %v (%#x), full sweep gives %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestSweepZeroPrefixExact pins the forward sweep's zero-prefix skip
+// against fullSweepSolve bit for bit: batches of 1–17 right-hand sides
+// whose band-order prefixes are runs of +0 and −0 of different lengths,
+// one of them entirely zero, under the natural and the profile ordering,
+// through SolveInPlace, SolveBatchInPlace and SolveBandInPlace.
+func TestSweepZeroPrefixExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	mats := map[string]*CSR{"random": randomSPDCSR(rng, 60, 0.1), "grid": gridSPDCSR(12, 9)}
+	for name, a := range mats {
+		for _, perm := range [][]int{nil, ProfileOrder(a)} {
+			e, err := NewEnvelopeCholesky(a, perm)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for k := 1; k <= 17; k++ {
+				batch := make([]Vector, k)
+				for c := range batch {
+					b := NewVector(a.N)
+					// Column 0 is all zeros when the batch has company;
+					// the others start at a random band row, the rows
+					// above it a random mix of +0 and −0.
+					start := rng.Intn(a.N)
+					if c == 0 && k > 1 {
+						start = a.N
+					}
+					for kk, oi := range e.perm {
+						switch {
+						case kk < start && rng.Intn(2) == 0:
+							b[oi] = math.Copysign(0, -1)
+						case kk >= start:
+							b[oi] = rng.NormFloat64()
+						}
+					}
+					batch[c] = b
+				}
+				want := make([]Vector, k)
+				single := make([]Vector, k)
+				band := make([]Vector, k)
+				for c, b := range batch {
+					want[c] = fullSweepSolve(e, b)
+					single[c] = b.Clone()
+					e.SolveInPlace(single[c])
+					band[c] = NewVector(a.N)
+					for i, v := range b {
+						band[c][e.BandRow(i)] = v
+					}
+				}
+				if err := e.SolveBatchInPlace(batch); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.SolveBandInPlace(band); err != nil {
+					t.Fatal(err)
+				}
+				for c := range batch {
+					what := fmt.Sprintf("%s perm=%v k=%d col %d", name, perm != nil, k, c)
+					sameBits(t, what+" batch", batch[c], want[c])
+					sameBits(t, what+" solo", single[c], want[c])
+					unband := NewVector(a.N)
+					for i := range unband {
+						unband[i] = band[c][e.BandRow(i)]
+					}
+					sameBits(t, what+" band", unband, want[c])
+				}
+			}
+			if err := e.SolveBandInPlace([]Vector{NewVector(a.N - 1)}); !errors.Is(err, ErrDimension) {
+				t.Errorf("%s: short band column: %v", name, err)
+			}
+		}
+	}
+}
+
 // TestEnvelopeCholeskyPanel checks that Inverse, which solves the unit
-// columns in panels through the batched sweep (here two full panels and
-// a partial one), is bit-identical to solving each unit column alone.
+// columns in band order in panels through the batched sweep (here two
+// full panels and a partial one), is bit-identical to the full sweep of
+// each e_j alone.
 func TestEnvelopeCholeskyPanel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	a := randomSPDCSR(rng, 2*inversePanel+5, 0.1)
+	a := randomSPDCSR(rng, 2*PanelWidth+5, 0.1)
 	e, err := NewEnvelopeCholesky(a, ProfileOrder(a))
 	if err != nil {
 		t.Fatal(err)
 	}
 	inv := e.Inverse()
-	col := NewVector(a.N)
+	unit := NewVector(a.N)
+	got := NewVector(a.N)
 	for j := 0; j < a.N; j++ {
-		col.Fill(0)
-		col[j] = 1
-		e.SolveInPlace(col)
-		for i, v := range col {
-			if inv.At(i, j) != v {
-				t.Fatalf("column %d differs at %d: panel %v vs single %v", j, i, inv.At(i, j), v)
-			}
+		unit.Fill(0)
+		unit[j] = 1
+		for i := range got {
+			got[i] = inv.At(i, j)
 		}
+		sameBits(t, fmt.Sprintf("inverse column %d", j), got, fullSweepSolve(e, unit))
 	}
 }
 

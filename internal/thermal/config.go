@@ -68,9 +68,6 @@ type Config struct {
 	// envelope Cholesky. Unknown kinds fail Validate; known kinds select
 	// nothing.
 	Solver SolverKind
-	// InfluencePanel is a compatibility field: negative values fail
-	// Validate; others are ignored.
-	InfluencePanel int
 }
 
 // Paper §2.1 stack geometry.
@@ -160,9 +157,6 @@ func (c Config) Validate() error {
 	}
 	if c.Solver < SolverAuto || c.Solver > SolverSparse {
 		return fmt.Errorf("%w: unknown solver kind %d", ErrConfig, int(c.Solver))
-	}
-	if c.InfluencePanel < 0 {
-		return fmt.Errorf("%w: negative influence panel width %d", ErrConfig, c.InfluencePanel)
 	}
 	return nil
 }

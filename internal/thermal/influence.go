@@ -1,12 +1,13 @@
 package thermal
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
+	"slices"
 
 	"darksim/internal/linalg"
 	"darksim/internal/runner"
@@ -19,9 +20,10 @@ import (
 const influenceCacheCap = 8
 
 // influenceSolveHook, when non-nil, is invoked once per influence column
-// before its solve and may inject a failure or observe progress. It
-// exists for tests (retry-after-failure, cancellation) and must stay nil
-// in production code.
+// (with the block index) before that column's panel solves and may
+// inject a failure or observe progress. It exists for tests
+// (retry-after-failure, cancellation) and must stay nil in production
+// code.
 var influenceSolveHook func(col int) error
 
 // CacheStats is a snapshot of the process-wide influence cache.
@@ -52,10 +54,10 @@ func InfluenceCacheStats() CacheStats {
 
 // influenceKey content-hashes everything the influence matrix depends
 // on: the layer stack, the boundary conditions and the floorplan
-// geometry. There is one solve path, so Config.Solver and
-// Config.InfluencePanel are deliberately excluded: they cannot change a
-// bit of the matrix. FNV-64a keeps the key dependency-free; the input is
-// structured (length-prefixed fields), not attacker-controlled.
+// geometry. There is one solve path, so Config.Solver is deliberately
+// excluded: it cannot change a bit of the matrix. FNV-64a keeps the key
+// dependency-free; the input is structured (length-prefixed fields), not
+// attacker-controlled.
 func (m *Model) influenceKey() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -133,10 +135,11 @@ func (m *Model) InfluenceMatrix(ctx context.Context) (*linalg.Matrix, error) {
 // cache or recomputes it.
 func (m *Model) ReleaseInfluence() { m.influence.Store(nil) }
 
-// computeInfluence builds the influence matrix. Columns are independent
-// solves against the shared immutable steady-state factor and run in
-// parallel on the runner pool; every column goes through the same
-// envelope sweep, so the matrix is bit-identical at any runner width.
+// computeInfluence builds the influence matrix. Columns are solves
+// against the shared immutable steady-state factor, batched into panels
+// that run in parallel on the runner pool; every column goes through the
+// same envelope sweep, so the matrix is bit-identical at any runner
+// width and equal to solving each column alone.
 func (m *Model) computeInfluence(ctx context.Context) (*linalg.Matrix, error) {
 	inf := linalg.NewMatrix(len(m.blockCells), len(m.blockCells))
 	if err := m.influenceColumns(ctx, inf); err != nil {
@@ -145,51 +148,72 @@ func (m *Model) computeInfluence(ctx context.Context) (*linalg.Matrix, error) {
 	return inf, nil
 }
 
-// fillColumnRHS writes the unit-power node loading of block j into rhs.
-func (m *Model) fillColumnRHS(rhs linalg.Vector, j int) {
-	rhs.Fill(0)
-	for _, s := range m.blockCells[j] {
-		rhs[s.node] = s.fraction
-	}
-}
-
-// readColumn reduces the solved node field of column j to per-block
-// readout temperatures.
-func (m *Model) readColumn(inf *linalg.Matrix, nodeT linalg.Vector, j int) {
-	for i := 0; i < inf.Rows; i++ {
-		var t float64
-		for _, s := range m.blockCells[i] {
-			t += nodeT[s.node] * s.weight
+// influenceOrder returns the block indices in the order their columns
+// are solved: by the first band row any of the block's cells occupies
+// under the steady factor's ordering, ties by index. A unit-power column
+// is zero above that row, so a panel of neighbours in this order starts
+// its forward sweep at its first block's row.
+func (m *Model) influenceOrder() []int {
+	first := make([]int, len(m.blockCells))
+	order := make([]int, len(m.blockCells))
+	for b, shares := range m.blockCells {
+		first[b] = len(m.cells)
+		for _, s := range shares {
+			first[b] = min(first[b], m.steady.env.BandRow(s.node))
 		}
-		inf.Set(i, j, t)
+		order[b] = b
 	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(first[a], first[b]) })
+	return order
 }
 
-// influenceColumns is the one-RHS-at-a-time fan-out: each runner item
-// solves a single column. RHS buffers are recycled across solves; the
-// Put is deferred so an errored solve cannot leak its buffer.
+// influenceColumns solves the unit-power columns in panels of
+// linalg.PanelWidth blocks taken in influenceOrder; each runner item
+// solves one panel through one batched sweep. The panels are built and
+// read in the factor's band order, so the solve needs no permutation
+// copies. Each panel allocates its own buffer and drops it when done:
+// a sync.Pool here stays registered process-wide for two GC cycles
+// after the build and its New closure pins the model; dropping the pool
+// lowered perfbench's queries live-heap peak by about 7 MiB.
 func (m *Model) influenceColumns(ctx context.Context, inf *linalg.Matrix) error {
-	nb := len(m.blockCells)
-	var rhsPool sync.Pool
-	rhsPool.New = func() any {
-		v := linalg.NewVector(len(m.cells))
-		return &v
-	}
-	_, err := runner.MapN(ctx, nb, runner.Options{}, func(ctx context.Context, j int) (struct{}, error) {
+	order := m.influenceOrder()
+	env := m.steady.env
+	panels := (len(order) + linalg.PanelWidth - 1) / linalg.PanelWidth
+	_, err := runner.MapN(ctx, panels, runner.Options{}, func(ctx context.Context, p int) (struct{}, error) {
 		if err := ctx.Err(); err != nil {
 			return struct{}{}, err
 		}
+		blocks := order[p*linalg.PanelWidth : min((p+1)*linalg.PanelWidth, len(order))]
 		if h := influenceSolveHook; h != nil {
-			if err := h(j); err != nil {
-				return struct{}{}, fmt.Errorf("influence column %d: %w", j, err)
+			for _, j := range blocks {
+				if err := h(j); err != nil {
+					return struct{}{}, fmt.Errorf("influence column %d: %w", j, err)
+				}
 			}
 		}
-		vp := rhsPool.Get().(*linalg.Vector)
-		defer rhsPool.Put(vp)
-		rhs := *vp
-		m.fillColumnRHS(rhs, j)
-		m.steady.solveInPlace(rhs)
-		m.readColumn(inf, rhs, j)
+		n := len(m.cells)
+		buf := make([]float64, len(blocks)*n)
+		ys := make([]linalg.Vector, len(blocks))
+		for c, j := range blocks {
+			// Block j's unit power, spread over its cells.
+			ys[c] = buf[c*n : (c+1)*n]
+			for _, s := range m.blockCells[j] {
+				ys[c][env.BandRow(s.node)] = s.fraction
+			}
+		}
+		if err := m.steady.solveBand(ys); err != nil {
+			return struct{}{}, err
+		}
+		for c, j := range blocks {
+			// Reduce the node field to per-block readout temperatures.
+			for i, shares := range m.blockCells {
+				var t float64
+				for _, s := range shares {
+					t += ys[c][env.BandRow(s.node)] * s.weight
+				}
+				inf.Set(i, j, t)
+			}
+		}
 		return struct{}{}, nil
 	})
 	return err

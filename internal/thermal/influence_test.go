@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -13,25 +14,6 @@ import (
 	"darksim/internal/linalg"
 	"darksim/internal/runner"
 )
-
-// sparseModelWithPanel builds the 100-core platform with the
-// compatibility fields Solver = SolverSparse and the given InfluencePanel,
-// both of which select nothing.
-func sparseModelWithPanel(t testing.TB, panel int) *Model {
-	t.Helper()
-	fp, err := floorplan.NewGrid(10, 10, 5.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(fp.DieW, fp.DieH, 10, 10)
-	cfg.Solver = SolverSparse
-	cfg.InfluencePanel = panel
-	m, err := NewModel(fp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
 
 // TestInfluenceRetryAfterFailure is the regression test for the old
 // sync.Once poisoning: a transient solve failure must not be memoized —
@@ -69,17 +51,27 @@ func TestInfluenceRetryAfterFailure(t *testing.T) {
 	}
 }
 
-// TestInfluenceBlockedFailureNamesColumn pins the error shape under an
-// InfluencePanel setting that once selected the blocked fan-out: the
-// reported column is the original (global) column index.
+// TestInfluenceBlockedFailureNamesColumn pins the error shape under
+// band-sorted panels: the failure is injected at a block whose solve
+// position differs from its index, and the error names the block index.
 func TestInfluenceBlockedFailureNamesColumn(t *testing.T) {
 	ResetInfluenceCache()
 	defer func() { influenceSolveHook = nil }()
 
-	m := sparseModelWithPanel(t, 8)
+	m := model16(t)
+	target := -1
+	for pos, j := range m.influenceOrder() {
+		if pos != j && pos >= linalg.PanelWidth {
+			target = j
+			break
+		}
+	}
+	if target < 0 {
+		t.Fatal("every block past the first panel is solved at its own index; the test cannot tell them apart")
+	}
 	boom := errors.New("injected solve failure")
 	influenceSolveHook = func(col int) error {
-		if col == 42 {
+		if col == target {
 			return boom
 		}
 		return nil
@@ -88,23 +80,24 @@ func TestInfluenceBlockedFailureNamesColumn(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("injected failure not surfaced: %v", err)
 	}
-	if !strings.Contains(err.Error(), "influence column 42") {
-		t.Errorf("error %q does not name global column 42", err)
+	if want := fmt.Sprintf("influence column %d:", target); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name block %d", err, target)
 	}
 }
 
 // TestInfluenceCancelStopsWork verifies the context actually reaches the
-// column fan-out: cancelling mid-build must abort the remaining columns
+// panel fan-out: cancelling mid-build must abort the remaining panels
 // and surface context.Canceled, and a later call with a live context
 // must recover.
 func TestInfluenceCancelStopsWork(t *testing.T) {
-	if runtime.NumCPU() >= 100 {
-		t.Skip("worker pool as wide as the column count; cancellation cannot save work")
-	}
+	// Two workers over seven panels: the cancel lands in the first two
+	// panels' hooks, so at most those two solve.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m := model16(t)
+	nb := m.NumBlocks()
 	ResetInfluenceCache()
 	defer func() { influenceSolveHook = nil }()
 
-	m := sparseModelWithPanel(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
 	influenceSolveHook = func(col int) error {
@@ -113,12 +106,16 @@ func TestInfluenceCancelStopsWork(t *testing.T) {
 		}
 		return nil
 	}
+	before := m.SolverStats().Solves
 	_, err := m.InfluenceMatrix(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build returned %v", err)
 	}
-	if n := calls.Load(); n >= 100 {
-		t.Errorf("all %d columns solved despite cancellation", n)
+	if solved := m.SolverStats().Solves - before; solved > 2*linalg.PanelWidth {
+		t.Errorf("%d of %d columns solved despite cancellation, want at most two panels", solved, nb)
+	}
+	if n := calls.Load(); n >= int64(nb) {
+		t.Errorf("the hook saw all %d columns despite cancellation", n)
 	}
 	influenceSolveHook = nil
 	if _, err := m.InfluenceMatrix(context.Background()); err != nil {
@@ -126,34 +123,45 @@ func TestInfluenceCancelStopsWork(t *testing.T) {
 	}
 }
 
-// TestInfluenceBlockedMatchesColumns pins the influence matrix bitwise
-// across everything that once changed how its columns were solved: the
-// InfluencePanel values that selected the per-column (1) and blocked
-// (2, 16, 200) CG fan-outs, and runner widths 1 and GOMAXPROCS. Every
-// column goes through the same envelope sweep, so none of these may move
-// a bit — which is what lets the cache key ignore them.
+// TestInfluenceBlockedMatchesColumns pins the band-sorted panel build
+// bitwise against a test-local loop that solves each unit-power column
+// alone, in the original node order, at runner widths 1 and 2. The
+// 10×10 platform has 100 blocks, so the last panel is partial.
 func TestInfluenceBlockedMatchesColumns(t *testing.T) {
-	widths := []int{1, runtime.GOMAXPROCS(0)}
+	m := model16(t)
+	nb := m.NumBlocks()
+	if nb%linalg.PanelWidth == 0 {
+		t.Fatalf("%d blocks fill whole panels; the partial-panel path goes untested", nb)
+	}
+	ref := linalg.NewMatrix(nb, nb)
+	rhs := linalg.NewVector(m.NumNodes())
+	for j := 0; j < nb; j++ {
+		rhs.Fill(0)
+		for _, s := range m.blockCells[j] {
+			rhs[s.node] = s.fraction
+		}
+		m.steady.env.SolveInPlace(rhs)
+		for i, shares := range m.blockCells {
+			var t float64
+			for _, s := range shares {
+				t += rhs[s.node] * s.weight
+			}
+			ref.Set(i, j, t)
+		}
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var ref *linalg.Matrix
-	for _, procs := range widths {
+	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		for _, panel := range []int{1, 2, 16, 200} {
-			// Drop cached entries so every build is a real computation.
-			ResetInfluenceCache()
-			got, err := sparseModelWithPanel(t, panel).InfluenceMatrix(context.Background())
-			if err != nil {
-				t.Fatalf("procs %d panel %d: %v", procs, panel, err)
-			}
-			if ref == nil {
-				ref = got
-				continue
-			}
-			for i := range ref.Data {
-				if got.Data[i] != ref.Data[i] {
-					t.Fatalf("procs %d panel %d: influence differs at %d: %v vs %v",
-						procs, panel, i, got.Data[i], ref.Data[i])
-				}
+		// Drop cached entries so every build is a real computation.
+		ResetInfluenceCache()
+		got, err := model16(t).InfluenceMatrix(context.Background())
+		if err != nil {
+			t.Fatalf("procs %d: %v", procs, err)
+		}
+		for i := range ref.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(ref.Data[i]) {
+				t.Fatalf("procs %d: influence differs at (%d, %d): %v vs %v",
+					procs, i/nb, i%nb, got.Data[i], ref.Data[i])
 			}
 		}
 	}
@@ -165,7 +173,7 @@ func TestInfluenceBlockedMatchesColumns(t *testing.T) {
 // matrix from the process-wide cache without a single linear solve.
 func TestInfluenceWarmPathZeroSolves(t *testing.T) {
 	ResetInfluenceCache()
-	cold := sparseModelWithPanel(t, 0)
+	cold := model16(t)
 	first, err := cold.InfluenceMatrix(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +183,11 @@ func TestInfluenceWarmPathZeroSolves(t *testing.T) {
 		t.Fatalf("after cold build: %+v", st)
 	}
 
-	warm := sparseModelWithPanel(t, 0)
+	if got := cold.SolverStats().Solves; got != 1+uint64(cold.NumBlocks()) {
+		t.Errorf("cold build: %d solves, want the ambient solve plus one per block (%d)", got, 1+cold.NumBlocks())
+	}
+
+	warm := model16(t)
 	before := warm.SolverStats().Solves
 	second, err := warm.InfluenceMatrix(context.Background())
 	if err != nil {
@@ -193,15 +205,10 @@ func TestInfluenceWarmPathZeroSolves(t *testing.T) {
 }
 
 // TestInfluenceCacheKey checks the content hash separates what it must
-// (boundary conditions, floorplan) and pins that the compatibility fields
-// Config.Solver and Config.InfluencePanel no longer split it.
+// (boundary conditions, floorplan) and pins that the compatibility field
+// Config.Solver does not split it.
 func TestInfluenceCacheKey(t *testing.T) {
-	base := sparseModelWithPanel(t, 0)
-	for _, panel := range []int{1, 4, 16} {
-		if base.influenceKey() != sparseModelWithPanel(t, panel).influenceKey() {
-			t.Errorf("InfluencePanel %d changed the cache key", panel)
-		}
-	}
+	base := modelWithSolver(t, SolverSparse)
 	for _, kind := range []SolverKind{SolverAuto, SolverDense} {
 		if base.influenceKey() != modelWithSolver(t, kind).influenceKey() {
 			t.Errorf("Solver %v changed the cache key", kind)
@@ -249,17 +256,14 @@ func useInfluenceCache(t *testing.T, capacity int) {
 func TestInfluenceCacheEviction(t *testing.T) {
 	useInfluenceCache(t, 1)
 
-	builds := []func(testing.TB, int) *Model{
-		sparseModelWithPanel,
-		func(t testing.TB, panel int) *Model {
+	builds := []func(testing.TB) *Model{
+		model16,
+		func(t testing.TB) *Model {
 			fp, err := floorplan.NewGrid(9, 9, 5.1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := DefaultConfig(fp.DieW, fp.DieH, 9, 9)
-			cfg.Solver = SolverSparse
-			cfg.InfluencePanel = panel
-			m, err := NewModel(fp, cfg)
+			m, err := NewModel(fp, DefaultConfig(fp.DieW, fp.DieH, 9, 9))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +271,7 @@ func TestInfluenceCacheEviction(t *testing.T) {
 		},
 	}
 	for _, build := range builds {
-		if _, err := build(t, 0).InfluenceMatrix(context.Background()); err != nil {
+		if _, err := build(t).InfluenceMatrix(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +279,7 @@ func TestInfluenceCacheEviction(t *testing.T) {
 		t.Fatalf("cap-1 cache after two platforms: %+v", st)
 	}
 	// The first platform was evicted by the second: rebuilding it misses.
-	if _, err := builds[0](t, 0).InfluenceMatrix(context.Background()); err != nil {
+	if _, err := builds[0](t).InfluenceMatrix(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st := InfluenceCacheStats(); st.Misses != 3 {
@@ -284,25 +288,11 @@ func TestInfluenceCacheEviction(t *testing.T) {
 
 	// Cap 0 disables caching entirely.
 	useInfluenceCache(t, 0)
-	if _, err := builds[0](t, 0).InfluenceMatrix(context.Background()); err != nil {
+	if _, err := builds[0](t).InfluenceMatrix(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st := InfluenceCacheStats(); st.Entries != 0 {
 		t.Fatalf("disabled cache stored an entry: %+v", st)
-	}
-}
-
-func TestInfluencePanelValidate(t *testing.T) {
-	cfg := DefaultConfig(0.02, 0.02, 4, 4)
-	cfg.InfluencePanel = -1
-	if err := cfg.Validate(); err == nil {
-		t.Errorf("negative panel width should fail validation")
-	}
-	for _, p := range []int{0, 1, 16} {
-		cfg.InfluencePanel = p
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("panel width %d rejected: %v", p, err)
-		}
 	}
 }
 

@@ -80,6 +80,16 @@ func (f *factor) solveInPlace(b linalg.Vector) {
 	f.stats.solves.Add(1)
 }
 
+// solveBand is solveBatch for columns in the factor's band order (see
+// linalg.EnvelopeCholesky.BandRow).
+func (f *factor) solveBand(cols []linalg.Vector) error {
+	if err := f.env.SolveBandInPlace(cols); err != nil {
+		return err
+	}
+	f.stats.solves.Add(uint64(len(cols)))
+	return nil
+}
+
 // solveBatch overwrites each column with A⁻¹·col in one shared sweep,
 // bit-for-bit equal to solving the columns one by one.
 func (f *factor) solveBatch(cols []linalg.Vector) error {

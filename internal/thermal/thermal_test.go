@@ -561,7 +561,7 @@ func modelWithSolver(t testing.TB, k SolverKind) *Model {
 }
 
 // TestSolverPathSelection pins that there is one solve path: every
-// compatibility SolverKind and InfluencePanel value, and a model above
+// compatibility SolverKind value, and a model above
 // the old 512-node dense/sparse switch, report the envelope path and
 // zero CG iterations after real work.
 func TestSolverPathSelection(t *testing.T) {
