@@ -12,7 +12,8 @@ all: check
 # run of every fuzz target, a one-shot run of the thermal-solve and
 # influence-build benchmarks so a broken bench path fails the gate, the
 # async-runtime smoke (a real shortened fig12 submitted as a run,
-# streamed point by point, compared against the synchronous endpoint),
+# streamed point by point, compared against the synchronous endpoint,
+# plus the run journal's restart and fault-injection tests under -race),
 # the policy-sandbox smoke (head-to-head race with the unsafe negative
 # control caught, under the race detector), and the CLI smoke (the
 # README toolflow through the built darksim binary).
@@ -94,9 +95,12 @@ profile-smoke:
 # The jobs-runtime smoke: submit a shortened fig12 through POST /v1/runs,
 # consume its SSE stream (one partial table per sweep point), and require
 # the terminal result to be byte-identical to the synchronous endpoint on
-# an independent server. Exercises the whole async path end to end.
+# an independent server. Exercises the whole async path end to end. Then
+# run the run journal's restart (torn tail, restart twice) and fault
+# (write error mid-run, full disk) tests under the race detector.
 jobs-smoke:
 	$(GO) test -run='TestRunFig12MatchesSync' -count=1 -v ./internal/service | grep -E 'TestRunFig12MatchesSync|ok '
+	$(GO) test -race -run='TestFileStore|TestJournal|TestRunSubmitOnFullDisk' -count=1 ./internal/jobs ./internal/service
 
 # The policy-sandbox smoke: race the default trio head-to-head on a pack
 # scenario with assertion-checked traces, require the unsafe boost
@@ -167,12 +171,13 @@ lint:
 # it against the embedded corpus, the paper's physics invariants and the
 # differential renderings, then run the repeat/raced/shuffled test modes
 # that catch state leaking through a process-wide cache (the platform,
-# influence and result caches are all one runner.Cache type).
+# influence and result caches are all one runner.Cache type) or between
+# runs of the run journal's tests.
 verify:
 	$(GO) vet ./...
 	$(GO) run ./cmd/darksim verify
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -count=2 ./internal/experiments ./internal/service ./internal/thermal ./internal/runner
+	$(GO) test -count=2 ./internal/experiments ./internal/service ./internal/thermal ./internal/runner ./internal/jobs
 
 # Regenerate the golden corpus after an intentional model change.
 golden:

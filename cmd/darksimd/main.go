@@ -23,9 +23,10 @@
 //	GET /metrics                          counters + latency histogram
 //
 // With -run-store, run history (state transitions and every partial
-// result) is appended to a file and survives restarts: runs that were
-// mid-flight when the process died reopen as failed, their completed
-// points intact.
+// result) is appended to a journal file and survives restarts: runs that
+// were mid-flight when the process died reopen as failed, their completed
+// points intact. A record torn by the crash is cut off on restart; a file
+// that cannot be opened or holds corrupt history stops the daemon.
 package main
 
 import (
@@ -84,14 +85,13 @@ func run(addr string, cacheSize int, cacheTTL, computeTimeout time.Duration, wor
 		}()
 		defer pprofServer.Close()
 	}
-	var store jobs.Store
+	var journal *jobs.Journal
 	if runStore != "" {
-		fs, err := jobs.OpenFileStore(runStore)
-		if err != nil {
+		var err error
+		// The service closes the journal when its run manager drains.
+		if journal, err = jobs.OpenJournal(runStore); err != nil {
 			return err
 		}
-		// The service closes the store when its run manager drains.
-		store = fs
 	}
 	svc := service.New(service.Config{
 		ComputeTimeout: computeTimeout,
@@ -99,7 +99,7 @@ func run(addr string, cacheSize int, cacheTTL, computeTimeout time.Duration, wor
 		CacheTTL:       cacheTTL,
 		Workers:        workers,
 		QueueSize:      runQueue,
-		RunStore:       store,
+		RunStore:       journal,
 		Logger:         log,
 	}, nil)
 	httpServer := &http.Server{

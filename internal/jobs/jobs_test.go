@@ -1,13 +1,17 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -25,17 +29,14 @@ func frag(i int) *report.Table {
 	}
 }
 
-// newManager builds a Manager on a fresh pool; the default store is
-// in-memory.
+// newManager builds a Manager on a fresh pool; without a journal the
+// runs live in memory only.
 func newManager(t *testing.T, cfg Config) *Manager {
 	t.Helper()
 	if cfg.Pool == nil {
 		cfg.Pool, _ = runner.WithContext(context.Background(), 2)
 	}
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	m := New(cfg)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -89,10 +90,7 @@ func TestRunLifecycleAndEvents(t *testing.T) {
 		t.Errorf("timestamps not recorded: started %v finished %v", final.Started, final.Finished)
 	}
 
-	events, err := m.store.Events(run.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := logOf(t, m, run.ID)
 	// running, 3 points, done — in order, contiguous seq from 1.
 	types := make([]string, len(events))
 	for i, ev := range events {
@@ -348,10 +346,7 @@ func TestSubscribeReplayThenFollowIsGapless(t *testing.T) {
 
 func TestCloseInterruptsStragglers(t *testing.T) {
 	pool, _ := runner.WithContext(context.Background(), 1)
-	m, err := New(Config{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New(Config{Pool: pool})
 	started := make(chan struct{})
 	job := func(ctx context.Context) ([]*report.Table, error) {
 		close(started)
@@ -377,140 +372,368 @@ func TestCloseInterruptsStragglers(t *testing.T) {
 	}
 }
 
-func TestFileStoreRestartRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.jsonl")
-
-	// First life: a daemon persists a run mid-flight — created, running,
-	// two completed points — then dies without a terminal event.
-	store, err := OpenFileStore(path)
+// logOf returns a run's whole event log as a subscriber replays it.
+func logOf(t *testing.T, m *Manager, id string) []Event {
+	t.Helper()
+	replay, _, stop, err := m.Subscribe(id, 0)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Subscribe %s: %v", id, err)
 	}
-	meta := Meta{ID: "r1", Kind: "experiment", Label: "fig12", Key: "fig12", Created: time.Now().UTC()}
-	if err := store.Create(meta); err != nil {
-		t.Fatal(err)
-	}
-	evs := []Event{
-		{Seq: 1, Type: EventState, State: StateRunning, Time: time.Now().UTC()},
-		{Seq: 2, Type: EventPoint, Done: 1, Total: 3, Table: frag(1), Time: time.Now().UTC()},
-		{Seq: 3, Type: EventPoint, Done: 2, Total: 3, Table: frag(2), Time: time.Now().UTC()},
-	}
-	for _, ev := range evs {
-		if err := store.Append("r1", ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second life: the manager reopens the store; the interrupted run is
-	// visible, failed, with its completed points intact and replayable.
-	store2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newManager(t, Config{Store: store2})
-	r, ok := m.Get("r1")
-	if !ok {
-		t.Fatal("recovered run not visible")
-	}
-	if r.State != StateFailed || !strings.Contains(r.Error, "interrupted") {
-		t.Fatalf("recovered run = %s (%q), want failed/interrupted", r.State, r.Error)
-	}
-	if r.Done != 2 || r.Total != 3 {
-		t.Errorf("recovered progress = %d/%d, want 2/3", r.Done, r.Total)
-	}
-	replay, live, stop, err := m.Subscribe("r1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	if _, open := <-live; open {
-		t.Error("recovered run's live channel delivered an event, want closed")
-	}
-	if len(replay) != 4 {
-		t.Fatalf("replay has %d events, want 4 (running, 2 points, failed)", len(replay))
-	}
-	if replay[1].Table == nil || replay[1].Table.Rows[0][0] != "1" {
-		t.Errorf("first point's table not preserved: %+v", replay[1])
-	}
-	terminal := replay[3]
-	if terminal.State != StateFailed || terminal.Seq != 4 {
-		t.Errorf("terminal recovery event = %+v, want failed at seq 4", terminal)
-	}
-	// The failure is persisted, not just in memory: a third open sees it.
-	if err := m.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	store3, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store3.Close()
-	evs3, err := store3.Events("r1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs3) != 4 || evs3[3].State != StateFailed {
-		t.Errorf("persisted history after recovery = %d events, want the failed terminal on disk", len(evs3))
-	}
+	stop()
+	return replay
 }
 
-func TestFileStoreToleratesTornFinalWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	store, err := OpenFileStore(path)
+// sameJSON reports whether two event logs marshal to the same bytes —
+// the bytes their SSE frames carry.
+func sameJSON(t *testing.T, a, b []Event) bool {
+	t.Helper()
+	ja, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Create(Meta{ID: "r1", Kind: "experiment", Label: "x", Key: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Append("r1", Event{Seq: 1, Type: EventState, State: StateRunning}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: half a record on the final line.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	jb, err := json.Marshal(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"run":"r1","event":{"seq":2,"ty`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	return string(ja) == string(jb)
+}
 
-	re, err := OpenFileStore(path)
+// openJournal opens the journal at path or fails the test.
+func openJournal(t *testing.T, path string) *Journal {
+	t.Helper()
+	j, err := OpenJournal(path)
 	if err != nil {
-		t.Fatalf("reopen with torn final line: %v", err)
+		t.Fatalf("OpenJournal: %v", err)
 	}
-	evs, err := re.Events("r1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 {
-		t.Errorf("replayed %d events, want 1 (torn line dropped)", len(evs))
-	}
-	// The next append lands on its own line despite the torn tail.
-	if err := re.Append("r1", Event{Seq: 2, Type: EventState, State: StateFailed}); err != nil {
-		t.Fatal(err)
-	}
-	re.Close()
+	return j
+}
 
-	// Corruption anywhere else is a hard error, not silent data loss.
+// finishOne submits a run that publishes one point and finishes.
+func finishOne(t *testing.T, m *Manager, key string) Run {
+	t.Helper()
+	run, _, err := m.Submit("experiment", key, key, nil, func(ctx context.Context) ([]*report.Table, error) {
+		progress.Emit(ctx, progress.Point{Table: frag(1), Done: 1, Total: 1})
+		return []*report.Table{frag(9)}, nil
+	})
+	if err != nil {
+		t.Fatalf("Submit %s: %v", key, err)
+	}
+	return waitState(t, m, run.ID, StateDone)
+}
+
+// requireOneRecordPerLine fails unless the journal at path ends in a
+// newline and every line is one intact JSON record.
+func requireOneRecordPerLine(t *testing.T, path string) {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	lines[0] = `{"create":{broken`
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+	if len(data) == 0 || data[len(data)-1] != '\n' {
+		t.Fatalf("journal does not end in a newline: %q", data)
+	}
+	for i, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if !json.Valid([]byte(line)) {
+			t.Fatalf("journal line %d is not one record: %q", i+1, line)
+		}
+	}
+}
+
+func TestFileStoreRestartRecovery(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "runs.jsonl")
+
+	// First life: a daemon journals a run mid-flight — created, running,
+	// two completed points — and dies while writing the next record.
+	m := newManager(t, Config{Journal: openJournal(t, path)})
+	gate := make(chan struct{})
+	defer close(gate)
+	run, _, err := m.Submit("experiment", "fig12", "fig12", nil, func(ctx context.Context) ([]*report.Table, error) {
+		progress.Emit(ctx, progress.Point{Table: frag(1), Done: 1, Total: 3})
+		progress.Emit(ctx, progress.Point{Table: frag(2), Done: 2, Total: 3})
+		<-gate
+		return nil, nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileStore(path); err == nil {
-		t.Error("reopening a store with a corrupt interior line succeeded, want error")
+	deadline := time.Now().Add(5 * time.Second)
+	for r, _ := m.Get(run.ID); r.Done < 2; r, _ = m.Get(run.ID) {
+		if !time.Now().Before(deadline) {
+			t.Fatalf("run never reached 2 points: %+v", r)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := filepath.Join(dir, "crashed.jsonl")
+	torn := fmt.Sprintf(`{"run":%q,"event":{"seq":4,"type":"po`, run.ID)
+	if err := os.WriteFile(crashed, append(data, torn...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Two more lives on the crashed file: each comes up, shows the run
+	// failed/interrupted with its completed points intact and
+	// replayable; the second life also finishes a new run, which the
+	// third replays in full.
+	var second Run
+	var secondLog []Event
+	for life := 2; life <= 3; life++ {
+		pool, _ := runner.WithContext(context.Background(), 2)
+		restarted := New(Config{Journal: openJournal(t, crashed), Pool: pool})
+		r, ok := restarted.Get(run.ID)
+		if !ok {
+			t.Fatalf("life %d: recovered run not visible", life)
+		}
+		if r.State != StateFailed || !strings.Contains(r.Error, "interrupted") {
+			t.Fatalf("life %d: recovered run = %s (%q), want failed/interrupted", life, r.State, r.Error)
+		}
+		if r.Done != 2 || r.Total != 3 {
+			t.Errorf("life %d: recovered progress = %d/%d, want 2/3", life, r.Done, r.Total)
+		}
+		replay, live, stop, err := restarted.Subscribe(run.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, open := <-live; open {
+			t.Errorf("life %d: recovered run's live channel delivered an event, want closed", life)
+		}
+		stop()
+		if len(replay) != 4 {
+			t.Fatalf("life %d: replay has %d events, want 4 (running, 2 points, failed)", life, len(replay))
+		}
+		if replay[1].Table == nil || replay[1].Table.Rows[0][0] != "1" {
+			t.Errorf("life %d: first point's table not preserved: %+v", life, replay[1])
+		}
+		if terminal := replay[3]; terminal.State != StateFailed || terminal.Seq != 4 {
+			t.Errorf("life %d: terminal recovery event = %+v, want failed at seq 4", life, terminal)
+		}
+		if life == 2 {
+			second = finishOne(t, restarted, "fresh")
+			secondLog = logOf(t, restarted, second.ID)
+		} else if got := logOf(t, restarted, second.ID); !sameJSON(t, got, secondLog) {
+			t.Errorf("life 3: the run finished in life 2 replays as %+v, want %+v", got, secondLog)
+		}
+		if err := restarted.Close(context.Background()); err != nil {
+			t.Fatalf("life %d: Close: %v", life, err)
+		}
+		requireOneRecordPerLine(t, crashed)
+	}
+}
+
+func TestFileStoreToleratesTornFinalWrite(t *testing.T) {
+	// r1 was mid-flight when its daemon died: created, running, one
+	// point. The crash tore the record after that, either mid-line or
+	// just before its newline.
+	head := `{"create":{"id":"r1","kind":"experiment","label":"x","key":"x","created":"2026-08-07T01:02:03Z"}}
+{"run":"r1","event":{"seq":1,"type":"state","time":"2026-08-07T01:02:04Z","state":"running"}}
+{"run":"r1","event":{"seq":2,"type":"point","time":"2026-08-07T01:02:05Z","done":1,"total":3}}
+`
+	point := `{"run":"r1","event":{"seq":3,"type":"point","time":"2026-08-07T01:02:06Z","done":2,"total":3}}`
+	for _, tc := range []struct {
+		name string
+		tail string
+		kept int // r1's events that survive the crash
+	}{
+		{"torn record", point[:40], 2},
+		{"record without newline", point, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "runs.jsonl")
+			if err := os.WriteFile(path, []byte(head+tc.tail), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Restart: recovery appends r1's failed event, then a new run
+			// is submitted and finishes.
+			pool, _ := runner.WithContext(context.Background(), 2)
+			m := New(Config{Journal: openJournal(t, path), Pool: pool})
+			r1, _ := m.Get("r1")
+			if r1.State != StateFailed || r1.LastSeq != int64(tc.kept+1) {
+				t.Fatalf("recovered r1 = %s at seq %d, want failed at seq %d", r1.State, r1.LastSeq, tc.kept+1)
+			}
+			r2 := finishOne(t, m, "y")
+			want := map[string][]Event{"r1": logOf(t, m, "r1"), r2.ID: logOf(t, m, r2.ID)}
+			if err := m.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			// The recovery's append landed on its own line despite the
+			// torn tail.
+			requireOneRecordPerLine(t, path)
+
+			// Reopen: both runs replay with every event.
+			pool, _ = runner.WithContext(context.Background(), 2)
+			re := New(Config{Journal: openJournal(t, path), Pool: pool})
+			defer re.Close(context.Background())
+			for id, evs := range want {
+				if got := logOf(t, re, id); !sameJSON(t, got, evs) {
+					t.Errorf("run %s replays as %+v, want %+v", id, got, evs)
+				}
+			}
+			if r, _ := re.Get(r2.ID); r.State != StateDone || len(r.Tables) != 1 {
+				t.Errorf("reopened r2 = %s with %d tables, want done with its result", r.State, len(r.Tables))
+			}
+		})
+	}
+}
+
+func TestJournalRejectsCorruptHistory(t *testing.T) {
+	create := `{"create":{"id":"r1","kind":"experiment","label":"x","key":"x","created":"2026-08-07T01:02:03Z"}}`
+	event := `{"run":"r1","event":{"seq":1,"type":"state","time":"2026-08-07T01:02:04Z","state":"running"}}`
+	for name, lines := range map[string][]string{
+		"corrupt interior line":      {`{"create":{broken`, event},
+		"interior record of neither": {create, `{"note":"x"}`, event},
+		"duplicate create":           {create, create},
+		"event for an unknown run":   {strings.Replace(event, `"r1"`, `"r2"`, 1)},
+	} {
+		path := filepath.Join(t.TempDir(), "runs.jsonl")
+		data := []byte(strings.Join(lines, "\n") + "\n")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if j, err := OpenJournal(path); err == nil {
+			j.Close()
+			t.Errorf("%s: OpenJournal succeeded, want an error", name)
+		}
+		if after, _ := os.ReadFile(path); string(after) != string(data) {
+			t.Errorf("%s: a refused journal was modified", name)
+		}
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for a logger's concurrent writes.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+func TestJournalWriteErrorMidRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	j := openJournal(t, path)
+	var logs syncBuffer
+	m := newManager(t, Config{Journal: j, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	gate := make(chan struct{})
+	run, _, err := m.Submit("experiment", "x", "x", nil, func(ctx context.Context) ([]*report.Table, error) {
+		progress.Emit(ctx, progress.Point{Table: frag(1), Done: 1, Total: 3})
+		<-gate
+		progress.Emit(ctx, progress.Point{Table: frag(2), Done: 2, Total: 3})
+		progress.Emit(ctx, progress.Point{Table: frag(3), Done: 3, Total: 3})
+		return []*report.Table{frag(9)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for r, _ := m.Get(run.ID); r.Done < 1; r, _ = m.Get(run.ID) {
+		if !time.Now().Before(deadline) {
+			t.Fatalf("run never reached its first point: %+v", r)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	replay, live, stop, err := m.Subscribe(run.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	before := append([]Event(nil), replay...)
+
+	// The fault: the journal's file is closed under the running job.
+	j.mu.Lock()
+	j.f.Close()
+	j.mu.Unlock()
+	close(gate)
+
+	var seqs []int64
+	for _, ev := range replay {
+		seqs = append(seqs, ev.Seq)
+	}
+	for ev := range live {
+		seqs = append(seqs, ev.Seq)
+	}
+	if fmt.Sprint(seqs) != "[1 2 3 4 5]" {
+		t.Errorf("subscriber saw seqs %v, want [1 2 3 4 5] (running, 3 points, done)", seqs)
+	}
+	final := waitState(t, m, run.ID, StateDone)
+	if final.Done != 3 || len(final.Tables) != 1 {
+		t.Errorf("final run = %d points, %d tables, want 3 and the result", final.Done, len(final.Tables))
+	}
+	if n := strings.Count(logs.String(), "run journal append failed"); n != 1 {
+		t.Errorf("journal failure logged %d times for one run, want once:\n%s", n, logs.String())
+	}
+
+	// Reopening yields exactly the records written before the fault.
+	re := openJournal(t, path)
+	defer re.Close()
+	runs := re.take()
+	if len(runs) != 1 || runs[0].meta.ID != run.ID || !sameJSON(t, runs[0].events, before) {
+		t.Errorf("reopened journal holds %+v, want run %s with its first %d events", runs, run.ID, len(before))
+	}
+}
+
+func TestJournalDiskFull(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skipf("no /dev/full to fill the disk with: %v", err)
+	}
+	defer full.Close()
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	j := openJournal(t, path)
+	m := newManager(t, Config{Journal: j})
+	a := finishOne(t, m, "a")
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The fault: the disk fills up. The next submission cannot be
+	// recorded, so it is refused and leaves nothing behind.
+	j.mu.Lock()
+	disk := j.f
+	j.f = full
+	j.mu.Unlock()
+	noop := func(context.Context) ([]*report.Table, error) { return nil, nil }
+	if _, _, err := m.Submit("experiment", "b", "b", nil, noop); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Submit on a full disk err = %v, want ENOSPC", err)
+	}
+	m.mu.Lock()
+	_, leftover := m.byKey["b"]
+	runs := len(m.runs)
+	m.mu.Unlock()
+	if leftover || runs != 1 {
+		t.Errorf("refused submission left dedupe key %v and %d runs, want none and 1", leftover, runs)
+	}
+
+	// Space comes back, but the journal stays refused: a record after a
+	// failed write could follow a torn line.
+	j.mu.Lock()
+	j.f = disk
+	j.mu.Unlock()
+	if _, _, err := m.Submit("experiment", "c", "c", nil, noop); !errors.Is(err, syscall.ENOSPC) {
+		t.Errorf("Submit after the fault err = %v, want the sticky ENOSPC", err)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(written) {
+		t.Errorf("the journal grew after its write error:\n%s", after[len(written):])
+	}
+
+	// Reopening yields exactly the records written before the fault.
+	re := openJournal(t, path)
+	defer re.Close()
+	got := re.take()
+	if len(got) != 1 || got[0].meta.ID != a.ID || !sameJSON(t, got[0].events, logOf(t, m, a.ID)) {
+		t.Errorf("reopened journal holds %+v, want run %s in full", got, a.ID)
 	}
 }
 

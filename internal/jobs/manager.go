@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,24 +35,26 @@ var (
 // times from any goroutine, and returns the terminal result tables.
 type Job func(ctx context.Context) ([]*report.Table, error)
 
+// subscriberBuffer is the per-subscriber event buffer. A subscriber
+// that falls this far behind is disconnected and must reconnect with its
+// last seen sequence number.
+const subscriberBuffer = 256
+
 // Config parameterizes a Manager. Zero values select the defaults.
 type Config struct {
-	// Store persists run history; nil means a fresh MemStore.
-	Store Store
-	// Pool is the compute pool jobs execute on. Passing the serving
-	// layer's pool makes async runs and synchronous requests compete for
-	// the same slots. Nil creates a private pool with DefaultWorkers.
+	// Journal persists run history across restarts; nil keeps runs in
+	// memory only.
+	Journal *Journal
+	// Pool is the compute pool jobs execute on (required). Passing the
+	// serving layer's pool makes async runs and synchronous requests
+	// compete for the same slots.
 	Pool *runner.Group
 	// QueueSize bounds runs waiting for a pool slot (default 64). A
 	// full queue rejects Submit with ErrQueueFull.
 	QueueSize int
 	// Timeout bounds one run's execution (0 = unbounded).
 	Timeout time.Duration
-	// SubscriberBuffer is the per-subscriber event buffer (default 256).
-	// A subscriber that falls this far behind is disconnected and must
-	// reconnect with its last seen sequence number.
-	SubscriberBuffer int
-	// Logger receives store-failure diagnostics; nil disables logging.
+	// Logger receives journal-failure diagnostics; nil disables logging.
 	Logger *slog.Logger
 	// Now is the clock (for tests); nil means time.Now.
 	Now func() time.Time
@@ -71,35 +74,36 @@ type Stats struct {
 	Subscribers int64 `json:"subscribers"`
 }
 
-// run is the Manager's live handle on one run. The run's own mutex
-// guards its snapshot, event sequence, and subscriber set; the event log
-// is appended and broadcast under it, which is what makes Subscribe's
-// replay-then-follow gapless.
+// run is the Manager's live handle on one run and the one place its
+// event log is held. The run's own mutex guards its snapshot, events and
+// subscriber set; an event is appended and broadcast under it, which is
+// what makes Subscribe's replay-then-follow gapless.
 type run struct {
 	meta    Meta
 	job     Job
-	tracked bool // counted in runWG (false for runs recovered from the store)
+	tracked bool // counted in runWG (false for runs recovered from the journal)
 
 	mu          sync.Mutex
 	snap        Run
+	events      []Event // Seq order; never rewritten
 	cancel      context.CancelFunc
 	cancelReq   bool
 	cancelState State  // terminal state a requested cancellation lands in
 	cancelErr   string // and its recorded reason
 	subs        map[int]chan Event
 	nextSub     int
-	storeErr    error
+	journalLost bool // a journal write of this run failed (logged once)
 }
 
 // Manager owns the run lifecycle: a bounded submission queue drained by
 // one dispatcher onto the compute pool, content-key dedupe across live
-// runs, and fan-out of persisted events to subscribers.
+// runs, and fan-out of events to subscribers.
 type Manager struct {
-	cfg   Config
-	store Store
-	pool  *runner.Group
-	now   func() time.Time
-	log   *slog.Logger
+	cfg     Config
+	journal *Journal
+	pool    *runner.Group
+	now     func() time.Time
+	log     *slog.Logger
 
 	queue          chan *run
 	dispatcherDone chan struct{}
@@ -121,22 +125,13 @@ type Manager struct {
 	subscribers atomic.Int64
 }
 
-// New builds a Manager, replays the store, marks runs that were live
-// when the previous process died as failed (their completed points stay
-// replayable — interrupted, never silently lost), and starts the
-// dispatcher.
-func New(cfg Config) (*Manager, error) {
-	if cfg.Store == nil {
-		cfg.Store = NewMemStore()
-	}
-	if cfg.Pool == nil {
-		cfg.Pool, _ = runner.WithContext(context.Background(), 0)
-	}
+// New builds a Manager, moves the journal's replayed history into runs,
+// marks runs that were live when the previous process died as failed
+// (their completed points stay replayable — interrupted, never silently
+// lost), and starts the dispatcher.
+func New(cfg Config) *Manager {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 64
-	}
-	if cfg.SubscriberBuffer <= 0 {
-		cfg.SubscriberBuffer = 256
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -147,7 +142,7 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:            cfg,
-		store:          cfg.Store,
+		journal:        cfg.Journal,
 		pool:           cfg.Pool,
 		now:            cfg.Now,
 		log:            log,
@@ -156,30 +151,22 @@ func New(cfg Config) (*Manager, error) {
 		runs:           make(map[string]*run),
 		byKey:          make(map[string]*run),
 	}
-	if err := m.recover(); err != nil {
-		return nil, err
-	}
+	m.recover()
 	go m.dispatch()
-	return m, nil
+	return m
 }
 
-// recover rebuilds snapshots from the store and terminates interrupted
-// runs: a run that was queued or running when the store was last written
-// cannot resume (its Job is gone with the old process), so it is marked
-// failed — visibly, in the store — rather than left dangling.
-func (m *Manager) recover() error {
-	metas, err := m.store.Load()
-	if err != nil {
-		return err
-	}
-	for _, meta := range metas {
-		events, err := m.store.Events(meta.ID, 0)
-		if err != nil {
-			return err
-		}
-		r := &run{meta: meta, snap: snapshotOf(meta, events), subs: make(map[int]chan Event)}
-		m.runs[meta.ID] = r
-		m.order = append(m.order, meta.ID)
+// recover rebuilds runs from the journal's history and terminates
+// interrupted ones: a run that was queued or running when the journal
+// was last written cannot resume (its Job is gone with the old process),
+// so it is marked failed — visibly, in the journal — rather than left
+// dangling.
+func (m *Manager) recover() {
+	for _, jr := range m.journal.take() {
+		r := &run{meta: jr.meta, events: jr.events, snap: snapshotOf(jr.meta, jr.events),
+			subs: make(map[int]chan Event)}
+		m.runs[jr.meta.ID] = r
+		m.order = append(m.order, jr.meta.ID)
 		if !r.snap.State.Terminal() {
 			// Pre-load the gauge the transition below will decrement.
 			if r.snap.State == StateRunning {
@@ -190,7 +177,6 @@ func (m *Manager) recover() error {
 			m.transition(r, StateFailed, "interrupted: run store reopened after restart", nil)
 		}
 	}
-	return nil
 }
 
 // newRunID returns a fresh random run id.
@@ -205,7 +191,8 @@ func newRunID() string {
 // Submit registers a run for job under the dedupe key. If a live run
 // (queued or running) already holds the key, its snapshot is returned
 // with joined=true and job is dropped — concurrent identical submissions
-// share one run and one computation. A full queue returns ErrQueueFull.
+// share one run and one computation. A full queue returns ErrQueueFull,
+// and a journal that cannot record the run returns its write error.
 func (m *Manager) Submit(kind, label, key string, params map[string]string, job Job) (Run, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -228,7 +215,7 @@ func (m *Manager) Submit(kind, label, key string, params map[string]string, job 
 		Params:  params,
 		Created: m.now(),
 	}
-	if err := m.store.Create(meta); err != nil {
+	if err := m.journal.write(journalRecord{Create: &meta}); err != nil {
 		return Run{}, false, err
 	}
 	r := &run{
@@ -306,20 +293,21 @@ func (m *Manager) execute(poolCtx context.Context, r *run) {
 	}
 }
 
-// appendLocked persists one event, folds it into the snapshot, and
-// broadcasts it. Callers hold r.mu. A subscriber whose buffer is full is
+// appendLocked appends one event to the run's log and the journal,
+// folds it into the snapshot, and broadcasts it. Callers hold r.mu. A
+// failed journal write costs only durability: the event stays in the
+// run's log for replay. A subscriber whose buffer is full is
 // disconnected (channel closed) rather than allowed to stall the run; it
 // reconnects with its last seen Seq and replays what it missed.
 func (m *Manager) appendLocked(r *run, ev Event) {
 	ev.Seq = r.snap.LastSeq + 1
 	ev.Time = m.now()
-	if err := m.store.Append(r.meta.ID, ev); err != nil {
-		if r.storeErr == nil {
-			r.storeErr = err
-			m.log.Error("run store append failed; later replays may miss events",
-				"run", r.meta.ID, "seq", ev.Seq, "err", err)
-		}
+	if err := m.journal.write(journalRecord{Run: r.meta.ID, Event: &ev}); err != nil && !r.journalLost {
+		r.journalLost = true
+		m.log.Error("run journal append failed; a restart will miss this run's later events",
+			"run", r.meta.ID, "seq", ev.Seq, "err", err)
 	}
+	r.events = append(r.events, ev)
 	r.snap.apply(ev)
 	for id, ch := range r.subs {
 		select {
@@ -478,9 +466,9 @@ func (m *Manager) Cancel(id string) (Run, error) {
 	return r.snapshot(), nil
 }
 
-// Subscribe returns the persisted events of a run with Seq > afterSeq
-// plus a live channel for what follows, with no gap or duplicate between
-// the two (both are taken under the run's event lock). The channel is
+// Subscribe returns the logged events of a run with Seq > afterSeq plus
+// a live channel for what follows, with no gap or duplicate between the
+// two (both are taken under the run's event lock). The channel is
 // closed after the terminal event — or early if the subscriber falls too
 // far behind, in which case it should resubscribe from its last seen
 // Seq. cancel releases the subscription; it is idempotent.
@@ -493,16 +481,16 @@ func (m *Manager) Subscribe(id string, afterSeq int64) (replay []Event, ch <-cha
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	replay, err = m.store.Events(id, afterSeq)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	// Events are in Seq order; binary-search the resume point. Logged
+	// events are never rewritten, so the capped slice is a stable view.
+	i := sort.Search(len(r.events), func(i int) bool { return r.events[i].Seq > afterSeq })
+	replay = r.events[i:len(r.events):len(r.events)]
 	if r.snap.State.Terminal() {
 		done := make(chan Event)
 		close(done)
 		return replay, done, func() {}, nil
 	}
-	c := make(chan Event, m.cfg.SubscriberBuffer)
+	c := make(chan Event, subscriberBuffer)
 	subID := r.nextSub
 	r.nextSub++
 	r.subs[subID] = c
@@ -537,7 +525,7 @@ func (m *Manager) Stats() Stats {
 
 // Close stops accepting submissions, lets queued and running runs drain
 // within ctx, then cancels the stragglers (marking them failed) and
-// closes the store. It is idempotent.
+// closes the journal. It is idempotent.
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
 	already := m.closed
@@ -562,7 +550,7 @@ func (m *Manager) Close(ctx context.Context) error {
 	if already {
 		return nil
 	}
-	if err := m.store.Close(); err != nil {
+	if err := m.journal.Close(); err != nil {
 		return err
 	}
 	return ctx.Err()

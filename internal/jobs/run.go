@@ -1,6 +1,6 @@
 // Package jobs is the asynchronous run runtime: submit a computation,
 // get a RunID back immediately, and follow its lifecycle — queued →
-// running → done/failed/cancelled — through a persistent event log that
+// running → done/failed/cancelled — through the run's event log, which
 // records every state transition and every partial result table.
 //
 // The pieces:
@@ -10,15 +10,16 @@
 //     synchronous requests compete for the same compute slots. A full
 //     queue rejects submissions (backpressure, ErrQueueFull → HTTP 429);
 //     identical concurrent submissions dedupe onto one run by content
-//     key (singleflight at run granularity).
-//   - Store: the persistence seam. MemStore keeps the event log in
-//     memory; FileStore appends JSON lines to a single file so runs
-//     survive daemon restarts — on reopen, runs that were mid-flight are
-//     marked failed rather than silently lost, and every persisted
-//     partial result stays replayable.
+//     key (singleflight at run granularity). Each run holds its own
+//     event log.
+//   - Journal: the optional durable copy of every log, JSON lines
+//     appended to a single file so runs survive daemon restarts — on
+//     reopen, runs that were mid-flight are marked failed rather than
+//     silently lost, and every journaled partial result stays
+//     replayable.
 //   - Subscribe: replay-then-follow event delivery. A subscriber names
 //     the last sequence number it has seen and receives everything after
-//     it — first the persisted backlog, then live events — which is
+//     it — first the logged backlog, then live events — which is
 //     exactly the contract SSE `Last-Event-ID` reconnection needs.
 //
 // Cancellation is cooperative: Cancel threads a context cancellation
@@ -60,7 +61,7 @@ const (
 	EventPoint = "point"
 )
 
-// Event is one record of a run's persisted history. Seq is 1-based and
+// Event is one record of a run's history. Seq is 1-based and
 // strictly increasing per run; it doubles as the SSE event id, so a
 // subscriber can resume from any Seq it has seen.
 type Event struct {

@@ -16,10 +16,10 @@
 //     Do coalesces concurrent builds of a key into one (singleflight).
 //
 // Cancellation is cooperative: when one item fails (or the caller's
-// context is cancelled), the context passed to every remaining callback is
-// cancelled, and callbacks are expected to check it — typically once on
-// entry, and between expensive phases. Callbacks that ignore the context
-// simply run to completion; the first error is still reported.
+// context is cancelled), no further item is started and the context
+// passed to the callbacks in flight is cancelled. Those are expected to
+// check it between expensive phases; a callback that ignores it simply
+// runs to completion, and the first error is still reported.
 package runner
 
 import (
@@ -40,11 +40,6 @@ type Options struct {
 	// Workers bounds the number of concurrently running callbacks.
 	// Zero or negative means DefaultWorkers().
 	Workers int
-	// Progress, when non-nil, is called after each item finishes
-	// (successfully or not) with the number of finished items and the
-	// total. Calls are serialized but may arrive from any worker
-	// goroutine.
-	Progress func(done, total int)
 }
 
 // Map runs fn over every item on a bounded worker pool and returns the
@@ -52,8 +47,9 @@ type Options struct {
 // lowest-indexed item that genuinely failed; errors that merely report
 // the cancellation triggered by an earlier failure (or by the caller's
 // context) never mask the root cause. The first failure cancels the
-// context seen by all other callbacks. Items whose callback failed or was
-// cancelled hold their zero value in the returned slice.
+// context seen by all other callbacks and stops dispatch. Items whose
+// callback failed, was cancelled or never started hold their zero value
+// in the returned slice.
 //
 // When every callback succeeds but the caller's context was cancelled
 // mid-run, Map returns ctx.Err() so a timed-out run is never mistaken for
@@ -83,7 +79,6 @@ func MapN[Out any](ctx context.Context, n int, opt Options, fn func(ctx context.
 
 	var (
 		mu     sync.Mutex
-		done   int
 		errIdx = -1
 		first  error
 	)
@@ -109,18 +104,14 @@ func MapN[Out any](ctx context.Context, n int, opt Options, fn func(ctx context.
 				} else {
 					out[i] = o
 				}
-				if opt.Progress != nil {
-					// Report under the lock so the counts arrive in order.
-					mu.Lock()
-					done++
-					opt.Progress(done, n)
-					mu.Unlock()
-				}
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
+	for i := 0; i < n && cctx.Err() == nil; i++ {
+		select {
+		case next <- i:
+		case <-cctx.Done():
+		}
 	}
 	close(next)
 	wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -136,26 +137,37 @@ func TestMapContextErrorWhenCallbacksIgnoreIt(t *testing.T) {
 	}
 }
 
-func TestMapProgress(t *testing.T) {
-	var mu sync.Mutex
-	var calls []int
-	total := -1
-	out, err := MapN(context.Background(), 17, Options{Workers: 4, Progress: func(done, n int) {
-		mu.Lock()
-		calls = append(calls, done)
-		total = n
-		mu.Unlock()
-	}}, func(_ context.Context, i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 17 || len(calls) != 17 || total != 17 {
-		t.Fatalf("out=%d calls=%d total=%d, want 17 each", len(out), len(calls), total)
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("progress calls not monotonic: %v", calls)
+func TestMapStopsDispatchAfterCancellation(t *testing.T) {
+	// Callbacks that ignore ctx must not keep being started once an item
+	// has failed or the caller's context is done: with one worker and
+	// item 0 failing, at most the index already handed over races the
+	// cancellation.
+	var calls atomic.Int64
+	_, err := MapN(context.Background(), 100, Options{Workers: 1}, func(_ context.Context, i int) (int, error) {
+		calls.Add(1)
+		if i == 0 {
+			return 0, errors.New("fail-0")
 		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "fail-0" {
+		t.Fatalf("err = %v, want fail-0", err)
+	}
+	if got := calls.Load(); got > 2 {
+		t.Errorf("%d callbacks ran after item 0 failed, want at most 2", got)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	calls.Store(0)
+	if _, err := MapN(ctx, 100, Options{Workers: 1}, func(context.Context, int) (int, error) {
+		calls.Add(1)
+		return 1, nil
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := calls.Load(); got != 0 {
+		t.Errorf("%d callbacks ran under a context cancelled before the call, want 0", got)
 	}
 }
 

@@ -197,10 +197,10 @@ func (s *Server) handleRunCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRunEvents streams a run's event log as Server-Sent Events: the
-// persisted backlog first, then live events, ending after the terminal
+// logged backlog first, then live events, ending after the terminal
 // event. Each frame's SSE id is the event's sequence number, so a client
 // that reconnects with Last-Event-ID (or ?after=N) replays exactly what
-// it missed, byte-identically — the store is append-only and the framing
+// it missed, byte-identically — the log is append-only and the framing
 // deterministic.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	if err := allowParams(r, "after"); err != nil {
@@ -222,12 +222,8 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		after = n
 	}
 	replay, live, stop, err := s.runs.Subscribe(r.PathValue("id"), after)
-	if errors.Is(err, jobs.ErrNotFound) || errors.Is(err, jobs.ErrNoRun) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("jobs: run not found: %s", r.PathValue("id")))
-		return
-	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s", err, r.PathValue("id")))
 		return
 	}
 	defer stop()

@@ -405,6 +405,35 @@ func TestRunSubmitValidation(t *testing.T) {
 	}
 }
 
+func TestRunSubmitOnFullDiskIs500(t *testing.T) {
+	// A journal on /dev/full opens (nothing to replay) and fails every
+	// write with ENOSPC, the disk-full fault.
+	j, err := jobs.OpenJournal("/dev/full")
+	if err != nil {
+		t.Skipf("no /dev/full to journal on: %v", err)
+	}
+	var computes atomic.Int64
+	s := New(Config{RunStore: j}, []experiments.Experiment{fakeExp("figx", &computes, nil)})
+	defer s.Close(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	// The same body twice: a refused submission leaves no dedupe key, so
+	// the second is refused too instead of joining a phantom run.
+	for i := 0; i < 2; i++ {
+		if code, body, _ := postRun(t, ts, `{"experiment":"figx"}`); code != http.StatusInternalServerError ||
+			!strings.Contains(body, "no space left") {
+			t.Errorf("POST %d on a full disk = %d %s, want 500 naming ENOSPC", i+1, code, body)
+		}
+	}
+	if _, body, _ := get(t, ts, "/v1/runs"); strings.TrimSpace(body) != "[]" {
+		t.Errorf("runs after refused submissions = %s, want none", body)
+	}
+	if computes.Load() != 0 {
+		t.Errorf("refused submissions computed %d times", computes.Load())
+	}
+}
+
 func TestDrainingRunsReturn503WithRetryAfter(t *testing.T) {
 	var computes atomic.Int64
 	s := New(Config{RetryAfter: 3 * time.Second}, []experiments.Experiment{fakeExp("figx", &computes, nil)})

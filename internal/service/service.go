@@ -63,9 +63,9 @@ type Config struct {
 	// QueueSize bounds asynchronous runs waiting for a compute slot
 	// (default 64); a full queue rejects POST /v1/runs with 429.
 	QueueSize int
-	// RunStore persists run history across restarts (e.g. a
-	// jobs.FileStore); nil keeps runs in memory only.
-	RunStore jobs.Store
+	// RunStore is the journal that persists run history across
+	// restarts (jobs.OpenJournal); nil keeps runs in memory only.
+	RunStore *jobs.Journal
 	// RetryAfter is the backoff hint attached to 429 and drain 503
 	// responses (default 5s).
 	RetryAfter time.Duration
@@ -162,24 +162,14 @@ func New(cfg Config, exps []experiments.Experiment) *Server {
 		s.exps[e.ID] = e
 		s.order = append(s.order, experimentInfo{ID: e.ID, Description: e.Description})
 	}
-	runsCfg := jobs.Config{
-		Store:     cfg.RunStore,
+	s.runs = jobs.New(jobs.Config{
+		Journal:   cfg.RunStore,
 		Pool:      pool,
 		QueueSize: cfg.QueueSize,
 		Timeout:   cfg.ComputeTimeout,
 		Logger:    log,
 		Now:       cfg.Now,
-	}
-	mgr, err := jobs.New(runsCfg)
-	if err != nil {
-		// The store replay is done by OpenFileStore before it reaches us;
-		// an error here means a store that lies about its own history.
-		// Serve with in-memory runs rather than refuse to start.
-		log.Error("run store unusable; falling back to in-memory runs", "err", err)
-		runsCfg.Store = nil
-		mgr, _ = jobs.New(runsCfg)
-	}
-	s.runs = mgr
+	})
 	s.mux.HandleFunc("GET /v1/experiments", s.handleList)
 	s.mux.HandleFunc("GET /v1/experiments/{name}", s.handleExperiment)
 	s.mux.HandleFunc("GET /v1/tsp", s.handleTSP)
