@@ -8,7 +8,10 @@ all: check
 
 # check is the tier-1 gate: build, vet, the nested perfbench module's vet
 # and tests, tests (also in shuffled order, to catch inter-test state
-# leaks), the race detector over the parallel sweep paths, a short smoke
+# leaks; they include the root dead-code guards, TestNoOrphanInternalPackages
+# and TestNoUnreferencedDecls, which fail on an internal package no
+# non-test package imports and on an internal declaration no non-test
+# code references), the race detector over the parallel sweep paths, a short smoke
 # run of every fuzz target, a one-shot run of the thermal-solve and
 # influence-build benchmarks so a broken bench path fails the gate, the
 # async-runtime smoke (a real shortened fig12 submitted as a run,
@@ -16,7 +19,8 @@ all: check
 # plus the run journal's restart and fault-injection tests under -race),
 # the policy-sandbox smoke (head-to-head race with the unsafe negative
 # control caught, under the race detector), and the CLI smoke (the
-# README toolflow through the built darksim binary).
+# README toolflow through the built darksim binary). Each smoke's exit
+# status is go test's own, so a failing smoke test fails the gate.
 check: build vet perfbench-check test test-shuffle race fuzz-smoke bench-smoke jobs-smoke policy-smoke cli-smoke
 
 build:
@@ -78,7 +82,7 @@ bench-compare:
 # zero linear solves.
 bench-smoke:
 	$(GO) test -bench='ThermalSolve|InfluenceMatrix' -benchtime=1x -run='^$$' ./internal/thermal
-	$(GO) test -run='TestInfluenceWarmPathZeroSolves' -count=1 -v ./internal/thermal | grep -E 'TestInfluenceWarmPathZeroSolves|ok '
+	$(GO) test -run='TestInfluenceWarmPathZeroSolves' -count=1 ./internal/thermal
 
 # The profiling smoke: run the micro-benchmark harness once with the
 # -cpuprofile/-memprofile flags and require both profiles to be
@@ -99,7 +103,7 @@ profile-smoke:
 # run the run journal's restart (torn tail, restart twice) and fault
 # (write error mid-run, full disk) tests under the race detector.
 jobs-smoke:
-	$(GO) test -run='TestRunFig12MatchesSync' -count=1 -v ./internal/service | grep -E 'TestRunFig12MatchesSync|ok '
+	$(GO) test -run='TestRunFig12MatchesSync' -count=1 ./internal/service
 	$(GO) test -race -run='TestFileStore|TestJournal|TestRunSubmitOnFullDisk' -count=1 ./internal/jobs ./internal/service
 
 # The policy-sandbox smoke: race the default trio head-to-head on a pack
@@ -107,7 +111,7 @@ jobs-smoke:
 # variant to be caught with its violating step named, and run the
 # sandbox's concurrent/cancellation paths under the race detector.
 policy-smoke:
-	$(GO) test -race -run='TestExecute|TestExecuteUnsafeCaught|TestRunAllConcurrent|TestRunAllCancel' -count=1 -v ./internal/policy | grep -E 'TestExecute|TestRunAll|ok '
+	$(GO) test -race -run='TestExecute|TestExecuteUnsafeCaught|TestRunAllConcurrent|TestRunAllCancel' -count=1 ./internal/policy
 
 # The CLI smoke: build darksim once and drive the README toolflow
 # through the real binary — a floorplan, a .ptrace written from its unit

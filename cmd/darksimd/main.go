@@ -19,7 +19,7 @@
 //	GET /v1/runs/{id}                     run snapshot (terminal: full result)
 //	GET /v1/runs/{id}/events              SSE stream, Last-Event-ID replay
 //	DELETE /v1/runs/{id}                  cooperative cancellation
-//	GET /healthz                          liveness
+//	GET /healthz                          liveness (503 degraded: run journal refuses writes)
 //	GET /metrics                          counters + latency histogram
 //
 // With -run-store, run history (state transitions and every partial

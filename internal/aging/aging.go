@@ -65,17 +65,6 @@ func (m Model) Acceleration(tempC float64) float64 {
 	return math.Exp(m.ActivationEV / BoltzmannEV * (1/tRef - 1/t))
 }
 
-// MTTFFactor returns the relative mean-time-to-failure at a constant
-// tempC versus operating at the reference temperature (the reciprocal of
-// the acceleration factor).
-func (m Model) MTTFFactor(tempC float64) float64 {
-	a := m.Acceleration(tempC)
-	if a == 0 {
-		return math.Inf(1)
-	}
-	return 1 / a
-}
-
 // Integrator accumulates per-core wear over a transient run.
 type Integrator struct {
 	model Model

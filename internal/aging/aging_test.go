@@ -29,22 +29,6 @@ func TestAccelerationAnchors(t *testing.T) {
 	}
 }
 
-func TestMTTFFactor(t *testing.T) {
-	m := DefaultModel()
-	if got := m.MTTFFactor(80); math.Abs(got-1) > 1e-12 {
-		t.Errorf("MTTF(ref) = %v", got)
-	}
-	if m.MTTFFactor(90) >= 1 {
-		t.Errorf("hotter should shorten MTTF")
-	}
-	if m.MTTFFactor(70) <= 1 {
-		t.Errorf("cooler should extend MTTF")
-	}
-	if !math.IsInf(m.MTTFFactor(-kelvinOffset-1), 1) {
-		t.Errorf("zero acceleration should mean infinite MTTF")
-	}
-}
-
 func TestModelValidate(t *testing.T) {
 	if err := (Model{ActivationEV: 0, RefC: 80}).Validate(); err == nil {
 		t.Errorf("zero Ea should error")

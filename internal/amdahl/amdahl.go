@@ -1,9 +1,9 @@
-// Package amdahl implements the speed-up laws the paper's application
-// model rests on. Figure 4 of the paper shows speed-up factors "based on
-// simulations conducted on gem5 and Amdahl's law"; the parallelism wall it
-// illustrates — speed-ups saturating far below the thread count — is what
-// motivates running multiple application instances instead of one
-// wide-open application.
+// Package amdahl implements Amdahl's law, the speed-up law the paper's
+// application model rests on. Figure 4 of the paper shows speed-up
+// factors "based on simulations conducted on gem5 and Amdahl's law"; the
+// parallelism wall it illustrates — speed-ups saturating far below the
+// thread count — is what motivates running multiple application instances
+// instead of one wide-open application.
 package amdahl
 
 import (
@@ -12,16 +12,8 @@ import (
 	"math"
 )
 
-// ErrInvalid is returned for non-physical law parameters or thread counts.
+// ErrInvalid is returned for a non-physical parallel fraction.
 var ErrInvalid = errors.New("amdahl: invalid")
-
-// Law maps a parallel thread count to a speed-up factor relative to a
-// single thread.
-type Law interface {
-	// Speedup returns the speed-up for n ≥ 1 threads. Implementations
-	// return 1 for n == 1 and are monotone non-decreasing in n.
-	Speedup(n int) float64
-}
 
 // Amdahl is the classic fixed-workload law: S(n) = 1 / ((1−p) + p/n),
 // where p is the parallelizable fraction of the program.
@@ -37,7 +29,7 @@ func NewAmdahl(p float64) (Amdahl, error) {
 	return Amdahl{ParallelFrac: p}, nil
 }
 
-// Speedup implements Law.
+// Speedup returns the speed-up for n ≥ 1 threads (1 for n ≤ 1).
 func (a Amdahl) Speedup(n int) float64 {
 	if n <= 1 {
 		return 1
@@ -51,64 +43,4 @@ func (a Amdahl) Limit() float64 {
 		return math.Inf(1)
 	}
 	return 1 / (1 - a.ParallelFrac)
-}
-
-// Gustafson is the scaled-workload law: S(n) = (1−p) + p·n. Included for
-// comparison studies; the paper's dependent-thread instances follow
-// Amdahl, not Gustafson.
-type Gustafson struct {
-	ParallelFrac float64
-}
-
-// Speedup implements Law.
-func (g Gustafson) Speedup(n int) float64 {
-	if n <= 1 {
-		return 1
-	}
-	return (1 - g.ParallelFrac) + g.ParallelFrac*float64(n)
-}
-
-// WithOverhead wraps a law with a per-thread synchronization overhead:
-// S'(n) = S(n) / (1 + c·(n−1)). It models the communication cost that
-// makes gem5-measured curves fall below pure Amdahl at high thread counts,
-// and can make speed-up non-monotone (a real effect: adding threads can
-// hurt).
-type WithOverhead struct {
-	Base     Law
-	PerCoeff float64 // overhead coefficient c ≥ 0
-}
-
-// Speedup implements Law.
-func (w WithOverhead) Speedup(n int) float64 {
-	if n <= 1 {
-		return 1
-	}
-	return w.Base.Speedup(n) / (1 + w.PerCoeff*float64(n-1))
-}
-
-// FitParallelFrac recovers the Amdahl parallel fraction from one measured
-// (threads, speedup) observation: p = n·(S−1) / (S·(n−1)). This is how the
-// per-application fractions are back-derived from Figure 4-style data.
-func FitParallelFrac(threads int, speedup float64) (float64, error) {
-	if threads < 2 {
-		return 0, fmt.Errorf("%w: need ≥2 threads to fit, got %d", ErrInvalid, threads)
-	}
-	if speedup < 1 || speedup > float64(threads) {
-		return 0, fmt.Errorf("%w: speedup %g outside [1, %d]", ErrInvalid, speedup, threads)
-	}
-	n := float64(threads)
-	return n * (speedup - 1) / (speedup * (n - 1)), nil
-}
-
-// BestThreads returns the thread count in [1, maxThreads] that maximizes
-// speedup per active core S(n)/n — the efficiency metric the DVFS
-// trade-off of §3.3 pivots on — along with that efficiency.
-func BestThreads(l Law, maxThreads int) (int, float64) {
-	best, bestEff := 1, l.Speedup(1)
-	for n := 1; n <= maxThreads; n++ {
-		if eff := l.Speedup(n) / float64(n); eff > bestEff {
-			best, bestEff = n, eff
-		}
-	}
-	return best, bestEff
 }

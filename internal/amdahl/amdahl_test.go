@@ -53,80 +53,6 @@ func TestNewAmdahlErrors(t *testing.T) {
 	}
 }
 
-func TestGustafson(t *testing.T) {
-	g := Gustafson{ParallelFrac: 0.9}
-	if g.Speedup(1) != 1 {
-		t.Errorf("S(1) = %v", g.Speedup(1))
-	}
-	if got := g.Speedup(10); math.Abs(got-9.1) > 1e-12 {
-		t.Errorf("S(10) = %v", got)
-	}
-	// Gustafson dominates Amdahl for the same p.
-	a, _ := NewAmdahl(0.9)
-	for n := 2; n <= 64; n *= 2 {
-		if g.Speedup(n) < a.Speedup(n) {
-			t.Errorf("Gustafson below Amdahl at n=%d", n)
-		}
-	}
-}
-
-func TestWithOverhead(t *testing.T) {
-	a, _ := NewAmdahl(0.95)
-	w := WithOverhead{Base: a, PerCoeff: 0.05}
-	if w.Speedup(1) != 1 {
-		t.Errorf("S(1) = %v", w.Speedup(1))
-	}
-	if w.Speedup(8) >= a.Speedup(8) {
-		t.Errorf("overhead should reduce speedup")
-	}
-	// With strong overhead, speed-up eventually declines.
-	strong := WithOverhead{Base: a, PerCoeff: 0.2}
-	if strong.Speedup(64) >= strong.Speedup(4) {
-		t.Errorf("strong overhead should bend the curve down: S(4)=%v S(64)=%v",
-			strong.Speedup(4), strong.Speedup(64))
-	}
-}
-
-func TestFitParallelFrac(t *testing.T) {
-	// Round trip through known fractions.
-	for _, p := range []float64{0.3, 0.6, 0.62, 0.85, 0.95} {
-		a, _ := NewAmdahl(p)
-		for _, n := range []int{2, 8, 16, 64} {
-			got, err := FitParallelFrac(n, a.Speedup(n))
-			if err != nil {
-				t.Fatalf("p=%v n=%d: %v", p, n, err)
-			}
-			if math.Abs(got-p) > 1e-9 {
-				t.Errorf("p=%v n=%d: fitted %v", p, n, got)
-			}
-		}
-	}
-	if _, err := FitParallelFrac(1, 1); err == nil {
-		t.Errorf("n=1 should error")
-	}
-	if _, err := FitParallelFrac(4, 0.5); err == nil {
-		t.Errorf("speedup <1 should error")
-	}
-	if _, err := FitParallelFrac(4, 5); err == nil {
-		t.Errorf("superlinear should error")
-	}
-}
-
-func TestBestThreads(t *testing.T) {
-	// Efficiency S(n)/n strictly decreases for Amdahl with p<1, so the
-	// best efficiency is at 1 thread.
-	a, _ := NewAmdahl(0.7)
-	n, eff := BestThreads(a, 8)
-	if n != 1 || eff != 1 {
-		t.Errorf("BestThreads = %d, %v", n, eff)
-	}
-	// Perfect scaling ties everywhere; first (lowest) wins.
-	p, _ := NewAmdahl(1)
-	if n, _ := BestThreads(p, 8); n != 1 {
-		t.Errorf("perfect scaling best = %d", n)
-	}
-}
-
 // Property: Amdahl speed-up is within [1, n] and monotone in n.
 func TestAmdahlBoundsProperty(t *testing.T) {
 	f := func(praw float64, nraw uint8) bool {
@@ -143,26 +69,6 @@ func TestAmdahlBoundsProperty(t *testing.T) {
 		return a.Speedup(n+1) >= s-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(3))}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: fitting the fraction from any (n, S(n)) pair recovers p.
-func TestFitRoundTripProperty(t *testing.T) {
-	f := func(praw float64, nraw uint8) bool {
-		p := math.Mod(math.Abs(praw), 0.999)
-		n := 2 + int(nraw)%63
-		a, err := NewAmdahl(p)
-		if err != nil {
-			return false
-		}
-		got, err := FitParallelFrac(n, a.Speedup(n))
-		if err != nil {
-			return false
-		}
-		return math.Abs(got-p) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Error(err)
 	}
 }

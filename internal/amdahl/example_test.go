@@ -24,15 +24,3 @@ func ExampleAmdahl_Speedup() {
 	// S(64) = 2.57
 	// limit = 2.63
 }
-
-// ExampleFitParallelFrac back-derives the parallel fraction from one
-// measured speed-up point, the way the catalog's fractions were fitted
-// from Figure 4-style data.
-func ExampleFitParallelFrac() {
-	p, err := amdahl.FitParallelFrac(16, 2.39)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("p = %.2f\n", p)
-	// Output: p = 0.62
-}

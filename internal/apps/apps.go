@@ -24,7 +24,6 @@ package apps
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"darksim/internal/amdahl"
 	"darksim/internal/power"
@@ -84,16 +83,6 @@ func ByName(name string) (App, error) {
 	return App{}, fmt.Errorf("%w: %q", ErrUnknownApp, name)
 }
 
-// Names returns the catalog's application names in order.
-func Names() []string {
-	cat := Catalog()
-	out := make([]string, len(cat))
-	for i, a := range cat {
-		out[i] = a.Name
-	}
-	return out
-}
-
 // SpeedupLaw returns the application's Amdahl law.
 func (a App) SpeedupLaw() amdahl.Amdahl {
 	return amdahl.Amdahl{ParallelFrac: a.ParallelFrac}
@@ -120,15 +109,6 @@ func (a App) ModelFor(node tech.Node) (power.CoreModel, error) {
 // multi-threaded instance of the application runs at fGHz (with the
 // minimum Eq.(2) voltage) and temperature tempC on the given node.
 func (a App) CorePower(node tech.Node, fGHz, tempC float64) (float64, error) {
-	return a.corePower(node, fGHz, tempC, a.Alpha)
-}
-
-// CorePowerSingle is CorePower with the single-thread activity factor.
-func (a App) CorePowerSingle(node tech.Node, fGHz, tempC float64) (float64, error) {
-	return a.corePower(node, fGHz, tempC, a.AlphaSingle)
-}
-
-func (a App) corePower(node tech.Node, fGHz, tempC, alpha float64) (float64, error) {
 	m, err := a.ModelFor(node)
 	if err != nil {
 		return 0, err
@@ -141,7 +121,7 @@ func (a App) corePower(node tech.Node, fGHz, tempC, alpha float64) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	return m.Power(alpha, vdd, fGHz, tempC), nil
+	return m.Power(a.Alpha, vdd, fGHz, tempC), nil
 }
 
 // InstanceGIPS returns the throughput of one application instance running
@@ -167,19 +147,3 @@ func (a App) HighTLP() bool { return a.ParallelFrac >= HighTLPThreshold }
 // HighILP reports whether the application benefits strongly from higher
 // v/f levels.
 func (a App) HighILP() bool { return a.IPC >= HighILPThreshold }
-
-// SortByPowerAt returns the catalog sorted by descending per-core power at
-// the given node, frequency and temperature — "power hungry" first.
-func SortByPowerAt(node tech.Node, fGHz, tempC float64) ([]App, error) {
-	cat := Catalog()
-	pw := make(map[string]float64, len(cat))
-	for _, a := range cat {
-		p, err := a.CorePower(node, fGHz, tempC)
-		if err != nil {
-			return nil, err
-		}
-		pw[a.Name] = p
-	}
-	sort.SliceStable(cat, func(i, j int) bool { return pw[cat[i].Name] > pw[cat[j].Name] })
-	return cat, nil
-}

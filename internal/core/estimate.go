@@ -164,11 +164,3 @@ func (p *Platform) BestDVFSConfig(app apps.App, instances int, tdpW float64) (DV
 	}
 	return best, nil
 }
-
-// PlanFromConfig places `instances` instances with the chosen config.
-func (p *Platform) PlanFromConfig(app apps.App, instances int, cfg DVFSConfig, strategy mapping.Strategy) (*mapping.Plan, error) {
-	if strategy == nil {
-		strategy = mapping.Contiguous
-	}
-	return mapping.Pack(p.Floorplan, strategy, instances*cfg.Threads, app, cfg.Threads, cfg.FGHz)
-}

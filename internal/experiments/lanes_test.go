@@ -80,9 +80,9 @@ func TestBoostSweepMatchesSoloRuns(t *testing.T) {
 
 // TestRotationLanesMatchSoloRuns pins the rotation/aging batch: three
 // lanes — two static plans and the rotation schedule — with per-lane wear
-// hooks in one RunLanes call must each equal a solo RunDynamic with an
-// Observer, and every hook must see the same temperatures as its solo
-// observer.
+// hooks in one RunLanes call must each equal a solo one-lane RunLanes of
+// the same provider, and every hook must see the same temperatures as its
+// solo lane's hook.
 func TestRotationLanesMatchSoloRuns(t *testing.T) {
 	p, _, lanes, err := rotationStudy()
 	if err != nil {
@@ -102,21 +102,24 @@ func TestRotationLanesMatchSoloRuns(t *testing.T) {
 	level := p.Ladder.Nearest(3.6)
 	for i, l := range lanes {
 		var solo [][]float64
-		want, err := sim.RunDynamic(p, l.Plans, boost.Constant{Level: level}, p.Ladder, sim.Options{
-			Duration: duration, ControlPeriod: 0.5e-3,
-			Observer: func(_ float64, temps, _ []float64) error {
-				solo = append(solo, slices.Clone(temps))
+		lane := &sim.Lane{
+			Plans:  l.Plans,
+			Ctrl:   sim.ChipWide(boost.Constant{Level: level}, p.Ladder, len(l.Plans.PlanAt(0).Placements)),
+			Ladder: p.Ladder,
+			Hook: func(pd *sim.Period) error {
+				solo = append(solo, slices.Clone(pd.TempsC))
 				return nil
 			},
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(l.Result, want) {
+		opt := sim.Options{Duration: duration, ControlPeriod: 0.5e-3}
+		if err := sim.RunLanes(context.Background(), p, []*sim.Lane{lane}, opt); err != nil || lane.Err != nil {
+			t.Fatal(err, lane.Err)
+		}
+		if !reflect.DeepEqual(l.Result, lane.Result) {
 			t.Errorf("%s: lane result differs from its solo run", rotationPolicies[i])
 		}
 		if len(solo) != 100 || !reflect.DeepEqual(seen[i], solo) {
-			t.Errorf("%s: hook saw %d periods, solo observer %d, or different temperatures",
+			t.Errorf("%s: hook saw %d periods, solo hook %d, or different temperatures",
 				rotationPolicies[i], len(seen[i]), len(solo))
 		}
 	}

@@ -137,22 +137,6 @@ func (fp *Floorplan) Index(row, col int) int {
 	return row*fp.Cols + col
 }
 
-// Neighbors returns the indices of the 4-connected neighbours of block i
-// in a grid floorplan (empty for non-grid plans).
-func (fp *Floorplan) Neighbors(i int) []int {
-	if fp.Cols == 0 || i < 0 || i >= len(fp.Blocks) {
-		return nil
-	}
-	b := fp.Blocks[i]
-	var out []int
-	for _, d := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
-		if j := fp.Index(b.Row+d[0], b.Col+d[1]); j >= 0 {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Distance returns the centre-to-centre Euclidean distance between blocks
 // i and j in metres.
 func (fp *Floorplan) Distance(i, j int) float64 {

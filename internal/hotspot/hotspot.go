@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -185,17 +184,4 @@ func ParseParams(r io.Reader) (map[string]float64, error) {
 		return nil, fmt.Errorf("hotspot: read: %w", err)
 	}
 	return params, nil
-}
-
-// KnownParams lists the parameters this package understands, sorted.
-func KnownParams() []string {
-	names := []string{
-		"t_chip", "k_chip", "p_chip",
-		"t_interface", "k_interface", "p_interface",
-		"s_spreader", "t_spreader", "k_spreader", "p_spreader",
-		"s_sink", "t_sink", "k_sink", "p_sink",
-		"r_convec", "c_convec", "ambient",
-	}
-	sort.Strings(names)
-	return names
 }

@@ -148,18 +148,6 @@ func TestWriteConfigRejectsNonStandardStack(t *testing.T) {
 	}
 }
 
-func TestKnownParams(t *testing.T) {
-	names := KnownParams()
-	if len(names) != 17 {
-		t.Errorf("KnownParams = %d entries", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Errorf("KnownParams not sorted")
-		}
-	}
-}
-
 func TestRoundTripThermalModelAgreement(t *testing.T) {
 	// A model built from a round-tripped config produces the same
 	// steady-state temperatures as one built from the original.

@@ -167,6 +167,17 @@ func (j *Journal) write(rec journalRecord) error {
 	return nil
 }
 
+// Err returns the sticky error that refuses every later write (the first
+// failed write, or Close), or nil while the journal accepts records.
+func (j *Journal) Err() error {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.err
+}
+
 // Close closes the file; later writes fail. It is idempotent.
 func (j *Journal) Close() error {
 	if j == nil {

@@ -192,7 +192,8 @@ func newRunID() string {
 // (queued or running) already holds the key, its snapshot is returned
 // with joined=true and job is dropped — concurrent identical submissions
 // share one run and one computation. A full queue returns ErrQueueFull,
-// and a journal that cannot record the run returns its write error.
+// and a journal that cannot record the run returns its write error; both
+// refusals count as rejected.
 func (m *Manager) Submit(kind, label, key string, params map[string]string, job Job) (Run, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -216,6 +217,7 @@ func (m *Manager) Submit(kind, label, key string, params map[string]string, job 
 		Created: m.now(),
 	}
 	if err := m.journal.write(journalRecord{Create: &meta}); err != nil {
+		m.rejected.Add(1)
 		return Run{}, false, err
 	}
 	r := &run{

@@ -60,14 +60,11 @@ func NewAffinePowers(m *Matrix, maxJ int) (*AffinePowers, error) {
 	}, nil
 }
 
-// Size returns the dimension of the map.
-func (a *AffinePowers) Size() int { return a.n }
-
 // MaxHop returns the largest step count a single composed pair covers.
 func (a *AffinePowers) MaxHop() int { return 1 << a.maxJ }
 
 // Advance applies k steps of the map to t in place: t ← Mᵏ·t + S_k·b.
-// scratch must have length Size() and must not alias t or b.
+// scratch must have the map's dimension and must not alias t or b.
 func (a *AffinePowers) Advance(k int, t, b, scratch Vector) error {
 	if len(t) != a.n || len(b) != a.n || len(scratch) != a.n {
 		return fmt.Errorf("%w: AffinePowers advance n=%d t=%d b=%d scratch=%d",

@@ -260,32 +260,11 @@ func (pl *Plan) PowerVector(node NodePowerer, tempC float64) ([]float64, error) 
 	return pw, nil
 }
 
-// TotalPower sums the plan's power at the given temperature estimate.
-func (pl *Plan) TotalPower(node NodePowerer, tempC float64) (float64, error) {
-	pw, err := pl.PowerVector(node, tempC)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, p := range pw {
-		sum += p
-	}
-	return sum, nil
-}
-
 // NodePowerer abstracts "per-core power of app a at frequency f" so the
 // plan types do not hard-code a technology node. internal/core provides
 // the standard implementation.
 type NodePowerer interface {
 	CorePower(a apps.App, fGHz, tempC float64) (float64, error)
-}
-
-// NodePowerFunc adapts a function to NodePowerer.
-type NodePowerFunc func(a apps.App, fGHz, tempC float64) (float64, error)
-
-// CorePower implements NodePowerer.
-func (f NodePowerFunc) CorePower(a apps.App, fGHz, tempC float64) (float64, error) {
-	return f(a, fGHz, tempC)
 }
 
 // AddInstances is the one instance packer: it splits the ordered core

@@ -23,11 +23,27 @@ func grid10(t testing.TB) *floorplan.Floorplan {
 	return fp
 }
 
-// powerer16 evaluates Equation (1) at 16 nm.
-func powerer16() NodePowerer {
-	return NodePowerFunc(func(a apps.App, fGHz, tempC float64) (float64, error) {
-		return a.CorePower(tech.Node16, fGHz, tempC)
-	})
+// node16 evaluates Equation (1) at 16 nm.
+type node16 struct{}
+
+func (node16) CorePower(a apps.App, fGHz, tempC float64) (float64, error) {
+	return a.CorePower(tech.Node16, fGHz, tempC)
+}
+
+func powerer16() NodePowerer { return node16{} }
+
+// totalPower sums the plan's power vector at 80 °C.
+func totalPower(t *testing.T, plan *Plan, pow NodePowerer) float64 {
+	t.Helper()
+	pw, err := plan.PowerVector(pow, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, w := range pw {
+		sum += w
+	}
+	return sum
 }
 
 func thermalEval(t testing.TB, fp *floorplan.Floorplan, pow NodePowerer) Evaluator {
@@ -200,11 +216,7 @@ func TestPlanAccounting(t *testing.T) {
 	if pw[0] <= 0 || pw[5] != 0 {
 		t.Errorf("power vector wrong: %v %v", pw[0], pw[5])
 	}
-	total, err := plan.TotalPower(powerer16(), 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total <= 0 {
+	if total := totalPower(t, plan, powerer16()); total <= 0 {
 		t.Errorf("total power = %v", total)
 	}
 }
@@ -254,10 +266,7 @@ func TestTDPMapRespectsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := plan.TotalPower(pow, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
+	total := totalPower(t, plan, pow)
 	if total > 185 {
 		t.Errorf("TDPmap exceeded budget: %.1f W", total)
 	}
@@ -295,11 +304,7 @@ func TestTDPMapPartialInstance(t *testing.T) {
 	if part.ActiveCores() < full.ActiveCores() {
 		t.Errorf("partial instance should not reduce active cores")
 	}
-	totalPart, err := part.TotalPower(pow, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if totalPart > 220 {
+	if totalPart := totalPower(t, part, pow); totalPart > 220 {
 		t.Errorf("partial fill exceeded budget: %.1f W", totalPart)
 	}
 }

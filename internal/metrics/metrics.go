@@ -71,14 +71,6 @@ func (e *EnergyMeter) TotalKJ() float64 { return e.joules / 1e3 }
 // Elapsed returns the integrated time in seconds.
 func (e *EnergyMeter) Elapsed() float64 { return e.seconds }
 
-// AveragePowerW returns the mean power over the integrated interval.
-func (e *EnergyMeter) AveragePowerW() float64 {
-	if e.seconds == 0 {
-		return 0
-	}
-	return e.joules / e.seconds
-}
-
 // Series is a sampled time series (or any x/y series for figure output).
 type Series struct {
 	Name string
@@ -94,18 +86,6 @@ func (s *Series) Append(x, y float64) {
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.X) }
-
-// Mean returns the mean of Y (0 when empty).
-func (s *Series) Mean() float64 {
-	if len(s.Y) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, y := range s.Y {
-		sum += y
-	}
-	return sum / float64(len(s.Y))
-}
 
 // Max returns the maximum of Y (−Inf when empty).
 func (s *Series) Max() float64 {

@@ -43,13 +43,6 @@ func TestEnergyMeter(t *testing.T) {
 	if math.Abs(e.Elapsed()-1.5) > 1e-12 {
 		t.Errorf("Elapsed = %v", e.Elapsed())
 	}
-	if math.Abs(e.AveragePowerW()-200.0/1.5) > 1e-9 {
-		t.Errorf("AvgPower = %v", e.AveragePowerW())
-	}
-	var zero EnergyMeter
-	if zero.AveragePowerW() != 0 {
-		t.Errorf("empty meter avg = %v", zero.AveragePowerW())
-	}
 }
 
 func TestEnergyMeterErrors(t *testing.T) {
@@ -67,9 +60,6 @@ func TestEnergyMeterErrors(t *testing.T) {
 
 func TestSeriesStats(t *testing.T) {
 	var s Series
-	if s.Mean() != 0 {
-		t.Errorf("empty mean = %v", s.Mean())
-	}
 	if !math.IsInf(s.Max(), -1) || !math.IsInf(s.Min(), 1) {
 		t.Errorf("empty extremes wrong")
 	}
@@ -81,9 +71,6 @@ func TestSeriesStats(t *testing.T) {
 	}
 	if s.Max() != 81 || s.Min() != 0 {
 		t.Errorf("extremes = %v/%v", s.Min(), s.Max())
-	}
-	if math.Abs(s.Mean()-28.5) > 1e-12 {
-		t.Errorf("Mean = %v", s.Mean())
 	}
 }
 

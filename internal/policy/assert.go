@@ -3,15 +3,45 @@ package policy
 import (
 	"fmt"
 	"math"
-
-	"darksim/internal/trace"
 )
 
 // The assertion engine generalizes internal/verify's invariant idea from
 // "check a rendered figure once" to "check every step of a simulated
 // trace": assertions are declarative data — a predicate kind plus the
-// signal and bounds it constrains — evaluated over trace.Step sequences,
-// and a failure names the first violating step with its full context.
+// signal and bounds it constrains — evaluated over Step sequences, and a
+// failure names the first violating step with its full context. The
+// checks run in process over the sandbox's in-memory trace, as a run-time
+// monitor; traces are never written out.
+
+// Step is one control period of a sandbox run: the decision the policy
+// made, the power partition it produced and the thermal ground truth
+// after the thermal model advanced.
+type Step struct {
+	// Index is the control-period number (0-based); TimeS its start time.
+	Index int
+	TimeS float64
+	// Levels is the ladder level the policy set per placement; Gated
+	// marks placements the policy power-gated for this period.
+	Levels []int
+	Gated  []bool
+	// PlacementW is each placement's summed core power this period;
+	// TotalW the chip total and MaxCoreW the hottest single core's power
+	// (what the TSP budget bounds).
+	PlacementW []float64
+	TotalW     float64
+	MaxCoreW   float64
+	// PeakC is the peak core temperature after the thermal step; GIPS
+	// and ActiveCores the throughput and powered-core count of the
+	// period; TSPPerCoreW the worst-case thermal safe power of the
+	// period's active set (0 when not evaluated).
+	PeakC       float64
+	GIPS        float64
+	ActiveCores int
+	TSPPerCoreW float64
+	// DTM records that the sandbox's emergency throttle overrode the
+	// policy's decision this period.
+	DTM bool
+}
 
 // Kind is the predicate family of an assertion.
 type Kind string
@@ -139,7 +169,7 @@ func StandardAssertions(tdtmC float64, maxLevel int) []Assertion {
 }
 
 // signalOf extracts a Signal's value from a step.
-func signalOf(s *trace.Step, sig Signal) (float64, error) {
+func signalOf(s *Step, sig Signal) (float64, error) {
 	switch sig {
 	case SignalPeakC:
 		return s.PeakC, nil
@@ -157,7 +187,7 @@ func signalOf(s *trace.Step, sig Signal) (float64, error) {
 }
 
 // stepContext formats the full step record for a violation detail.
-func stepContext(s *trace.Step) string {
+func stepContext(s *Step) string {
 	return fmt.Sprintf("peak %.3f °C, total %.2f W, max core %.4f W, %.1f GIPS, %d active, TSP %.4f W/core, levels %v, gated %v, dtm %v",
 		s.PeakC, s.TotalW, s.MaxCoreW, s.GIPS, s.ActiveCores, s.TSPPerCoreW, s.Levels, s.Gated, s.DTM)
 }
@@ -166,7 +196,7 @@ func stepContext(s *trace.Step) string {
 // Violation per failed assertion, naming the first violating step. A
 // non-nil error means an assertion itself is malformed (unknown kind or
 // signal), not that the trace failed.
-func Check(steps []trace.Step, asserts []Assertion) ([]Violation, error) {
+func Check(steps []Step, asserts []Assertion) ([]Violation, error) {
 	var out []Violation
 	for _, a := range asserts {
 		v, err := checkOne(steps, a)
@@ -182,8 +212,8 @@ func Check(steps []trace.Step, asserts []Assertion) ([]Violation, error) {
 
 // checkOne walks the trace under a single assertion and returns the
 // first violation, or nil.
-func checkOne(steps []trace.Step, a Assertion) (*Violation, error) {
-	fail := func(s *trace.Step, format string, args ...any) *Violation {
+func checkOne(steps []Step, a Assertion) (*Violation, error) {
+	fail := func(s *Step, format string, args ...any) *Violation {
 		return &Violation{
 			Assertion: a.Name,
 			Pins:      a.Pins,

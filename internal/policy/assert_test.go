@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"darksim/internal/trace"
 )
 
 const (
@@ -18,8 +16,8 @@ const (
 // time inside [0, maxLevel], peak temperatures inside the TDTM band,
 // per-core power inside the TSP sprint budget, and placement powers
 // summing exactly to the recorded total.
-func genLegalTrace(rng *rand.Rand, steps, placements int) []trace.Step {
-	out := make([]trace.Step, steps)
+func genLegalTrace(rng *rand.Rand, steps, placements int) []Step {
+	out := make([]Step, steps)
 	levels := make([]int, placements)
 	for i := range levels {
 		levels[i] = rng.Intn(testMaxLevel + 1)
@@ -50,7 +48,7 @@ func genLegalTrace(rng *rand.Rand, steps, placements int) []trace.Step {
 			}
 		}
 		tsp := 2 + 3*rng.Float64()
-		out[s] = trace.Step{
+		out[s] = Step{
 			Index:       s,
 			TimeS:       float64(s) * 1e-3,
 			Levels:      append([]int(nil), levels...),
@@ -88,24 +86,24 @@ func TestLegalTracesPass(t *testing.T) {
 // fires.
 type injector struct {
 	name   string
-	mutate func(steps []trace.Step, k int, rng *rand.Rand)
+	mutate func(steps []Step, k int, rng *rand.Rand)
 }
 
 func injectors() []injector {
 	return []injector{
-		{"never-exceed-tdtm", func(steps []trace.Step, k int, rng *rand.Rand) {
+		{"never-exceed-tdtm", func(steps []Step, k int, rng *rand.Rand) {
 			// Just over the band, with core power inside the sprint budget
 			// so tsp-respected stays quiet.
 			steps[k].PeakC = testTDTM + TDTMSlackC + 0.01
 			steps[k].MaxCoreW = steps[k].TSPPerCoreW
 		}},
-		{"tsp-respected", func(steps []trace.Step, k int, rng *rand.Rand) {
+		{"tsp-respected", func(steps []Step, k int, rng *rand.Rand) {
 			// Exactly on the TDTM band boundary: qualifies for the TSP
 			// check (>=) without exceeding the TDTM limit (>).
 			steps[k].PeakC = testTDTM + TDTMSlackC
 			steps[k].MaxCoreW = (1+DefaultTSPSlack)*steps[k].TSPPerCoreW + 0.01
 		}},
-		{"ladder-step-legal", func(steps []trace.Step, k int, rng *rand.Rand) {
+		{"ladder-step-legal", func(steps []Step, k int, rng *rand.Rand) {
 			j := rng.Intn(len(steps[k].Levels))
 			prev := steps[k-1].Levels[j]
 			if prev >= 2 {
@@ -114,13 +112,13 @@ func injectors() []injector {
 				steps[k].Levels[j] = prev + 2
 			}
 		}},
-		{"ladder-range-legal", func(steps []trace.Step, k int, rng *rand.Rand) {
+		{"ladder-range-legal", func(steps []Step, k int, rng *rand.Rand) {
 			steps[k].Levels[rng.Intn(len(steps[k].Levels))] = testMaxLevel + 1
 		}},
-		{"power-partition", func(steps []trace.Step, k int, rng *rand.Rand) {
+		{"power-partition", func(steps []Step, k int, rng *rand.Rand) {
 			steps[k].TotalW += 1.0
 		}},
-		{"time-monotone", func(steps []trace.Step, k int, rng *rand.Rand) {
+		{"time-monotone", func(steps []Step, k int, rng *rand.Rand) {
 			steps[k].TimeS = steps[k-1].TimeS - 1e-3
 		}},
 	}

@@ -6,17 +6,16 @@ import (
 	"fmt"
 
 	"darksim/internal/sim"
-	"darksim/internal/trace"
 )
 
 // packLane is one policy's lane in a lockstep race: the engine lane plus
 // the trace its hook records.
 type packLane struct {
 	sim.Lane
-	out       *Outcome
-	prep      *Prepared
-	tspByMask map[string]float64
-	activeSum int
+	out         *Outcome
+	prep        *Prepared
+	tspByActive map[int]float64
+	activeSum   int
 
 	// Per-run arenas for the trace's per-step slices: one backing array
 	// per field instead of one allocation per step per field.
@@ -52,7 +51,7 @@ func (e *Env) race(ctx context.Context, pols []Policy, opt Options) ([]*packLane
 			continue
 		}
 		pl.prep = prep
-		pl.tspByMask = make(map[string]float64, 2)
+		pl.tspByActive = make(map[int]float64, 2)
 		pl.Lane = sim.Lane{
 			Plans:       sim.StaticPlan{Plan: prep.Plan},
 			Ctrl:        prep.Ctrl,
@@ -85,13 +84,13 @@ func (e *Env) race(ctx context.Context, pols []Policy, opt Options) ([]*packLane
 // appends the period to the lane's trace.
 func (e *Env) recorder(ctx context.Context, pl *packLane, steps int) func(*sim.Period) error {
 	return func(pd *sim.Period) error {
-		tspW, err := e.tspFor(ctx, pd.Gated, pd.ActiveCores, pl.tspByMask)
+		tspW, err := e.tspFor(ctx, pd.ActiveCores, pl.tspByActive)
 		if err != nil {
 			return err
 		}
 		if pl.out.Steps == nil {
 			n := len(pd.Levels)
-			pl.out.Steps = make([]trace.Step, 0, steps)
+			pl.out.Steps = make([]Step, 0, steps)
 			pl.levelsBuf = make([]int, 0, steps*n)
 			pl.gatedBuf = make([]bool, 0, steps*n)
 			pl.wBuf = make([]float64, 0, steps*n)
@@ -103,7 +102,7 @@ func (e *Env) recorder(ctx context.Context, pl *packLane, steps int) func(*sim.P
 		pl.gatedBuf = append(pl.gatedBuf, pd.Gated...)
 		ws := len(pl.wBuf)
 		pl.wBuf = append(pl.wBuf, pd.PlacementW...)
-		pl.out.Steps = append(pl.out.Steps, trace.Step{
+		pl.out.Steps = append(pl.out.Steps, Step{
 			Index:       pd.Step,
 			TimeS:       pd.TimeS,
 			Levels:      pl.levelsBuf[ls:len(pl.levelsBuf):len(pl.levelsBuf)],

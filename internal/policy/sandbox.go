@@ -8,7 +8,6 @@ import (
 
 	"darksim/internal/core"
 	"darksim/internal/report"
-	"darksim/internal/trace"
 )
 
 // Options configures a sandbox run. Policies race on sim.RunLanes, the
@@ -63,8 +62,8 @@ type Outcome struct {
 	DarkPercent float64 `json:"dark_percent"`
 	DTMEvents   int     `json:"dtm_events"`
 
-	Violations []Violation  `json:"violations,omitempty"`
-	Steps      []trace.Step `json:"-"`
+	Violations []Violation `json:"violations,omitempty"`
+	Steps      []Step      `json:"-"`
 }
 
 // Passed reports whether the run completed and its trace satisfied every
@@ -85,30 +84,21 @@ func (e *Env) Run(ctx context.Context, pol Policy, opt Options) (*Outcome, error
 	return outs[0], nil
 }
 
-// tspFor returns the worst-case per-core TSP of the current active set,
-// memoized by gating mask (the active set only changes when gates move).
-func (e *Env) tspFor(ctx context.Context, gated []bool, active int, memo map[string]float64) (float64, error) {
+// tspFor returns the worst-case per-core TSP of a period with active
+// powered cores, memoized by that count: WorstCase depends on nothing
+// else, so the memo serves every gating mask of the same size.
+func (e *Env) tspFor(ctx context.Context, active int, memo map[int]float64) (float64, error) {
 	if active == 0 {
 		return 0, nil
 	}
-	// A stack-buffered mask and an in-place lookup: hits do not allocate.
-	var buf [64]byte
-	mask := buf[:0]
-	for _, g := range gated {
-		if g {
-			mask = append(mask, '1')
-		} else {
-			mask = append(mask, '0')
-		}
-	}
-	if v, ok := memo[string(mask)]; ok {
+	if v, ok := memo[active]; ok {
 		return v, nil
 	}
 	budget, _, err := e.TSP.WorstCase(ctx, active)
 	if err != nil {
 		return 0, err
 	}
-	memo[string(mask)] = budget
+	memo[active] = budget
 	return budget, nil
 }
 

@@ -117,24 +117,4 @@ func (s *Schedule) PlanAt(t float64) *mapping.Plan {
 	return s.Phases[idx]
 }
 
-// DutyCycle returns the fraction of time a given core is active across
-// the schedule (0 for always-dark cores, 1 for cores active in every
-// phase).
-func (s *Schedule) DutyCycle(core int) float64 {
-	if len(s.Phases) == 0 {
-		return 0
-	}
-	active := 0
-	for _, plan := range s.Phases {
-		for _, pl := range plan.Placements {
-			for _, c := range pl.Cores {
-				if c == core {
-					active++
-				}
-			}
-		}
-	}
-	return float64(active) / float64(len(s.Phases))
-}
-
 var _ sim.PlanProvider = (*Schedule)(nil)

@@ -1,6 +1,7 @@
 package rotate
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -88,29 +89,8 @@ func TestScheduleStructure(t *testing.T) {
 	} else if s.PlanAt(-0.1) != s.Phases[1] {
 		t.Errorf("negative time should wrap")
 	}
-}
-
-func TestDutyCycle(t *testing.T) {
-	fp := grid(t)
-	x, _ := apps.ByName("x264")
-	s, err := New(fp, x, Options{Instances: 6, FGHz: 3.0, Phases: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for c := 0; c < 100; c++ {
-		d := s.DutyCycle(c)
-		if d != 0 && math.Abs(d-0.5) > 1e-12 {
-			t.Errorf("core %d duty = %v, want 0 or 0.5", c, d)
-		}
-		sum += d
-	}
-	// Total duty equals the per-phase active count.
-	if math.Abs(sum-48) > 1e-9 {
-		t.Errorf("total duty = %v, want 48", sum)
-	}
 	var empty Schedule
-	if empty.DutyCycle(0) != 0 || empty.PlanAt(1) != nil {
+	if empty.PlanAt(1) != nil {
 		t.Errorf("empty schedule should be inert")
 	}
 }
@@ -152,10 +132,11 @@ func TestRotationLowersPeakTemperature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rotated, err := sim.RunDynamic(p, sched, boost.Constant{Level: level}, p.Ladder, opts)
-	if err != nil {
-		t.Fatal(err)
+	lane := &sim.Lane{Plans: sched, Ctrl: sim.ChipWide(boost.Constant{Level: level}, p.Ladder, instances), Ladder: p.Ladder}
+	if err := sim.RunLanes(context.Background(), p, []*sim.Lane{lane}, opts); err != nil || lane.Err != nil {
+		t.Fatal(err, lane.Err)
 	}
+	rotated := lane.Result
 	// Identical performance…
 	if math.Abs(static.AvgGIPS-rotated.AvgGIPS) > 1e-6 {
 		t.Errorf("GIPS differ: %v vs %v", static.AvgGIPS, rotated.AvgGIPS)

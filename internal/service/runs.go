@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 
@@ -127,10 +126,10 @@ func (s *Server) handleRunSubmit(w http.ResponseWriter, r *http.Request) {
 	run, joined, err := s.runs.Submit(kind, label, key, params, s.runJob(key, label, params, fn))
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
-		s.writeRetryError(w, http.StatusTooManyRequests, err)
+		writeRetryError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, jobs.ErrClosed):
-		s.writeRetryError(w, http.StatusServiceUnavailable, err)
+		writeRetryError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, err)
@@ -272,14 +271,14 @@ func writeSSE(w io.Writer, ev jobs.Event) error {
 	return err
 }
 
+// retryAfterS is the Retry-After hint, in seconds, of 429 and drain 503
+// responses.
+const retryAfterS = 5
+
 // writeRetryError writes an error with a Retry-After hint so
 // well-behaved clients back off instead of hammering a saturated or
 // draining server.
-func (s *Server) writeRetryError(w http.ResponseWriter, status int, err error) {
-	secs := int(math.Ceil(s.cfg.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+func writeRetryError(w http.ResponseWriter, status int, err error) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterS))
 	writeError(w, status, err)
 }

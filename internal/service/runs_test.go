@@ -280,7 +280,7 @@ func TestRunQueueFullReturns429(t *testing.T) {
 		progressExp("figc", 1, &computes, gate),
 		progressExp("figd", 1, &computes, gate),
 	}
-	s := New(Config{Workers: 1, QueueSize: 1, RetryAfter: 7 * time.Second}, exps)
+	s := New(Config{Workers: 1, QueueSize: 1}, exps)
 	closeWithin(t, s)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -305,8 +305,8 @@ func TestRunQueueFullReturns429(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity submission = %d %s, want 429", code, b)
 	}
-	if got := hdr.Get("Retry-After"); got != "7" {
-		t.Errorf("Retry-After = %q, want %q", got, "7")
+	if got := hdr.Get("Retry-After"); got != "5" {
+		t.Errorf("Retry-After = %q, want %q", got, "5")
 	}
 
 	// /metrics reflects the saturation.
@@ -417,6 +417,9 @@ func TestRunSubmitOnFullDiskIs500(t *testing.T) {
 	defer s.Close(context.Background())
 	ts := httptest.NewServer(s)
 	defer ts.Close()
+	if code, body, _ := get(t, ts, "/healthz"); code != http.StatusOK {
+		t.Errorf("healthz before any write = %d %s, want 200", code, body)
+	}
 
 	// The same body twice: a refused submission leaves no dedupe key, so
 	// the second is refused too instead of joining a phantom run.
@@ -432,11 +435,28 @@ func TestRunSubmitOnFullDiskIs500(t *testing.T) {
 	if computes.Load() != 0 {
 		t.Errorf("refused submissions computed %d times", computes.Load())
 	}
+	// The refusals are visible: counted as rejected, and health degraded.
+	_, mbody, _ := get(t, ts, "/metrics")
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(mbody), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Runs.Rejected != 2 {
+		t.Errorf("metrics runs rejected = %d, want 2", snap.Runs.Rejected)
+	}
+	code, body, _ := get(t, ts, "/healthz")
+	var health struct{ Status, Error string }
+	if err := json.Unmarshal([]byte(body), &health); err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusServiceUnavailable || health.Status != "degraded" || !strings.Contains(health.Error, "no space left") {
+		t.Errorf("healthz after a journal write error = %d %s, want 503 degraded naming ENOSPC", code, body)
+	}
 }
 
 func TestDrainingRunsReturn503WithRetryAfter(t *testing.T) {
 	var computes atomic.Int64
-	s := New(Config{RetryAfter: 3 * time.Second}, []experiments.Experiment{fakeExp("figx", &computes, nil)})
+	s := New(Config{}, []experiments.Experiment{fakeExp("figx", &computes, nil)})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	if err := s.Close(context.Background()); err != nil {
@@ -444,12 +464,12 @@ func TestDrainingRunsReturn503WithRetryAfter(t *testing.T) {
 	}
 
 	code, body, hdr := postRun(t, ts, `{"experiment":"figx"}`)
-	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") != "3" {
+	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") != "5" {
 		t.Errorf("draining POST /v1/runs = %d (Retry-After %q) %s, want 503 with hint",
 			code, hdr.Get("Retry-After"), body)
 	}
 	codeSync, bodySync, hdrSync := get(t, ts, "/v1/experiments/figx")
-	if codeSync != http.StatusServiceUnavailable || hdrSync.Get("Retry-After") != "3" {
+	if codeSync != http.StatusServiceUnavailable || hdrSync.Get("Retry-After") != "5" {
 		t.Errorf("draining sync GET = %d (Retry-After %q) %s, want 503 with hint",
 			codeSync, hdrSync.Get("Retry-After"), bodySync)
 	}

@@ -66,9 +66,6 @@ type Config struct {
 	// RunStore is the journal that persists run history across
 	// restarts (jobs.OpenJournal); nil keeps runs in memory only.
 	RunStore *jobs.Journal
-	// RetryAfter is the backoff hint attached to 429 and drain 503
-	// responses (default 5s).
-	RetryAfter time.Duration
 	// Logger receives structured request logs; nil disables logging.
 	Logger *slog.Logger
 	// Now is the clock (for tests); nil means time.Now.
@@ -131,9 +128,6 @@ func New(cfg Config, exps []experiments.Experiment) *Server {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runner.DefaultWorkers()
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 5 * time.Second
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -439,7 +433,7 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key, id str
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrDraining):
-			s.writeRetryError(w, http.StatusServiceUnavailable, err)
+			writeRetryError(w, http.StatusServiceUnavailable, err)
 		case errors.Is(err, context.DeadlineExceeded):
 			writeError(w, http.StatusGatewayTimeout, fmt.Errorf("%s: computation timed out: %w", id, err))
 		case errors.Is(err, context.Canceled):
@@ -455,11 +449,19 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key, id str
 	writeJSON(w, http.StatusOK, resultResponse{Result: res, Cache: source})
 }
 
+// handleHealth answers 200 "ok", or 503 "degraded" naming the run
+// journal's error once the journal refuses writes (a full disk): from
+// then on every POST /v1/runs fails until the daemon restarts.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	status, body := http.StatusOK, map[string]any{
 		"status":   "ok",
 		"uptime_s": s.cfg.Now().Sub(s.start).Seconds(),
-	})
+	}
+	if err := s.cfg.RunStore.Err(); err != nil {
+		status = http.StatusServiceUnavailable
+		body["status"], body["error"] = "degraded", err.Error()
+	}
+	writeJSON(w, status, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

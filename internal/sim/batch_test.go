@@ -122,12 +122,6 @@ func TestRunBatchValidation(t *testing.T) {
 	if _, err := RunBatch(ctx, p, []BatchRun{{Plan: nil, Ctrl: fixedLevel(0)}}, p.Ladder, Options{Duration: 1}); err == nil {
 		t.Errorf("nil lane plan should error")
 	}
-	if _, err := RunBatch(ctx, p, []BatchRun{{Plan: plan, Ctrl: fixedLevel(0)}}, p.Ladder, Options{
-		Duration: 1,
-		Observer: func(float64, []float64, []float64) error { return nil },
-	}); err == nil {
-		t.Errorf("Observer should be rejected in batch runs")
-	}
 	if res, err := RunBatch(ctx, p, nil, p.Ladder, Options{Duration: 1}); err != nil || res != nil {
 		t.Errorf("empty batch should be a no-op, got %v, %v", res, err)
 	}

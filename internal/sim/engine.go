@@ -173,8 +173,7 @@ type engine struct {
 // Under StepAuto a lane macro-steps quiet intervals when its controller
 // is ChipWide over a FixedLevelController, its plan static, it has no
 // hook and the model supports macro steps; every other lane steps
-// exactly. opt.StartSteady is ignored (each lane sets its own) and
-// opt.Observer must be nil (use a hook).
+// exactly. opt.StartSteady is ignored (each lane sets its own).
 //
 // A lane error (invalid plan or decision, failing hook) retires that
 // lane into its Err while the others race on. Only infrastructure
@@ -183,9 +182,6 @@ type engine struct {
 func RunLanes(ctx context.Context, p *core.Platform, lanes []*Lane, opt Options) error {
 	if p == nil {
 		return fmt.Errorf("%w: nil argument", ErrRun)
-	}
-	if opt.Observer != nil {
-		return fmt.Errorf("%w: lockstep lanes take hooks, not an Observer", ErrRun)
 	}
 	e, err := newEngine(p, opt)
 	if err != nil || len(lanes) == 0 {

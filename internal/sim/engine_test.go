@@ -57,12 +57,6 @@ func TestRunLanesValidation(t *testing.T) {
 	if err := RunLanes(ctx, p, []*Lane{lane()}, Options{}); !errors.Is(err, ErrRun) {
 		t.Errorf("zero duration: %v", err)
 	}
-	if err := RunLanes(ctx, p, []*Lane{lane()}, Options{
-		Duration: 1,
-		Observer: func(float64, []float64, []float64) error { return nil },
-	}); !errors.Is(err, ErrRun) {
-		t.Errorf("Observer accepted: %v", err)
-	}
 	noLadder := lane()
 	noLadder.Ladder = nil
 	if err := RunLanes(ctx, p, []*Lane{noLadder}, Options{Duration: 0.005}); err != nil || !errors.Is(noLadder.Err, ErrRun) {

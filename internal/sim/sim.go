@@ -17,8 +17,8 @@
 //
 // A DTM guard clamps a lane to the lowest level while its temperature is
 // above an emergency threshold, mirroring the hardware thermal protection
-// the paper's TDTM is defined against. Run, RunDynamic and RunBatch are
-// chip-wide wrappers over RunLanes.
+// the paper's TDTM is defined against. Run and RunBatch are chip-wide
+// wrappers over RunLanes.
 package sim
 
 import (
@@ -72,7 +72,7 @@ const (
 	// samples the frozen-power trajectory replaces the per-period
 	// leakage re-evaluation, a drift bounded well inside the golden
 	// corpus tolerance (see the sim property tests). Runs whose
-	// controller, provider or Observer cannot be proven quiet degrade to
+	// controller, provider or hook cannot be proven quiet degrade to
 	// StepExact bit for bit.
 	StepAuto
 )
@@ -109,12 +109,6 @@ type Options struct {
 	// StepMode selects exact per-period stepping (default) or the
 	// macro-stepping fast path for provably quiet intervals.
 	StepMode StepMode
-	// Observer, when set, is invoked after every control period with the
-	// simulated time and the per-core temperature and power vectors (not
-	// copies — observers must not retain or mutate them). Aging
-	// integration and custom trace capture hook in here; a non-nil error
-	// aborts the run.
-	Observer func(now float64, tempsC, powerW []float64) error
 }
 
 // Result is the outcome of a transient run.
@@ -156,43 +150,13 @@ func (s StaticPlan) PlanAt(float64) *mapping.Plan { return s.Plan }
 // The plan's placements define which cores run which application with how
 // many threads; the controller overrides every placement's frequency with
 // a single chip-wide level from `ladder` (the paper's §6 experiments drive
-// all active cores together).
+// all active cores together). It is a one-lane RunBatch.
 func Run(p *core.Platform, plan *mapping.Plan, ctrl Controller, ladder *vf.Ladder, opt Options) (Result, error) {
-	if plan == nil {
-		return Result{}, fmt.Errorf("%w: nil plan", ErrRun)
-	}
-	return RunDynamic(p, StaticPlan{Plan: plan}, ctrl, ladder, opt)
-}
-
-// RunDynamic simulates a time-varying workload as a one-lane RunLanes
-// under a ChipWide controller; opt.Observer becomes the lane's hook.
-// Plans returned by the provider must all be for the platform's core
-// count; each newly adopted plan is validated.
-func RunDynamic(p *core.Platform, provider PlanProvider, ctrl Controller, ladder *vf.Ladder, opt Options) (Result, error) {
-	if p == nil || provider == nil || ctrl == nil || ladder == nil {
-		return Result{}, fmt.Errorf("%w: nil argument", ErrRun)
-	}
-	plan := provider.PlanAt(0)
-	if plan == nil {
-		return Result{}, fmt.Errorf("%w: provider returned nil plan", ErrRun)
-	}
-	lane := chipLane(provider, ctrl, len(plan.Placements), ladder, opt)
-	if obs := opt.Observer; obs != nil {
-		lane.Hook = func(pd *Period) error {
-			if err := obs(pd.TimeS, pd.TempsC, pd.PowerW); err != nil {
-				return fmt.Errorf("sim: observer: %w", err)
-			}
-			return nil
-		}
-		opt.Observer = nil
-	}
-	if err := RunLanes(context.TODO(), p, []*Lane{lane}, opt); err != nil {
+	res, err := RunBatch(context.TODO(), p, []BatchRun{{Plan: plan, Ctrl: ctrl}}, ladder, opt)
+	if err != nil {
 		return Result{}, err
 	}
-	if lane.Err != nil {
-		return Result{}, lane.Err
-	}
-	return lane.Result, nil
+	return res[0], nil
 }
 
 // BatchRun is one lane of RunBatch: a static plan simulated under its
@@ -205,8 +169,7 @@ type BatchRun struct {
 // RunBatch simulates every run as a chip-wide lane of one RunLanes, so
 // each control period's thermal solve is shared across lanes. Every
 // lane's Result is bit-for-bit identical to Run(p, run.Plan, run.Ctrl,
-// ladder, opt), StepMode included; any lane error fails the call, and
-// an Observer is rejected.
+// ladder, opt), StepMode included; any lane error fails the call.
 func RunBatch(ctx context.Context, p *core.Platform, runs []BatchRun, ladder *vf.Ladder, opt Options) ([]Result, error) {
 	if ladder == nil {
 		return nil, fmt.Errorf("%w: nil argument", ErrRun)
@@ -216,7 +179,12 @@ func RunBatch(ctx context.Context, p *core.Platform, runs []BatchRun, ladder *vf
 		if r.Plan == nil || r.Ctrl == nil {
 			return nil, fmt.Errorf("%w: nil argument in lane %d", ErrRun, i)
 		}
-		lanes[i] = chipLane(StaticPlan{Plan: r.Plan}, r.Ctrl, len(r.Plan.Placements), ladder, opt)
+		lanes[i] = &Lane{
+			Plans:       StaticPlan{Plan: r.Plan},
+			Ctrl:        ChipWide(r.Ctrl, ladder, len(r.Plan.Placements)),
+			Ladder:      ladder,
+			StartSteady: opt.StartSteady,
+		}
 	}
 	if err := RunLanes(ctx, p, lanes, opt); err != nil || len(runs) == 0 {
 		return nil, err
@@ -229,13 +197,4 @@ func RunBatch(ctx context.Context, p *core.Platform, runs []BatchRun, ladder *vf
 		out[i] = l.Result
 	}
 	return out, nil
-}
-
-func chipLane(plans PlanProvider, ctrl Controller, placements int, ladder *vf.Ladder, opt Options) *Lane {
-	return &Lane{
-		Plans:       plans,
-		Ctrl:        ChipWide(ctrl, ladder, placements),
-		Ladder:      ladder,
-		StartSteady: opt.StartSteady,
-	}
 }

@@ -30,7 +30,7 @@ func (r *rampCtrl) Current() int { return r.level }
 
 // TestStepAutoDegradesBitIdentical pins the exactness contract: whenever
 // a run cannot be proven quiet — stateful controller, dynamic plan
-// provider, or a DTM threshold the frozen steady state would violate —
+// provider, a per-period hook, or a DTM threshold the frozen steady state would violate —
 // StepAuto must produce the StepExact result bit for bit, fused power
 // coefficients included.
 func TestStepAutoDegradesBitIdentical(t *testing.T) {
@@ -45,10 +45,16 @@ func TestStepAutoDegradesBitIdentical(t *testing.T) {
 		{"stateful controller", func(opt Options) (Result, error) {
 			return Run(p, planA, &rampCtrl{max: 5}, p.Ladder, opt)
 		}},
+		// The next two cases run long enough, at a level low enough, that
+		// the same lane on a static plan without a hook macro-steps.
 		{"dynamic provider", func(opt Options) (Result, error) {
+			opt.Duration, opt.RecordPoints = 2, 50
 			planB := x264Plan(t, p)
-			return RunDynamic(p, planSwitcher{at: 0.05, a: planA, b: planB},
-				fixedQuiet(3), p.Ladder, opt)
+			return runSolo(p, planSwitcher{at: 1, a: planA, b: planB}, fixedQuiet(p.Ladder.Nearest(3.0)), nil, opt)
+		}},
+		{"hooked lane", func(opt Options) (Result, error) {
+			opt.Duration, opt.RecordPoints = 2, 50
+			return runSolo(p, StaticPlan{Plan: planA}, fixedQuiet(p.Ladder.Nearest(3.0)), func(*Period) error { return nil }, opt)
 		}},
 		{"frozen steady above DTM cap", func(opt Options) (Result, error) {
 			opt.EmergencyC = p.Thermal.Ambient() + 1

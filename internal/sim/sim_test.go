@@ -1,8 +1,9 @@
 package sim
 
 import (
-	"fmt"
-	"strings"
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"darksim/internal/apps"
@@ -169,45 +170,60 @@ func TestRunGIPSMatchesLevel(t *testing.T) {
 	}
 }
 
+// runSolo steps one chip-wide lane under ctrl through RunLanes, with an
+// optional per-period hook: the solo reference for dynamic plans and
+// hooks.
+func runSolo(p *core.Platform, plans PlanProvider, ctrl Controller, hook func(*Period) error, opt Options) (Result, error) {
+	lane := &Lane{
+		Plans:  plans,
+		Ctrl:   ChipWide(ctrl, p.Ladder, len(plans.PlanAt(0).Placements)),
+		Ladder: p.Ladder,
+		Hook:   hook,
+	}
+	if err := RunLanes(context.Background(), p, []*Lane{lane}, opt); err != nil {
+		return Result{}, err
+	}
+	return lane.Result, lane.Err
+}
+
 func TestRunObserver(t *testing.T) {
 	p := plat(t)
 	plan := x264Plan(t, p)
+	opt := Options{Duration: 0.05, ControlPeriod: 1e-3}
 	calls := 0
 	var lastPeak float64
-	res, err := Run(p, plan, fixedLevel(3), p.Ladder, Options{
-		Duration:      0.05,
-		ControlPeriod: 1e-3,
-		Observer: func(now float64, temps, power []float64) error {
-			calls++
-			if len(temps) != 100 || len(power) != 100 {
-				t.Fatalf("observer vectors sized %d/%d", len(temps), len(power))
+	res, err := runSolo(p, StaticPlan{Plan: plan}, fixedLevel(3), func(pd *Period) error {
+		calls++
+		if len(pd.TempsC) != 100 || len(pd.PowerW) != 100 {
+			t.Fatalf("hook vectors sized %d/%d", len(pd.TempsC), len(pd.PowerW))
+		}
+		for _, tc := range pd.TempsC {
+			if tc > lastPeak {
+				lastPeak = tc
 			}
-			for _, tc := range temps {
-				if tc > lastPeak {
-					lastPeak = tc
-				}
-			}
-			return nil
-		},
-	})
+		}
+		return nil
+	}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls != 50 {
-		t.Errorf("observer called %d times, want 50", calls)
+		t.Errorf("hook called %d times, want 50", calls)
 	}
 	if lastPeak < res.MaxTempC-1e-9 {
-		t.Errorf("observer missed the peak: %v vs %v", lastPeak, res.MaxTempC)
+		t.Errorf("hook missed the peak: %v vs %v", lastPeak, res.MaxTempC)
 	}
-	// Observer errors abort the run.
-	boom := fmt.Errorf("boom")
-	_, err = Run(p, plan, fixedLevel(3), p.Ladder, Options{
-		Duration:      0.05,
-		ControlPeriod: 1e-3,
-		Observer:      func(float64, []float64, []float64) error { return boom },
-	})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("observer error should abort the run: %v", err)
+	want, err := Run(p, plan, fixedLevel(3), p.Ladder, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("hooked lane differs from the unhooked Run")
+	}
+	// A hook error retires the lane.
+	boom := errors.New("boom")
+	if _, err := runSolo(p, StaticPlan{Plan: plan}, fixedLevel(3), func(*Period) error { return boom }, opt); !errors.Is(err, boom) {
+		t.Errorf("hook error should retire the lane: %v", err)
 	}
 }
 
@@ -226,11 +242,8 @@ func TestRunDynamicSwitchesPlans(t *testing.T) {
 			App: x, Cores: cores[i*8 : (i+1)*8], FGHz: 3.0, Threads: 8,
 		})
 	}
-	switcher := planSwitcher{at: 0.025, a: planA, b: planB}
-	res, err := RunDynamic(p, switcher, fixedLevel(3), p.Ladder, Options{
-		Duration:      0.05,
-		ControlPeriod: 1e-3,
-	})
+	opt := Options{Duration: 0.05, ControlPeriod: 1e-3}
+	res, err := runSolo(p, planSwitcher{at: 0.025, a: planA, b: planB}, fixedLevel(3), nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,19 +255,11 @@ func TestRunDynamicSwitchesPlans(t *testing.T) {
 	}
 	// A provider returning an invalid plan aborts.
 	bad := &mapping.Plan{NumCores: 3}
-	_, err = RunDynamic(p, planSwitcher{at: 0.01, a: planA, b: bad}, fixedLevel(3), p.Ladder, Options{
-		Duration:      0.05,
-		ControlPeriod: 1e-3,
-	})
-	if err == nil {
+	if _, err := runSolo(p, planSwitcher{at: 0.01, a: planA, b: bad}, fixedLevel(3), nil, opt); err == nil {
 		t.Errorf("invalid mid-run plan should abort")
 	}
 	// A provider returning nil mid-run aborts.
-	_, err = RunDynamic(p, planSwitcher{at: 0.01, a: planA, b: nil}, fixedLevel(3), p.Ladder, Options{
-		Duration:      0.05,
-		ControlPeriod: 1e-3,
-	})
-	if err == nil {
+	if _, err := runSolo(p, planSwitcher{at: 0.01, a: planA, b: nil}, fixedLevel(3), nil, opt); err == nil {
 		t.Errorf("nil mid-run plan should abort")
 	}
 }

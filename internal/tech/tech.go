@@ -140,33 +140,3 @@ func SpecFor(n Node) (Spec, error) {
 		FmaxGHz:     fmax,
 	}, nil
 }
-
-// MustSpec is SpecFor for the four known nodes; it panics on unknown nodes
-// and is intended for package-level tables and tests.
-func MustSpec(n Node) Spec {
-	s, err := SpecFor(n)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// ScalePower scales a dynamic power value measured at 22 nm to node n when
-// the scaled design runs at its own nominal voltage and a frequency scaled
-// by the frequency factor. Dynamic power is α·Ceff·Vdd²·f, so the combined
-// factor is Capacitance · Vdd² · Frequency.
-func (f Factors) ScalePower(p22 float64) float64 {
-	return p22 * f.Capacitance * f.Vdd * f.Vdd * f.Frequency
-}
-
-// ScaleCapacitance scales an effective switching capacitance from 22 nm.
-func (f Factors) ScaleCapacitance(c22 float64) float64 { return c22 * f.Capacitance }
-
-// ScaleArea scales an area from 22 nm.
-func (f Factors) ScaleArea(a22 float64) float64 { return a22 * f.Area }
-
-// ScaleVdd scales a supply voltage from 22 nm.
-func (f Factors) ScaleVdd(v22 float64) float64 { return v22 * f.Vdd }
-
-// ScaleFrequency scales a frequency from 22 nm.
-func (f Factors) ScaleFrequency(hz22 float64) float64 { return hz22 * f.Frequency }

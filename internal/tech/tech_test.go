@@ -51,6 +51,15 @@ func TestNodesOrder(t *testing.T) {
 	}
 }
 
+func mustSpec(t *testing.T, n Node) Spec {
+	t.Helper()
+	s, err := SpecFor(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestCoreAreasMatchPaper(t *testing.T) {
 	// §2.1: "we obtain the following core areas: 5.1 mm², 2.7 mm², and
 	// 1.4 mm² for 16 nm, 11 nm and 8 nm" (from 9.6 mm² at 22 nm).
@@ -64,7 +73,7 @@ func TestCoreAreasMatchPaper(t *testing.T) {
 		{Node8, 1.4},
 	}
 	for _, c := range cases {
-		s := MustSpec(c.node)
+		s := mustSpec(t, c.node)
 		if math.Abs(s.CoreAreaMM2-c.want) > 0.06 {
 			t.Errorf("%v: core area = %.2f mm², want ≈%.1f", c.node, s.CoreAreaMM2, c.want)
 		}
@@ -73,7 +82,7 @@ func TestCoreAreasMatchPaper(t *testing.T) {
 
 func TestSpecNominalPoints(t *testing.T) {
 	for _, n := range Nodes() {
-		s := MustSpec(n)
+		s := mustSpec(t, n)
 		if s.Vth != BaselineVth {
 			t.Errorf("%v: Vth = %v", n, s.Vth)
 		}
@@ -85,12 +94,12 @@ func TestSpecNominalPoints(t *testing.T) {
 		}
 	}
 	// 22 nm K should be close to the paper's literal k = 3.7.
-	s22 := MustSpec(Node22)
+	s22 := mustSpec(t, Node22)
 	if math.Abs(s22.K-BaselineK) > 0.2 {
 		t.Errorf("22nm K = %v, want ≈3.7", s22.K)
 	}
 	// Nominal frequencies per the paper's experiments.
-	if MustSpec(Node16).FmaxGHz != 3.6 || MustSpec(Node11).FmaxGHz != 4.0 || MustSpec(Node8).FmaxGHz != 4.4 {
+	if mustSpec(t, Node16).FmaxGHz != 3.6 || mustSpec(t, Node11).FmaxGHz != 4.0 || mustSpec(t, Node8).FmaxGHz != 4.4 {
 		t.Errorf("nominal fmax values drifted from the paper")
 	}
 }
@@ -98,33 +107,6 @@ func TestSpecNominalPoints(t *testing.T) {
 func TestSpecForUnknown(t *testing.T) {
 	if _, err := SpecFor(Node(7)); err == nil {
 		t.Fatalf("expected error")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("MustSpec should panic on unknown node")
-		}
-	}()
-	MustSpec(Node(7))
-}
-
-func TestScaleHelpers(t *testing.T) {
-	f := Factors{Vdd: 0.89, Frequency: 1.35, Capacitance: 0.64, Area: 0.53}
-	if got, want := f.ScaleArea(9.6), 9.6*0.53; math.Abs(got-want) > 1e-12 {
-		t.Errorf("ScaleArea = %v", got)
-	}
-	if got, want := f.ScaleVdd(1.0), 0.89; got != want {
-		t.Errorf("ScaleVdd = %v", got)
-	}
-	if got, want := f.ScaleFrequency(2.0), 2.7; math.Abs(got-want) > 1e-12 {
-		t.Errorf("ScaleFrequency = %v", got)
-	}
-	if got, want := f.ScaleCapacitance(2.0), 1.28; math.Abs(got-want) > 1e-12 {
-		t.Errorf("ScaleCapacitance = %v", got)
-	}
-	// Dynamic power factor = C·V²·f.
-	want := 10.0 * 0.64 * 0.89 * 0.89 * 1.35
-	if got := f.ScalePower(10); math.Abs(got-want) > 1e-12 {
-		t.Errorf("ScalePower = %v, want %v", got, want)
 	}
 }
 
@@ -137,7 +119,8 @@ func TestPowerDensityIncreasesWithScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		density := f.ScalePower(1) / f.Area
+		// Dynamic power α·C·Vdd²·f scales by C·Vdd²·f.
+		density := f.Capacitance * f.Vdd * f.Vdd * f.Frequency / f.Area
 		if density < prev {
 			t.Errorf("%v: power density factor %.3f decreased (prev %.3f)", n, density, prev)
 		}

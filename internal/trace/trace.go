@@ -13,13 +13,9 @@
 package trace
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"darksim/internal/apps"
 	"darksim/internal/power"
@@ -119,49 +115,4 @@ func FitModel(rows []Row, alphaSingle float64) (power.CoreModel, error) {
 		samples[i] = power.Sample{FGHz: r.FGHz, Vdd: r.Vdd, TempC: r.TempC, PowerW: r.PowerW}
 	}
 	return power.Fit(samples, power.DefaultLeakage22(), alphaSingle)
-}
-
-// Write emits the trace as a tab-separated table with a header line,
-// the on-disk interchange format of the tool flow.
-func Write(w io.Writer, rows []Row) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# f_ghz\tvdd_v\ttemp_c\tpower_w\tgips")
-	for _, r := range rows {
-		fmt.Fprintf(bw, "%.3f\t%.4f\t%.2f\t%.4f\t%.3f\n", r.FGHz, r.Vdd, r.TempC, r.PowerW, r.GIPS)
-	}
-	return bw.Flush()
-}
-
-// Read parses a trace written by Write.
-func Read(r io.Reader) ([]Row, error) {
-	sc := bufio.NewScanner(r)
-	var rows []Row
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 5 {
-			return nil, fmt.Errorf("trace: line %d: want 5 fields, got %d", line, len(fields))
-		}
-		var vals [5]float64
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", line, err)
-			}
-			vals[i] = v
-		}
-		rows = append(rows, Row{FGHz: vals[0], Vdd: vals[1], TempC: vals[2], PowerW: vals[3], GIPS: vals[4]})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: read: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, errors.New("trace: empty input")
-	}
-	return rows, nil
 }

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"darksim/internal/apps"
@@ -91,11 +89,8 @@ func TestFitModelRoundTrip(t *testing.T) {
 	// The fit-from-trace must recover the catalog's ground truth to a few
 	// per cent — this is the paper's "model fits the simulation" claim
 	// (Figure 3) in test form.
-	for _, name := range apps.Names() {
-		a, err := apps.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, a := range apps.Catalog() {
+		name := a.Name
 		rows, err := Generate(a, Options{Seed: 7, NoiseFrac: 0.01})
 		if err != nil {
 			t.Fatal(err)
@@ -109,47 +104,5 @@ func TestFitModelRoundTrip(t *testing.T) {
 			t.Errorf("%s: fitted Ceff %.3f vs truth %.3f (%.1f%% off)",
 				name, fit.CeffNF, truth.CeffNF, rel*100)
 		}
-	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	x, _ := apps.ByName("swaptions")
-	rows, err := Generate(x, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rows) {
-		t.Fatalf("rows = %d, want %d", len(got), len(rows))
-	}
-	for i := range rows {
-		if math.Abs(got[i].PowerW-rows[i].PowerW) > 1e-3 {
-			t.Fatalf("row %d power drifted: %v vs %v", i, got[i].PowerW, rows[i].PowerW)
-		}
-		if math.Abs(got[i].FGHz-rows[i].FGHz) > 1e-3 {
-			t.Fatalf("row %d freq drifted", i)
-		}
-	}
-}
-
-func TestReadErrors(t *testing.T) {
-	if _, err := Read(strings.NewReader("")); err == nil {
-		t.Errorf("empty input should error")
-	}
-	if _, err := Read(strings.NewReader("1 2 3\n")); err == nil {
-		t.Errorf("short row should error")
-	}
-	if _, err := Read(strings.NewReader("a b c d e\n")); err == nil {
-		t.Errorf("non-numeric row should error")
-	}
-	if _, err := Read(strings.NewReader("# only comments\n")); err == nil {
-		t.Errorf("comment-only input should error")
 	}
 }

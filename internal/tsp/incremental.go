@@ -125,14 +125,6 @@ func (u *Incremental) SetActive(cores []int) error {
 	return nil
 }
 
-// Active returns the current active set in activation order. The slice
-// is a copy and safe to retain.
-func (u *Incremental) Active() []int {
-	out := make([]int, len(u.active))
-	copy(out, u.active)
-	return out
-}
-
 // TSP evaluates the budget for the current active set from the
 // maintained row sums.
 func (u *Incremental) TSP() (float64, error) {

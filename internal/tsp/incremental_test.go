@@ -31,7 +31,7 @@ func TestIncrementalMatchesGiven(t *testing.T) {
 	inSet := make(map[int]bool)
 	check := func(op string) {
 		t.Helper()
-		active := u.Active()
+		active := u.active
 		if len(active) != len(inSet) {
 			t.Fatalf("%s: updater tracks %d cores, test tracks %d", op, len(active), len(inSet))
 		}
@@ -159,7 +159,7 @@ func TestIncrementalErrors(t *testing.T) {
 	if err := u.SetActive([]int{7, 8, 300}); err == nil {
 		t.Errorf("partially invalid set should error")
 	}
-	got := u.Active()
+	got := u.active
 	if len(got) != 2 || got[0] != 7 || got[1] != 8 {
 		t.Errorf("failed SetActive mutated the set: %v", got)
 	}

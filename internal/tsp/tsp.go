@@ -58,9 +58,6 @@ func New(model *thermal.Model, tcritC float64) (*Calculator, error) {
 	return &Calculator{model: model, tcrit: tcritC, base: base}, nil
 }
 
-// Tcrit returns the configured critical temperature.
-func (c *Calculator) Tcrit() float64 { return c.tcrit }
-
 // Given returns TSP for a specific active-core set: the maximum uniform
 // per-core power (W) keeping every core below Tcrit. The context bounds
 // the (cached, usually already computed) influence-matrix build.

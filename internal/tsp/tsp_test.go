@@ -214,9 +214,6 @@ func TestRangeErrors(t *testing.T) {
 	if _, err := c.Table(context.Background(), 101, 1); err == nil {
 		t.Errorf("oversized table should error")
 	}
-	if c.Tcrit() != 80 {
-		t.Errorf("Tcrit = %v", c.Tcrit())
-	}
 }
 
 func TestTableMonotone(t *testing.T) {

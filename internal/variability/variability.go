@@ -93,15 +93,6 @@ func Generate(fp *floorplan.Floorplan, opt Options) (*Map, error) {
 	return m, nil
 }
 
-// MeanLeakMult returns the average leakage multiplier.
-func (m *Map) MeanLeakMult() float64 {
-	var s float64
-	for _, v := range m.LeakMult {
-		s += v
-	}
-	return s / float64(len(m.LeakMult))
-}
-
 // ApplyLeak scales the leakage share of a per-core power map in place:
 // power[i] = power[i] + (LeakMult[i]−1)·leakW for active cores (power>0).
 func (m *Map) ApplyLeak(power []float64, leakW float64) error {
