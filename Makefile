@@ -67,7 +67,7 @@ bench-report:
 	$(GO) run ./cmd/darksim bench -out $(BENCH_OUT)
 
 # The CI regression gate: rerun the headline benchmarks — solver,
-# influence, TSP, the transient step/macro kernels, and the per-figure
+# influence, TSP, the exact transient step kernel, and the per-figure
 # transients (figure/fig11–13 are headline entries now, so the figure
 # sweeps must run) — and fail on >25% slowdown against the committed
 # baseline. Headlines the baseline predates are listed, not gated.
@@ -142,7 +142,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzServiceParams -fuzztime=$(FUZZTIME) -run='^$$' ./internal/service
 	$(GO) test -fuzz=FuzzCSRMulVec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/linalg
 	$(GO) test -fuzz=FuzzEnvelopeSolve -fuzztime=$(FUZZTIME) -run='^$$' ./internal/linalg
-	$(GO) test -fuzz=FuzzAffinePowers -fuzztime=$(FUZZTIME) -run='^$$' ./internal/linalg
 	$(GO) test -fuzz=FuzzScenarioSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/scenario
 	$(GO) test -fuzz=FuzzPolicyTrace -fuzztime=$(FUZZTIME) -run='^$$' ./internal/policy
 

@@ -44,8 +44,8 @@ type Report struct {
 	NumCPU  int      `json:"numcpu"`
 	Results []Result `json:"results"`
 	// Speedups maps a benchmark family to the ratio of two of its
-	// entries measured in this same run (e.g. InfluenceBlock over
-	// InfluenceWarm): cold over warm cache, exact over macro stepping.
+	// entries measured in this same run: cold over warm cache (e.g.
+	// InfluenceBlock over InfluenceWarm).
 	Speedups map[string]float64 `json:"speedups"`
 }
 
@@ -74,19 +74,13 @@ const tspCoreSide = 32
 const influenceCoreSide = 32
 
 // transientSmallSide and transientLargeSide size the transient stepping
-// micro-benchmarks: 100 cores sits below the macro-kernel node gate (so
-// TransientMacro runs there), 1024 cores is the realistic large platform
-// (above the gate — exact steps only). The Dense/Sparse name suffixes
-// predate the single envelope solver and are kept for comparability.
+// micro-benchmarks: the 100-core paper platform and the realistic large
+// 1024-core platform. The Dense/Sparse name suffixes predate the single
+// envelope solver and are kept for comparability.
 const (
 	transientSmallSide = 10
 	transientLargeSide = 32
 )
-
-// macroBenchSteps is the quiet-interval length TransientMacro collapses
-// per op; the matching exact-path cost is macroBenchSteps single steps,
-// which is how computeSpeedups derives the macro speedup.
-const macroBenchSteps = 1000
 
 // spec is one named benchmark; solver optionally snapshots the stats of
 // the model the final iteration used.
@@ -155,11 +149,6 @@ func (rep *Report) computeSpeedups() {
 	cores := tspCoreSide * tspCoreSide
 	ratio(fmt.Sprintf("tsp_warm/cores=%d", cores),
 		fmt.Sprintf("TSPWorstCaseSparse/cores=%d", cores), fmt.Sprintf("TSPWorstCaseWarm/cores=%d", cores), 1)
-	// Macro vs exact stepping: one TransientMacro op advances
-	// macroBenchSteps periods, so the fair exact-path cost is step × k.
-	mcores := transientSmallSide * transientSmallSide
-	ratio(fmt.Sprintf("transient_macro_dense/cores=%d", mcores),
-		fmt.Sprintf("TransientStepDense/cores=%d", mcores), fmt.Sprintf("TransientMacroDense/cores=%d", mcores), macroBenchSteps)
 }
 
 // WriteJSON marshals the report with stable indentation.
@@ -197,7 +186,6 @@ func buildSpecs(ctx context.Context, opt Options) ([]spec, error) {
 		tspWarmSpec(tspCoreSide),
 		transientStepSpec("Dense", transientSmallSide),
 		transientStepSpec("Sparse", transientLargeSide),
-		transientMacroSpec(transientSmallSide),
 	)
 	if opt.Figures {
 		specs = append(specs, parallelFiguresSpec(ctx))
@@ -246,35 +234,6 @@ func transientStepSpec(label string, side int) spec {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := tr.Step(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-	}
-}
-
-// transientMacroSpec measures collapsing a quiet macroBenchSteps-step
-// interval through the affine-powers ladder: O(log k) fused matrix
-// applies instead of k triangular solves. The kernel build (dense
-// inverse + ladder rungs) is warmed off the clock, matching how the
-// figure sweeps amortize it across a whole run.
-func transientMacroSpec(side int) spec {
-	name := fmt.Sprintf("TransientMacroDense/cores=%d", side*side)
-	return spec{
-		name: name,
-		run: func(b *testing.B) {
-			tr, p := transientModel(b, side)
-			if !tr.MacroSupported() {
-				b.Fatalf("%s: macro path unsupported at %d cores", name, side*side)
-			}
-			if _, err := tr.MacroStep(p, macroBenchSteps); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.SetUniform(45)
-				if _, err := tr.MacroStep(p, macroBenchSteps); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,17 +28,15 @@ func TestThermalSolveSpec(t *testing.T) {
 	}
 }
 
-// TestTransientSpecs runs the transient step/macro benchmark bodies
-// once on a tiny platform: below the node gate the macro path must be
-// available, so the specs may not silently fall back to exact stepping.
+// TestTransientSpecs runs the transient step benchmark body once on a
+// tiny platform.
 func TestTransientSpecs(t *testing.T) {
-	for _, s := range []spec{transientStepSpec("Dense", 4), transientMacroSpec(4)} {
-		if !strings.Contains(s.name, "Dense/cores=16") {
-			t.Fatalf("spec name %q", s.name)
-		}
-		if br := testing.Benchmark(s.run); br.N == 0 {
-			t.Fatalf("%s did not run", s.name)
-		}
+	s := transientStepSpec("Dense", 4)
+	if !strings.Contains(s.name, "Dense/cores=16") {
+		t.Fatalf("spec name %q", s.name)
+	}
+	if br := testing.Benchmark(s.run); br.N == 0 {
+		t.Fatalf("%s did not run", s.name)
 	}
 }
 
@@ -52,7 +50,6 @@ func TestComputeSpeedupsAndJSON(t *testing.T) {
 			{Name: "InfluenceBlock/cores=1024", NsPerOp: 8},
 			{Name: "InfluenceWarm/cores=1024", NsPerOp: 2},
 			{Name: "TransientStepDense/cores=100", NsPerOp: 1000},
-			{Name: "TransientMacroDense/cores=100", NsPerOp: 100000},
 		},
 		Speedups: make(map[string]float64),
 	}
@@ -63,12 +60,8 @@ func TestComputeSpeedupsAndJSON(t *testing.T) {
 	if got := rep.Speedups["tsp_warm/cores=1024"]; got != 5 {
 		t.Errorf("tsp warm speedup = %v", got)
 	}
-	// One macro op covers macroBenchSteps exact steps: 1000·1000/100000.
-	if got := rep.Speedups["transient_macro_dense/cores=100"]; got != 10 {
-		t.Errorf("transient macro speedup = %v", got)
-	}
-	if len(rep.Speedups) != 3 {
-		t.Errorf("speedups = %v, want exactly the three cold/warm and exact/macro ratios", rep.Speedups)
+	if len(rep.Speedups) != 2 {
+		t.Errorf("speedups = %v, want exactly the two cold/warm ratios", rep.Speedups)
 	}
 	// A family missing one entry produces no ratio.
 	partial := &Report{Results: rep.Results[:3], Speedups: make(map[string]float64)}
@@ -84,7 +77,7 @@ func TestComputeSpeedupsAndJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("report JSON does not round-trip: %v", err)
 	}
-	if len(back.Results) != 7 || back.Speedups["tsp_warm/cores=1024"] != 5 {
+	if len(back.Results) != 6 || back.Speedups["tsp_warm/cores=1024"] != 5 {
 		t.Errorf("round-trip lost data: %+v", back)
 	}
 }

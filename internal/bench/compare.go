@@ -12,8 +12,8 @@ import (
 // Headline names the benchmarks the CI regression gate gates on: the
 // cold 1024-core thermal solve, the influence-matrix build and the warm
 // (influence-cached) worst-case TSP, the three transient figures and the
-// transient step/macro kernels behind them (the macro-stepping fast
-// path), and the parallel-figures wall clock. The names predate the
+// exact transient step kernel behind them, and the parallel-figures wall
+// clock. The names predate the
 // single envelope solver — "Sparse", "Dense" and "Block" label the
 // operation the entry has always timed, not a solve path — and are kept
 // so reports stay comparable across the trajectory.
@@ -26,7 +26,6 @@ var Headline = []string{
 	"figure/fig13",
 	"TransientStepDense/cores=100",
 	"TransientStepSparse/cores=1024",
-	"TransientMacroDense/cores=100",
 	"FiguresParallel/figs=3",
 }
 

@@ -93,8 +93,8 @@ func (c Constant) Next(float64) int { return c.Level }
 func (c Constant) Current() int { return c.Level }
 
 // FixedLevel implements sim.FixedLevelController: the decision never
-// depends on the observed temperature, so quiet intervals may be
-// macro-stepped under sim.StepAuto.
+// depends on the observed temperature, so under sim.StepAuto a lane on
+// its steady state may snap onto it and hold.
 func (c Constant) FixedLevel() int { return c.Level }
 
 // Greedy is a deliberately unsafe boosting controller: it steps up every

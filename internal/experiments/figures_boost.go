@@ -20,9 +20,9 @@ import (
 
 // sweepRecordPoints is the recording-grid cap for the table-only sweeps
 // (Figures 12 and 13): they report scalar aggregates, not traces, so a
-// coarse grid suffices — and since macro-stepped quiet intervals span
-// exactly the gaps between recording points, a coarse grid turns a
-// 5000-step constant arm into a few dozen macro hops.
+// coarse grid suffices — and since a snapped constant lane holds from one
+// recording point to the next, a coarse grid turns a 5000-step constant
+// arm into a few dozen steady-state checks.
 const sweepRecordPoints = 64
 
 // CheckDuration rejects negative or non-finite run lengths with
@@ -38,15 +38,16 @@ func CheckDuration(id string, seconds float64) error {
 // boostSweep runs the boost-vs-constant comparison for every plan of a
 // figure as one lockstep sim.RunLanes: lane 2i is plan i's constant arm
 // at its sustainable level, lane 2i+1 its closed-loop boosting arm.
-// Under sim.StepAuto the constant lanes are provably quiet and macro-step
-// their intervals inside the batch, while the boosting lanes' stateful
+// Under sim.StepAuto the constant lanes are provably quiet: started on
+// their steady state, they snap onto it and hold between recording
+// points inside the batch, while the boosting lanes' stateful
 // controllers step exactly, every period's triangular solve streaming the
 // cached thermal factor once across all of them. Each lane is bit-for-bit
 // its solo sim.Run. Results are indexed like plans; constLevels[i] is
 // plan i's constant level. label(i) names plan i in the errors of its
 // level search and lanes; recordPoints caps the stored series (0 = sim
-// default), and the table-only sweeps pass a small cap so quiet intervals
-// collapse into long macro hops.
+// default), and the table-only sweeps pass a small cap so a snapped lane
+// holds for long stretches.
 func boostSweep(ctx context.Context, p *core.Platform, plans []*mapping.Plan, duration float64, recordPoints int, label func(i int) string) (boostRes, constRes []sim.Result, constLevels []int, err error) {
 	ladder := p.BoostLadder
 	fail := func(i int, err error) ([]sim.Result, []sim.Result, []int, error) {
@@ -301,9 +302,9 @@ func Fig12(ctx context.Context, opt Fig12Options) (*Fig12Result, error) {
 		}
 	}
 	// Build every sweep point's plan, then run the whole sweep as one
-	// boostSweep batch: the constant lanes macro-step (table-only sweep,
-	// so the coarse recording grid turns quiet intervals into long hops)
-	// while the boosting lanes share each period's thermal solve. With a
+	// boostSweep batch: the constant lanes snap onto their steady state
+	// (table-only sweep, so the coarse recording grid makes each hold
+	// long) while the boosting lanes share each period's thermal solve. With a
 	// progress sink on the context, the per-point fragments stream once
 	// the batch completes, in sweep order.
 	plans := make([]*mapping.Plan, len(coreCounts))
@@ -442,7 +443,7 @@ func Fig13(ctx context.Context, opt Fig13Options) (*Fig13Result, error) {
 		}
 	}
 	// Build every scenario's plan, then run the sweep as one boostSweep
-	// batch of macro-stepped constant and exact boosting lanes. With a
+	// batch of snapped constant and exact boosting lanes. With a
 	// progress sink on the context, the per-scenario fragments stream once
 	// the batch completes, in sweep order.
 	plans := make([]*mapping.Plan, len(scenarios))

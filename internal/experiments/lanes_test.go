@@ -14,8 +14,8 @@ import (
 )
 
 // TestBoostSweepMatchesSoloRuns pins the figures' joint batch to the solo
-// runs it replaced: in one RunLanes call the constant lane (macro-stepped
-// under StepAuto) must equal its solo StepAuto sim.Run and the boosting
+// runs it replaced: in one RunLanes call the constant lane (quiet under
+// StepAuto, so it snaps onto its steady state) must equal its solo StepAuto sim.Run and the boosting
 // lane its solo exact sim.Run, bit for bit — for Fig. 11's single plan on
 // the full recording grid and for a two-point sweep on the coarse grid.
 func TestBoostSweepMatchesSoloRuns(t *testing.T) {

@@ -10,9 +10,9 @@ import (
 
 // This file implements the thermal solver's one factorization: an exact
 // envelope (skyline) Cholesky under a profile-reducing ordering. The
-// thermal RC matrices are layered grid graphs: under a Sloan or reverse
-// Cuthill–McKee ordering their envelope is narrow for grid rows and only
-// widens locally where coarse layers overlap many fine cells. Cholesky
+// thermal RC matrices are layered grid graphs: under a Sloan ordering
+// their envelope is narrow for grid rows and only widens locally where
+// coarse layers overlap many fine cells. Cholesky
 // fills nothing outside the envelope, so storing each row from its first
 // nonzero to the diagonal captures the exact factor, and a solve is two
 // triangular sweeps over it, O(nnz(L)).
@@ -27,18 +27,18 @@ var ErrNotSPD = errors.New("linalg: matrix is not positive definite")
 // ErrOptions is returned for an ordering that is not a permutation.
 var ErrOptions = errors.New("linalg: invalid options")
 
-// sloanWeights are the (distance, degree) weight pairs ProfileOrder
-// tries: Sloan's classic (2, 1), and (1, 2), which favours absorbing
-// cheap nodes and stores about a fifth less on the layered thermal grids.
-var sloanWeights = [...][2]int{{2, 1}, {1, 2}}
+// sloanW1 and sloanW2 are the (distance, degree) weights of Sloan's
+// priority. (1, 2) favours absorbing cheap nodes over Sloan's classic
+// (2, 1) and stores about a fifth less on the layered thermal grids.
+const sloanW1, sloanW2 = 1, 2
 
 // ProfileOrder returns an envelope-reducing ordering of the symmetric
 // sparsity graph of a: order[k] is the original index of the node placed
-// at position k. Per connected component it generates reverse
-// Cuthill–McKee orderings from several pseudo-peripheral roots plus
-// Sloan orderings, scores each candidate by the envelope it would store,
-// and keeps the smallest — so a weak heuristic on an awkward graph can
-// never drag the result below the best candidate.
+// at position k. Per connected component it finds a pseudo-peripheral
+// pair of vertices (George–Liu), numbers the component by Sloan's
+// heuristic starting from each end of the pair, and keeps the ordering
+// that stores the smaller envelope. A single-node component is numbered
+// as it stands.
 func ProfileOrder(a *CSR) []int {
 	n := a.N
 	deg := make([]int, n)
@@ -48,13 +48,14 @@ func ProfileOrder(a *CSR) []int {
 	order := make([]int, 0, n)
 	visited := make([]bool, n)
 	queue := make([]int, 0, n)
-	scratch := make([]bool, n)
-	scratch2 := make([]bool, n)
+	mark := make([]bool, n)
 
-	// bfs appends the component of root to queue in Cuthill–McKee order
-	// (neighbours by increasing degree) and returns the last level and
-	// the BFS depth.
-	bfs := func(root int, mark []bool) ([]int, int) {
+	// bfs walks the unvisited component of root in Cuthill–McKee order
+	// (neighbours by increasing degree) and returns its last level and
+	// the BFS depth. The order within a level decides which vertex
+	// minDegree picks among equals, and so the pinned orderings.
+	bfs := func(root int) ([]int, int) {
+		copy(mark, visited)
 		level := []int{root}
 		depth := 0
 		mark[root] = true
@@ -88,6 +89,17 @@ func ProfileOrder(a *CSR) []int {
 		return level, depth
 	}
 
+	// minDegree returns the first vertex of minimum degree in level.
+	minDegree := func(level []int) int {
+		v := level[0]
+		for _, w := range level {
+			if deg[w] < deg[v] {
+				v = w
+			}
+		}
+		return v
+	}
+
 	// envelopeSize scores a component ordering by the number of lower-
 	// envelope entries it would store; positions outside the component
 	// cannot tighten a row (the component is connected), so scoring each
@@ -113,20 +125,6 @@ func ProfileOrder(a *CSR) []int {
 		return total
 	}
 
-	// componentOrder runs Cuthill–McKee from root over the unvisited
-	// component without committing the visit marks, and reverses the
-	// result: reversing turns the lower profile into an upper one and
-	// empirically tightens the envelope (the "R" in RCM).
-	componentOrder := func(root int) []int {
-		copy(scratch2, visited)
-		bfs(root, scratch2)
-		ord := append([]int(nil), queue...)
-		for l, r := 0, len(ord)-1; l < r; l, r = l+1, r-1 {
-			ord[l], ord[r] = ord[r], ord[l]
-		}
-		return ord
-	}
-
 	// sloanOrder numbers the unvisited component holding s by Sloan's
 	// profile-reduction heuristic: each step picks the candidate with the
 	// best blend of "far from the end vertex e" (keeps the wavefront
@@ -142,20 +140,20 @@ func ProfileOrder(a *CSR) []int {
 	)
 	prio := make([]int, n)
 	status := make([]int, n)
-	sloanOrder := func(s, e, w1, w2 int) []int {
+	sloanOrder := func(s, e int) []int {
 		// Distance from e over the component, BFS.
-		copy(scratch2, visited)
+		copy(mark, visited)
 		dist := make(map[int]int)
 		frontier := append(queue[:0], e)
-		scratch2[e] = true
+		mark[e] = true
 		dist[e] = 0
 		for len(frontier) > 0 {
 			next := frontier[:0:0]
 			for _, i := range frontier {
 				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 					j := a.Col[k]
-					if j != i && !scratch2[j] {
-						scratch2[j] = true
+					if j != i && !mark[j] {
+						mark[j] = true
 						dist[j] = dist[i] + 1
 						next = append(next, j)
 					}
@@ -164,7 +162,7 @@ func ProfileOrder(a *CSR) []int {
 			frontier = next
 		}
 		for v, d := range dist {
-			prio[v] = w1*d - w2*(deg[v]+1)
+			prio[v] = sloanW1*d - sloanW2*(deg[v]+1)
 			status[v] = sloanInactive
 		}
 		ord := make([]int, 0, len(dist))
@@ -187,7 +185,7 @@ func ProfileOrder(a *CSR) []int {
 					if w == v {
 						continue
 					}
-					prio[w] += w2
+					prio[w] += sloanW2
 					if status[w] == sloanInactive {
 						status[w] = sloanPreactive
 						cand = append(cand, w)
@@ -202,13 +200,13 @@ func ProfileOrder(a *CSR) []int {
 					continue
 				}
 				status[w] = sloanActive
-				prio[w] += w2
+				prio[w] += sloanW2
 				for k2 := a.RowPtr[w]; k2 < a.RowPtr[w+1]; k2++ {
 					u := a.Col[k2]
 					if u == w || status[u] == sloanPostactive {
 						continue
 					}
-					prio[u] += w2
+					prio[u] += sloanW2
 					if status[u] == sloanInactive {
 						status[u] = sloanPreactive
 						cand = append(cand, u)
@@ -223,62 +221,26 @@ func ProfileOrder(a *CSR) []int {
 		if visited[seed] {
 			continue
 		}
-		// Candidate roots: the seed itself and the pseudo-peripheral
-		// vertices found by hopping to the minimum-degree vertex of the
-		// deepest BFS level (George–Liu). Deeper level structures usually
-		// mean thinner levels, but not always — so every candidate's
-		// component ordering is scored by its actual envelope size and
-		// the smallest wins.
-		roots := []int{seed}
+		// Pseudo-peripheral pair: hop to the minimum-degree vertex of
+		// the deepest BFS level while that deepens the level structure.
+		// (bfs returns its last level inside queue, so each level is used
+		// before the next walk.)
 		root := seed
-		copy(scratch, visited)
-		_, depth := bfs(root, scratch)
-		for {
-			copy(scratch, visited)
-			last, _ := bfs(root, scratch)
-			next := last[0]
-			for _, v := range last {
-				if deg[v] < deg[next] {
-					next = v
-				}
-			}
-			if next == root {
-				break
-			}
-			roots = append(roots, next)
-			copy(scratch, visited)
-			_, d := bfs(next, scratch)
+		last, depth := bfs(root)
+		end := minDegree(last)
+		for end != root {
+			nextLast, d := bfs(end)
 			if d <= depth {
 				break
 			}
-			root, depth = next, d
+			root, depth = end, d
+			end = minDegree(nextLast)
 		}
-		best := componentOrder(roots[0])
-		bestEnv := envelopeSize(best)
-		for _, r := range roots[1:] {
-			if cand := componentOrder(r); envelopeSize(cand) < bestEnv {
-				best, bestEnv = cand, envelopeSize(cand)
-			}
-		}
-		// Sloan candidates between the pseudo-peripheral pair, both ways,
-		// under each weight pair.
-		copy(scratch, visited)
-		last, _ := bfs(root, scratch)
-		end := last[0]
-		for _, v := range last {
-			if deg[v] < deg[end] {
-				end = v
-			}
-		}
-		for _, pair := range [][2]int{{root, end}, {end, root}} {
-			if pair[0] == pair[1] {
-				continue
-			}
-			for _, w := range sloanWeights {
-				cand := sloanOrder(pair[0], pair[1], w[0], w[1])
-				if env := envelopeSize(cand); env < bestEnv {
-					best, bestEnv = cand, env
-				}
+		best := []int{root}
+		if end != root {
+			best = sloanOrder(root, end)
+			if cand := sloanOrder(end, root); envelopeSize(cand) < envelopeSize(best) {
+				best = cand
 			}
 		}
 		for _, v := range best {
@@ -456,7 +418,7 @@ func envAxpy(y, a []float64, v float64) {
 // sweep solves L·Lᵀ·y = y in band space for every vector in ys: the
 // forward sweep as one dot product per row, the backward sweep as one
 // axpy per row into the rows below. It is the solver's one kernel: every
-// solve — single, batched, steady, transient, influence column, inverse —
+// solve — single, batched, steady, transient, influence column —
 // goes through it, and per vector its operations and their order depend
 // only on the factor, never on len(ys). That order IS the floating-point
 // contract, which is what keeps a batched solve bit-for-bit equal to
@@ -574,35 +536,6 @@ func (e *EnvelopeCholesky) checkLens(cols []Vector) error {
 	return nil
 }
 
-// PanelWidth is how many right-hand sides a multi-column solve (Inverse,
-// the thermal influence matrix) sends through one batched sweep.
+// PanelWidth is how many right-hand sides a multi-column solve (the
+// thermal influence matrix) sends through one batched sweep.
 const PanelWidth = 16
-
-// Inverse returns A⁻¹ as a dense matrix, solving the unit columns in
-// panels through the shared sweep: O(n·nnz(L)) instead of a dense
-// factorization's O(n³). The columns go in band order — panel k0…k0+15
-// holds the unit vectors of band rows k0…k0+15 — so each panel's forward
-// sweep skips its first k0 rows.
-func (e *EnvelopeCholesky) Inverse() *Matrix {
-	n := e.n
-	inv := NewMatrix(n, n)
-	ys := make([]Vector, PanelWidth)
-	for c := range ys {
-		ys[c] = NewVector(n)
-	}
-	for k0 := 0; k0 < n; k0 += PanelWidth {
-		panel := ys[:min(PanelWidth, n-k0)]
-		for c, y := range panel {
-			y.Fill(0)
-			y[k0+c] = 1
-		}
-		e.sweep(panel)
-		for c, y := range panel {
-			j := e.perm[k0+c]
-			for k, v := range y {
-				inv.Data[e.perm[k]*n+j] = v
-			}
-		}
-	}
-	return inv
-}

@@ -268,10 +268,38 @@ func TestSweepZeroPrefixExact(t *testing.T) {
 	}
 }
 
-// TestEnvelopeCholeskyPanel checks that Inverse, which solves the unit
-// columns in band order in panels through the batched sweep (here two
-// full panels and a partial one), is bit-identical to the full sweep of
-// each e_j alone.
+// bandInverse returns A⁻¹ for e's matrix by solving the band-order unit
+// vectors through SolveBandInPlace in panels of PanelWidth, the way the
+// thermal influence matrix solves its columns: panel k0…k0+15 holds the
+// unit vectors of band rows k0…k0+15, so its forward sweep skips its
+// first k0 rows.
+func bandInverse(t *testing.T, e *EnvelopeCholesky) *Matrix {
+	t.Helper()
+	n := e.n
+	inv := NewMatrix(n, n)
+	for k0 := 0; k0 < n; k0 += PanelWidth {
+		panel := make([]Vector, min(PanelWidth, n-k0))
+		for c := range panel {
+			panel[c] = NewVector(n)
+			panel[c][k0+c] = 1
+		}
+		if err := e.SolveBandInPlace(panel); err != nil {
+			t.Fatal(err)
+		}
+		for c, y := range panel {
+			j := e.perm[k0+c]
+			for k, v := range y {
+				inv.Data[e.perm[k]*n+j] = v
+			}
+		}
+	}
+	return inv
+}
+
+// TestEnvelopeCholeskyPanel checks that a panel of band-order unit
+// vectors solved through one SolveBandInPlace call (here two full panels
+// and a partial one), whose forward sweep skips the panel's zero prefix,
+// is bit-identical to the full sweep of each e_j alone.
 func TestEnvelopeCholeskyPanel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randomSPDCSR(rng, 2*PanelWidth+5, 0.1)
@@ -279,7 +307,7 @@ func TestEnvelopeCholeskyPanel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := e.Inverse()
+	inv := bandInverse(t, e)
 	unit := NewVector(a.N)
 	got := NewVector(a.N)
 	for j := 0; j < a.N; j++ {
@@ -430,5 +458,55 @@ func TestSparsePreconditionedMatchesDenseCholesky(t *testing.T) {
 				t.Fatalf("trial %d (n=%d): solvers disagree at %d: %v vs %v", trial, n, i, b[i], want[i])
 			}
 		}
+	}
+}
+
+// TestSolveBatchMatchesSingle pins the batched envelope solve to the
+// single-RHS path bit for bit, under the natural and the profile
+// ordering: batching may only interleave independent columns, never
+// change any column's arithmetic.
+func TestSolveBatchMatchesSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 2, 5, 17, 40} {
+		for _, k := range []int{1, 2, 3, 7} {
+			a := randomSPDCSR(rng, n, 0.2)
+			for _, perm := range [][]int{nil, ProfileOrder(a)} {
+				chol, err := NewEnvelopeCholesky(a, perm)
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				batch := make([]Vector, k)
+				single := make([]Vector, k)
+				for c := 0; c < k; c++ {
+					batch[c] = NewVector(n)
+					for i := range batch[c] {
+						batch[c][i] = 10 * (rng.Float64() - 0.5)
+					}
+					single[c] = batch[c].Clone()
+				}
+				if err := chol.SolveBatchInPlace(batch); err != nil {
+					t.Fatalf("n=%d k=%d: batch: %v", n, k, err)
+				}
+				for c := 0; c < k; c++ {
+					chol.SolveInPlace(single[c])
+					for i := range single[c] {
+						if batch[c][i] != single[c][i] {
+							t.Fatalf("n=%d k=%d col %d row %d: batch %v != single %v",
+								n, k, c, i, batch[c][i], single[c][i])
+						}
+					}
+				}
+			}
+		}
+	}
+	chol, err := denseEnvelope(identity(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chol.SolveBatchInPlace([]Vector{NewVector(2)}); err == nil {
+		t.Fatal("want dimension error for short column")
+	}
+	if err := chol.SolveBatchInPlace(nil); err != nil {
+		t.Fatalf("empty batch should be a no-op, got %v", err)
 	}
 }

@@ -19,15 +19,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -39,13 +30,6 @@ func (m *Matrix) Add(i, j int, x float64) { m.Data[i*m.Cols+j] += x }
 
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
 
 // MulVec computes y = M·x. It returns ErrDimension when len(x) != Cols.
 func (m *Matrix) MulVec(x Vector) (Vector, error) {
@@ -62,23 +46,6 @@ func (m *Matrix) MulVec(x Vector) (Vector, error) {
 		y[i] = s
 	}
 	return y, nil
-}
-
-// MulVecInto computes y = M·x into a caller-provided vector, for hot
-// paths that cannot afford MulVec's allocation. x and y must not alias.
-func (m *Matrix) MulVecInto(y, x Vector) error {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		return fmt.Errorf("%w: MulVecInto %dx%d by %d into %d", ErrDimension, m.Rows, m.Cols, len(x), len(y))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, a := range row {
-			s += a * x[j]
-		}
-		y[i] = s
-	}
-	return nil
 }
 
 // Mul computes the matrix product A·B.

@@ -1,8 +1,7 @@
 // Package linalg implements the linear-algebra kernel the thermal solver
 // needs: vectors, row-major dense matrices, CSR sparse matrices, an exact
 // envelope Cholesky factorization with reusable single and batched
-// solves, the affine-powers ladder of the macro-stepping fast path, and a
-// dense LU kept as an independent test oracle.
+// solves, and a dense LU kept as an independent test oracle.
 //
 // The compact thermal RC model produces symmetric positive-definite
 // conductance matrices of a few hundred to a few thousand unknowns. One

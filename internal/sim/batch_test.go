@@ -69,8 +69,8 @@ func TestRunBatchMatchesSoloRuns(t *testing.T) {
 		t.Errorf("hot lane saw no DTM events; the override path went uncovered")
 	}
 
-	// Under StepAuto macro eligibility is a lane property: a fixed-level
-	// lane macro-steps exactly as its solo StepAuto run does, while the
+	// Under StepAuto quietness is a lane property: a fixed-level lane
+	// snaps exactly as its solo StepAuto run does, while the
 	// closed-loop lane beside it stays on its StepExact trajectory.
 	t.Run("StepAuto", func(t *testing.T) {
 		auto := Options{Duration: 0.2, StartSteady: true, RecordPoints: 10, StepMode: StepAuto}
@@ -101,7 +101,7 @@ func TestRunBatchMatchesSoloRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		if reflect.DeepEqual(fixedAuto, fixedExact) {
-			t.Fatal("fixed-level lane never macro-stepped; the StepAuto case is vacuous")
+			t.Fatal("fixed-level lane never snapped; the StepAuto case is vacuous")
 		}
 		if !reflect.DeepEqual(batched[0], fixedAuto) {
 			t.Errorf("fixed-level lane differs from its solo StepAuto run")

@@ -146,12 +146,13 @@ type laneState struct {
 	energy                               metrics.EnergyMeter
 	period                               Period
 
-	// fixed is the lane's FixedLevelController when it may macro-step
-	// quiet intervals; resume is the next step it takes part in after a
-	// macro hop; done marks a finished or retired lane.
-	fixed  FixedLevelController
-	resume int
-	done   bool
+	// fixed is the lane's FixedLevelController when it may snap quiet
+	// intervals; ask is the next step at which it may try a snap, resume
+	// the next step it takes part in after holding a snapped state; done
+	// marks a finished or retired lane.
+	fixed       FixedLevelController
+	ask, resume int
+	done        bool
 }
 
 // engine is one RunLanes call's shared configuration.
@@ -159,7 +160,7 @@ type engine struct {
 	p                  *core.Platform
 	opt                Options
 	steps, recordEvery int
-	// maxSafeC is the DTM threshold less the macro guard band.
+	// maxSafeC is the DTM threshold less the quiet-lane guard band.
 	maxSafeC float64
 }
 
@@ -170,10 +171,13 @@ type engine struct {
 // through a shared sweep of the cached factor. Per lane the arithmetic
 // is bit-for-bit that of a solo run, so lanes never perturb each other.
 //
-// Under StepAuto a lane macro-steps quiet intervals when its controller
-// is ChipWide over a FixedLevelController, its plan static, it has no
-// hook and the model supports macro steps; every other lane steps
-// exactly. opt.StartSteady is ignored (each lane sets its own).
+// Under StepAuto a lane whose controller is ChipWide over a
+// FixedLevelController, whose plan is static and which has no hook is
+// quiet: once per recording interval it asks whether its state sits on
+// the steady state of its frozen power map, and if so snaps onto it and
+// holds until the next recording point (see decide). Every other period
+// of every lane is an exact step. opt.StartSteady is ignored (each lane
+// sets its own).
 //
 // A lane error (invalid plan or decision, failing hook) retires that
 // lane into its Err while the others race on. Only infrastructure
@@ -287,7 +291,7 @@ func newEngine(p *core.Platform, opt Options) (*engine, error) {
 		opt:         opt,
 		steps:       steps,
 		recordEvery: max(steps/opt.RecordPoints, 1),
-		maxSafeC:    opt.EmergencyC - macroDTMGuardC,
+		maxSafeC:    opt.EmergencyC - quietDTMGuardC,
 	}, nil
 }
 
@@ -331,10 +335,7 @@ func (s *laneState) start(e *engine) error {
 	s.power = make([]float64, e.p.NumCores())
 	if cw, ok := s.Ctrl.(*chipWide); ok && e.opt.StepMode == StepAuto && s.Hook == nil {
 		fixed, _ := cw.ctrl.(FixedLevelController)
-		_, static := s.Plans.(StaticPlan)
-		// Short-circuit order: the macro kernel is only built once the
-		// lane has proven itself quiet in every other respect.
-		if fixed != nil && static && s.tr.MacroSupported() {
+		if _, static := s.Plans.(StaticPlan); fixed != nil && static {
 			s.fixed = fixed
 		}
 	}
@@ -400,36 +401,39 @@ func (s *laneState) setFreqs() {
 
 // decide runs the pre-solve half of a control period: plan adoption,
 // the decision, DTM clamp and power evaluation. It reports whether the
-// lane joins this period's batched step; a lane that macro-steps a quiet
-// interval instead advances and records on its own.
+// lane joins this period's batched step; a quiet lane that snaps instead
+// records on its own.
 func (s *laneState) decide(e *engine, step int) (bool, error) {
 	now := float64(step) * e.opt.ControlPeriod
 	if err := s.adopt(e.p, s.Plans.PlanAt(now)); err != nil {
 		return false, err
 	}
-	// Quiet interval: collapse every step up to the next recording point
-	// into one macro advance of the frozen power map. The interval must
-	// start and (per its frozen steady state) stay a guard band below the
-	// DTM threshold, else it falls through to the exact period and its
-	// emergency checks.
-	if s.fixed != nil && s.peak <= e.maxSafeC {
+	// The quiet-lane rule: a quiet lane asks once per recording interval
+	// whether its state sits on the steady state of its frozen power
+	// map. If so it snaps there and holds until the next recording
+	// point; if not — off the steady state, or the period starts or
+	// would settle within the guard band of the DTM threshold — it steps
+	// exactly up to that point before asking again.
+	if s.fixed != nil && step >= s.ask {
 		end := min(step+(e.recordEvery-step%e.recordEvery)%e.recordEvery, e.steps-1)
-		k := end - step + 1
-		level := s.Ladder.Clamp(s.fixed.FixedLevel())
-		for i := range s.levels {
-			s.levels[i] = level
-		}
-		if err := s.evalPower(e); err != nil {
-			return false, err
-		}
-		next, ok, err := s.tr.AdvanceQuiet(s.power, k, stepAutoSnapTolC, e.maxSafeC)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			copy(s.temps, next)
-			s.resume = end + 1
-			return false, s.account(e, k, float64(end)*e.opt.ControlPeriod, true)
+		s.ask = end + 1
+		if s.peak <= e.maxSafeC {
+			level := s.Ladder.Clamp(s.fixed.FixedLevel())
+			for i := range s.levels {
+				s.levels[i] = level
+			}
+			if err := s.evalPower(e); err != nil {
+				return false, err
+			}
+			next, ok, err := s.tr.AdvanceQuiet(s.power, stepAutoSnapTolC, e.maxSafeC)
+			if err != nil {
+				return false, err
+			}
+			if ok {
+				copy(s.temps, next)
+				s.resume = end + 1
+				return false, s.account(e, end-step+1, float64(end)*e.opt.ControlPeriod, true)
+			}
 		}
 	}
 

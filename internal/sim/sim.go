@@ -46,9 +46,8 @@ type Controller interface {
 // FixedLevelController marks controllers that are stateless and always
 // answer with one level regardless of temperature (the constant-level
 // arms of Figures 11–13). Under StepAuto the engine may skip Next calls
-// across a quiet interval for such controllers and advance the thermal
-// state in one macro-step; implementations must guarantee Next is
-// side-effect-free and constant.
+// while such a lane holds a snapped steady state; implementations must
+// guarantee Next is side-effect-free and constant.
 type FixedLevelController interface {
 	Controller
 	// FixedLevel returns the controller's one level.
@@ -63,30 +62,30 @@ const (
 	// Euler kernel: the historical behaviour, bit-for-bit. It is the
 	// default and what every differential pin runs under.
 	StepExact StepMode = iota
-	// StepAuto lets the engine macro-step quiet intervals — stretches
-	// where a FixedLevelController holds the level on a static plan well
-	// below the DTM emergency threshold — by freezing the power map for
-	// the interval and collapsing its steps into O(log k) matrix applies
-	// with a steady-state snap (see internal/thermal's macro kernel).
-	// Recorded series keep their per-period sampling grid; between
-	// samples the frozen-power trajectory replaces the per-period
-	// leakage re-evaluation, a drift bounded well inside the golden
-	// corpus tolerance (see the sim property tests). Runs whose
-	// controller, provider or hook cannot be proven quiet degrade to
-	// StepExact bit for bit.
+	// StepAuto lets a quiet lane — a FixedLevelController holding its
+	// level on a static plan, without a hook — skip the periods it spends
+	// on its steady state. Once per recording interval such a lane asks
+	// whether its state is within stepAutoSnapTolC of the steady state of
+	// its frozen power map, with that steady state a guard band below the
+	// DTM emergency threshold. If so it snaps exactly onto it and holds
+	// until the next recording point; otherwise it steps exactly to that
+	// point. A StepAuto lane is therefore bit for bit its StepExact run up
+	// to its first snap; from there on the steady state stands in for
+	// the last hundredth of a degree of settling. Recorded series keep
+	// their sampling grid, and lanes that are not quiet are StepExact bit
+	// for bit.
 	StepAuto
 )
 
 // stepAutoSnapTolC is the node-space distance (°C) below which a quiet
-// interval snaps onto its frozen-power steady state.
+// lane snaps onto its frozen-power steady state.
 const stepAutoSnapTolC = 0.01
 
-// macroDTMGuardC is the safety margin (°C) kept between any macro-
-// stepped trajectory and the DTM emergency threshold: segments whose
-// start or frozen steady state comes within the guard fall back to
-// per-period stepping so emergency throttling keeps its per-period
-// resolution.
-const macroDTMGuardC = 1.0
+// quietDTMGuardC is the safety margin (°C) kept between any snapped
+// state and the DTM emergency threshold: a quiet lane whose peak or
+// frozen steady state comes within the guard steps exactly, so emergency
+// throttling keeps its per-period resolution.
+const quietDTMGuardC = 1.0
 
 // Options configures a transient run.
 type Options struct {
@@ -107,7 +106,7 @@ type Options struct {
 	// short runs measure the sustained regime the paper plots.
 	StartSteady bool
 	// StepMode selects exact per-period stepping (default) or the
-	// macro-stepping fast path for provably quiet intervals.
+	// steady-state snap for provably quiet lanes.
 	StepMode StepMode
 }
 

@@ -71,18 +71,10 @@ type Model struct {
 }
 
 // transFactor bundles the per-dt transient system: the factored
-// (C/dt + G) matrix and the C/dt diagonal. The macro-stepping kernel
-// (see macro.go) is cached here, next to the factor, so every transient
-// over one (model, dt) pair — a sweep's worth of boosting runs — shares
-// one inverse and one ladder of affine powers.
+// (C/dt + G) matrix and the C/dt diagonal.
 type transFactor struct {
 	fac   *factor
 	capDt linalg.Vector
-
-	macroMu  sync.Mutex
-	macro    *macroKernel
-	macroErr error
-	macroUp  bool // a build was attempted; macro/macroErr are final
 }
 
 type cellShare struct {
@@ -351,8 +343,8 @@ func (e *PowerError) Unwrap() error { return ErrConfig }
 
 // nodePowerInto expands per-block power into per-node power without
 // allocating; dst must have NumNodes length and is overwritten. Every
-// solve entry point (SteadyState, Transient.Step, MacroStep,
-// TransientBatch.StepAll) expands power here, so this is where negative,
+// solve entry point (SteadyState, Transient.Step, MacroStep and
+// AdvanceQuiet, TransientBatch.StepAll) expands power here, so this is where negative,
 // NaN and infinite powers are rejected with a *PowerError.
 func (m *Model) nodePowerInto(dst linalg.Vector, blockPower []float64) error {
 	if len(blockPower) != len(m.blockCells) {

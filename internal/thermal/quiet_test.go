@@ -7,9 +7,9 @@ import (
 	"darksim/internal/tech"
 )
 
-// macroTestPower is an uneven 100-block power map that heats the chip
-// well above ambient so macro-vs-exact drift has room to show.
-func macroTestPower() []float64 {
+// quietTestPower is an uneven 100-block power map that heats the chip
+// well above ambient.
+func quietTestPower() []float64 {
 	p := make([]float64, 100)
 	for i := range p {
 		p[i] = 1.5 + 0.05*float64(i%7)
@@ -17,87 +17,49 @@ func macroTestPower() []float64 {
 	return p
 }
 
-// TestMacroStepMatchesExact is the macro property test on real models:
-// advancing k frozen-power steps through the affine-powers ladder must
-// agree with k exact steps to within 1e-9, under both compatibility
-// solver kinds.
-func TestMacroStepMatchesExact(t *testing.T) {
-	for _, kind := range []SolverKind{SolverDense, SolverSparse} {
-		m := modelWithSolver(t, kind)
-		const tol = 1e-9
-		p := macroTestPower()
-		for _, k := range []int{1, 3, 7, 50, 130, 1000} {
-			exact, err := m.NewTransient(1e-3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := m.NewTransient(1e-3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !fast.MacroSupported() {
-				t.Fatalf("%v: macro unsupported on %d nodes", kind, m.NumNodes())
-			}
-			var want []float64
-			for s := 0; s < k; s++ {
-				if want, err = exact.Step(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := fast.MacroStep(p, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if d := math.Abs(got[i] - want[i]); d > tol*(1+math.Abs(want[i])) {
-					t.Fatalf("%v k=%d block %d: macro %v vs exact %v (|Δ|=%g)",
-						kind, k, i, got[i], want[i], d)
-				}
-			}
-		}
-	}
-}
-
-// TestMacroStepFallbackBitIdentical pins that short advances — below the
-// ladder's break-even — take the exact kernel and match repeated Step
-// calls bit for bit.
+// TestMacroStepFallbackBitIdentical pins the MacroStep shim: for every
+// step count, k steps of a frozen power map match k Step calls bit for
+// bit.
 func TestMacroStepFallbackBitIdentical(t *testing.T) {
 	m := model16(t)
-	p := macroTestPower()
-	exact, err := m.NewTransient(1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := m.NewTransient(1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := macroMinSteps - 1
-	var want []float64
-	for s := 0; s < k; s++ {
-		if want, err = exact.Step(p); err != nil {
+	p := quietTestPower()
+	for _, k := range []int{1, 2, 3, 4, 7, 50} {
+		exact, err := m.NewTransient(1e-3)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	got, err := fast.MacroStep(p, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("block %d: fallback %v != exact %v", i, got[i], want[i])
+		fast, err := m.NewTransient(1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []float64
+		for s := 0; s < k; s++ {
+			if want, err = exact.Step(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := fast.MacroStep(p, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d block %d: MacroStep %v != %d Step calls %v", k, i, got[i], k, want[i])
+			}
 		}
 	}
 }
 
 // TestAdvanceQuietSnapsToSteady drives a transient from ambient under
-// constant power: quiet advances must converge to the frozen-power
-// steady state and eventually snap exactly onto it, after which further
-// advances are fixed points.
+// constant power the way the engine does: ask AdvanceQuiet, and step
+// exactly while it refuses. A refusal must leave the state untouched;
+// once the state is within the tolerance of the frozen-power steady
+// state AdvanceQuiet snaps exactly onto it, after which further calls
+// are fixed points.
 func TestAdvanceQuietSnapsToSteady(t *testing.T) {
 	m := model16(t)
-	p := macroTestPower()
-	tr, err := m.NewTransient(1e-3)
+	p := quietTestPower()
+	tr, err := m.NewTransient(0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,25 +68,37 @@ func TestAdvanceQuietSnapsToSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	var temps []float64
-	for seg := 0; seg < 400; seg++ { // 400 s simulated: well past the sink time constant
-		var ok bool
-		temps, ok, err = tr.AdvanceQuiet(p, 1000, 0.01, 0)
+	snapped := false
+	for seg := 0; seg < 400 && !snapped; seg++ { // 400 s simulated: well past the sink time constant
+		before := tr.BlockTemps()
+		temps, snapped, err = tr.AdvanceQuiet(p, 0.01, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			t.Fatal("AdvanceQuiet refused with no safety cap")
+		if snapped {
+			break
 		}
+		if !floatsEqual(tr.BlockTemps(), before) {
+			t.Fatalf("segment %d: refused AdvanceQuiet moved the state", seg)
+		}
+		for s := 0; s < 10; s++ {
+			if _, err := tr.Step(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !snapped {
+		t.Fatal("AdvanceQuiet never snapped within 400 s")
 	}
 	for i := range want {
 		if d := math.Abs(temps[i] - want[i]); d > 0.02 {
-			t.Fatalf("block %d: quiet advance ended at %v, steady %v (|Δ|=%g)", i, temps[i], want[i], d)
+			t.Fatalf("block %d: snapped at %v, steady %v (|Δ|=%g)", i, temps[i], want[i], d)
 		}
 	}
-	// Snapped: one more advance must be an exact fixed point.
-	again, ok, err := tr.AdvanceQuiet(p, 1000, 0.01, 0)
+	// Snapped: one more call must be an exact fixed point.
+	again, ok, err := tr.AdvanceQuiet(p, 0.01, 0)
 	if err != nil || !ok {
-		t.Fatalf("post-snap advance: ok=%v err=%v", ok, err)
+		t.Fatalf("post-snap call: ok=%v err=%v", ok, err)
 	}
 	for i := range temps {
 		if again[i] != temps[i] {
@@ -135,7 +109,7 @@ func TestAdvanceQuietSnapsToSteady(t *testing.T) {
 
 // TestAdvanceQuietRefusesAboveSafetyCap pins the DTM guard: when the
 // frozen-power steady state would exceed the cap, AdvanceQuiet must
-// refuse without touching the state.
+// refuse without touching the state, even from that very steady state.
 func TestAdvanceQuietRefusesAboveSafetyCap(t *testing.T) {
 	m := model16(t)
 	p := make([]float64, 100)
@@ -146,8 +120,11 @@ func TestAdvanceQuietRefusesAboveSafetyCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := tr.SetSteadyState(p); err != nil {
+		t.Fatal(err)
+	}
 	before := append([]float64(nil), tr.BlockTemps()...)
-	temps, ok, err := tr.AdvanceQuiet(p, 100, 0.01, 50)
+	temps, ok, err := tr.AdvanceQuiet(p, 0.01, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +136,10 @@ func TestAdvanceQuietRefusesAboveSafetyCap(t *testing.T) {
 		if before[i] != after[i] {
 			t.Fatalf("block %d: refused advance still moved state", i)
 		}
+	}
+	// Without the cap the same state snaps.
+	if _, ok, err := tr.AdvanceQuiet(p, 0.01, 0); err != nil || !ok {
+		t.Fatalf("uncapped call from the steady state: ok=%v err=%v", ok, err)
 	}
 }
 

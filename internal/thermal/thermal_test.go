@@ -266,6 +266,14 @@ func TestNonFinitePowerRejected(t *testing.T) {
 			}
 			return tr.MacroStep(p, 50)
 		}},
+		{"Transient.AdvanceQuiet", func(p []float64) ([]float64, error) {
+			tr, err := m.NewTransient(1e-3)
+			if err != nil {
+				return nil, err
+			}
+			temps, _, err := tr.AdvanceQuiet(p, 0.01, 0)
+			return temps, err
+		}},
 		{"TransientBatch.StepAll", func(p []float64) ([]float64, error) {
 			b, err := m.NewTransientBatch(1e-3, 2)
 			if err != nil {
@@ -437,9 +445,6 @@ func TestTransientStateControls(t *testing.T) {
 	tr, err := m.NewTransient(0.001)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if tr.Dt() != 0.001 {
-		t.Errorf("Dt = %v", tr.Dt())
 	}
 	tr.SetUniform(60)
 	if peak, _ := tr.PeakBlockTemp(); math.Abs(peak-60) > 1e-9 {

@@ -19,14 +19,12 @@ import (
 // is what makes the paper's §6 boosting experiments (100 s at 1 ms
 // control period, i.e. 10⁵ steps) tractable.
 //
-// On top of the exact per-step path, MacroStep and AdvanceQuiet expose
-// the macro-stepping fast path for intervals of frozen power (see
-// macro.go). Step itself is untouched by the fast path: it performs the
-// same floating-point operations as it always has, which is what the
-// bit-for-bit differential pins rely on.
+// Next to the exact step, AdvanceQuiet snaps a state that already sits
+// on the steady state of a frozen power map onto that steady state
+// exactly; it never advances any other state, so every trajectory off
+// the steady state is made of exact steps only.
 type Transient struct {
 	m  *Model
-	dt float64
 	tf *transFactor
 	t  linalg.Vector // current node temperatures
 
@@ -34,12 +32,11 @@ type Transient struct {
 	// assembles into; it swaps with t after the solve.
 	rhs linalg.Vector
 
-	// Macro-path state: ladder vectors and the frozen-power steady-state
-	// cache. tinf is T∞ for the power map frozen in tinfPow.
-	b, scratch linalg.Vector
-	tinf       linalg.Vector
-	tinfPow    []float64
-	haveTinf   bool
+	// The frozen-power steady-state cache: tinf is T∞ for the power map
+	// in tinfPow (valid while haveTinf), allocated on first use.
+	tinf     linalg.Vector
+	tinfPow  []float64
+	haveTinf bool
 }
 
 // NewTransient creates a transient integrator with step size dt (seconds),
@@ -53,11 +50,8 @@ func (m *Model) NewTransient(dt float64) (*Transient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Transient{m: m, dt: dt, tf: tf, t: m.ambNodes.Clone(), rhs: linalg.NewVector(len(m.cells))}, nil
+	return &Transient{m: m, tf: tf, t: m.ambNodes.Clone(), rhs: linalg.NewVector(len(m.cells))}, nil
 }
-
-// Dt returns the integrator step size in seconds.
-func (tr *Transient) Dt() float64 { return tr.dt }
 
 // SetUniform resets every node to the given temperature.
 func (tr *Transient) SetUniform(tempC float64) { tr.t.Fill(tempC) }
@@ -100,75 +94,39 @@ func (tr *Transient) stepNodes() {
 	tr.t, tr.rhs = tr.rhs, tr.t
 }
 
-// MacroSupported reports whether this model/dt pair can macro-step,
-// building the kernel on first call. Models above the macro node gate
-// always return false and keep the exact path.
-func (tr *Transient) MacroSupported() bool {
-	k, err := tr.tf.kernel(tr.m)
-	return err == nil && k != nil
-}
+// MacroSupported returns true. It exists only because perfbench's
+// layer probes (perfbench/probes.go) call it; it goes with MacroStep and
+// SolverKind once those probes move onto internal/bench.
+func (tr *Transient) MacroSupported() bool { return true }
 
-// MacroStep advances k implicit-Euler steps under a power map frozen for
-// the whole interval and returns the resulting per-block temperatures.
-// With the kernel available and k at least macroMinSteps the advance
-// costs O(log k) fused matrix applies; otherwise it degrades to k exact
-// steps of the frozen map. Against k exact steps the ladder agrees to
-// ~1e-9 (see the property tests); it is NOT bit-identical, which is why
-// the simulator only routes provably quiet intervals here.
+// MacroStep advances k exact implicit-Euler steps under one frozen power
+// map and returns the resulting per-block temperatures, bit for bit the
+// result of k Step calls. It exists only because perfbench's layer
+// probes (perfbench/probes.go) call it; it goes with MacroSupported and
+// SolverKind once those probes move onto internal/bench.
 func (tr *Transient) MacroStep(blockPower []float64, k int) ([]float64, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: macro step count %d", ErrConfig, k)
 	}
-	kern, err := tr.tf.kernel(tr.m)
-	if err != nil {
-		return nil, err
-	}
-	if kern == nil || k < macroMinSteps {
-		return tr.stepFrozen(blockPower, k)
-	}
-	if err := tr.m.nodePowerInto(tr.rhs, blockPower); err != nil {
-		return nil, err
-	}
-	tr.ensureMacroBufs()
-	p := tr.rhs
-	for i := range p {
-		p[i] += tr.m.ambRHS[i]
-	}
-	if err := kern.ainv.MulVecInto(tr.b, p); err != nil {
-		return nil, err
-	}
-	if err := kern.powers.Advance(k, tr.t, tr.b, tr.scratch); err != nil {
-		return nil, err
-	}
-	return tr.m.blockTemps(tr.t), nil
-}
-
-// stepFrozen is the exact fallback of MacroStep: k ordinary steps with
-// the node power expanded once.
-func (tr *Transient) stepFrozen(blockPower []float64, k int) ([]float64, error) {
-	tr.ensureMacroBufs()
-	if err := tr.m.nodePowerInto(tr.b, blockPower); err != nil {
-		return nil, err
-	}
 	for s := 0; s < k; s++ {
-		copy(tr.rhs, tr.b)
+		if err := tr.m.nodePowerInto(tr.rhs, blockPower); err != nil {
+			return nil, err
+		}
 		tr.stepNodes()
 	}
 	return tr.m.blockTemps(tr.t), nil
 }
 
-// AdvanceQuiet advances k steps of a quiet interval — a stretch where
-// the caller holds the power map constant — and returns the resulting
-// per-block temperatures. Once the state is within snapTolC (°C, per
-// node) of the frozen-power steady state it snaps there exactly, after
-// which identical power maps advance for free. When maxSafeC > 0 and
-// the frozen steady state would peak above it, AdvanceQuiet refuses
-// (ok=false) without advancing, so the caller can fall back to exact
-// per-period stepping and keep its thermal-emergency checks intact.
-func (tr *Transient) AdvanceQuiet(blockPower []float64, k int, snapTolC, maxSafeC float64) (temps []float64, ok bool, err error) {
-	if k <= 0 {
-		return nil, false, fmt.Errorf("%w: quiet advance of %d steps", ErrConfig, k)
-	}
+// AdvanceQuiet is the quiet-interval rule for a caller that holds the
+// power map constant. When the state is within snapTolC (°C, per node)
+// of the frozen-power steady state it snaps there exactly and returns
+// the per-block temperatures with ok=true: the caller may hold that
+// state for as many periods as the map stays frozen. Otherwise — off the
+// steady state, or, when maxSafeC > 0, with a frozen steady state that
+// would peak above maxSafeC — it refuses (ok=false) without touching the
+// state, and the caller steps exactly, keeping its thermal-emergency
+// checks intact.
+func (tr *Transient) AdvanceQuiet(blockPower []float64, snapTolC, maxSafeC float64) (temps []float64, ok bool, err error) {
 	tinf, err := tr.frozenSteadyNodes(blockPower)
 	if err != nil {
 		return nil, false, err
@@ -179,21 +137,11 @@ func (tr *Transient) AdvanceQuiet(blockPower []float64, k int, snapTolC, maxSafe
 			return nil, false, nil
 		}
 	}
-	if dist := nodeDistInf(tr.t, tinf); dist <= snapTolC {
-		copy(tr.t, tinf)
-		return tr.m.blockTemps(tr.t), true, nil
+	if nodeDistInf(tr.t, tinf) > snapTolC {
+		return nil, false, nil
 	}
-	temps, err = tr.MacroStep(blockPower, k)
-	if err != nil {
-		return nil, false, err
-	}
-	// Post-advance snap: landing exactly on T∞ makes the *next* quiet
-	// interval with a bitwise-identical power map free.
-	if dist := nodeDistInf(tr.t, tinf); dist <= snapTolC {
-		copy(tr.t, tinf)
-		temps = tr.m.blockTemps(tr.t)
-	}
-	return temps, true, nil
+	copy(tr.t, tinf)
+	return tr.m.blockTemps(tr.t), true, nil
 }
 
 // frozenSteadyNodes returns the steady-state node temperatures for a
@@ -203,27 +151,18 @@ func (tr *Transient) frozenSteadyNodes(blockPower []float64) (linalg.Vector, err
 	if tr.haveTinf && floatsEqual(tr.tinfPow, blockPower) {
 		return tr.tinf, nil
 	}
-	tr.ensureMacroBufs()
-	if err := tr.m.nodePowerInto(tr.scratch, blockPower); err != nil {
+	if tr.tinf == nil {
+		tr.tinf = linalg.NewVector(len(tr.t))
+	}
+	tr.haveTinf = false
+	if err := tr.m.nodePowerInto(tr.tinf, blockPower); err != nil {
 		return nil, err
 	}
-	tr.tinf, tr.scratch = tr.scratch, tr.tinf
 	tr.tinf.AddScaled(1, tr.m.ambRHS)
 	tr.m.steady.solveInPlace(tr.tinf)
 	tr.tinfPow = append(tr.tinfPow[:0], blockPower...)
 	tr.haveTinf = true
 	return tr.tinf, nil
-}
-
-// ensureMacroBufs allocates the macro-path vectors on first use, so
-// exact-only transients never pay for them.
-func (tr *Transient) ensureMacroBufs() {
-	if tr.b == nil {
-		n := len(tr.t)
-		tr.b = linalg.NewVector(n)
-		tr.scratch = linalg.NewVector(n)
-		tr.tinf = linalg.NewVector(n)
-	}
 }
 
 // nodeDistInf returns ‖a−b‖∞.
