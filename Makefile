@@ -138,7 +138,6 @@ cli-smoke:
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzVoltageForFrequency -fuzztime=$(FUZZTIME) -run='^$$' ./internal/vf
-	$(GO) test -fuzz=FuzzTableCSV -fuzztime=$(FUZZTIME) -run='^$$' ./internal/report
 	$(GO) test -fuzz=FuzzServiceParams -fuzztime=$(FUZZTIME) -run='^$$' ./internal/service
 	$(GO) test -fuzz=FuzzCSRMulVec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/linalg
 	$(GO) test -fuzz=FuzzEnvelopeSolve -fuzztime=$(FUZZTIME) -run='^$$' ./internal/linalg

@@ -230,7 +230,7 @@ Reproduces the tables and figures of "New Trends in Dark Silicon"
 (Henkel, Khdr, Pagani, Shafique — DAC 2015), plus ablation studies of
 this implementation's design choices. `+"`darksim verify`"+` recomputes
 every figure and checks it against the embedded golden corpus, the
-paper's physics invariants, and differential text/CSV/JSON/HTTP
+paper's physics invariants, and differential text/JSON/HTTP
 renderings.
 
 `)

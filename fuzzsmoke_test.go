@@ -33,7 +33,7 @@ func TestFuzzSmokeNamesEveryTarget(t *testing.T) {
 	if len(named) == 0 {
 		t.Fatal("the Makefile names no -fuzz= target; is the test running at the module root?")
 	}
-	declared, err := fuzzTargets(".")
+	declared, err := testDecls(".", isFuzzTarget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,10 @@ func fuzzSmokeTargets(makefile string) ([]string, error) {
 	return out, nil
 }
 
-// fuzzTargets parses the _test.go files below root, skipping nested
+// testDecls parses the _test.go files below root, skipping nested
 // modules (a directory with its own go.mod) and hidden directories, and
-// returns the "./dir:Name" of every fuzz target: a top-level func
-// FuzzXxx(f *testing.F).
-func fuzzTargets(root string) ([]string, error) {
+// returns the "./dir:Name" of every function declaration keep accepts.
+func testDecls(root string, keep func(*ast.FuncDecl) bool) ([]string, error) {
 	var out []string
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -98,7 +97,7 @@ func fuzzTargets(root string) ([]string, error) {
 			return err
 		}
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && isFuzzTarget(fn) {
+			if fn, ok := decl.(*ast.FuncDecl); ok && keep(fn) {
 				out = append(out, "./"+filepath.ToSlash(rel)+":"+fn.Name.Name)
 			}
 		}
@@ -196,5 +195,162 @@ func (T) FuzzM(f *testing.F) {}`
 	}
 	if !reflect.DeepEqual(targets, []string{"FuzzA"}) {
 		t.Errorf("fuzz targets %v, want [FuzzA]", targets)
+	}
+}
+
+// TestSmokeNamesMatchTests is the -run/-bench guard. `go test
+// -run='TestA|TestB'` passes when TestB matches nothing, so a smoke test
+// renamed or deleted would silently drop out of its target. Every
+// alternative of every -run= and -bench= pattern in the Makefile, except
+// the run-nothing pattern ^$, must match a test (for -run) or benchmark
+// (for -bench) declared in the packages its line names.
+func TestSmokeNamesMatchTests(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pats, err := smokePatterns(string(mk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pats) == 0 {
+		t.Fatal("the Makefile has no -run= or -bench= pattern; is the test running at the module root?")
+	}
+	declared, err := testDecls(".", func(fn *ast.FuncDecl) bool { return fn.Recv == nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range smokePatternMismatch(pats, declared) {
+		t.Error(p)
+	}
+}
+
+// smokePattern is one alternative of a Makefile -run= or -bench= pattern
+// with the package directories its line names ("./internal/jobs",
+// "./...").
+type smokePattern struct {
+	flag, alt string
+	pkgs      []string
+}
+
+var (
+	smokeFlag = regexp.MustCompile(`-(run|bench)=('[^']*'|\S+)`)
+	smokePkg  = regexp.MustCompile(`(?:^|\s)(\./\S*)`)
+)
+
+// smokePatterns returns every -run= and -bench= alternative of the
+// go test lines of a Makefile, with $$ unescaped. A line that names no
+// package directory is an error.
+func smokePatterns(makefile string) ([]smokePattern, error) {
+	var out []smokePattern
+	for _, line := range strings.Split(makefile, "\n") {
+		flags := smokeFlag.FindAllStringSubmatch(line, -1)
+		if len(flags) == 0 {
+			continue
+		}
+		var pkgs []string
+		for _, m := range smokePkg.FindAllStringSubmatch(line, -1) {
+			pkgs = append(pkgs, m[1])
+		}
+		if len(pkgs) == 0 {
+			return nil, fmt.Errorf("Makefile -run=/-bench= line names no ./package directory: %q", strings.TrimSpace(line))
+		}
+		for _, f := range flags {
+			pat := strings.ReplaceAll(strings.Trim(f[2], "'"), "$$", "$")
+			for _, alt := range strings.Split(pat, "|") {
+				if alt != "^$" {
+					out = append(out, smokePattern{flag: f[1], alt: alt, pkgs: pkgs})
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// smokePatternMismatch returns one message per pattern alternative that
+// matches no declared "./dir:Name" of its kind in its line's packages:
+// Test, Example and Fuzz functions for -run, Benchmark functions for
+// -bench.
+func smokePatternMismatch(pats []smokePattern, declared []string) []string {
+	var out []string
+	for _, p := range pats {
+		re, err := regexp.Compile(p.alt)
+		if err != nil {
+			out = append(out, fmt.Sprintf("-%s=%s: %v", p.flag, p.alt, err))
+			continue
+		}
+		found := false
+		for _, d := range declared {
+			dir, name, _ := strings.Cut(d, ":")
+			if runnable(p.flag, name) && inPackages(dir, p.pkgs) && re.MatchString(name) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			out = append(out, fmt.Sprintf("-%s=%s matches nothing declared in %s", p.flag, p.alt, strings.Join(p.pkgs, " ")))
+		}
+	}
+	return out
+}
+
+// runnable reports whether go test's -run (or -bench) flag selects
+// functions named like name.
+func runnable(flag, name string) bool {
+	if flag == "bench" {
+		return strings.HasPrefix(name, "Benchmark")
+	}
+	for _, prefix := range []string{"Test", "Example", "Fuzz"} {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// inPackages reports whether the package directory dir ("./internal/a")
+// is one of pkgs, where "./x/..." names x and everything below it.
+func inPackages(dir string, pkgs []string) bool {
+	for _, p := range pkgs {
+		if base, ok := strings.CutSuffix(p, "/..."); ok {
+			if base == "." || dir == base || strings.HasPrefix(dir, base+"/") {
+				return true
+			}
+		} else if dir == p {
+			return true
+		}
+	}
+	return false
+}
+
+func TestSmokePatternMismatch(t *testing.T) {
+	const makefile = `smoke:
+	$(GO) test -run='TestA|TestNope' -count=1 ./internal/a ./internal/b
+	$(GO) test -bench='Solve|TestA' -benchtime=1x -run='^$$' ./internal/...
+	$(GO) test -fuzz=FuzzA -fuzztime=$(FUZZTIME) -run='^$$' ./internal/a`
+	pats, err := smokePatterns(makefile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []smokePattern{
+		{"run", "TestA", []string{"./internal/a", "./internal/b"}},
+		{"run", "TestNope", []string{"./internal/a", "./internal/b"}},
+		{"bench", "Solve", []string{"./internal/..."}},
+		{"bench", "TestA", []string{"./internal/..."}},
+	}
+	if !reflect.DeepEqual(pats, want) {
+		t.Fatalf("parsed %v, want %v", pats, want)
+	}
+	declared := []string{"./internal/b:TestAlpha", "./internal/a/sub:BenchmarkSolveDense", "./internal/c:TestNope"}
+	got := smokePatternMismatch(pats, declared)
+	wantMsgs := []string{
+		"-run=TestNope matches nothing declared in ./internal/a ./internal/b",
+		"-bench=TestA matches nothing declared in ./internal/...",
+	}
+	if !reflect.DeepEqual(got, wantMsgs) {
+		t.Errorf("mismatch %q, want %q", got, wantMsgs)
+	}
+	if _, err := smokePatterns("\tgo test -run='TestA' -count=1\n"); err == nil {
+		t.Error("a -run= line without a package directory was accepted")
 	}
 }

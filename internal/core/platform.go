@@ -79,15 +79,6 @@ type Options struct {
 	Cores int
 	// TDTM in °C (default DefaultTDTM).
 	TDTM float64
-	// AmbientC overrides the thermal model's ambient (default: package
-	// calibrated value).
-	AmbientC float64
-	// DieNx and DieNy override the die/TIM thermal grid resolution. Zero
-	// selects the floorplan's own grid (Cols×Rows) for grid plans, or a
-	// resolution derived from the smallest block for heterogeneous plans.
-	// NewPlatformWith ignores them (its grid floorplan fixes the
-	// resolution); NewPlatformFrom honors them.
-	DieNx, DieNy int
 }
 
 // NewPlatform builds the standard platform for a node with default options.
@@ -109,7 +100,6 @@ func NewPlatformWith(node tech.Node, opt Options) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt.DieNx, opt.DieNy = fp.Cols, fp.Rows
 	return NewPlatformFrom(node, fp, opt)
 }
 
@@ -134,10 +124,7 @@ func NewPlatformFrom(node tech.Node, fp *floorplan.Floorplan, opt Options) (*Pla
 	if err != nil {
 		return nil, err
 	}
-	nx, ny := opt.DieNx, opt.DieNy
-	if nx == 0 || ny == 0 {
-		nx, ny = fp.Cols, fp.Rows
-	}
+	nx, ny := fp.Cols, fp.Rows
 	if nx == 0 || ny == 0 {
 		side := fp.MinBlockSide()
 		if side <= 0 {
@@ -146,11 +133,7 @@ func NewPlatformFrom(node tech.Node, fp *floorplan.Floorplan, opt Options) (*Pla
 		nx = clampGridSide(int(math.Ceil(fp.DieW / side)))
 		ny = clampGridSide(int(math.Ceil(fp.DieH / side)))
 	}
-	cfg := thermal.DefaultConfig(fp.DieW, fp.DieH, nx, ny)
-	if opt.AmbientC != 0 {
-		cfg.AmbientC = opt.AmbientC
-	}
-	tm, err := thermal.NewModel(fp, cfg)
+	tm, err := thermal.NewModel(fp, thermal.DefaultConfig(fp.DieW, fp.DieH, nx, ny))
 	if err != nil {
 		return nil, err
 	}

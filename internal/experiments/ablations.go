@@ -548,7 +548,7 @@ func AblationVariability() (*AblationVariabilityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	vmap, err := variability.Generate(p.Floorplan, variability.Options{Seed: 2015})
+	vmap, err := variability.Generate(p.Floorplan, 2015)
 	if err != nil {
 		return nil, err
 	}

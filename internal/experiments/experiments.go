@@ -34,31 +34,20 @@ type platformKey struct {
 // DefaultPlatformCacheCap is the platform cache's LRU bound. The
 // paper's figures use four platforms; the bound keeps a long-running
 // daemon fed never-seen (node, cores) requests from growing the cache —
-// and the factored thermal networks and influence matrices it pins —
-// without limit.
+// and the factored thermal networks it holds — without limit. Platforms
+// do not pin influence matrices: those live only in the thermal
+// package's process-wide cache, under its own bound.
 const DefaultPlatformCacheCap = 32
 
 var (
 	// platforms is the shared platform cache.
-	platforms = newPlatformCache(DefaultPlatformCacheCap)
+	platforms = runner.NewCache[platformKey, *core.Platform](DefaultPlatformCacheCap, 0, nil)
 
 	// buildPlatform is swapped by tests to observe build concurrency.
 	buildPlatform = func(node tech.Node, cores int) (*core.Platform, error) {
 		return core.NewPlatformWith(node, core.Options{Cores: cores})
 	}
 )
-
-// newPlatformCache returns a platform cache of the given capacity whose
-// evictions drop the evicted platform's memoised influence matrix, so a
-// caller still holding the platform does not pin the matrix; a later
-// InfluenceMatrix call refetches or recomputes it.
-func newPlatformCache(capacity int) *runner.Cache[platformKey, *core.Platform] {
-	return runner.NewCache(capacity, 0, nil, func(_ platformKey, p *core.Platform) {
-		if p.Thermal != nil {
-			p.Thermal.ReleaseInfluence()
-		}
-	})
-}
 
 // platformFor returns a cached Platform: building one factors the
 // thermal network, which is worth sharing across experiments. Concurrent

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"darksim/internal/core"
+	"darksim/internal/runner"
 	"darksim/internal/tech"
-	"darksim/internal/thermal"
 )
 
 func renderOK(t *testing.T, r Renderer) string {
@@ -546,7 +546,7 @@ func TestFig13CancelledContextNamesScenario(t *testing.T) {
 func usePlatformCache(t *testing.T, capacity int) {
 	t.Helper()
 	prev := platforms
-	platforms = newPlatformCache(capacity)
+	platforms = runner.NewCache[platformKey, *core.Platform](capacity, 0, nil)
 	t.Cleanup(func() { platforms = prev })
 }
 
@@ -593,35 +593,6 @@ func TestPlatformCacheCapEvictsLRU(t *testing.T) {
 	mustPlatform(t, tech.Node22, 2)
 	if builds != 4 {
 		t.Errorf("evicted key must rebuild: builds = %d, want 4", builds)
-	}
-}
-
-// TestPlatformEvictionReleasesInfluence pins that evicting a platform
-// drops its memoised influence matrix: a caller still holding the
-// evicted platform then goes back to the process-wide influence cache
-// (a counted hit) instead of being served from the model's memo.
-func TestPlatformEvictionReleasesInfluence(t *testing.T) {
-	usePlatformCache(t, 1)
-	held := mustPlatform(t, tech.Node16, 4)
-	if _, err := held.Thermal.InfluenceMatrix(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	hits := thermal.InfluenceCacheStats().Hits
-	if _, err := held.Thermal.InfluenceMatrix(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := thermal.InfluenceCacheStats().Hits; got != hits {
-		t.Fatalf("memoised matrix not served from the model: cache hits %d -> %d", hits, got)
-	}
-	mustPlatform(t, tech.Node16, 9) // evicts the held platform
-	if n := PlatformCacheLen(); n != 1 {
-		t.Fatalf("cache len = %d, want 1", n)
-	}
-	if _, err := held.Thermal.InfluenceMatrix(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := thermal.InfluenceCacheStats().Hits; got != hits+1 {
-		t.Errorf("evicted platform kept its memo: cache hits %d -> %d, want one more", hits, got)
 	}
 }
 

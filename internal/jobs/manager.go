@@ -232,10 +232,14 @@ func (m *Manager) Submit(kind, label, key string, params map[string]string, job 
 	m.byKey[key] = r
 	m.runWG.Add(1)
 	m.queued.Add(1)
+	// Snapshot before the send: once r is queued the dispatcher may run
+	// it to completion before Submit returns, and a new run is reported
+	// as queued.
+	snap := r.snapshot()
 	// Guaranteed non-blocking: sends only happen here, under m.mu, and
 	// the capacity check above just passed.
 	m.queue <- r
-	return r.snapshot(), false, nil
+	return snap, false, nil
 }
 
 // dispatch drains the queue onto the pool. pool.Go blocks while every

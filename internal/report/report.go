@@ -1,11 +1,10 @@
-// Package report renders experiment results as aligned ASCII tables, CSV,
-// and compact ASCII charts. The cmd/darksim harness uses it to print the
+// Package report renders experiment results as aligned ASCII tables and
+// compact ASCII charts. The cmd/darksim harness uses it to print the
 // same rows and series the paper's tables and figures report.
 package report
 
 import (
 	"bufio"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -35,7 +34,7 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// check validates the grid shape shared by Render and WriteCSV.
+// check validates the grid shape Render relies on.
 func (t *Table) check() error {
 	if len(t.Columns) == 0 {
 		return fmt.Errorf("%w: table %q has no columns", ErrShape, t.Title)
@@ -106,65 +105,6 @@ func (t *Table) Render(w io.Writer) error {
 		fmt.Fprintln(bw, n)
 	}
 	return bw.Flush()
-}
-
-// NotePrefix marks a note record in CSV output: notes are emitted as
-// single-field records "# <note>" after the data rows, so a CSV file
-// carries the same content as the JSON and text renderings.
-const NotePrefix = "# "
-
-// WriteCSV emits the table as RFC 4180 CSV: one header record, one record
-// per row, then each note as a single-field record prefixed NotePrefix.
-// Every field goes through encoding/csv, so cells or notes containing
-// commas, quotes or newlines are quoted rather than corrupting the
-// column count. A zero-column table is an ErrShape error rather than a
-// lone empty header line.
-func (t *Table) WriteCSV(w io.Writer) error {
-	if err := t.check(); err != nil {
-		return err
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Columns); err != nil {
-		return err
-	}
-	if err := cw.WriteAll(t.Rows); err != nil {
-		return err
-	}
-	for _, n := range t.Notes {
-		if err := cw.Write([]string{NotePrefix + n}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses WriteCSV output back into the table's columns, rows and
-// notes — the inverse used by the verification subsystem's differential
-// checks. Records keep their RFC 4180 unescaping from encoding/csv;
-// single-field records carrying NotePrefix after the header are notes.
-func ReadCSV(r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1 // note records are narrower than data rows
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("%w: empty CSV", ErrShape)
-	}
-	t := &Table{Columns: recs[0]}
-	for _, rec := range recs[1:] {
-		if len(rec) == 1 && strings.HasPrefix(rec[0], NotePrefix) {
-			t.Notes = append(t.Notes, strings.TrimPrefix(rec[0], NotePrefix))
-			continue
-		}
-		t.Rows = append(t.Rows, rec)
-	}
-	if err := t.check(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // Chart renders one or more (x, y) series as a fixed-size ASCII chart —

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,9 +40,6 @@ func TestTableRenderShapeError(t *testing.T) {
 	if err := tb.Render(&bytes.Buffer{}); err == nil {
 		t.Errorf("mismatched row should error")
 	}
-	if err := tb.WriteCSV(&bytes.Buffer{}); err == nil {
-		t.Errorf("mismatched row should error in CSV too")
-	}
 }
 
 func TestTableRenderNotes(t *testing.T) {
@@ -61,16 +57,13 @@ func TestTableRenderNotes(t *testing.T) {
 
 func TestTableZeroColumns(t *testing.T) {
 	tb := &Table{Title: "empty"}
-	if err := tb.WriteCSV(&bytes.Buffer{}); !errors.Is(err, ErrShape) {
-		t.Errorf("zero-column CSV: got %v, want ErrShape", err)
-	}
 	if err := tb.Render(&bytes.Buffer{}); !errors.Is(err, ErrShape) {
 		t.Errorf("zero-column Render: got %v, want ErrShape", err)
 	}
 	// A zero-column table with rows is equally malformed.
 	tb.Rows = [][]string{{"cell"}}
-	if err := tb.WriteCSV(&bytes.Buffer{}); !errors.Is(err, ErrShape) {
-		t.Errorf("zero-column CSV with rows: got %v, want ErrShape", err)
+	if err := tb.Render(&bytes.Buffer{}); !errors.Is(err, ErrShape) {
+		t.Errorf("zero-column Render with rows: got %v, want ErrShape", err)
 	}
 }
 
@@ -92,65 +85,6 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	}
 	if back.Title != tb.Title || len(back.Rows) != 1 || back.Rows[0][1] != "2" {
 		t.Errorf("round-trip mismatch: %+v", back)
-	}
-}
-
-func TestTableWriteCSV(t *testing.T) {
-	tb := &Table{Columns: []string{"a", "b"}}
-	tb.AddRow("1", "2")
-	tb.AddRow("3", "4,5") // needs quoting
-	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Errorf("CSV header wrong: %q", out)
-	}
-	if !strings.Contains(out, `"4,5"`) {
-		t.Errorf("CSV quoting wrong: %q", out)
-	}
-}
-
-// TestTableWriteCSVEscapesNotes pins the RFC 4180 behavior the differential
-// checks depend on: cells and notes containing commas, quotes or newlines
-// must survive a write/read round-trip without corrupting the column count.
-func TestTableWriteCSVEscapesNotes(t *testing.T) {
-	tb := &Table{Columns: []string{"app", "value, with comma"}}
-	tb.AddRow(`quoted "cell"`, "multi\nline")
-	tb.AddRow("plain", "1.5")
-	tb.AddNote("max dark silicon at fmax: %d%%, up from %d%%", 37, 20)
-	tb.AddNote(`a "quoted" note`)
-	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadCSV: %v\ncsv:\n%s", err, buf.String())
-	}
-	if !reflect.DeepEqual(got.Columns, tb.Columns) {
-		t.Errorf("columns: got %q want %q", got.Columns, tb.Columns)
-	}
-	if !reflect.DeepEqual(got.Rows, tb.Rows) {
-		t.Errorf("rows: got %q want %q", got.Rows, tb.Rows)
-	}
-	if !reflect.DeepEqual(got.Notes, tb.Notes) {
-		t.Errorf("notes: got %q want %q", got.Notes, tb.Notes)
-	}
-	// The comma inside the note must not have split it into two fields:
-	// every note record is a single field.
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		if strings.HasPrefix(line, `"`+NotePrefix) && strings.Count(line, `","`) > 0 {
-			t.Errorf("note record split into multiple fields: %q", line)
-		}
-	}
-}
-
-func TestReadCSVRejectsRaggedRows(t *testing.T) {
-	in := "a,b\n1,2\n3\n"
-	if _, err := ReadCSV(strings.NewReader(in)); !errors.Is(err, ErrShape) {
-		t.Errorf("ragged row should be ErrShape, got %v", err)
 	}
 }
 

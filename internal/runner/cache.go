@@ -36,7 +36,6 @@ type Cache[K comparable, V any] struct {
 	capacity int
 	ttl      time.Duration
 	now      func() time.Time
-	onEvict  func(K, V)
 
 	mu      sync.Mutex
 	lru     *list.List // front = most recently used; values are *entry[K, V]
@@ -60,10 +59,7 @@ type flight[V any] struct {
 
 // NewCache returns a cache holding at most capacity entries, each for
 // ttl (zero or less: until evicted) on the clock now (nil: time.Now).
-// onEvict, when non-nil, is called outside the lock once for every entry
-// the cache drops on its own, by the capacity bound or on expiry; Put
-// overwrites and Reset do not call it.
-func NewCache[K comparable, V any](capacity int, ttl time.Duration, now func() time.Time, onEvict func(K, V)) *Cache[K, V] {
+func NewCache[K comparable, V any](capacity int, ttl time.Duration, now func() time.Time) *Cache[K, V] {
 	if now == nil {
 		now = time.Now
 	}
@@ -71,7 +67,6 @@ func NewCache[K comparable, V any](capacity int, ttl time.Duration, now func() t
 		capacity: capacity,
 		ttl:      ttl,
 		now:      now,
-		onEvict:  onEvict,
 		lru:      list.New(),
 		items:    make(map[K]*list.Element),
 		flights:  make(map[K]*flight[V]),
@@ -82,10 +77,8 @@ func NewCache[K comparable, V any](capacity int, ttl time.Duration, now func() t
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	now := c.clock()
 	c.mu.Lock()
-	v, ok, gone := c.getLocked(key, now)
-	c.mu.Unlock()
-	c.release(gone)
-	return v, ok
+	defer c.mu.Unlock()
+	return c.getLocked(key, now)
 }
 
 // Put stores val for key, evicting least recently used entries beyond
@@ -93,9 +86,8 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 func (c *Cache[K, V]) Put(key K, val V) {
 	now := c.clock()
 	c.mu.Lock()
-	gone := c.putLocked(key, val, now)
-	c.mu.Unlock()
-	c.release(gone)
+	defer c.mu.Unlock()
+	c.putLocked(key, val, now)
 }
 
 // Do returns the value for key: the stored one, or the result of the one
@@ -108,7 +100,7 @@ func (c *Cache[K, V]) Put(key K, val V) {
 func (c *Cache[K, V]) Do(ctx context.Context, key K, build func() (V, error)) (V, Outcome, error) {
 	now := c.clock()
 	c.mu.Lock()
-	v, ok, gone := c.getLocked(key, now)
+	v, ok := c.getLocked(key, now)
 	outcome := Hit
 	var f *flight[V]
 	if !ok {
@@ -123,7 +115,6 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, build func() (V, error)) (V
 		}
 	}
 	c.mu.Unlock()
-	c.release(gone)
 	if ok {
 		return v, outcome, nil
 	}
@@ -137,22 +128,19 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, build func() (V, error)) (V
 }
 
 // run executes one build, stores a success unless Reset forgot the
-// flight meanwhile, releases what the store evicted, and only then wakes
-// the waiters: a waiter's next lookup already hits, and the evictions its
-// build caused are complete.
+// flight meanwhile, and only then wakes the waiters, so a waiter's next
+// lookup already hits.
 func (c *Cache[K, V]) run(key K, f *flight[V], build func() (V, error)) {
 	f.val, f.err = build()
-	var gone []*entry[K, V]
 	now := c.clock()
 	c.mu.Lock()
 	if c.flights[key] == f {
 		delete(c.flights, key)
 		if f.err == nil {
-			gone = c.putLocked(key, f.val, now)
+			c.putLocked(key, f.val, now)
 		}
 	}
 	c.mu.Unlock()
-	c.release(gone)
 	close(f.done)
 }
 
@@ -188,27 +176,27 @@ func (c *Cache[K, V]) clock() time.Time {
 }
 
 // getLocked looks key up at time now and counts a hit or a miss. An
-// expired entry is unlinked and returned in gone.
-func (c *Cache[K, V]) getLocked(key K, now time.Time) (v V, ok bool, gone []*entry[K, V]) {
+// expired entry is unlinked.
+func (c *Cache[K, V]) getLocked(key K, now time.Time) (v V, ok bool) {
 	if el, found := c.items[key]; found {
 		e := el.Value.(*entry[K, V])
 		if e.expires.IsZero() || !now.After(e.expires) {
 			c.lru.MoveToFront(el)
 			c.stats.Hits++
-			return e.val, true, nil
+			return e.val, true
 		}
-		gone = append(gone, c.unlinkLocked(el))
+		c.unlinkLocked(el)
 		c.stats.Expired++
 	}
 	c.stats.Misses++
-	return v, false, gone
+	return v, false
 }
 
-// putLocked stores val for key at time now and returns the entries
-// evicted to fit the capacity.
-func (c *Cache[K, V]) putLocked(key K, val V, now time.Time) (gone []*entry[K, V]) {
+// putLocked stores val for key at time now, evicting least recently
+// used entries beyond the capacity.
+func (c *Cache[K, V]) putLocked(key K, val V, now time.Time) {
 	if c.capacity <= 0 {
-		return nil
+		return
 	}
 	var expires time.Time
 	if c.ttl > 0 {
@@ -218,28 +206,16 @@ func (c *Cache[K, V]) putLocked(key K, val V, now time.Time) (gone []*entry[K, V
 		e := el.Value.(*entry[K, V])
 		e.val, e.expires = val, expires
 		c.lru.MoveToFront(el)
-		return nil
+		return
 	}
 	c.items[key] = c.lru.PushFront(&entry[K, V]{key: key, val: val, expires: expires})
 	for c.lru.Len() > c.capacity {
-		gone = append(gone, c.unlinkLocked(c.lru.Back()))
+		c.unlinkLocked(c.lru.Back())
 		c.stats.Evictions++
 	}
-	return gone
 }
 
-func (c *Cache[K, V]) unlinkLocked(el *list.Element) *entry[K, V] {
+func (c *Cache[K, V]) unlinkLocked(el *list.Element) {
 	e := c.lru.Remove(el).(*entry[K, V])
 	delete(c.items, e.key)
-	return e
-}
-
-// release hands dropped entries to onEvict.
-func (c *Cache[K, V]) release(gone []*entry[K, V]) {
-	if c.onEvict == nil {
-		return
-	}
-	for _, e := range gone {
-		c.onEvict(e.key, e.val)
-	}
 }

@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,7 +39,7 @@ func TestCache(t *testing.T) {
 	}{
 		{"concurrent Do calls share one build", func(t *testing.T) {
 			const n = 8
-			c := NewCache[string, int](4, 0, nil, nil)
+			c := NewCache[string, int](4, 0, nil)
 			var builds atomic.Int64
 			gate := make(chan struct{})
 			outcomes := make(chan Outcome, n)
@@ -75,7 +74,7 @@ func TestCache(t *testing.T) {
 			}
 		}},
 		{"distinct keys build concurrently", func(t *testing.T) {
-			c := NewCache[string, int](4, 0, nil, nil)
+			c := NewCache[string, int](4, 0, nil)
 			var running atomic.Int64
 			both := make(chan struct{})
 			build := func() (int, error) {
@@ -102,7 +101,7 @@ func TestCache(t *testing.T) {
 			wg.Wait()
 		}},
 		{"a cancelled waiter returns early, the build still lands", func(t *testing.T) {
-			c := NewCache[string, int](4, 0, nil, nil)
+			c := NewCache[string, int](4, 0, nil)
 			var builds atomic.Int64
 			gate := make(chan struct{})
 			cctx, cancel := context.WithCancel(ctx)
@@ -117,7 +116,7 @@ func TestCache(t *testing.T) {
 			}
 		}},
 		{"an error reaches the caller and is not stored", func(t *testing.T) {
-			c := NewCache[string, int](4, 0, nil, nil)
+			c := NewCache[string, int](4, 0, nil)
 			boom := errors.New("boom")
 			if _, _, err := c.Do(ctx, "k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 				t.Fatalf("err = %v, want boom", err)
@@ -131,7 +130,7 @@ func TestCache(t *testing.T) {
 			}
 		}},
 		{"LRU order", func(t *testing.T) {
-			c := NewCache[string, int](2, 0, nil, nil)
+			c := NewCache[string, int](2, 0, nil)
 			c.Put("a", 1)
 			c.Put("b", 2)
 			c.Get("a") // b becomes least recently used
@@ -150,7 +149,7 @@ func TestCache(t *testing.T) {
 		}},
 		{"TTL expiry on a fake clock is counted", func(t *testing.T) {
 			now := time.Unix(1_000_000, 0)
-			c := NewCache[string, int](4, time.Minute, func() time.Time { return now }, nil)
+			c := NewCache[string, int](4, time.Minute, func() time.Time { return now })
 			c.Put("k", 1)
 			now = now.Add(59 * time.Second)
 			if _, ok := c.Get("k"); !ok {
@@ -166,7 +165,7 @@ func TestCache(t *testing.T) {
 		}},
 		{"capacity <= 0 stores nothing but still coalesces", func(t *testing.T) {
 			for _, capacity := range []int{0, -1} {
-				c := NewCache[string, int](capacity, 0, nil, nil)
+				c := NewCache[string, int](capacity, 0, nil)
 				var builds atomic.Int64
 				gate := make(chan struct{})
 				done := make(chan Outcome, 2)
@@ -184,26 +183,6 @@ func TestCache(t *testing.T) {
 				if builds.Load() != 1 || c.Stats().Entries != 0 {
 					t.Errorf("cap %d: builds = %d, len = %d; want 1 build, nothing stored", capacity, builds.Load(), c.Stats().Entries)
 				}
-			}
-		}},
-		{"on-evict fires once per evicted entry", func(t *testing.T) {
-			now := time.Unix(0, 0)
-			evicted := map[string]int{}
-			c := NewCache(2, time.Minute, func() time.Time { return now },
-				func(k string, _ int) { evicted[k]++ })
-			c.Put("a", 1)
-			c.Put("b", 2)
-			c.Put("b", 3) // an overwrite is not an eviction
-			c.Put("c", 4) // evicts a
-			// Storing d evicts b.
-			if _, _, err := c.Do(ctx, "d", func() (int, error) { return 5, nil }); err != nil {
-				t.Fatal(err)
-			}
-			now = now.Add(2 * time.Minute)
-			c.Get("c") // expires c
-			c.Reset()  // drops d without calling onEvict
-			if want := map[string]int{"a": 1, "b": 1, "c": 1}; !maps.Equal(evicted, want) {
-				t.Errorf("evicted = %v, want %v", evicted, want)
 			}
 		}},
 	}

@@ -150,7 +150,7 @@ func New(cfg Config, exps []experiments.Experiment) *Server {
 		pool:    pool,
 		stop:    stop,
 		start:   cfg.Now(),
-		cache:   runner.NewCache[string, *Result](cfg.CacheSize, cfg.CacheTTL, cfg.Now, nil),
+		cache:   runner.NewCache[string, *Result](cfg.CacheSize, cfg.CacheTTL, cfg.Now),
 	}
 	for _, e := range exps {
 		s.exps[e.ID] = e

@@ -13,11 +13,13 @@ import (
 	"darksim/internal/runner"
 )
 
-// influenceCacheCap bounds the process-wide influence cache. An
-// influence matrix is nb×nb float64s (8 MB at 1024 cores), so a handful
-// of entries covers every platform a bench run or service instance
-// cycles through without unbounded growth.
-const influenceCacheCap = 8
+// influenceCacheCap bounds the process-wide influence cache, the only
+// holder of influence matrices: a model keeps no copy, so this cap is
+// the bound on resident matrices (nb×nb float64s, 8 MiB at 1024 cores).
+// It equals experiments.DefaultPlatformCacheCap so every warm platform's
+// matrix fits; at 8 the warm set of a mixed TSP and scenario load
+// thrashes and every eviction is a full rebuild.
+const influenceCacheCap = 32
 
 // influenceSolveHook, when non-nil, is invoked once per influence column
 // (with the block index) before that column's panel solves and may
@@ -38,7 +40,7 @@ type CacheStats struct {
 // so models built from equal platforms — a service request, a CLI figure
 // and a bench iteration — share one computation keyed by content hash.
 // Entries are immutable matrices; eviction is LRU.
-var infCache = runner.NewCache[uint64, *linalg.Matrix](influenceCacheCap, 0, nil, nil)
+var infCache = runner.NewCache[uint64, *linalg.Matrix](influenceCacheCap, 0, nil)
 
 // ResetInfluenceCache drops every cached influence matrix and zeroes the
 // hit/miss counters. Benchmarks use it to measure cold builds honestly.
@@ -98,42 +100,25 @@ func (m *Model) influenceKey() uint64 {
 // linearity, T = B·P + Tambient-field, which is the foundation of the
 // TSP computation.
 //
-// Lookup order: the model's own memo, then the process-wide cache (so a
-// freshly constructed model for an already-seen platform pays nothing),
-// then a parallel computation of the columns. A failed computation is NOT
-// memoized: the next call retries, so a transient failure cannot poison
-// the model. The context cancels the column fan-out.
+// The process-wide cache is the matrix's only holder: a model built from
+// an already-seen platform pays nothing, and a model whose entry was
+// evicted computes the columns again, in parallel. The build runs on the
+// caller's context, so a cancel stops the column fan-out (Cache.Do would
+// detach it). A failed computation is NOT stored: the next call retries,
+// so a transient failure cannot poison the model.
 func (m *Model) InfluenceMatrix(ctx context.Context) (*linalg.Matrix, error) {
-	if mat := m.influence.Load(); mat != nil {
-		return mat, nil
-	}
 	m.infMu.Lock()
 	defer m.infMu.Unlock()
-	if mat := m.influence.Load(); mat != nil {
-		return mat, nil
-	}
-	if !m.infKeyed {
-		m.infKey = m.influenceKey()
-		m.infKeyed = true
-	}
 	if mat, ok := infCache.Get(m.infKey); ok {
-		m.influence.Store(mat)
 		return mat, nil
 	}
 	mat, err := m.computeInfluence(ctx)
 	if err != nil {
 		return nil, err
 	}
-	m.influence.Store(mat)
 	infCache.Put(m.infKey, mat)
 	return mat, nil
 }
-
-// ReleaseInfluence drops the model's memoised influence matrix without
-// waiting for a computation in progress, so an evicted platform does not
-// pin it. A later InfluenceMatrix call takes it from the process-wide
-// cache or recomputes it.
-func (m *Model) ReleaseInfluence() { m.influence.Store(nil) }
 
 // computeInfluence builds the influence matrix. Columns are solves
 // against the shared immutable steady-state factor, batched into panels

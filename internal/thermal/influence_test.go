@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"darksim/internal/floorplan"
 	"darksim/internal/linalg"
@@ -247,7 +248,7 @@ func TestInfluenceCacheKey(t *testing.T) {
 // the given capacity for the rest of the test.
 func useInfluenceCache(t *testing.T, capacity int) {
 	prev := infCache
-	infCache = runner.NewCache[uint64, *linalg.Matrix](capacity, 0, nil, nil)
+	infCache = runner.NewCache[uint64, *linalg.Matrix](capacity, 0, nil)
 	t.Cleanup(func() { infCache = prev })
 }
 
@@ -294,6 +295,38 @@ func TestInfluenceCacheEviction(t *testing.T) {
 	if st := InfluenceCacheStats(); st.Entries != 0 {
 		t.Fatalf("disabled cache stored an entry: %+v", st)
 	}
+}
+
+// TestEvictedInfluenceNotPinnedByModel pins that the process-wide cache
+// is the only holder of an influence matrix: once a second platform
+// evicts it from a cap-1 cache, the collector reclaims it even while the
+// model that built it is still live.
+func TestEvictedInfluenceNotPinnedByModel(t *testing.T) {
+	useInfluenceCache(t, 1)
+	held := model16(t)
+	wp := func() weak.Pointer[linalg.Matrix] {
+		mat, err := held.InfluenceMatrix(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(mat)
+	}()
+	fp, err := floorplan.NewGrid(9, 9, 5.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewModel(fp, DefaultConfig(fp.DieW, fp.DieH, 9, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.InfluenceMatrix(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Errorf("the held model still pins its evicted influence matrix")
+	}
+	runtime.KeepAlive(held)
 }
 
 // ExampleInfluenceCacheStats documents the warm-path contract.

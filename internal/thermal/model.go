@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"darksim/internal/floorplan"
 	"darksim/internal/linalg"
@@ -52,16 +51,11 @@ type Model struct {
 	// power over die cells; fractions sum to 1.
 	blockCells [][]cellShare
 
-	// influence is the lazily computed block×block matrix of steady
-	// state dT_i/dP_j in K/W (see influence.go); ReleaseInfluence may
-	// drop it at any time, hence the atomic. infMu serializes the
-	// computation; a failed computation is never memoized, so callers
-	// retry naturally. infKey memoizes the platform content hash used to
-	// look the matrix up in the process-wide cache.
-	influence atomic.Pointer[linalg.Matrix]
-	infMu     sync.Mutex
-	infKey    uint64
-	infKeyed  bool
+	// infKey is the platform content hash under which the block×block
+	// influence matrix lives in the process-wide cache (see
+	// influence.go); infMu serializes this model's lookups and builds.
+	infMu  sync.Mutex
+	infKey uint64
 
 	// transFacs caches the factored implicit-Euler system per step size
 	// so repeated transients over one model (Fig11–13's sweeps) factor
@@ -108,6 +102,7 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	// AmbientField.
 	m.ambNodes = m.ambRHS.Clone()
 	m.steady.solveInPlace(m.ambNodes)
+	m.infKey = m.influenceKey()
 	return m, nil
 }
 

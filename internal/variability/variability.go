@@ -31,51 +31,36 @@ type Map struct {
 	FmaxDeltaGHz []float64
 }
 
-// Options configures map generation.
-type Options struct {
-	// Seed selects the deterministic variation pattern.
-	Seed int64
-	// LeakSigma is the lognormal sigma of leakage variation
-	// (default 0.25; silicon measurements at these nodes commonly show
-	// 20–30 %).
-	LeakSigma float64
-	// SystematicFrac is the share of the variance carried by the smooth
-	// wafer-level component (default 0.5).
-	SystematicFrac float64
-	// FmaxSigmaGHz is the per-core fmax standard deviation (default 0.1).
-	FmaxSigmaGHz float64
-}
+const (
+	// leakSigma is the lognormal sigma of leakage variation; silicon
+	// measurements at these nodes commonly show 20–30 %.
+	leakSigma = 0.25
+	// systematicFrac is the share of the variance carried by the smooth
+	// wafer-level component.
+	systematicFrac = 0.5
+	// fmaxSigmaGHz is the per-core fmax standard deviation.
+	fmaxSigmaGHz = 0.1
+)
 
 // ErrVariability is returned for invalid generation parameters.
 var ErrVariability = errors.New("variability: invalid")
 
-// Generate builds the variation map for a floorplan.
-func Generate(fp *floorplan.Floorplan, opt Options) (*Map, error) {
-	if opt.LeakSigma == 0 {
-		opt.LeakSigma = 0.25
-	}
-	if opt.SystematicFrac == 0 {
-		opt.SystematicFrac = 0.5
-	}
-	if opt.FmaxSigmaGHz == 0 {
-		opt.FmaxSigmaGHz = 0.1
-	}
-	if opt.LeakSigma < 0 || opt.SystematicFrac < 0 || opt.SystematicFrac > 1 || opt.FmaxSigmaGHz < 0 {
-		return nil, fmt.Errorf("%w: options %+v", ErrVariability, opt)
-	}
+// Generate builds the variation map for a floorplan; the seed selects
+// the deterministic variation pattern.
+func Generate(fp *floorplan.Floorplan, seed int64) (*Map, error) {
 	n := fp.NumBlocks()
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty floorplan", ErrVariability)
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	// Systematic component: one spatial cosine across the die with a
 	// random orientation and phase; wavelength of roughly the die size.
 	theta := 2 * math.Pi * rng.Float64()
 	phase := 2 * math.Pi * rng.Float64()
 	dirX, dirY := math.Cos(theta), math.Sin(theta)
 	diag := math.Hypot(fp.DieW, fp.DieH)
-	sysAmp := math.Sqrt(opt.SystematicFrac) * math.Sqrt2 // unit-variance cosine needs √2 amplitude
-	rndAmp := math.Sqrt(1 - opt.SystematicFrac)
+	sysAmp := math.Sqrt(systematicFrac) * math.Sqrt2 // unit-variance cosine needs √2 amplitude
+	rndAmp := math.Sqrt(1 - systematicFrac)
 
 	m := &Map{
 		LeakMult:     make([]float64, n),
@@ -85,10 +70,10 @@ func Generate(fp *floorplan.Floorplan, opt Options) (*Map, error) {
 		u := (b.CenterX()*dirX + b.CenterY()*dirY) / diag
 		sys := sysAmp * math.Cos(2*math.Pi*u+phase)
 		g := sys + rndAmp*rng.NormFloat64()
-		m.LeakMult[i] = math.Exp(opt.LeakSigma * g)
+		m.LeakMult[i] = math.Exp(leakSigma * g)
 		// Fast cores leak more: fmax correlates positively with the
 		// same underlying Vth variation.
-		m.FmaxDeltaGHz[i] = opt.FmaxSigmaGHz * g
+		m.FmaxDeltaGHz[i] = fmaxSigmaGHz * g
 	}
 	return m, nil
 }

@@ -21,11 +21,11 @@ func grid(t testing.TB) *floorplan.Floorplan {
 
 func TestGenerateDeterministic(t *testing.T) {
 	fp := grid(t)
-	a, err := Generate(fp, Options{Seed: 7})
+	a, err := Generate(fp, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(fp, Options{Seed: 7})
+	b, err := Generate(fp, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("maps differ at %d", i)
 		}
 	}
-	c, err := Generate(fp, Options{Seed: 8})
+	c, err := Generate(fp, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateStatistics(t *testing.T) {
 	fp := grid(t)
-	m, err := Generate(fp, Options{Seed: 3})
+	m, err := Generate(fp, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,22 +96,15 @@ func TestGenerateStatistics(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	fp := grid(t)
-	if _, err := Generate(fp, Options{LeakSigma: -1}); err == nil {
-		t.Errorf("negative sigma should error")
-	}
-	if _, err := Generate(fp, Options{SystematicFrac: 1.5}); err == nil {
-		t.Errorf("fraction > 1 should error")
-	}
 	var empty floorplan.Floorplan
-	if _, err := Generate(&empty, Options{}); err == nil {
+	if _, err := Generate(&empty, 0); err == nil {
 		t.Errorf("empty floorplan should error")
 	}
 }
 
 func TestApplyLeak(t *testing.T) {
 	fp := grid(t)
-	m, err := Generate(fp, Options{Seed: 5})
+	m, err := Generate(fp, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +129,7 @@ func TestApplyLeak(t *testing.T) {
 
 func TestAwareStrategySelectsCoolSilicon(t *testing.T) {
 	fp := grid(t)
-	m, err := Generate(fp, Options{Seed: 11})
+	m, err := Generate(fp, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +171,7 @@ func TestAwareStrategySelectsCoolSilicon(t *testing.T) {
 // binary searches built on strategies).
 func TestAwareStrategyPrefixProperty(t *testing.T) {
 	fp := grid(t)
-	m, err := Generate(fp, Options{Seed: 13})
+	m, err := Generate(fp, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func parseRenderedTable(s string, wantRows int) (*report.Table, error) {
 	return t, nil
 }
 
-// diffRenderings checks that the text, CSV and JSON renderings of one
+// diffRenderings checks that the text and JSON renderings of one
 // figure's tables all decode back to the same cells.
 func diffRenderings(id string, tables []*report.Table) []Failure {
 	var fails []Failure
@@ -144,19 +144,6 @@ func diffRenderings(id string, tables []*report.Table) []Failure {
 			fail("diff-text", ti, err)
 		} else if err := tablesEqualExact(parsed, t); err != nil {
 			fail("diff-text", ti, err)
-		}
-
-		buf.Reset()
-		if err := t.WriteCSV(&buf); err != nil {
-			fail("diff-csv", ti, err)
-		} else if parsed, err := report.ReadCSV(bytes.NewReader(buf.Bytes())); err != nil {
-			fail("diff-csv", ti, err)
-		} else {
-			// CSV carries no title; compare the grid and notes only.
-			parsed.Title = t.Title
-			if err := tablesEqualExact(parsed, t); err != nil {
-				fail("diff-csv", ti, err)
-			}
 		}
 
 		data, err := json.Marshal(t)

@@ -2,7 +2,7 @@
 // behind `darksim verify`: every figure is recomputed under canonical
 // options and checked three ways — against the embedded golden corpus
 // with per-cell tolerances, against the paper's physics invariants, and
-// differentially across the text/CSV/JSON/HTTP renderings plus a
+// differentially across the text/JSON/HTTP renderings plus a
 // sequential warm-cache recomputation that must be byte-identical.
 package verify
 
