@@ -10,8 +10,12 @@ all: check
 # and tests, tests (also in shuffled order, to catch inter-test state
 # leaks; they include the root dead-code guards, TestNoOrphanInternalPackages
 # and TestNoUnreferencedDecls, which fail on an internal package no
-# non-test package imports and on an internal declaration no non-test
-# code references), the race detector over the parallel sweep paths, a short smoke
+# non-test package imports and, type-checked with go/types, on anything
+# internal only tests use: a package-level declaration, a method no
+# non-test code calls or reaches through an interface, a struct field no
+# non-test code names, an *Options field no non-test keyed literal sets;
+# and TestExamplesRun, which builds and runs every examples/ program),
+# the race detector over the parallel sweep paths, a short smoke
 # run of every fuzz target, a one-shot run of the thermal-solve and
 # influence-build benchmarks so a broken bench path fails the gate, the
 # async-runtime smoke (a real shortened fig12 submitted as a run,

@@ -67,19 +67,19 @@ func BenchmarkFig10TSP(b *testing.B) {
 
 func BenchmarkFig11BoostTransient(b *testing.B) {
 	runBench(b, func() (experiments.Renderer, error) {
-		return experiments.Fig11(context.Background(), experiments.Fig11Options{DurationS: 2})
+		return experiments.Fig11(context.Background(), 2)
 	})
 }
 
 func BenchmarkFig12BoostScaling(b *testing.B) {
 	runBench(b, func() (experiments.Renderer, error) {
-		return experiments.Fig12(context.Background(), experiments.Fig12Options{DurationS: 0.5, StepCores: 24})
+		return experiments.Fig12(context.Background(), 0.25)
 	})
 }
 
 func BenchmarkFig13BoostApps(b *testing.B) {
 	runBench(b, func() (experiments.Renderer, error) {
-		return experiments.Fig13(context.Background(), experiments.Fig13Options{DurationS: 0.25, Instances: []int{12}})
+		return experiments.Fig13(context.Background(), 0.1)
 	})
 }
 

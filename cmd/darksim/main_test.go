@@ -67,7 +67,9 @@ func TestRunDurationOverride(t *testing.T) {
 // non-finite run length fails with ErrOptions (main exits 1) instead of
 // silently running the default length, for one experiment and for `all`.
 func TestRunRejectsBadDuration(t *testing.T) {
-	for _, d := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	// Besides negative and non-finite lengths, a positive one shorter
+	// than the 1 ms control period is refused: no period would run.
+	for _, d := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1), 1e-300, 0.0001, 1e-9} {
 		if _, err := run(context.Background(), "fig11", d); !errors.Is(err, experiments.ErrOptions) {
 			t.Errorf("fig11 -duration %g: err = %v, want ErrOptions", d, err)
 		}

@@ -41,7 +41,7 @@ func main() {
 	}
 	fmt.Printf("constant-frequency operating point: %.1f GHz\n", ladder.Points[constLevel].FGHz)
 
-	opts := sim.Options{Duration: 10, ControlPeriod: 1e-3, StartSteady: true}
+	opts := sim.Options{Duration: 10, ControlPeriod: sim.ControlPeriodS, StartSteady: true}
 	constRes, err := sim.Run(platform, plan, boost.Constant{Level: constLevel}, ladder, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -98,16 +98,6 @@ func (in *Integrator) Add(dt float64, tempsC []float64) error {
 	return nil
 }
 
-// Elapsed returns the integrated wall-clock time in seconds.
-func (in *Integrator) Elapsed() float64 { return in.total }
-
-// Wear returns the per-core accelerated seconds (a copy).
-func (in *Integrator) Wear() []float64 {
-	out := make([]float64, len(in.wear))
-	copy(out, in.wear)
-	return out
-}
-
 // MaxWear returns the most-aged core's accelerated seconds and index.
 func (in *Integrator) MaxWear() (float64, int) {
 	best, at := math.Inf(-1), -1

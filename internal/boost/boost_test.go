@@ -9,6 +9,7 @@ import (
 	"darksim/internal/mapping"
 	"darksim/internal/sim"
 	"darksim/internal/tech"
+	"darksim/internal/thermal"
 )
 
 var platCache *core.Platform
@@ -133,7 +134,7 @@ func TestFindConstantLevelNoSafe(t *testing.T) {
 	// Set the threshold below ambient: nothing is safe.
 	p := plat(t)
 	plan := x264Plan(t, p)
-	if _, err := FindConstantLevel(p, plan, p.Ladder, p.Thermal.Ambient()-1); err == nil {
+	if _, err := FindConstantLevel(p, plan, p.Ladder, thermal.DefaultAmbientC-1); err == nil {
 		t.Errorf("expected ErrNoSafeLevel")
 	}
 }

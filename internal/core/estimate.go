@@ -116,9 +116,6 @@ type DVFSConfig struct {
 	GIPS    float64 // total over all instances
 	PowerW  float64 // total over all instances (at TDTM)
 	Cores   int     // total active cores
-	// Instances is filled by callers that search over instance counts;
-	// BestDVFSConfig itself treats the count as a fixed input.
-	Instances int
 }
 
 // BestDVFSConfig searches threads × ladder levels for the configuration

@@ -188,26 +188,6 @@ func utilization(a apps.App, threads int) float64 {
 	return a.Speedup(threads) / float64(threads)
 }
 
-// placementCorePower evaluates one core of a placement under the mode.
-func (p *Platform) placementCorePower(pl mapping.Placement, tempC float64, mode PowerMode) (float64, error) {
-	model, err := pl.App.ModelFor(p.Node)
-	if err != nil {
-		return 0, err
-	}
-	vdd, err := p.Curve.VoltageFor(pl.FGHz)
-	if err != nil {
-		return 0, err
-	}
-	alpha := pl.App.Alpha
-	if pl.Threads == 1 {
-		alpha = pl.App.AlphaSingle
-	}
-	if mode == GatedIdle {
-		alpha *= utilization(pl.App, pl.Threads)
-	}
-	return model.Power(alpha, vdd, pl.FGHz, tempC), nil
-}
-
 // PlanPower evaluates the per-core power map of a plan at a uniform
 // temperature estimate under the given mode.
 func (p *Platform) PlanPower(plan *mapping.Plan, tempC float64, mode PowerMode) ([]float64, error) {
@@ -216,10 +196,11 @@ func (p *Platform) PlanPower(plan *mapping.Plan, tempC float64, mode PowerMode) 
 	}
 	pw := make([]float64, plan.NumCores)
 	for _, pl := range plan.Placements {
-		cp, err := p.placementCorePower(pl, tempC, mode)
+		coef, err := p.PowerCoefFor(pl, mode)
 		if err != nil {
 			return nil, err
 		}
+		cp := coef.At(tempC)
 		for _, c := range pl.Cores {
 			pw[c] = cp
 		}
@@ -238,6 +219,14 @@ func (p *Platform) SteadyTemps(plan *mapping.Plan, mode PowerMode) ([]float64, [
 	if plan.NumCores != p.NumCores() {
 		return nil, nil, fmt.Errorf("core: plan for %d cores on a %d-core platform", plan.NumCores, p.NumCores())
 	}
+	coefs := make([]PowerCoef, len(plan.Placements))
+	for i, pl := range plan.Placements {
+		coef, err := p.PowerCoefFor(pl, mode)
+		if err != nil {
+			return nil, nil, err
+		}
+		coefs[i] = coef
+	}
 	// Start from the DTM threshold as the temperature estimate.
 	temps := make([]float64, plan.NumCores)
 	for i := range temps {
@@ -246,13 +235,9 @@ func (p *Platform) SteadyTemps(plan *mapping.Plan, mode PowerMode) ([]float64, [
 	var power []float64
 	for iter := 0; iter < leakageIterations; iter++ {
 		power = make([]float64, plan.NumCores)
-		for _, pl := range plan.Placements {
+		for i, pl := range plan.Placements {
 			for _, c := range pl.Cores {
-				cp, err := p.PlacementCorePowerAt(pl, temps[c], mode)
-				if err != nil {
-					return nil, nil, err
-				}
-				power[c] = cp
+				power[c] = coefs[i].At(temps[c])
 			}
 		}
 		next, err := p.Thermal.SteadyState(power)
@@ -262,13 +247,6 @@ func (p *Platform) SteadyTemps(plan *mapping.Plan, mode PowerMode) ([]float64, [
 		temps = next
 	}
 	return temps, power, nil
-}
-
-// PlacementCorePowerAt evaluates the Equation (1) power of one core of a
-// placement at a specific core temperature. SteadyTemps couples leakage
-// through it; the transient engine uses the bit-identical PowerCoef form.
-func (p *Platform) PlacementCorePowerAt(pl mapping.Placement, tempC float64, mode PowerMode) (float64, error) {
-	return p.placementCorePower(pl, tempC, mode)
 }
 
 // PeakTemp implements mapping.Evaluator: the steady-state peak core

@@ -15,10 +15,11 @@ import (
 // transient simulators re-evaluate core power at every control period
 // with only the temperature changing; the coefficient form replaces two
 // exponentials and the model/voltage lookups per core per period with
-// one. At must return bit-for-bit the value PlacementCorePowerAt
-// returns — every product below is written in that method's exact
-// association order — so the fast stepping paths can use it without
-// perturbing the differential pins.
+// one. It is the one Equation (1) path for placements: PlanPower,
+// SteadyTemps and the transient engine all evaluate through it. At
+// returns bit-for-bit power.CoreModel.Power — every product below is
+// written in that method's exact association order — which
+// TestPowerCoefBitIdentical pins.
 type PowerCoef struct {
 	dyn    float64 // α·Ceff·Vdd²·f
 	vdd    float64
@@ -29,8 +30,8 @@ type PowerCoef struct {
 }
 
 // PowerCoefFor folds the placement's model lookup, V/f conversion and
-// voltage-dependent leakage into a PowerCoef. It errors exactly when
-// PlacementCorePowerAt would (unknown model, infeasible frequency).
+// voltage-dependent leakage into a PowerCoef. It errors on an unknown
+// model or an infeasible frequency.
 func (p *Platform) PowerCoefFor(pl mapping.Placement, mode PowerMode) (PowerCoef, error) {
 	model, err := pl.App.ModelFor(p.Node)
 	if err != nil {
@@ -58,7 +59,7 @@ func (p *Platform) PowerCoefFor(pl mapping.Placement, mode PowerMode) (PowerCoef
 }
 
 // At evaluates the placement's power at a core temperature, bit-for-bit
-// equal to PlacementCorePowerAt at the same temperature.
+// equal to power.CoreModel.Power at the same temperature.
 func (c PowerCoef) At(tempC float64) float64 {
 	return c.dyn + c.vdd*(c.li*math.Exp(c.gammaT*(tempC-c.tRef))) + c.pind
 }

@@ -7,31 +7,53 @@ import (
 	"darksim/internal/mapping"
 )
 
+// directCorePower is the reference Equation (1) evaluation of one core
+// of a placement: the model and voltage lookups and power.CoreModel.Power
+// at the core temperature, with no folding.
+func directCorePower(p *Platform, pl mapping.Placement, tempC float64, mode PowerMode) (float64, error) {
+	model, err := pl.App.ModelFor(p.Node)
+	if err != nil {
+		return 0, err
+	}
+	vdd, err := p.Curve.VoltageFor(pl.FGHz)
+	if err != nil {
+		return 0, err
+	}
+	alpha := pl.App.Alpha
+	if pl.Threads == 1 {
+		alpha = pl.App.AlphaSingle
+	}
+	if mode == GatedIdle {
+		alpha *= utilization(pl.App, pl.Threads)
+	}
+	return model.Power(alpha, vdd, pl.FGHz, tempC), nil
+}
+
 // TestPowerCoefBitIdentical is the differential pin of the fused power
-// coefficients: across apps, thread counts, frequencies, modes and a
-// temperature sweep, PowerCoef.At must equal PlacementCorePowerAt bit
-// for bit — the fast stepping paths substitute one for the other inside
-// bit-exact differential tests.
+// coefficients, the one Equation (1) path of PlanPower, SteadyTemps and
+// the transient engine: across apps, thread counts, every boost-ladder
+// level, modes and a temperature sweep, PowerCoef.At must equal the
+// direct evaluation bit for bit.
 func TestPowerCoefBitIdentical(t *testing.T) {
 	p := plat16(t)
 	catalog := apps.Catalog()
 	for _, a := range catalog {
 		for _, threads := range []int{1, 2, 4} {
-			for _, f := range []float64{1.2, 2.0, 3.6} {
-				pl := mapping.Placement{App: a, Cores: make([]int, threads), FGHz: f, Threads: threads}
+			for _, pt := range p.BoostLadder.Points {
+				pl := mapping.Placement{App: a, Cores: make([]int, threads), FGHz: pt.FGHz, Threads: threads}
 				for _, mode := range []PowerMode{BusyWait, GatedIdle} {
 					coef, err := p.PowerCoefFor(pl, mode)
 					if err != nil {
-						t.Fatalf("%s t=%d f=%g: %v", a.Name, threads, f, err)
+						t.Fatalf("%s t=%d f=%g: %v", a.Name, threads, pt.FGHz, err)
 					}
 					for tc := 20.0; tc <= 110; tc += 7.3 {
-						want, err := p.PlacementCorePowerAt(pl, tc, mode)
+						want, err := directCorePower(p, pl, tc, mode)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if got := coef.At(tc); got != want {
 							t.Fatalf("%s t=%d f=%g mode=%v T=%g: coef %v != direct %v",
-								a.Name, threads, f, mode, tc, got, want)
+								a.Name, threads, pt.FGHz, mode, tc, got, want)
 						}
 					}
 				}
@@ -43,7 +65,7 @@ func TestPowerCoefBitIdentical(t *testing.T) {
 	if _, err := p.PowerCoefFor(bad, BusyWait); err == nil {
 		t.Fatal("want error for infeasible frequency")
 	}
-	if _, err := p.PlacementCorePowerAt(bad, 80, BusyWait); err == nil {
+	if _, err := directCorePower(p, bad, 80, BusyWait); err == nil {
 		t.Fatal("direct path accepts what PowerCoefFor rejects")
 	}
 }

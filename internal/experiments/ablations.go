@@ -326,7 +326,7 @@ func AblationHoldBand() (*AblationHoldBandResult, error) {
 	}
 	results, err := sim.RunBatch(context.Background(), p, runs, p.BoostLadder, sim.Options{
 		Duration:      5,
-		ControlPeriod: 1e-3,
+		ControlPeriod: sim.ControlPeriodS,
 		StartSteady:   true,
 	})
 	if err != nil {

@@ -28,19 +28,8 @@ func TestFiguresDeterministicAcrossRuns(t *testing.T) {
 			id  string
 			run func(context.Context) (Renderer, error)
 		}{id: e.ID, run: func(ctx context.Context) (Renderer, error) { return e.Run(ctx, 0) }}
-		switch e.ID {
-		case "fig11":
-			entry.run = func(ctx context.Context) (Renderer, error) {
-				return Fig11(ctx, Fig11Options{DurationS: 0.5, Instances: 12})
-			}
-		case "fig12":
-			entry.run = func(ctx context.Context) (Renderer, error) {
-				return Fig12(ctx, Fig12Options{DurationS: 0.5, StepCores: 32})
-			}
-		case "fig13":
-			entry.run = func(ctx context.Context) (Renderer, error) {
-				return Fig13(ctx, Fig13Options{DurationS: 0.5, Instances: []int{12}})
-			}
+		if e.Transient {
+			entry.run = func(ctx context.Context) (Renderer, error) { return e.Run(ctx, 0.25) }
 		}
 		runs = append(runs, entry)
 	}

@@ -213,13 +213,13 @@ func Registry() []Experiment {
 		{"fig9", "TDPmap vs DsRem (Figure 9)", false, fixed(Fig9)},
 		{"fig10", "Performance under TSP across nodes (Figure 10)", false, cancellable(Fig10)},
 		{"fig11", "Boosting vs constant frequency transients (Figure 11)", true, func(ctx context.Context, d float64) (Renderer, error) {
-			return Fig11(ctx, Fig11Options{DurationS: d})
+			return Fig11(ctx, d)
 		}},
 		{"fig12", "Boost/constant scaling with active cores (Figure 12)", true, func(ctx context.Context, d float64) (Renderer, error) {
-			return Fig12(ctx, Fig12Options{DurationS: d})
+			return Fig12(ctx, d)
 		}},
 		{"fig13", "Boost/constant across applications @11nm (Figure 13)", true, func(ctx context.Context, d float64) (Renderer, error) {
-			return Fig13(ctx, Fig13Options{DurationS: d})
+			return Fig13(ctx, d)
 		}},
 		{"fig14", "STC vs NTC performance and energy (Figure 14)", false, fixed(Fig14)},
 	}

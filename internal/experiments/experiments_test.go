@@ -11,6 +11,7 @@ import (
 
 	"darksim/internal/core"
 	"darksim/internal/runner"
+	"darksim/internal/sim"
 	"darksim/internal/tech"
 )
 
@@ -302,7 +303,7 @@ func TestFig11Observation3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient experiment")
 	}
-	r, err := Fig11(context.Background(), Fig11Options{DurationS: 10})
+	r, err := Fig11(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestFig12BoostCostsPower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient experiment")
 	}
-	r, err := Fig12(context.Background(), Fig12Options{DurationS: 2, StepCores: 24})
+	r, err := Fig12(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +356,7 @@ func TestFig13STCRegion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient experiment")
 	}
-	r, err := Fig13(context.Background(), Fig13Options{DurationS: 1, Instances: []int{12, 24}})
+	r, err := Fig13(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,12 +493,12 @@ func TestBoostOptionsValidation(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"fig11 negative instances", func() error { _, err := Fig11(ctx, Fig11Options{Instances: -1}); return err }},
-		{"fig11 negative duration", func() error { _, err := Fig11(ctx, Fig11Options{DurationS: -5}); return err }},
-		{"fig12 negative step", func() error { _, err := Fig12(ctx, Fig12Options{StepCores: -8}); return err }},
-		{"fig12 negative duration", func() error { _, err := Fig12(ctx, Fig12Options{DurationS: -1}); return err }},
-		{"fig13 zero instances entry", func() error { _, err := Fig13(ctx, Fig13Options{Instances: []int{0}}); return err }},
-		{"fig13 negative duration", func() error { _, err := Fig13(ctx, Fig13Options{DurationS: -1}); return err }},
+		{"fig11 negative duration", func() error { _, err := Fig11(ctx, -5); return err }},
+		{"fig11 below one control period", func() error { _, err := Fig11(ctx, 1e-300); return err }},
+		{"fig12 negative duration", func() error { _, err := Fig12(ctx, -1); return err }},
+		{"fig12 below one control period", func() error { _, err := Fig12(ctx, 0.0001); return err }},
+		{"fig13 negative duration", func() error { _, err := Fig13(ctx, -1); return err }},
+		{"fig13 below one control period", func() error { _, err := Fig13(ctx, 1e-9); return err }},
 	}
 	for _, tc := range cases {
 		err := tc.run()
@@ -505,16 +506,19 @@ func TestBoostOptionsValidation(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrOptions", tc.name, err)
 		}
 	}
-	// Zero values still mean "use default" and must not error.
-	if err := (Fig12Options{}).Validate(); err != nil {
-		t.Errorf("zero Fig12Options should be valid: %v", err)
+	// Zero still means "use default", and one control period is the
+	// shortest run.
+	for _, d := range []float64{0, sim.ControlPeriodS} {
+		if err := CheckDuration("fig12", d); err != nil {
+			t.Errorf("duration %g rejected: %v", d, err)
+		}
 	}
 }
 
 func TestFig12CancelledContextNamesSweepPoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Fig12(ctx, Fig12Options{DurationS: 0.1, StepCores: 24})
+	_, err := Fig12(ctx, 0.1)
 	if err == nil {
 		t.Fatal("cancelled context must abort the sweep")
 	}
@@ -529,7 +533,7 @@ func TestFig12CancelledContextNamesSweepPoint(t *testing.T) {
 func TestFig13CancelledContextNamesScenario(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Fig13(ctx, Fig13Options{DurationS: 0.1, Instances: []int{12}})
+	_, err := Fig13(ctx, 0.1)
 	if err == nil {
 		t.Fatal("cancelled context must abort the sweep")
 	}

@@ -25,12 +25,16 @@ import (
 // arm into a few dozen steady-state checks.
 const sweepRecordPoints = 64
 
-// CheckDuration rejects negative or non-finite run lengths with
-// ErrOptions, naming experiment id. Zero is always allowed: it selects the
-// experiment's default run length.
+// CheckDuration rejects negative or non-finite run lengths, and positive
+// ones shorter than one sim.ControlPeriodS (no control period would
+// run), with ErrOptions, naming experiment id. Zero is always allowed:
+// it selects the experiment's default run length.
 func CheckDuration(id string, seconds float64) error {
 	if seconds < 0 || math.IsNaN(seconds) || math.IsInf(seconds, 0) {
 		return fmt.Errorf("%w: %s: duration %g s", ErrOptions, id, seconds)
+	}
+	if seconds > 0 && seconds < sim.ControlPeriodS {
+		return fmt.Errorf("%w: %s: duration %g s is shorter than the %g s control period", ErrOptions, id, seconds, sim.ControlPeriodS)
 	}
 	return nil
 }
@@ -75,7 +79,7 @@ func boostSweep(ctx context.Context, p *core.Platform, plans []*mapping.Plan, du
 	}
 	if err := sim.RunLanes(ctx, p, lanes, sim.Options{
 		Duration:      duration,
-		ControlPeriod: 1e-3,
+		ControlPeriod: sim.ControlPeriodS,
 		StepMode:      sim.StepAuto,
 		RecordPoints:  recordPoints,
 	}); err != nil {
@@ -96,23 +100,6 @@ func boostSweep(ctx context.Context, p *core.Platform, plans []*mapping.Plan, du
 	return boostRes, constRes, constLevels, nil
 }
 
-// Fig11Options parameterizes the transient run length.
-type Fig11Options struct {
-	DurationS float64
-	Instances int
-}
-
-// Validate rejects nonsensical options; zero values mean "use default".
-func (o Fig11Options) Validate() error {
-	if err := CheckDuration("fig11", o.DurationS); err != nil {
-		return err
-	}
-	if o.Instances < 0 {
-		return fmt.Errorf("%w: fig11: %d instances", ErrOptions, o.Instances)
-	}
-	return nil
-}
-
 // Fig11Result holds the transient traces of Figure 11.
 type Fig11Result struct {
 	Boost     sim.Result
@@ -125,17 +112,17 @@ type Fig11Result struct {
 	DurationS float64
 }
 
+// fig11Instances is Figure 11's workload: x264 instances, 8 threads each.
+const fig11Instances = 12
+
 // Fig11 runs 12 instances of x264 (8 threads each) at 16 nm under both
-// controllers.
-func Fig11(ctx context.Context, opt Fig11Options) (*Fig11Result, error) {
-	if err := opt.Validate(); err != nil {
+// controllers for durationS simulated seconds (0 = 100 s).
+func Fig11(ctx context.Context, durationS float64) (*Fig11Result, error) {
+	if err := CheckDuration("fig11", durationS); err != nil {
 		return nil, err
 	}
-	if opt.DurationS == 0 {
-		opt.DurationS = 100
-	}
-	if opt.Instances == 0 {
-		opt.Instances = 12
+	if durationS == 0 {
+		durationS = 100
 	}
 	p, err := platformFor(tech.Node16, 100)
 	if err != nil {
@@ -145,13 +132,13 @@ func Fig11(ctx context.Context, opt Fig11Options) (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := mapping.Pack(p.Floorplan, mapping.PeripheryFirst, opt.Instances*apps.MaxThreadsPerInstance, x, apps.MaxThreadsPerInstance, 3.0)
+	plan, err := mapping.Pack(p.Floorplan, mapping.PeripheryFirst, fig11Instances*apps.MaxThreadsPerInstance, x, apps.MaxThreadsPerInstance, 3.0)
 	if err != nil {
 		return nil, err
 	}
 	// fig11 plots full traces, so it keeps the default recording grid.
-	bs, cs, levels, err := boostSweep(ctx, p, []*mapping.Plan{plan}, opt.DurationS, 0,
-		func(int) string { return fmt.Sprintf("%d x264 instances", opt.Instances) })
+	bs, cs, levels, err := boostSweep(ctx, p, []*mapping.Plan{plan}, durationS, 0,
+		func(int) string { return fmt.Sprintf("%d x264 instances", fig11Instances) })
 	if err != nil {
 		return nil, fmt.Errorf("fig11: %w", err)
 	}
@@ -163,8 +150,8 @@ func Fig11(ctx context.Context, opt Fig11Options) (*Fig11Result, error) {
 		AvgBoost:  b.AvgGIPS,
 		AvgConst:  c.AvgGIPS,
 		TDTM:      p.TDTM,
-		Instances: opt.Instances,
-		DurationS: opt.DurationS,
+		Instances: fig11Instances,
+		DurationS: durationS,
 	}
 	// fig11 is a single transient pair, not a sweep: it streams one
 	// point — the summary table — the moment both controllers finish.
@@ -240,26 +227,6 @@ func (r *Fig11Result) Render(w io.Writer) error {
 	return nil
 }
 
-// Fig12Options parameterizes the active-core sweep.
-type Fig12Options struct {
-	DurationS float64
-	StepCores int
-}
-
-// Validate rejects nonsensical options; zero values mean "use default".
-// A negative StepCores would previously reach `NumCores % StepCores`
-// (integer divide-by-zero for 0) or a non-advancing sweep loop; it is now
-// a reportable error instead of a panic.
-func (o Fig12Options) Validate() error {
-	if err := CheckDuration("fig12", o.DurationS); err != nil {
-		return err
-	}
-	if o.StepCores < 0 {
-		return fmt.Errorf("%w: fig12: step of %d cores", ErrOptions, o.StepCores)
-	}
-	return nil
-}
-
 // Fig12Point is one x-position of Figure 12.
 type Fig12Point struct {
 	ActiveCores int
@@ -276,16 +243,14 @@ type Fig12Result struct {
 
 // Fig12 sweeps the active-core count for x264 at 16 nm ("a new
 // application instance every 8 active cores") and reports total
-// performance and peak power for boosting vs constant frequency.
-func Fig12(ctx context.Context, opt Fig12Options) (*Fig12Result, error) {
-	if err := opt.Validate(); err != nil {
+// performance and peak power for boosting vs constant frequency over
+// durationS simulated seconds (0 = 5 s).
+func Fig12(ctx context.Context, durationS float64) (*Fig12Result, error) {
+	if err := CheckDuration("fig12", durationS); err != nil {
 		return nil, err
 	}
-	if opt.DurationS == 0 {
-		opt.DurationS = 5
-	}
-	if opt.StepCores == 0 {
-		opt.StepCores = 8
+	if durationS == 0 {
+		durationS = 5
 	}
 	p, err := platformFor(tech.Node16, 100)
 	if err != nil {
@@ -296,10 +261,8 @@ func Fig12(ctx context.Context, opt Fig12Options) (*Fig12Result, error) {
 		return nil, err
 	}
 	var coreCounts []int
-	for cores := opt.StepCores; cores <= p.NumCores(); cores += opt.StepCores {
-		if cores/apps.MaxThreadsPerInstance > 0 {
-			coreCounts = append(coreCounts, cores)
-		}
+	for cores := apps.MaxThreadsPerInstance; cores <= p.NumCores(); cores += apps.MaxThreadsPerInstance {
+		coreCounts = append(coreCounts, cores)
 	}
 	// Build every sweep point's plan, then run the whole sweep as one
 	// boostSweep batch: the constant lanes snap onto their steady state
@@ -309,13 +272,13 @@ func Fig12(ctx context.Context, opt Fig12Options) (*Fig12Result, error) {
 	// the batch completes, in sweep order.
 	plans := make([]*mapping.Plan, len(coreCounts))
 	for i, cores := range coreCounts {
-		plan, err := mapping.Pack(p.Floorplan, mapping.PeripheryFirst, cores-cores%apps.MaxThreadsPerInstance, x, apps.MaxThreadsPerInstance, 3.0)
+		plan, err := mapping.Pack(p.Floorplan, mapping.PeripheryFirst, cores, x, apps.MaxThreadsPerInstance, 3.0)
 		if err != nil {
 			return nil, fmt.Errorf("fig12: sweep point %d active cores: %w", cores, err)
 		}
 		plans[i] = plan
 	}
-	boostRes, constRes, _, err := boostSweep(ctx, p, plans, opt.DurationS, sweepRecordPoints,
+	boostRes, constRes, _, err := boostSweep(ctx, p, plans, durationS, sweepRecordPoints,
 		func(i int) string { return fmt.Sprintf("sweep point %d active cores", coreCounts[i]) })
 	if err != nil {
 		return nil, fmt.Errorf("fig12: %w", err)
@@ -373,27 +336,6 @@ func (r *Fig12Result) Tables() []*report.Table {
 // Render implements Renderer.
 func (r *Fig12Result) Render(w io.Writer) error { return renderTables(w, r.Tables()) }
 
-// Fig13Options parameterizes the per-application comparison.
-type Fig13Options struct {
-	DurationS float64
-	Instances []int
-}
-
-// Validate rejects nonsensical options; a zero duration or empty instance
-// list means "use default", but explicit non-positive instance counts are
-// errors.
-func (o Fig13Options) Validate() error {
-	if err := CheckDuration("fig13", o.DurationS); err != nil {
-		return err
-	}
-	for _, n := range o.Instances {
-		if n <= 0 {
-			return fmt.Errorf("%w: fig13: %d instances", ErrOptions, n)
-		}
-	}
-	return nil
-}
-
 // Fig13Row is one (app, instance-count) scenario.
 type Fig13Row struct {
 	App        string
@@ -417,16 +359,14 @@ type Fig13Result struct {
 // Fig13 runs all seven applications with 12 and 24 instances (8 threads
 // each) on the 198-core 11 nm platform under both controllers. It also
 // records the minimum utilized voltage/frequency — the paper's evidence
-// that the thermal constraints keep the system in the STC region.
-func Fig13(ctx context.Context, opt Fig13Options) (*Fig13Result, error) {
-	if err := opt.Validate(); err != nil {
+// that the thermal constraints keep the system in the STC region. Each
+// transient runs durationS simulated seconds (0 = 4 s).
+func Fig13(ctx context.Context, durationS float64) (*Fig13Result, error) {
+	if err := CheckDuration("fig13", durationS); err != nil {
 		return nil, err
 	}
-	if opt.DurationS == 0 {
-		opt.DurationS = 4
-	}
-	if len(opt.Instances) == 0 {
-		opt.Instances = []int{12, 24}
+	if durationS == 0 {
+		durationS = 4
 	}
 	p, err := platformFor(tech.Node11, 198)
 	if err != nil {
@@ -438,7 +378,7 @@ func Fig13(ctx context.Context, opt Fig13Options) (*Fig13Result, error) {
 	}
 	var scenarios []scenario
 	for _, a := range paperOrder() {
-		for _, instances := range opt.Instances {
+		for _, instances := range []int{12, 24} {
 			scenarios = append(scenarios, scenario{app: a, instances: instances})
 		}
 	}
@@ -454,7 +394,7 @@ func Fig13(ctx context.Context, opt Fig13Options) (*Fig13Result, error) {
 		}
 		plans[i] = plan
 	}
-	boostRes, constRes, constLevels, err := boostSweep(ctx, p, plans, opt.DurationS, sweepRecordPoints, func(i int) string {
+	boostRes, constRes, constLevels, err := boostSweep(ctx, p, plans, durationS, sweepRecordPoints, func(i int) string {
 		return fmt.Sprintf("scenario %s x%d instances", scenarios[i].app.Name, scenarios[i].instances)
 	})
 	if err != nil {

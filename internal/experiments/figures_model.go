@@ -137,7 +137,7 @@ func Fig3() (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := trace.Generate(x, trace.Options{Seed: 2015})
+	rows, err := trace.Generate(x, 2015)
 	if err != nil {
 		return nil, err
 	}

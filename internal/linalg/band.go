@@ -269,7 +269,6 @@ type EnvelopeCholesky struct {
 	ptr   []int     // strict row k of L is low[ptr[k]:ptr[k+1]]
 	low   []float64 // strict lower rows, packed back to back
 	rdiag []float64 // 1 / L[k][k]
-	bw    int       // max half-bandwidth, max_k (k - lo[k])
 	pool  sync.Pool // *envWork
 }
 
@@ -315,10 +314,8 @@ func NewEnvelopeCholesky(a *CSR, perm []int) (*EnvelopeCholesky, error) {
 		}
 	}
 	ptr := make([]int, n+1)
-	bw := 0
 	for i := 0; i < n; i++ {
 		ptr[i+1] = ptr[i] + i - lo[i]
-		bw = max(bw, i-lo[i])
 	}
 	low := make([]float64, ptr[n])
 	diag := make([]float64, n)
@@ -351,12 +348,8 @@ func NewEnvelopeCholesky(a *CSR, perm []int) (*EnvelopeCholesky, error) {
 		}
 		rdiag[i] = 1 / math.Sqrt(s)
 	}
-	return &EnvelopeCholesky{n: n, perm: perm, inv: inv, lo: lo, ptr: ptr, low: low, rdiag: rdiag, bw: bw}, nil
+	return &EnvelopeCholesky{n: n, perm: perm, inv: inv, lo: lo, ptr: ptr, low: low, rdiag: rdiag}, nil
 }
-
-// Bandwidth returns the maximum half-bandwidth of the factor under its
-// ordering.
-func (e *EnvelopeCholesky) Bandwidth() int { return e.bw }
 
 // Profile returns the number of stored factor entries, nnz(L).
 func (e *EnvelopeCholesky) Profile() int { return len(e.low) + e.n }

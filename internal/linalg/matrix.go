@@ -25,12 +25,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
 
-// Add increments element (i, j) by x.
-func (m *Matrix) Add(i, j int, x float64) { m.Data[i*m.Cols+j] += x }
-
-// Row returns a view (not a copy) of row i.
-func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
 // MulVec computes y = M·x. It returns ErrDimension when len(x) != Cols.
 func (m *Matrix) MulVec(x Vector) (Vector, error) {
 	if len(x) != m.Cols {
@@ -94,15 +88,4 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// MaxAbs returns the maximum absolute entry of m.
-func (m *Matrix) MaxAbs() float64 {
-	mx := 0.0
-	for _, x := range m.Data {
-		if a := math.Abs(x); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }

@@ -97,9 +97,6 @@ func NewCSRFromDense(m *Matrix, dropTol float64) (*CSR, error) {
 	return c, nil
 }
 
-// NNZ returns the number of stored nonzeros.
-func (c *CSR) NNZ() int { return len(c.Val) }
-
 // Dense materializes the matrix in dense form. Intended for the small-n
 // direct-solver path and for tests; it is the only place the n×n form is
 // ever allocated.
@@ -206,18 +203,4 @@ func (c *CSR) MulVec(x, y Vector) (Vector, error) {
 		y[i] = s
 	}
 	return y, nil
-}
-
-// Diagonal extracts the main diagonal.
-func (c *CSR) Diagonal() Vector {
-	d := NewVector(c.N)
-	for i := 0; i < c.N; i++ {
-		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-			if c.Col[k] == i {
-				d[i] = c.Val[k]
-				break
-			}
-		}
-	}
-	return d
 }

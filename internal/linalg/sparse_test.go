@@ -31,8 +31,8 @@ func TestNewCSRFromDense(t *testing.T) {
 		t.Errorf("N = %d", c.N)
 	}
 	// Tridiagonal: 3n−2 nonzeros.
-	if c.NNZ() != 13 {
-		t.Errorf("NNZ = %d, want 13", c.NNZ())
+	if len(c.Val) != 13 {
+		t.Errorf("NNZ = %d, want 13", len(c.Val))
 	}
 	if _, err := NewCSRFromDense(NewMatrix(2, 3), 0); err == nil {
 		t.Errorf("non-square should error")
@@ -43,8 +43,8 @@ func TestNewCSRFromDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pruned.NNZ() != 13 {
-		t.Errorf("tiny entry not dropped: NNZ = %d", pruned.NNZ())
+	if len(pruned.Val) != 13 {
+		t.Errorf("tiny entry not dropped: NNZ = %d", len(pruned.Val))
 	}
 }
 
@@ -58,8 +58,8 @@ func TestCSRBuilder(t *testing.T) {
 	b.Add(2, 2, 4)
 	b.Add(1, 1, 5)
 	c := b.Build()
-	if c.NNZ() != 5 {
-		t.Fatalf("NNZ = %d, want 5 after merging", c.NNZ())
+	if len(c.Val) != 5 {
+		t.Fatalf("NNZ = %d, want 5 after merging", len(c.Val))
 	}
 	// Columns ascend within each row.
 	for i := 0; i < c.N; i++ {
@@ -83,8 +83,8 @@ func TestCSRBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NNZ() != c.NNZ() {
-		t.Errorf("round trip NNZ %d vs %d", back.NNZ(), c.NNZ())
+	if len(back.Val) != len(c.Val) {
+		t.Errorf("round trip NNZ %d vs %d", len(back.Val), len(c.Val))
 	}
 	// Out-of-range panics.
 	defer func() {
@@ -133,12 +133,12 @@ func TestCSRAddDiagonal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if got := shifted.Diagonal()[i]; got != 2.5+d[i] {
+		if got := shifted.Dense().At(i, i); got != 2.5+d[i] {
 			t.Errorf("diag[%d] = %v", i, got)
 		}
 	}
 	// The original is untouched (values copied, pattern shared).
-	if a.Diagonal()[0] != 2.5 {
+	if a.Dense().At(0, 0) != 2.5 {
 		t.Errorf("AddDiagonal mutated the receiver")
 	}
 	if _, err := a.AddDiagonal(Vector{1}); err == nil {

@@ -47,26 +47,6 @@ func (v Vector) AddScaled(alpha float64, w Vector) Vector {
 	return v
 }
 
-// Scale multiplies every element of v by alpha and returns v.
-func (v Vector) Scale(alpha float64) Vector {
-	for i := range v {
-		v[i] *= alpha
-	}
-	return v
-}
-
-// Dot returns the inner product of v and w.
-func (v Vector) Dot(w Vector) float64 {
-	s := 0.0
-	for i := range v {
-		s += v[i] * w[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
-
 // NormInf returns the maximum absolute element of v (0 for empty vectors).
 func (v Vector) NormInf() float64 {
 	m := 0.0
@@ -91,37 +71,6 @@ func (v Vector) Max() (float64, int) {
 		}
 	}
 	return best, at
-}
-
-// Min returns the minimum element and its index. It panics on empty input.
-func (v Vector) Min() (float64, int) {
-	if len(v) == 0 {
-		panic("linalg: Min of empty vector")
-	}
-	best, at := v[0], 0
-	for i, x := range v {
-		if x < best {
-			best, at = x, i
-		}
-	}
-	return best, at
-}
-
-// Sum returns the sum of the elements of v.
-func (v Vector) Sum() float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of v (0 for empty vectors).
-func (v Vector) Mean() float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return v.Sum() / float64(len(v))
 }
 
 // String renders the vector with 4-digit precision, for diagnostics.

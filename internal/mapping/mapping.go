@@ -223,17 +223,6 @@ func (pl *Plan) ActiveCores() int {
 	return n
 }
 
-// DarkCores returns the number of dark (unpowered) cores.
-func (pl *Plan) DarkCores() int { return pl.NumCores - pl.ActiveCores() }
-
-// DarkFraction returns the dark-silicon fraction of the chip.
-func (pl *Plan) DarkFraction() float64 {
-	if pl.NumCores == 0 {
-		return 0
-	}
-	return float64(pl.DarkCores()) / float64(pl.NumCores)
-}
-
 // TotalGIPS returns the plan's aggregate throughput.
 func (pl *Plan) TotalGIPS() float64 {
 	var g float64
@@ -241,23 +230,6 @@ func (pl *Plan) TotalGIPS() float64 {
 		g += p.GIPS()
 	}
 	return g
-}
-
-// PowerVector evaluates the per-core power map (length NumCores) at the
-// given technology node and a uniform temperature estimate (the
-// fixed-point refinement against the thermal model lives in internal/sim).
-func (pl *Plan) PowerVector(node NodePowerer, tempC float64) ([]float64, error) {
-	pw := make([]float64, pl.NumCores)
-	for _, p := range pl.Placements {
-		cp, err := node.CorePower(p.App, p.FGHz, tempC)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range p.Cores {
-			pw[c] = cp
-		}
-	}
-	return pw, nil
 }
 
 // NodePowerer abstracts "per-core power of app a at frequency f" so the

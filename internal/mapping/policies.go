@@ -17,11 +17,6 @@ type TDPMapOptions struct {
 	// TempC is the temperature estimate used to evaluate Equation (1)
 	// (TDP policies budget at the critical temperature; default 80).
 	TempC float64
-	// Threads per instance (default 8, the paper's Fig. 5/7/9 setting).
-	Threads int
-	// Strategy places the active cores (default Contiguous, the naive
-	// policy TDPmap represents).
-	Strategy Strategy
 	// AllowPartialInstance lets the last instance run fewer threads to
 	// consume the remaining budget (the paper's application model allows
 	// 1..8 threads per instance).
@@ -31,8 +26,10 @@ type TDPMapOptions struct {
 }
 
 // TDPMap implements the TDP-based mapping policy of §4: map instances of
-// the application with Threads threads each, all at FGHz, until the next
-// instance would exceed the TDP; remaining cores stay dark.
+// the application with 8 threads each (the paper's Fig. 5/7/9 setting),
+// all at FGHz, on contiguous cores (the naive placement TDPmap stands
+// for) until the next instance would exceed the TDP; remaining cores
+// stay dark.
 func TDPMap(fp *floorplan.Floorplan, app apps.App, pow NodePowerer, opt TDPMapOptions) (*Plan, error) {
 	if opt.TDPW <= 0 {
 		return nil, fmt.Errorf("%w: TDP %g W", ErrMapping, opt.TDPW)
@@ -43,15 +40,6 @@ func TDPMap(fp *floorplan.Floorplan, app apps.App, pow NodePowerer, opt TDPMapOp
 	if opt.TempC == 0 {
 		opt.TempC = 80
 	}
-	if opt.Threads == 0 {
-		opt.Threads = apps.MaxThreadsPerInstance
-	}
-	if opt.Threads < 1 || opt.Threads > apps.MaxThreadsPerInstance {
-		return nil, fmt.Errorf("%w: %d threads per instance", ErrMapping, opt.Threads)
-	}
-	if opt.Strategy == nil {
-		opt.Strategy = Contiguous
-	}
 	perCore, err := pow.CorePower(app, opt.FGHz, opt.TempC)
 	if err != nil {
 		return nil, err
@@ -59,8 +47,9 @@ func TDPMap(fp *floorplan.Floorplan, app apps.App, pow NodePowerer, opt TDPMapOp
 	if perCore <= 0 {
 		return nil, fmt.Errorf("%w: non-positive per-core power", ErrMapping)
 	}
-	instances, partial := FillCount(opt.TDPW, perCore, fp.NumBlocks(), opt.Threads, opt.MaxInstances, opt.AllowPartialInstance)
-	return Pack(fp, opt.Strategy, instances*opt.Threads+partial, app, opt.Threads, opt.FGHz)
+	const threads = apps.MaxThreadsPerInstance
+	instances, partial := FillCount(opt.TDPW, perCore, fp.NumBlocks(), threads, opt.MaxInstances, opt.AllowPartialInstance)
+	return Pack(fp, Contiguous, instances*threads+partial, app, threads, opt.FGHz)
 }
 
 // Evaluator reports the steady-state peak temperature of a plan; the
@@ -82,13 +71,6 @@ type DsRemOptions struct {
 	TcritC float64
 	// Levels is the ascending DVFS frequency ladder (GHz). Required.
 	Levels []float64
-	// Threads per instance (default 8).
-	Threads int
-	// Strategy places active cores (default PeripheryFirst — DsRem
-	// builds on dark-silicon patterning).
-	Strategy Strategy
-	// TempC is the Equation (1) evaluation temperature (default TcritC).
-	TempC float64
 	// HeadroomC stops the exploit phase when the peak is within this
 	// margin of Tcrit (default 0.25 °C).
 	HeadroomC float64
@@ -103,7 +85,9 @@ type DsRemOptions struct {
 // violations by lowering the v/f of the application with the smallest
 // performance loss per watt saved — dropping whole instances when a ladder
 // bottoms out — and (phase 3) exploits remaining headroom by raising the
-// v/f of the application with the largest performance gain.
+// v/f of the application with the largest performance gain. Instances
+// run 8 threads each on PeripheryFirst cores (DsRem builds on
+// dark-silicon patterning), and Equation (1) is evaluated at TcritC.
 func DsRem(fp *floorplan.Floorplan, mix []apps.App, pow NodePowerer, eval Evaluator, opt DsRemOptions) (*Plan, error) {
 	if len(mix) == 0 {
 		return nil, fmt.Errorf("%w: empty application mix", ErrMapping)
@@ -114,18 +98,11 @@ func DsRem(fp *floorplan.Floorplan, mix []apps.App, pow NodePowerer, eval Evalua
 	if opt.TcritC == 0 {
 		opt.TcritC = 80
 	}
-	if opt.Threads == 0 {
-		opt.Threads = apps.MaxThreadsPerInstance
-	}
-	if opt.Strategy == nil {
-		opt.Strategy = PeripheryFirst
-	}
-	if opt.TempC == 0 {
-		opt.TempC = opt.TcritC
-	}
 	if opt.HeadroomC == 0 {
 		opt.HeadroomC = 0.25
 	}
+
+	const threads = apps.MaxThreadsPerInstance
 
 	// Per-app state: instance count and ladder level index.
 	type state struct {
@@ -137,39 +114,39 @@ func DsRem(fp *floorplan.Floorplan, mix []apps.App, pow NodePowerer, eval Evalua
 	share := fp.NumBlocks() / len(mix)
 	states := make([]state, len(mix))
 	for i, a := range mix {
-		states[i] = state{app: a, instances: share / opt.Threads, level: top}
+		states[i] = state{app: a, instances: share / threads, level: top}
 		if states[i].instances < 1 {
-			return nil, fmt.Errorf("%w: chip share %d too small for %d threads", ErrMapping, share, opt.Threads)
+			return nil, fmt.Errorf("%w: chip share %d too small for %d threads", ErrMapping, share, threads)
 		}
 	}
 
 	build := func() (*Plan, error) {
 		total := 0
 		for _, s := range states {
-			total += s.instances * opt.Threads
+			total += s.instances * threads
 		}
-		cores, err := opt.Strategy(fp, total)
+		cores, err := PeripheryFirst(fp, total)
 		if err != nil {
 			return nil, err
 		}
 		plan := &Plan{NumCores: fp.NumBlocks()}
 		for _, s := range states {
-			n := s.instances * opt.Threads
-			plan.AddInstances(s.app, cores[:n], opt.Threads, opt.Levels[s.level])
+			n := s.instances * threads
+			plan.AddInstances(s.app, cores[:n], threads, opt.Levels[s.level])
 			cores = cores[n:]
 		}
 		return plan, plan.Validate()
 	}
 
 	gipsOf := func(s state) float64 {
-		return float64(s.instances) * s.app.InstanceGIPS(opt.Levels[s.level], opt.Threads)
+		return float64(s.instances) * s.app.InstanceGIPS(opt.Levels[s.level], threads)
 	}
 	powerOf := func(s state) (float64, error) {
-		pc, err := pow.CorePower(s.app, opt.Levels[s.level], opt.TempC)
+		pc, err := pow.CorePower(s.app, opt.Levels[s.level], opt.TcritC)
 		if err != nil {
 			return 0, err
 		}
-		return float64(s.instances*opt.Threads) * pc, nil
+		return float64(s.instances*threads) * pc, nil
 	}
 
 	plan, err := build()

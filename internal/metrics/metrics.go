@@ -45,8 +45,7 @@ func (s Summary) String() string {
 // EnergyMeter integrates power over time (rectangle rule, matching the
 // fixed-step transient simulator).
 type EnergyMeter struct {
-	joules  float64
-	seconds float64
+	joules float64
 }
 
 // ErrMeter is returned for non-physical meter input.
@@ -58,7 +57,6 @@ func (e *EnergyMeter) Add(dt, powerW float64) error {
 		return fmt.Errorf("%w: dt=%g power=%g", ErrMeter, dt, powerW)
 	}
 	e.joules += dt * powerW
-	e.seconds += dt
 	return nil
 }
 
@@ -67,9 +65,6 @@ func (e *EnergyMeter) TotalJ() float64 { return e.joules }
 
 // TotalKJ returns the accumulated energy in kilojoules (Figure 14's unit).
 func (e *EnergyMeter) TotalKJ() float64 { return e.joules / 1e3 }
-
-// Elapsed returns the integrated time in seconds.
-func (e *EnergyMeter) Elapsed() float64 { return e.seconds }
 
 // Series is a sampled time series (or any x/y series for figure output).
 type Series struct {
@@ -86,28 +81,6 @@ func (s *Series) Append(x, y float64) {
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.X) }
-
-// Max returns the maximum of Y (−Inf when empty).
-func (s *Series) Max() float64 {
-	m := math.Inf(-1)
-	for _, y := range s.Y {
-		if y > m {
-			m = y
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of Y (+Inf when empty).
-func (s *Series) Min() float64 {
-	m := math.Inf(1)
-	for _, y := range s.Y {
-		if y < m {
-			m = y
-		}
-	}
-	return m
-}
 
 // Downsample returns a series with at most n points, keeping every k-th
 // sample (and always the last). It is used to print long transients

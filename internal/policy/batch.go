@@ -32,11 +32,13 @@ type packLane struct {
 // in input order, assertions not yet checked.
 func (e *Env) race(ctx context.Context, pols []Policy, opt Options) ([]*packLane, error) {
 	p := e.Platform
-	opt.fillDefaults(p)
-	if opt.Duration <= 0 || opt.ControlPeriod <= 0 || opt.ControlPeriod > opt.Duration {
-		return nil, fmt.Errorf("%w: duration %g s, control period %g s", ErrPolicy, opt.Duration, opt.ControlPeriod)
+	if opt.Duration == 0 {
+		opt.Duration = 0.5
 	}
-	steps := int(opt.Duration/opt.ControlPeriod + 0.5)
+	if !(opt.Duration >= sim.ControlPeriodS) {
+		return nil, fmt.Errorf("%w: duration %g s, control period %g s", ErrPolicy, opt.Duration, sim.ControlPeriodS)
+	}
+	steps := int(opt.Duration/sim.ControlPeriodS + 0.5)
 	packs := make([]*packLane, len(pols))
 	var lanes []*sim.Lane
 	for i, pol := range pols {
@@ -65,9 +67,7 @@ func (e *Env) race(ctx context.Context, pols []Policy, opt Options) ([]*packLane
 	// sandbox's record.
 	if err := sim.RunLanes(ctx, p, lanes, sim.Options{
 		Duration:      opt.Duration,
-		ControlPeriod: opt.ControlPeriod,
-		Mode:          opt.Mode,
-		EmergencyC:    opt.EmergencyC,
+		ControlPeriod: sim.ControlPeriodS,
 		RecordPoints:  1,
 	}); err != nil {
 		return nil, err

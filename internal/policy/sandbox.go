@@ -6,39 +6,20 @@ import (
 	"sort"
 	"strconv"
 
-	"darksim/internal/core"
 	"darksim/internal/report"
 )
 
 // Options configures a sandbox run. Policies race on sim.RunLanes, the
 // lockstep engine behind Figures 11–13 (implicit-Euler thermal stepping,
-// 1 ms control period, temperature-coupled leakage, DTM emergency clamp
-// at TDTM+5), so a chip-wide policy reproduces the §6 figure machinery
-// bit for bit; each lane's hook adds the per-step trace and TSP lookup.
+// the 1 ms sim.ControlPeriodS, temperature-coupled leakage, busy-wait
+// power, DTM emergency clamp at TDTM+5), so a chip-wide policy
+// reproduces the §6 figure machinery bit for bit; each lane's hook adds
+// the per-step trace and TSP lookup, and every trace is checked against
+// the StandardAssertions for the platform's TDTM and the policy's
+// ladder.
 type Options struct {
 	// Duration of the simulated run in seconds (default 0.5).
 	Duration float64
-	// ControlPeriod in seconds (default 1 ms, the paper's §6 setting).
-	ControlPeriod float64
-	// Mode is the power-evaluation mode (default core.BusyWait).
-	Mode core.PowerMode
-	// EmergencyC is the DTM hard-throttle threshold (default TDTM+5).
-	EmergencyC float64
-	// Assertions overrides the standard invariant set (nil = standard
-	// for the platform's TDTM and the policy's ladder).
-	Assertions []Assertion
-}
-
-func (o *Options) fillDefaults(p *core.Platform) {
-	if o.Duration == 0 {
-		o.Duration = 0.5
-	}
-	if o.ControlPeriod == 0 {
-		o.ControlPeriod = 1e-3
-	}
-	if o.EmergencyC == 0 {
-		o.EmergencyC = p.TDTM + 5
-	}
 }
 
 // Outcome is one policy's sandbox run: the frontier metrics, the full
@@ -120,11 +101,7 @@ func (e *Env) RunAll(ctx context.Context, pols []Policy, opt Options, onDone fun
 	for i, ln := range lanes {
 		out := ln.out
 		if out.Err == "" {
-			asserts := opt.Assertions
-			if asserts == nil {
-				asserts = StandardAssertions(e.Platform.TDTM, len(ln.prep.Ladder.Points)-1)
-			}
-			viols, err := Check(out.Steps, asserts)
+			viols, err := Check(out.Steps, StandardAssertions(e.Platform.TDTM, len(ln.prep.Ladder.Points)-1))
 			if err != nil {
 				return nil, err
 			}

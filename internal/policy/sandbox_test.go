@@ -111,10 +111,7 @@ func TestRunAllCancel(t *testing.T) {
 	// The simulated horizon is orders of magnitude longer than the cancel
 	// delay could ever let finish, so cancellation always lands mid-run.
 	time.AfterFunc(50*time.Millisecond, cancel)
-	_, err := env.RunAll(ctx, pols, Options{
-		Duration:   60,
-		Assertions: []Assertion{},
-	}, nil)
+	_, err := env.RunAll(ctx, pols, Options{Duration: 60}, nil)
 	if err == nil {
 		t.Fatal("cancelled RunAll returned no error")
 	}
@@ -202,7 +199,7 @@ func TestGatedPlacementsAreDark(t *testing.T) {
 		Plan:   prep.Plan,
 		Ladder: env.Platform.Ladder,
 		Ctrl:   staticCtrl{Decision{Levels: levels, Gated: gated}},
-	}}, Options{Duration: 0.005, ControlPeriod: 1e-3, EmergencyC: 1e9, Assertions: []Assertion{}})
+	}}, Options{Duration: 0.005})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,15 +73,31 @@ func TestTuneRespectsBudget(t *testing.T) {
 	}
 }
 
-// TestTuneScoresViolationsMinusInf: a parameterization whose run fails
-// an assertion can never win. An impossible assertion makes every run
-// fail, so the search must end where it started with a -Inf incumbent.
+// unsafeTunable offers boost's parameter box but runs boost-unsafe at
+// every point, so every run the tuner evaluates violates the standard
+// assertions.
+type unsafeTunable struct{ *Boost }
+
+func (unsafeTunable) Prepare(ctx context.Context, env *Env) (*Prepared, error) {
+	return UnsafeBoost{}.Prepare(ctx, env)
+}
+
+func (u unsafeTunable) WithParams(vals map[string]float64) (Policy, error) {
+	p, err := u.Boost.WithParams(vals)
+	if err != nil {
+		return nil, err
+	}
+	return unsafeTunable{p.(*Boost)}, nil
+}
+
+// TestTuneRejectsViolatingRuns: a parameterization whose run fails an
+// assertion can never win. Every point of unsafeTunable fails, so the
+// search must end where it started with a -Inf incumbent.
 func TestTuneRejectsViolatingRuns(t *testing.T) {
 	env := testEnv(t, scenario.PackSymmetric)
-	impossible := []Assertion{{Name: "impossible", Kind: KindMax, Signal: SignalGIPS, Limit: -1}}
-	res, err := env.Tune(context.Background(), NewBoost(), TuneOptions{
+	res, err := env.Tune(context.Background(), unsafeTunable{NewBoost()}, TuneOptions{
 		Budget:  6,
-		Sandbox: Options{Duration: 0.01, Assertions: impossible},
+		Sandbox: Options{Duration: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -166,17 +166,3 @@ func Fit(samples []Sample, leak Leakage, alpha float64) (CoreModel, error) {
 	}
 	return m, nil
 }
-
-// RMSError returns the root-mean-square error of the model against the
-// samples, in watts; used to report fit quality (Figure 3).
-func (m CoreModel) RMSError(samples []Sample, alpha float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range samples {
-		d := m.Power(alpha, s.Vdd, s.FGHz, s.TempC) - s.PowerW
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(samples)))
-}

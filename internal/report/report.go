@@ -114,7 +114,6 @@ type Chart struct {
 	Width  int // plot columns (default 72)
 	Height int // plot rows (default 16)
 	XLabel string
-	YLabel string
 }
 
 // seriesGlyphs mark successive series in a chart.

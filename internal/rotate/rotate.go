@@ -33,9 +33,8 @@ var ErrRotate = errors.New("rotate: invalid")
 
 // Options configures New.
 type Options struct {
-	// Instances of the application, 8 threads each unless Threads is set.
+	// Instances of the application, 8 threads each.
 	Instances int
-	Threads   int
 	// FGHz is the initial frequency level of every placement.
 	FGHz float64
 	// Phases is the number of rotation phases (≥ 2).
@@ -58,12 +57,6 @@ func New(fp *floorplan.Floorplan, app apps.App, opt Options) (*Schedule, error) 
 	if opt.Instances <= 0 {
 		return nil, fmt.Errorf("%w: instances = %d", ErrRotate, opt.Instances)
 	}
-	if opt.Threads == 0 {
-		opt.Threads = apps.MaxThreadsPerInstance
-	}
-	if opt.Threads < 1 || opt.Threads > apps.MaxThreadsPerInstance {
-		return nil, fmt.Errorf("%w: threads = %d", ErrRotate, opt.Threads)
-	}
 	if opt.FGHz <= 0 {
 		return nil, fmt.Errorf("%w: frequency %g GHz", ErrRotate, opt.FGHz)
 	}
@@ -79,7 +72,7 @@ func New(fp *floorplan.Floorplan, app apps.App, opt Options) (*Schedule, error) 
 	if opt.Base == nil {
 		opt.Base = mapping.PeripheryFirst
 	}
-	need := opt.Instances * opt.Threads
+	need := opt.Instances * apps.MaxThreadsPerInstance
 	n := fp.NumBlocks()
 	if need > n {
 		return nil, fmt.Errorf("%w: %d cores needed on a %d-core chip", ErrRotate, need, n)
@@ -96,7 +89,7 @@ func New(fp *floorplan.Floorplan, app apps.App, opt Options) (*Schedule, error) 
 			cores[k] = ring[(offset+k)%n]
 		}
 		plan := &mapping.Plan{NumCores: n}
-		plan.AddInstances(app, cores, opt.Threads, opt.FGHz)
+		plan.AddInstances(app, cores, apps.MaxThreadsPerInstance, opt.FGHz)
 		if err := plan.Validate(); err != nil {
 			return nil, err
 		}

@@ -33,7 +33,6 @@ func TestNewValidation(t *testing.T) {
 		{Instances: 0, FGHz: 3, Phases: 2},
 		{Instances: 4, FGHz: 0, Phases: 2},
 		{Instances: 4, FGHz: 3, Phases: 1},
-		{Instances: 4, FGHz: 3, Phases: 2, Threads: 9},
 		{Instances: 4, FGHz: 3, Phases: 2, PeriodS: -1},
 		{Instances: 20, FGHz: 3, Phases: 2}, // 160 cores on a 100-core chip
 	}

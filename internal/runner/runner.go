@@ -27,7 +27,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultWorkers is the pool size used when Options.Workers (or the
@@ -152,12 +151,6 @@ type Group struct {
 	sem     chan struct{}
 	errOnce sync.Once
 	err     error
-
-	// started counts tasks that acquired a worker slot; active is the
-	// gauge of slots currently held. The job runtime asserts through
-	// these that a cancelled run actually releases its slot.
-	started atomic.Int64
-	active  atomic.Int64
 }
 
 // WithContext returns a Group bounded to `workers` concurrent tasks
@@ -175,12 +168,9 @@ func WithContext(ctx context.Context, workers int) (*Group, context.Context) {
 // fn receives the group context and should honor its cancellation.
 func (g *Group) Go(fn func(ctx context.Context) error) {
 	g.sem <- struct{}{}
-	g.started.Add(1)
-	g.active.Add(1)
 	g.wg.Add(1)
 	go func() {
 		defer func() {
-			g.active.Add(-1)
 			<-g.sem
 			g.wg.Done()
 		}()
@@ -200,12 +190,3 @@ func (g *Group) Wait() error {
 	g.cancel()
 	return g.err
 }
-
-// Active reports how many worker slots are currently held. It is a
-// point-in-time gauge: a task that has returned but not yet released its
-// slot still counts.
-func (g *Group) Active() int64 { return g.active.Load() }
-
-// Started reports how many tasks have acquired a worker slot since the
-// group was created (monotonic).
-func (g *Group) Started() int64 { return g.started.Load() }

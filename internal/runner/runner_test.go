@@ -233,36 +233,3 @@ func TestDefaultWorkersPositive(t *testing.T) {
 		t.Fatalf("DefaultWorkers() = %d", DefaultWorkers())
 	}
 }
-
-func TestGroupCounters(t *testing.T) {
-	g, _ := WithContext(context.Background(), 2)
-	if g.Active() != 0 || g.Started() != 0 {
-		t.Fatalf("fresh group counters = %d/%d, want 0/0", g.Active(), g.Started())
-	}
-	// Fill both worker slots with gated tasks: Active reflects the held
-	// slots while they run and drops to zero when they return.
-	gate := make(chan struct{})
-	for i := 0; i < 2; i++ {
-		g.Go(func(context.Context) error {
-			<-gate
-			return nil
-		})
-	}
-	if a := g.Active(); a != 2 {
-		t.Errorf("active = %d with both slots held, want 2", a)
-	}
-	close(gate)
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if g.Active() != 0 {
-		t.Errorf("active = %d after Wait, want 0", g.Active())
-	}
-	g.Go(func(context.Context) error { return nil })
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if g.Started() != 3 {
-		t.Errorf("started = %d, want 3 (monotonic across Waits)", g.Started())
-	}
-}

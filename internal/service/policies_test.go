@@ -54,7 +54,7 @@ func TestPolicyPostDedupesByContentHash(t *testing.T) {
 	if src := hdr.Get(cacheHeader); src != "hit" {
 		t.Fatalf("second POST cache = %q, want hit (content-hash dedupe)", src)
 	}
-	if n := s.Metrics().Computes.Load(); n != 1 {
+	if n := s.metrics.Computes.Load(); n != 1 {
 		t.Fatalf("computes = %d, want exactly 1 for two spellings of one evaluation", n)
 	}
 	if decodeResult(t, body).Result.Params["hash"] == "" {
@@ -81,7 +81,7 @@ func TestPolicyPostValidation(t *testing.T) {
 			t.Errorf("%s: status = %d body %s, want 400", name, code, rbody)
 		}
 	}
-	if n := s.Metrics().Computes.Load(); n != 0 {
+	if n := s.metrics.Computes.Load(); n != 0 {
 		t.Errorf("invalid specs consumed %d compute slots, want 0", n)
 	}
 }

@@ -334,9 +334,6 @@ func TestRunCancelFreesComputeSlot(t *testing.T) {
 	_, body, _ := postRun(t, ts, `{"experiment":"figp"}`)
 	rr := decodeRun(t, body)
 	waitRunState(t, ts, rr.ID, jobs.StateRunning)
-	if got := s.pool.Active(); got != 1 {
-		t.Fatalf("pool active = %d during run, want 1", got)
-	}
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+rr.ID, nil)
 	resp, err := ts.Client().Do(req)
@@ -348,16 +345,18 @@ func TestRunCancelFreesComputeSlot(t *testing.T) {
 		t.Fatalf("DELETE = %d", resp.StatusCode)
 	}
 	waitRunState(t, ts, rr.ID, jobs.StateCancelled)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.pool.Active() != 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := s.pool.Active(); got != 0 {
-		t.Fatalf("pool active = %d after cancellation, want 0 (slot freed)", got)
-	}
 	// The freed slot serves the next request on the single-worker pool.
-	if code, b, _ := get(t, ts, "/v1/experiments/figq"); code != http.StatusOK {
-		t.Fatalf("sync request after cancel = %d %s", code, b)
+	// A slot never released would leave the request waiting, so it is
+	// bounded.
+	client := ts.Client()
+	client.Timeout = 5 * time.Second
+	resp, err = client.Get(ts.URL + "/v1/experiments/figq")
+	if err != nil {
+		t.Fatalf("sync request after cancel: %v (compute slot not freed?)", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync request after cancel = %d", resp.StatusCode)
 	}
 
 	if code, _, _ := func() (int, string, http.Header) {

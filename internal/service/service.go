@@ -181,9 +181,6 @@ func New(cfg Config, exps []experiments.Experiment) *Server {
 	return s
 }
 
-// Metrics exposes the server's counters (for tests and embedding).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // statusWriter captures the status and byte count for the request log.
 type statusWriter struct {
 	http.ResponseWriter

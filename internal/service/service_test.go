@@ -127,6 +127,11 @@ func TestParamValidationAndNotFound(t *testing.T) {
 		{"/v1/experiments/figt?duration=-inf", http.StatusBadRequest, "invalid duration"},
 		{"/v1/experiments/figt?duration=-5", http.StatusBadRequest, "invalid duration"},
 		{"/v1/experiments/figt?duration=0", http.StatusBadRequest, "invalid duration"},
+		// Nor one shorter than the 1 ms control period: no period would
+		// run, so it is refused before it takes a compute slot.
+		{"/v1/experiments/figt?duration=1e-300", http.StatusBadRequest, "invalid duration"},
+		{"/v1/experiments/figt?duration=0.0001", http.StatusBadRequest, "control period"},
+		{"/v1/experiments/figt?duration=1e-9", http.StatusBadRequest, "invalid duration"},
 		{"/v1/tsp?node=7&active=1", http.StatusBadRequest, "invalid node"},
 		{"/v1/tsp?node=16&active=0", http.StatusBadRequest, "invalid active"},
 		{"/v1/tsp?node=16&active=999", http.StatusBadRequest, "invalid active"},
@@ -464,8 +469,8 @@ func TestComputeTimeoutMapsTo504(t *testing.T) {
 	if !strings.Contains(body, "fighang") {
 		t.Errorf("timeout error should name the experiment: %s", body)
 	}
-	if s.Metrics().ComputeErrors.Load() != 1 {
-		t.Errorf("compute errors = %d, want 1", s.Metrics().ComputeErrors.Load())
+	if s.metrics.ComputeErrors.Load() != 1 {
+		t.Errorf("compute errors = %d, want 1", s.metrics.ComputeErrors.Load())
 	}
 }
 
@@ -588,8 +593,8 @@ func TestErrOptionsMapsTo400(t *testing.T) {
 	if !strings.Contains(body, "invalid options") {
 		t.Errorf("error body should carry the options error: %s", body)
 	}
-	if s.Metrics().ComputeErrors.Load() != 1 {
-		t.Errorf("compute errors = %d, want 1", s.Metrics().ComputeErrors.Load())
+	if s.metrics.ComputeErrors.Load() != 1 {
+		t.Errorf("compute errors = %d, want 1", s.metrics.ComputeErrors.Load())
 	}
 
 	// A duration override on a non-transient figure is the same class of

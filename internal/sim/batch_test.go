@@ -9,7 +9,7 @@ import (
 // thermostat is a stateful test controller: it walks the level up every
 // period and drops to the floor whenever the peak temperature crosses
 // its threshold, so a run under it exercises level changes, controller
-// state and (with a low EmergencyC) the DTM override.
+// state and (on a hot lane) the DTM override.
 type thermostat struct {
 	level int
 	max   int
@@ -34,14 +34,11 @@ func (c *thermostat) Current() int { return c.level }
 func TestRunBatchMatchesSoloRuns(t *testing.T) {
 	p := plat(t)
 	plan := x264Plan(t, p)
-	top := len(p.Ladder.Points) - 1
-	opt := Options{
-		Duration:    0.05,
-		StartSteady: true,
-		// Low enough that the hot fixed-level lane trips the DTM
-		// override, so the batch path's emergency accounting is covered.
-		EmergencyC: p.TDTM,
-	}
+	// The top boost level's steady state (142.6 °C on this plan) is far
+	// above the TDTM+5 DTM threshold, so the hot fixed-level lane trips
+	// the override and the batch path's emergency accounting is covered.
+	top := len(p.BoostLadder.Points) - 1
+	opt := Options{Duration: 0.05, StartSteady: true}
 
 	mk := func() []BatchRun {
 		return []BatchRun{
@@ -51,13 +48,13 @@ func TestRunBatchMatchesSoloRuns(t *testing.T) {
 		}
 	}
 
-	batched, err := RunBatch(context.Background(), p, mk(), p.Ladder, opt)
+	batched, err := RunBatch(context.Background(), p, mk(), p.BoostLadder, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	solos := mk() // fresh controller state for the solo reference runs
 	for i, r := range solos {
-		solo, err := Run(p, r.Plan, r.Ctrl, p.Ladder, opt)
+		solo, err := Run(p, r.Plan, r.Ctrl, p.BoostLadder, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +77,7 @@ func TestRunBatchMatchesSoloRuns(t *testing.T) {
 		mk := func() []BatchRun {
 			return []BatchRun{
 				{Plan: plan, Ctrl: fixedQuiet(level)},
-				{Plan: plan, Ctrl: &thermostat{max: top, tripC: p.TDTM - 2}},
+				{Plan: plan, Ctrl: &thermostat{max: len(p.Ladder.Points) - 1, tripC: p.TDTM - 2}},
 			}
 		}
 		batched, err := RunBatch(context.Background(), p, mk(), p.Ladder, auto)

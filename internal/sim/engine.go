@@ -160,8 +160,9 @@ type engine struct {
 	p                  *core.Platform
 	opt                Options
 	steps, recordEvery int
-	// maxSafeC is the DTM threshold less the quiet-lane guard band.
-	maxSafeC float64
+	// emergencyC is the DTM threshold; maxSafeC is it less the
+	// quiet-lane guard band.
+	emergencyC, maxSafeC float64
 }
 
 // RunLanes advances every lane in lockstep on one platform: each control
@@ -274,7 +275,7 @@ func newEngine(p *core.Platform, opt Options) (*engine, error) {
 		return nil, fmt.Errorf("%w: duration %g s", ErrRun, opt.Duration)
 	}
 	if opt.ControlPeriod == 0 {
-		opt.ControlPeriod = 1e-3
+		opt.ControlPeriod = ControlPeriodS
 	}
 	if opt.ControlPeriod <= 0 || opt.ControlPeriod > opt.Duration {
 		return nil, fmt.Errorf("%w: control period %g s", ErrRun, opt.ControlPeriod)
@@ -282,16 +283,15 @@ func newEngine(p *core.Platform, opt Options) (*engine, error) {
 	if opt.RecordPoints == 0 {
 		opt.RecordPoints = 1000
 	}
-	if opt.EmergencyC == 0 {
-		opt.EmergencyC = p.TDTM + 5
-	}
 	steps := int(opt.Duration/opt.ControlPeriod + 0.5)
+	emergencyC := p.TDTM + emergencyMarginC
 	return &engine{
 		p:           p,
 		opt:         opt,
 		steps:       steps,
 		recordEvery: max(steps/opt.RecordPoints, 1),
-		maxSafeC:    opt.EmergencyC - quietDTMGuardC,
+		emergencyC:  emergencyC,
+		maxSafeC:    emergencyC - quietDTMGuardC,
 	}, nil
 }
 
@@ -321,7 +321,7 @@ func (s *laneState) start(e *engine) error {
 				steady.Placements = append(steady.Placements, pl)
 			}
 		}
-		_, power, err := e.p.SteadyTemps(steady, e.opt.Mode)
+		_, power, err := e.p.SteadyTemps(steady, core.BusyWait)
 		if err != nil {
 			return err
 		}
@@ -451,7 +451,7 @@ func (s *laneState) decide(e *engine, step int) (bool, error) {
 	})); err != nil {
 		return false, err
 	}
-	s.dtm = s.peak > e.opt.EmergencyC
+	s.dtm = s.peak > e.emergencyC
 	if s.dtm {
 		clear(s.levels)
 		s.Result.DTMEvents++
@@ -460,8 +460,8 @@ func (s *laneState) decide(e *engine, step int) (bool, error) {
 }
 
 // evalPower sets the decided frequencies and fills the power map from
-// the current temperatures through the fused coefficients — bit-for-bit
-// core.Platform.PlacementCorePowerAt, see core.PowerCoef. Gated
+// the current temperatures through the fused coefficients (see
+// core.PowerCoef), the same Equation (1) path as core.Platform.SteadyTemps. Gated
 // placements draw nothing.
 func (s *laneState) evalPower(e *engine) error {
 	s.setFreqs()
@@ -477,7 +477,7 @@ func (s *laneState) evalPower(e *engine) error {
 		s.active += len(pl.Cores)
 		ci := i*nLevels + s.Ladder.Clamp(s.levels[i])
 		if !s.set[ci] {
-			c, err := e.p.PowerCoefFor(pl, e.opt.Mode)
+			c, err := e.p.PowerCoefFor(pl, core.BusyWait)
 			if err != nil {
 				return err
 			}

@@ -16,7 +16,7 @@
 //  4. records performance (GIPS), power and peak temperature.
 //
 // A DTM guard clamps a lane to the lowest level while its temperature is
-// above an emergency threshold, mirroring the hardware thermal protection
+// above an emergency threshold (TDTM + 5 °C), mirroring the hardware thermal protection
 // the paper's TDTM is defined against. Run and RunBatch are chip-wide
 // wrappers over RunLanes.
 package sim
@@ -87,20 +87,24 @@ const stepAutoSnapTolC = 0.01
 // throttling keeps its per-period resolution.
 const quietDTMGuardC = 1.0
 
+// ControlPeriodS is the paper's §6 control period, 1 ms: the default
+// Options.ControlPeriod and the shortest run anything is asked for.
+const ControlPeriodS = 1e-3
+
+// emergencyMarginC puts the DTM hard-throttle threshold this far above
+// the platform's TDTM: while a lane's peak temperature exceeds TDTM + 5
+// °C its levels are forced to 0. Power is always evaluated busy-wait
+// (core.BusyWait).
+const emergencyMarginC = 5
+
 // Options configures a transient run.
 type Options struct {
 	// Duration of the simulated run in seconds. Required.
 	Duration float64
-	// ControlPeriod in seconds (default 1 ms, the paper's §6 setting).
+	// ControlPeriod in seconds (default ControlPeriodS).
 	ControlPeriod float64
-	// Mode is the power-evaluation mode (default core.BusyWait).
-	Mode core.PowerMode
 	// RecordPoints bounds the stored series length (default 1000).
 	RecordPoints int
-	// EmergencyC is the DTM hard-throttle threshold; while the peak
-	// temperature exceeds it the level is forced to 0. Default
-	// TDTM + 5 °C.
-	EmergencyC float64
 	// StartSteady initializes the chip at the steady state of the
 	// controller's first level rather than a cold (ambient) chip, so
 	// short runs measure the sustained regime the paper plots.

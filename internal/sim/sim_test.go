@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"darksim/internal/apps"
@@ -123,22 +124,23 @@ func TestRunStartSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Already at steady state: temperature should barely move.
-	if res.PeakTemp.Max()-res.PeakTemp.Min() > 0.5 {
+	if slices.Max(res.PeakTemp.Y)-slices.Min(res.PeakTemp.Y) > 0.5 {
 		t.Errorf("steady start should hold temperature: range %.2f–%.2f",
-			res.PeakTemp.Min(), res.PeakTemp.Max())
+			slices.Min(res.PeakTemp.Y), slices.Max(res.PeakTemp.Y))
 	}
 }
 
 func TestRunEmergencyThrottle(t *testing.T) {
 	p := plat(t)
 	plan := x264Plan(t, p)
-	// Drive at the boost top with an emergency threshold set just above
-	// ambient: every period must throttle to level 0.
+	// Start on the boost top's steady state, 142.6 °C on this plan and
+	// far above the TDTM+5 emergency threshold: the guard must throttle
+	// to level 0.
 	top := len(p.BoostLadder.Points) - 1
 	res, err := Run(p, plan, fixedLevel(top), p.BoostLadder, Options{
 		Duration:      0.2,
 		ControlPeriod: 1e-3,
-		EmergencyC:    p.Thermal.Ambient() + 1,
+		StartSteady:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +149,8 @@ func TestRunEmergencyThrottle(t *testing.T) {
 		t.Errorf("emergency throttle never triggered")
 	}
 	// Throttled level is the ladder bottom.
-	if res.LevelGHz.Min() != p.BoostLadder.Points[0].FGHz {
-		t.Errorf("throttle should clamp to lowest level; min = %v", res.LevelGHz.Min())
+	if slices.Min(res.LevelGHz.Y) != p.BoostLadder.Points[0].FGHz {
+		t.Errorf("throttle should clamp to lowest level; min = %v", slices.Min(res.LevelGHz.Y))
 	}
 }
 

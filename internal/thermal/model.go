@@ -298,16 +298,6 @@ func (m *Model) NumNodes() int { return len(m.cells) }
 // NumBlocks returns the number of floorplan blocks (cores).
 func (m *Model) NumBlocks() int { return len(m.fp.Blocks) }
 
-// Ambient returns the configured ambient temperature in °C.
-func (m *Model) Ambient() float64 { return m.cfg.AmbientC }
-
-// Floorplan returns the bound floorplan.
-func (m *Model) Floorplan() *floorplan.Floorplan { return m.fp }
-
-// Conductances returns the assembled conductance matrix in CSR form.
-// The matrix is shared and must not be mutated.
-func (m *Model) Conductances() *linalg.CSR { return m.gs }
-
 // nodePower expands per-block power into per-node power.
 func (m *Model) nodePower(blockPower []float64) (linalg.Vector, error) {
 	p := linalg.NewVector(len(m.cells))

@@ -114,7 +114,7 @@ func TestUniformPowerSymmetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The four corners see identical temperatures by symmetry.
-	fp := m.Floorplan()
+	fp := m.fp
 	corners := []int{fp.Index(0, 0), fp.Index(0, 9), fp.Index(9, 0), fp.Index(9, 9)}
 	for _, c := range corners[1:] {
 		if math.Abs(temps[c]-temps[corners[0]]) > 1e-6 {
@@ -130,7 +130,7 @@ func TestUniformPowerSymmetry(t *testing.T) {
 
 func TestLinearityAndSuperposition(t *testing.T) {
 	m := model16(t)
-	amb := m.Ambient()
+	amb := m.cfg.AmbientC
 	p1 := make([]float64, 100)
 	p2 := make([]float64, 100)
 	p1[12] = 3
@@ -179,7 +179,7 @@ func TestConcentrationHeatsMore(t *testing.T) {
 	// total power concentrated in a contiguous cluster produces a higher
 	// peak temperature than when spread across the die.
 	m := model16(t)
-	fp := m.Floorplan()
+	fp := m.fp
 	const total = 150.0
 	clustered := make([]float64, 100)
 	for r := 0; r < 5; r++ {
@@ -537,7 +537,7 @@ func TestEnergyConservationProperty(t *testing.T) {
 
 func TestConductanceMatrixSymmetric(t *testing.T) {
 	m := model16(t)
-	if !m.Conductances().IsSymmetric(1e-12) {
+	if !m.gs.IsSymmetric(1e-12) {
 		t.Errorf("conductance matrix must be symmetric")
 	}
 	if m.NumNodes() != 100+100+64+100 {
@@ -546,7 +546,6 @@ func TestConductanceMatrixSymmetric(t *testing.T) {
 	if m.NumBlocks() != 100 {
 		t.Errorf("block count = %d", m.NumBlocks())
 	}
-	_ = linalg.Vector(nil) // keep import if asserts change
 }
 
 // modelWithSolver builds the 10x10 platform with a forced solver path.
@@ -953,7 +952,7 @@ func TestBlocksSpanningMultipleDieCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tc := range temps {
-		if tc <= m.Ambient() {
+		if tc <= m.cfg.AmbientC {
 			t.Fatalf("block %d at %v °C", i, tc)
 		}
 	}

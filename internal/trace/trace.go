@@ -13,8 +13,6 @@
 package trace
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
 
 	"darksim/internal/apps"
@@ -33,71 +31,40 @@ type Row struct {
 	GIPS   float64 // gem5-style throughput for a single thread
 }
 
-// Options configures trace generation.
-type Options struct {
-	// MinGHz, MaxGHz, StepGHz define the frequency sweep.
-	// Defaults: 0.4 to 4.0 in 0.2 steps.
-	MinGHz, MaxGHz, StepGHz float64
-	// TempC is the die temperature the samples are taken at (default 60).
-	TempC float64
-	// NoiseFrac is the relative 1-sigma measurement noise (default 0.02).
-	NoiseFrac float64
-	// Seed selects the deterministic noise stream.
-	Seed int64
-}
-
-func (o *Options) fillDefaults() {
-	if o.MinGHz == 0 {
-		o.MinGHz = 0.4
-	}
-	if o.MaxGHz == 0 {
-		o.MaxGHz = 4.0
-	}
-	if o.StepGHz == 0 {
-		o.StepGHz = 0.2
-	}
-	if o.TempC == 0 {
-		o.TempC = 60
-	}
-	if o.NoiseFrac == 0 {
-		o.NoiseFrac = 0.02
-	}
-}
-
-// ErrOptions is returned for inconsistent sweep options.
-var ErrOptions = errors.New("trace: invalid options")
+// The sweep behind every trace: single-thread samples from minGHz to
+// maxGHz in stepGHz steps, taken at tempC with a relative 1-sigma
+// measurement noise of noiseFrac.
+const (
+	minGHz, maxGHz, stepGHz = 0.4, 4.0, 0.2
+	tempC                   = 60
+	noiseFrac               = 0.02
+)
 
 // Generate produces the single-thread 22 nm trace for an application,
-// mirroring the measurements behind the paper's Figure 3.
-func Generate(app apps.App, opt Options) ([]Row, error) {
-	opt.fillDefaults()
-	if opt.MinGHz <= 0 || opt.MaxGHz < opt.MinGHz || opt.StepGHz <= 0 {
-		return nil, fmt.Errorf("%w: sweep [%g, %g] step %g", ErrOptions, opt.MinGHz, opt.MaxGHz, opt.StepGHz)
-	}
-	if opt.NoiseFrac < 0 || opt.NoiseFrac > 0.5 {
-		return nil, fmt.Errorf("%w: noise fraction %g", ErrOptions, opt.NoiseFrac)
-	}
+// mirroring the measurements behind the paper's Figure 3. The seed
+// selects the deterministic noise stream.
+func Generate(app apps.App, seed int64) ([]Row, error) {
 	curve, err := vf.CurveFor(tech.Node22)
 	if err != nil {
 		return nil, err
 	}
 	model := app.Model22()
-	rng := rand.New(rand.NewSource(opt.Seed ^ int64(len(app.Name))<<32))
+	rng := rand.New(rand.NewSource(seed ^ int64(len(app.Name))<<32))
 	var rows []Row
-	for f := opt.MinGHz; f <= opt.MaxGHz+1e-9; f += opt.StepGHz {
+	for f := minGHz; f <= maxGHz+1e-9; f += stepGHz {
 		vdd, err := curve.VoltageFor(f)
 		if err != nil {
 			return nil, err
 		}
-		truth := model.Power(app.AlphaSingle, vdd, f, opt.TempC)
-		noisy := truth * (1 + opt.NoiseFrac*rng.NormFloat64())
+		truth := model.Power(app.AlphaSingle, vdd, f, tempC)
+		noisy := truth * (1 + noiseFrac*rng.NormFloat64())
 		if noisy < 0 {
 			noisy = 0
 		}
 		rows = append(rows, Row{
 			FGHz:   f,
 			Vdd:    vdd,
-			TempC:  opt.TempC,
+			TempC:  tempC,
 			PowerW: noisy,
 			GIPS:   app.IPC * f,
 		})

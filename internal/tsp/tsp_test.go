@@ -11,12 +11,19 @@ import (
 	"darksim/internal/thermal"
 )
 
-func model100(t testing.TB) *thermal.Model {
+// grid100 is the 10x10 floorplan model100 is built on.
+func grid100(t testing.TB) *floorplan.Floorplan {
 	t.Helper()
 	fp, err := floorplan.NewGrid(10, 10, 5.1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fp
+}
+
+func model100(t testing.TB) *thermal.Model {
+	t.Helper()
+	fp := grid100(t)
 	m, err := thermal.NewModel(fp, thermal.DefaultConfig(fp.DieW, fp.DieH, 10, 10))
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +48,7 @@ func TestGivenSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A contiguous 5x5 cluster.
-	fp := m.Floorplan()
+	fp := grid100(t)
 	var active []int
 	for r := 0; r < 5; r++ {
 		for col := 0; col < 5; col++ {
@@ -138,7 +145,7 @@ func TestWorstCaseBelowGivenSpreadMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := m.Floorplan()
+	fp := grid100(t)
 	var spread []int
 	for r := 0; r < 10; r += 2 {
 		for col := 0; col < 10; col += 2 {
@@ -276,7 +283,7 @@ func TestGivenLinearInHeadroomProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	amb := m.Ambient()
+	amb := thermal.DefaultAmbientC
 	c99, err := New(m, amb+2*(80-amb))
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"io/fs"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,17 +71,12 @@ type Options struct {
 	// Update regenerates the golden corpus instead of checking it.
 	Update bool
 	// GoldenDir is where -update writes; defaults to
-	// experiments.GoldenDir.
-	GoldenDir string
-	// Golden is the corpus to check against; defaults to the embedded
+	// experiments.GoldenDir. Checks read the embedded
 	// experiments.GoldenCorpus().
-	Golden fs.FS
+	GoldenDir string
 	// Workers bounds the parallel first pass; 0 means
 	// runner.DefaultWorkers().
 	Workers int
-	// SkipRecompute skips the sequential determinism pass (for quick
-	// subset runs in tests).
-	SkipRecompute bool
 	// Out receives progress lines; nil discards them.
 	Out io.Writer
 }
@@ -101,9 +95,6 @@ func Run(ctx context.Context, opt Options) ([]Failure, error) {
 	out := opt.Out
 	if out == nil {
 		out = io.Discard
-	}
-	if opt.Golden == nil {
-		opt.Golden = experiments.GoldenCorpus()
 	}
 	if opt.GoldenDir == "" {
 		opt.GoldenDir = experiments.GoldenDir
@@ -142,7 +133,7 @@ func Run(ctx context.Context, opt Options) ([]Failure, error) {
 
 	// Layer 1: golden corpus.
 	for _, fr := range results {
-		g, err := loadGolden(opt.Golden, fr.spec.ID)
+		g, err := loadGolden(experiments.GoldenCorpus(), fr.spec.ID)
 		if err != nil {
 			fails = append(fails, Failure{Figure: fr.spec.ID, Check: "golden", Detail: err.Error()})
 			continue
@@ -165,10 +156,8 @@ func Run(ctx context.Context, opt Options) ([]Failure, error) {
 	// Layer 3b: sequential warm-cache recomputation must render
 	// byte-identically — parallelism and platform-cache state must not
 	// leak into results.
-	if !opt.SkipRecompute {
-		fmt.Fprintf(out, "verify: recomputing sequentially for determinism\n")
-		fails = append(fails, checkDeterminism(ctx, results)...)
-	}
+	fmt.Fprintf(out, "verify: recomputing sequentially for determinism\n")
+	fails = append(fails, checkDeterminism(ctx, results)...)
 
 	// Layer 4: scenario-engine differential — the declarative front end
 	// must reproduce the paper's fixed platforms bit for bit. Full runs

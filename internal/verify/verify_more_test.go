@@ -1,8 +1,10 @@
 package verify
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"io/fs"
 	"os"
 	"strings"
 	"testing"
@@ -235,19 +237,18 @@ func TestScenarioDifferentialLayer(t *testing.T) {
 	}
 }
 
-// TestGoldenUpdateRoundTrip regenerates a corpus subset into a temp dir,
-// then verifies the same figures against it with the full determinism
-// pass — covering the -update path, golden file IO, and the sequential
-// recomputation check end to end.
+// TestGoldenUpdateRoundTrip regenerates a corpus subset into a temp dir
+// and requires each written file to equal its embedded corpus entry
+// byte for byte — covering the -update path and golden file IO; the
+// checking direction is TestRunFastSubset.
 func TestGoldenUpdateRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	figs := []string{"fig1", "fig2"}
 	fails, err := Run(context.Background(), Options{
-		Figures:       figs,
-		Update:        true,
-		GoldenDir:     dir,
-		SkipRecompute: true,
-		Out:           io.Discard,
+		Figures:   figs,
+		Update:    true,
+		GoldenDir: dir,
+		Out:       io.Discard,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,20 +257,17 @@ func TestGoldenUpdateRoundTrip(t *testing.T) {
 		t.Fatalf("update run reported failures: %v", fails)
 	}
 	for _, id := range figs {
-		if _, err := os.Stat(dir + "/" + id + ".json"); err != nil {
+		got, err := os.ReadFile(dir + "/" + id + ".json")
+		if err != nil {
 			t.Fatalf("update did not write %s: %v", id, err)
 		}
-	}
-	fails, err = Run(context.Background(), Options{
-		Figures: figs,
-		Golden:  os.DirFS(dir),
-		Out:     io.Discard,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range fails {
-		t.Errorf("freshly written corpus failed its own check: %s", f)
+		want, err := fs.ReadFile(experiments.GoldenCorpus(), id+".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: regenerated file differs from the embedded corpus", id)
+		}
 	}
 }
 

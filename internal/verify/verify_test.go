@@ -182,9 +182,8 @@ func TestSelectSpecsRejectsUnknown(t *testing.T) {
 // committed corpus.
 func TestRunFastSubset(t *testing.T) {
 	fails, err := Run(context.Background(), Options{
-		Figures:       []string{"fig1", "fig2", "fig4"},
-		SkipRecompute: true,
-		Out:           io.Discard,
+		Figures: []string{"fig1", "fig2", "fig4"},
+		Out:     io.Discard,
 	})
 	if err != nil {
 		t.Fatal(err)

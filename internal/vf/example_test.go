@@ -20,14 +20,14 @@ func ExampleCurve_VoltageFor() {
 }
 
 // ExampleNewLadder builds the paper's 0.2 GHz DVFS ladder with boost
-// levels above the nominal maximum.
+// levels above the nominal maximum and prints its top six levels.
 func ExampleNewLadder() {
 	curve := vf.MustCurve(tech.Node16)
-	ladder, err := vf.NewLadder(curve, vf.LadderOptions{MinGHz: 3.0, MaxGHz: 4.0})
+	ladder, err := vf.NewLadder(curve, vf.LadderOptions{MaxGHz: 4.0})
 	if err != nil {
 		panic(err)
 	}
-	for _, p := range ladder.Points {
+	for _, p := range ladder.Points[len(ladder.Points)-6:] {
 		fmt.Printf("%.1f GHz @ %.2f V (%s)\n", p.FGHz, p.Vdd, p.Region)
 	}
 	// Output:

@@ -164,10 +164,12 @@ type Ladder struct {
 	Points []OperatingPoint
 }
 
-// LadderOptions configures ladder generation.
+// ladderMinGHz is the lowest level of every ladder.
+const ladderMinGHz = 0.4
+
+// LadderOptions configures ladder generation; every ladder starts at
+// 0.4 GHz.
 type LadderOptions struct {
-	// MinGHz is the lowest level; defaults to 0.4 GHz.
-	MinGHz float64
 	// MaxGHz is the highest level; defaults to the curve's FmaxGHz.
 	// Set above FmaxGHz to include boost levels.
 	MaxGHz float64
@@ -179,24 +181,21 @@ type LadderOptions struct {
 // voltage solve fails are skipped (cannot happen for positive frequencies,
 // but kept defensive).
 func NewLadder(c Curve, opt LadderOptions) (*Ladder, error) {
-	if opt.MinGHz == 0 {
-		opt.MinGHz = 0.4
-	}
 	if opt.MaxGHz == 0 {
 		opt.MaxGHz = c.FmaxGHz
 	}
 	if opt.StepGHz == 0 {
 		opt.StepGHz = StepGHz
 	}
-	if opt.MinGHz <= 0 || opt.StepGHz <= 0 || opt.MaxGHz < opt.MinGHz {
+	if opt.StepGHz <= 0 || opt.MaxGHz < ladderMinGHz {
 		return nil, fmt.Errorf("vf: invalid ladder options %+v", opt)
 	}
 	var pts []OperatingPoint
 	// Walk in integer steps to avoid floating-point drift in the level
 	// values (2.8000000003 GHz would make table output ugly).
-	n := int(math.Round((opt.MaxGHz - opt.MinGHz) / opt.StepGHz))
+	n := int(math.Round((opt.MaxGHz - ladderMinGHz) / opt.StepGHz))
 	for i := 0; i <= n; i++ {
-		f := opt.MinGHz + float64(i)*opt.StepGHz
+		f := ladderMinGHz + float64(i)*opt.StepGHz
 		f = math.Round(f*1000) / 1000
 		if f > opt.MaxGHz+1e-9 {
 			break
