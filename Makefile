@@ -113,9 +113,12 @@ jobs-smoke:
 # The policy-sandbox smoke: race the default trio head-to-head on a pack
 # scenario with assertion-checked traces, require the unsafe boost
 # variant to be caught with its violating step named, and run the
-# sandbox's concurrent/cancellation paths under the race detector.
+# sandbox's concurrent/cancellation paths under the race detector. The
+# quiet-lane checks ride along: every pack's StepAuto race against its
+# exactly stepped lanes (TestPackRacesMatchExact) and a hooked quiet
+# lane's held-period replay (TestStepAutoHookReplaysHeldPeriods).
 policy-smoke:
-	$(GO) test -race -run='TestExecute|TestExecuteUnsafeCaught|TestRunAllConcurrent|TestRunAllCancel' -count=1 ./internal/policy
+	$(GO) test -race -run='TestExecute|TestExecuteUnsafeCaught|TestRunAllConcurrent|TestRunAllCancel|TestPackRacesMatchExact|TestStepAutoHookReplaysHeldPeriods' -count=1 ./internal/policy ./internal/sim
 
 # The CLI smoke: build darksim once and drive the README toolflow
 # through the real binary — a floorplan, a .ptrace written from its unit

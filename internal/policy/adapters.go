@@ -17,6 +17,10 @@ type holdLevels struct{ levels []int }
 func (h holdLevels) Start() Decision           { return Decision{Levels: h.levels} }
 func (h holdLevels) Next(Observation) Decision { return Decision{Levels: h.levels} }
 
+// Hold implements sim.Holder: the assignment never changes, so a hold
+// lane on its steady state skips the exact steps under sim.StepAuto.
+func (h holdLevels) Hold() ([]int, bool) { return h.levels, true }
+
 // fillPlan runs the scenario's TDP fill and rejects the degenerate
 // fully-dark outcome, which no stepping policy can do anything with.
 func fillPlan(env *Env) (*mapping.Plan, error) {

@@ -25,7 +25,11 @@ type packLane struct {
 }
 
 // race prepares one lane per policy and races them in lockstep through
-// sim.RunLanes, the engine the boosting figures run on. Policy-level
+// sim.RunLanes, the engine the boosting figures run on, under
+// sim.StepAuto: a lane that holds one decision (constant, tdpmap,
+// patterned, dsrem) and sits on its steady state snaps there instead of
+// re-solving it every period, while its hook still records every period
+// of the trace; the closed loops step exactly. Policy-level
 // failures (preparation, an invalid plan or decision, a failed TSP
 // lookup) retire their lane into its Outcome; only infrastructure errors
 // (bad options, context cancellation) abort the race. Outcomes come back
@@ -69,6 +73,7 @@ func (e *Env) race(ctx context.Context, pols []Policy, opt Options) ([]*packLane
 		Duration:      opt.Duration,
 		ControlPeriod: sim.ControlPeriodS,
 		RecordPoints:  1,
+		StepMode:      sim.StepAuto,
 	}); err != nil {
 		return nil, err
 	}

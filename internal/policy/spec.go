@@ -10,6 +10,7 @@ import (
 	"darksim/internal/progress"
 	"darksim/internal/report"
 	"darksim/internal/scenario"
+	"darksim/internal/sim"
 )
 
 // Spec is the declarative form of a sandbox run: a workload (an inline
@@ -35,7 +36,8 @@ type Spec struct {
 	Scenario *scenario.Spec `json:"scenario,omitempty"`
 	// Policies are raced head-to-head (default constant, boost, dsrem).
 	Policies []PolicyConfig `json:"policies,omitempty"`
-	// DurationS is the simulated run length in seconds (default 0.5).
+	// DurationS is the simulated run length in seconds (default 0.5),
+	// at least one sim.ControlPeriodS and at most 60.
 	DurationS float64 `json:"duration_s,omitempty"`
 	// Tune names one of Policies to hill-climb after the head-to-head;
 	// the tuned variant is raced as an extra entry.
@@ -101,8 +103,10 @@ func Normalize(s Spec) (Spec, error) {
 	if s.DurationS == 0 {
 		s.DurationS = 0.5
 	}
-	if !(s.DurationS > 0) || s.DurationS > 60 {
-		return Spec{}, fmt.Errorf("%w: duration %g s outside (0, 60]", ErrPolicy, s.DurationS)
+	// A run shorter than one control period steps nothing; the race
+	// refuses it too, but only after it has taken a compute slot.
+	if !(s.DurationS >= sim.ControlPeriodS) || s.DurationS > 60 {
+		return Spec{}, fmt.Errorf("%w: duration %g s outside [%g, 60]", ErrPolicy, s.DurationS, sim.ControlPeriodS)
 	}
 	if s.Tune != "" {
 		if !seen[s.Tune] {

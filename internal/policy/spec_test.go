@@ -38,6 +38,8 @@ func TestNormalizeValidation(t *testing.T) {
 		{"tune outside policies", Spec{Pack: scenario.PackSymmetric, Tune: "darkgates"}},
 		{"tune untunable", Spec{Pack: scenario.PackSymmetric, Policies: []PolicyConfig{{Name: "constant"}}, Tune: "constant"}},
 		{"negative duration", Spec{Pack: scenario.PackSymmetric, DurationS: -1}},
+		{"duration below the control period", Spec{Pack: scenario.PackSymmetric, DurationS: 0.0001}},
+		{"denormal duration", Spec{Pack: scenario.PackSymmetric, DurationS: 1e-300}},
 		{"huge duration", Spec{Pack: scenario.PackSymmetric, DurationS: 120}},
 		{"huge budget", Spec{Pack: scenario.PackSymmetric, Policies: []PolicyConfig{{Name: "boost"}}, Tune: "boost", Budget: 1000}},
 	}

@@ -164,4 +164,23 @@ func TestPolicyRunRejectsDuration(t *testing.T) {
 	if code, rbody, _ := postRun(t, ts, `{}`); code != http.StatusBadRequest {
 		t.Fatalf("empty run request: status %d body %s, want 400", code, rbody)
 	}
+
+	// A spec shorter than the 1 ms control period is refused by spec
+	// validation, before it queues a run or takes a compute slot.
+	for _, d := range []string{"0.0001", "1e-300"} {
+		spec := fmt.Sprintf(`{"pack": %q, "duration_s": %s}`, scenario.PackSymmetric, d)
+		if code, rbody, _ := postRun(t, ts, fmt.Sprintf(`{"policy": %s}`, spec)); code != http.StatusBadRequest ||
+			!strings.Contains(rbody, "duration") {
+			t.Fatalf("policy run with duration_s %s: status %d body %s, want 400", d, code, rbody)
+		}
+		if code, rbody, _ := post(t, ts, "/v1/policies", spec); code != http.StatusBadRequest {
+			t.Fatalf("policy POST with duration_s %s: status %d body %s, want 400", d, code, rbody)
+		}
+	}
+	if code, rbody, _ := get(t, ts, "/v1/runs"); code != http.StatusOK || strings.TrimSpace(rbody) != "[]" {
+		t.Fatalf("run listing after refused submissions = %d %s, want empty", code, rbody)
+	}
+	if n := s.metrics.Computes.Load(); n != 0 {
+		t.Fatalf("computes = %d after refused submissions, want 0", n)
+	}
 }

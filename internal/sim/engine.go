@@ -45,6 +45,15 @@ type PlacementController interface {
 	Next(obs Observation) Decision
 }
 
+// Holder is implemented by a PlacementController that may hold one
+// decision for the whole run. Hold reports that decision's levels, with
+// no placement gated, and true when Start and every Next call return it
+// whatever they observe, without side effects: under StepAuto the engine
+// skips Next while such a lane holds a snapped steady state.
+type Holder interface {
+	Hold() (levels []int, ok bool)
+}
+
 // chipWide adapts a chip-wide Controller (the §6 boosting loops) to a
 // PlacementController: every placement gets the same clamped level,
 // driven by the chip peak.
@@ -78,9 +87,20 @@ func (c *chipWide) Next(obs Observation) Decision {
 	return c.set(c.ctrl.Next(obs.PeakC), len(obs.PlacementPeakC))
 }
 
-// Period is a lane's account of one exactly stepped control period,
-// handed to its Hook. The slices are the engine's buffers, valid only
-// during the call: hooks must not retain or mutate them.
+// Hold implements Holder: a chip-wide lane holds when its controller is
+// a FixedLevelController.
+func (c *chipWide) Hold() ([]int, bool) {
+	f, ok := c.ctrl.(FixedLevelController)
+	if !ok {
+		return nil, false
+	}
+	return c.set(f.FixedLevel(), len(c.levels)).Levels, true
+}
+
+// Period is a lane's account of one control period, stepped exactly or
+// held on a snapped steady state, handed to its Hook. The slices are the
+// engine's buffers, valid only during the call: hooks must not retain or
+// mutate them.
 type Period struct {
 	Step  int
 	TimeS float64
@@ -115,8 +135,11 @@ type Lane struct {
 	// StartSteady starts the lane at the steady state of its controller's
 	// Start decision (ungated placements) instead of a cold chip.
 	StartSteady bool
-	// Hook, when set, runs after every control period; a non-nil error
-	// retires the lane. A lane with a hook always steps exactly.
+	// Hook, when set, runs after every control period, in order; a
+	// non-nil error retires the lane. A hook does not change how the lane
+	// steps: while a quiet lane holds a snapped steady state, its hook
+	// still sees each held period, with the held levels, nothing gated,
+	// no DTM, and the snapped temperatures with their power map.
 	Hook func(*Period) error
 
 	Result Result
@@ -146,11 +169,11 @@ type laneState struct {
 	energy                               metrics.EnergyMeter
 	period                               Period
 
-	// fixed is the lane's FixedLevelController when it may snap quiet
-	// intervals; ask is the next step at which it may try a snap, resume
-	// the next step it takes part in after holding a snapped state; done
-	// marks a finished or retired lane.
-	fixed       FixedLevelController
+	// hold is the lane's controller when it may snap quiet intervals; ask
+	// is the next step at which it may try a snap, resume the next step
+	// it takes part in after holding a snapped state; done marks a
+	// finished or retired lane.
+	hold        Holder
 	ask, resume int
 	done        bool
 }
@@ -172,13 +195,13 @@ type engine struct {
 // through a shared sweep of the cached factor. Per lane the arithmetic
 // is bit-for-bit that of a solo run, so lanes never perturb each other.
 //
-// Under StepAuto a lane whose controller is ChipWide over a
-// FixedLevelController, whose plan is static and which has no hook is
-// quiet: once per recording interval it asks whether its state sits on
-// the steady state of its frozen power map, and if so snaps onto it and
-// holds until the next recording point (see decide). Every other period
-// of every lane is an exact step. opt.StartSteady is ignored (each lane
-// sets its own).
+// Under StepAuto a lane whose plan is static and whose controller holds
+// one decision (a Holder whose Hold reports ok) is quiet: once per
+// recording interval it asks whether its state sits on the steady state
+// of its frozen power map, and if so snaps onto it and holds until the
+// next recording point (see decide); its hook still runs for every held
+// period. Every other period of every lane is an exact step.
+// opt.StartSteady is ignored (each lane sets its own).
 //
 // A lane error (invalid plan or decision, failing hook) retires that
 // lane into its Err while the others race on. Only infrastructure
@@ -333,10 +356,10 @@ func (s *laneState) start(e *engine) error {
 	s.Result.MaxTempC = s.peak
 	s.temps = s.tr.BlockTemps()
 	s.power = make([]float64, e.p.NumCores())
-	if cw, ok := s.Ctrl.(*chipWide); ok && e.opt.StepMode == StepAuto && s.Hook == nil {
-		fixed, _ := cw.ctrl.(FixedLevelController)
-		if _, static := s.Plans.(StaticPlan); fixed != nil && static {
-			s.fixed = fixed
+	if h, ok := s.Ctrl.(Holder); ok && e.opt.StepMode == StepAuto {
+		_, held := h.Hold()
+		if _, static := s.Plans.(StaticPlan); held && static {
+			s.hold = h
 		}
 	}
 	return nil
@@ -411,17 +434,19 @@ func (s *laneState) decide(e *engine, step int) (bool, error) {
 	// The quiet-lane rule: a quiet lane asks once per recording interval
 	// whether its state sits on the steady state of its frozen power
 	// map. If so it snaps there and holds until the next recording
-	// point; if not — off the steady state, or the period starts or
-	// would settle within the guard band of the DTM threshold — it steps
-	// exactly up to that point before asking again.
-	if s.fixed != nil && step >= s.ask {
+	// point, its hook seeing each held period; if not — off the steady
+	// state, or the period starts or would settle within the guard band
+	// of the DTM threshold — it steps exactly up to that point before
+	// asking again.
+	if s.hold != nil && step >= s.ask {
 		end := min(step+(e.recordEvery-step%e.recordEvery)%e.recordEvery, e.steps-1)
 		s.ask = end + 1
 		if s.peak <= e.maxSafeC {
-			level := s.Ladder.Clamp(s.fixed.FixedLevel())
-			for i := range s.levels {
-				s.levels[i] = level
+			levels, _ := s.hold.Hold()
+			if err := s.install(Decision{Levels: levels}); err != nil {
+				return false, err
 			}
+			s.dtm = false
 			if err := s.evalPower(e); err != nil {
 				return false, err
 			}
@@ -432,7 +457,15 @@ func (s *laneState) decide(e *engine, step int) (bool, error) {
 			if ok {
 				copy(s.temps, next)
 				s.resume = end + 1
-				return false, s.account(e, end-step+1, float64(end)*e.opt.ControlPeriod, true)
+				if err := s.account(e, end-step+1, float64(end)*e.opt.ControlPeriod, true); err != nil {
+					return false, err
+				}
+				for k := step; k <= end && s.Hook != nil; k++ {
+					if err := s.hook(k, float64(k)*e.opt.ControlPeriod); err != nil {
+						return false, err
+					}
+				}
+				return false, nil
 			}
 		}
 	}

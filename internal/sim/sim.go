@@ -45,7 +45,8 @@ type Controller interface {
 
 // FixedLevelController marks controllers that are stateless and always
 // answer with one level regardless of temperature (the constant-level
-// arms of Figures 11–13). Under StepAuto the engine may skip Next calls
+// arms of Figures 11–13 and the sandbox's constant policy). ChipWide
+// over one is a Holder, so under StepAuto the engine may skip Next calls
 // while such a lane holds a snapped steady state; implementations must
 // guarantee Next is side-effect-free and constant.
 type FixedLevelController interface {
@@ -60,20 +61,21 @@ type StepMode int
 const (
 	// StepExact advances period by period through the exact implicit-
 	// Euler kernel: the historical behaviour, bit-for-bit. It is the
-	// default and what every differential pin runs under.
+	// default and the reference every StepAuto bound is measured against.
 	StepExact StepMode = iota
-	// StepAuto lets a quiet lane — a FixedLevelController holding its
-	// level on a static plan, without a hook — skip the periods it spends
-	// on its steady state. Once per recording interval such a lane asks
-	// whether its state is within stepAutoSnapTolC of the steady state of
-	// its frozen power map, with that steady state a guard band below the
-	// DTM emergency threshold. If so it snaps exactly onto it and holds
+	// StepAuto lets a quiet lane — a Holder holding its decision on a
+	// static plan (ChipWide over a FixedLevelController, or a fixed
+	// per-placement assignment), hooked or not — skip the periods it
+	// spends on its steady state. Once per recording interval such a lane
+	// asks whether its state is within stepAutoSnapTolC of the steady
+	// state of its frozen power map, with that steady state a guard band
+	// below the DTM emergency threshold. If so it snaps exactly onto it and holds
 	// until the next recording point; otherwise it steps exactly to that
 	// point. A StepAuto lane is therefore bit for bit its StepExact run up
 	// to its first snap; from there on the steady state stands in for
 	// the last hundredth of a degree of settling. Recorded series keep
-	// their sampling grid, and lanes that are not quiet are StepExact bit
-	// for bit.
+	// their sampling grid, a hook still sees every period, and lanes that
+	// are not quiet are StepExact bit for bit.
 	StepAuto
 )
 

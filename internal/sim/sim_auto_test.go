@@ -31,9 +31,10 @@ func (r *rampCtrl) Current() int { return r.level }
 
 // TestStepAutoDegradesBitIdentical pins the exactness contract: whenever
 // a run cannot be proven quiet — stateful controller, dynamic plan
-// provider, a per-period hook, or a DTM threshold the frozen steady state would violate —
+// provider, or a DTM threshold the frozen steady state would violate —
 // StepAuto must produce the StepExact result bit for bit, fused power
-// coefficients included.
+// coefficients included. A hook is no such reason: see
+// TestStepAutoHookReplaysHeldPeriods.
 func TestStepAutoDegradesBitIdentical(t *testing.T) {
 	p := plat(t)
 	planA := x264Plan(t, p)
@@ -46,17 +47,13 @@ func TestStepAutoDegradesBitIdentical(t *testing.T) {
 		{"stateful controller", func(opt Options) (Result, error) {
 			return Run(p, planA, &rampCtrl{max: 5}, p.Ladder, opt)
 		}},
-		// The next two cases run long enough, with periods coarse enough,
-		// that the same lane on a static plan without a hook snaps onto
-		// its steady state (see TestStepAutoColdStartExactUntilSnap).
+		// This case runs long enough, with periods coarse enough, that
+		// the same lane on a static plan snaps onto its steady state (see
+		// TestStepAutoColdStartExactUntilSnap).
 		{"dynamic provider", func(opt Options) (Result, error) {
 			opt.Duration, opt.ControlPeriod, opt.RecordPoints = 400, 0.1, 100
 			planB := x264Plan(t, p)
 			return runSolo(p, planSwitcher{at: 50, a: planA, b: planB}, fixedQuiet(p.Ladder.Nearest(3.0)), nil, opt)
-		}},
-		{"hooked lane", func(opt Options) (Result, error) {
-			opt.Duration, opt.ControlPeriod, opt.RecordPoints = 400, 0.1, 100
-			return runSolo(p, StaticPlan{Plan: planA}, fixedQuiet(p.Ladder.Nearest(3.0)), func(*Period) error { return nil }, opt)
 		}},
 		// The top boost level's frozen steady state, 142.6 °C on this
 		// plan, lies far above the TDTM+5 DTM threshold.
@@ -83,6 +80,92 @@ func TestStepAutoDegradesBitIdentical(t *testing.T) {
 				t.Fatalf("StepAuto degraded run differs from StepExact:\n got %+v\nwant %+v", got, want)
 			}
 		})
+	}
+}
+
+// copyPeriod deep-copies a Period, whose slices the engine owns only
+// for the duration of a hook call.
+func copyPeriod(pd *Period) Period {
+	c := *pd
+	c.Levels = slices.Clone(pd.Levels)
+	c.Gated = slices.Clone(pd.Gated)
+	c.PlacementW = slices.Clone(pd.PlacementW)
+	c.TempsC = slices.Clone(pd.TempsC)
+	c.PowerW = slices.Clone(pd.PowerW)
+	return c
+}
+
+// TestStepAutoHookReplaysHeldPeriods pins the hooked quiet lane: a hook
+// does not change how a StepAuto lane steps, so its Result equals the
+// unhooked lane's bit for bit, and the hook still runs once per period,
+// in order, held periods included. Every period before the first snap
+// equals its StepExact period bit for bit; from the first snap on, each
+// period carries the fixed level, nothing gated, no DTM, and a peak
+// within the snap tolerance of the exact trajectory.
+func TestStepAutoHookReplaysHeldPeriods(t *testing.T) {
+	p := plat(t)
+	plan := x264Plan(t, p)
+	level := p.Ladder.Nearest(3.0)
+	opt := Options{Duration: 400, ControlPeriod: 0.1, RecordPoints: 100}
+	steps := int(opt.Duration/opt.ControlPeriod + 0.5)
+	run := func(mode StepMode, hooked bool) (Result, []Period) {
+		t.Helper()
+		o := opt
+		o.StepMode = mode
+		var periods []Period
+		var hook func(*Period) error
+		if hooked {
+			hook = func(pd *Period) error {
+				periods = append(periods, copyPeriod(pd))
+				return nil
+			}
+		}
+		res, err := runSolo(p, StaticPlan{Plan: plan}, fixedQuiet(level), hook, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, periods
+	}
+	bare, _ := run(StepAuto, false)
+	got, periods := run(StepAuto, true)
+	exactRes, exact := run(StepExact, true)
+
+	if !reflect.DeepEqual(got, bare) {
+		t.Fatal("hooked StepAuto lane's Result differs from the same lane without a hook")
+	}
+	if reflect.DeepEqual(got, exactRes) {
+		t.Fatal("the lane never snapped; the held-period replay is vacuous")
+	}
+	if len(periods) != steps || len(exact) != steps {
+		t.Fatalf("hook ran %d times under StepAuto, %d under StepExact, over %d periods", len(periods), len(exact), steps)
+	}
+	settled := exact[steps-1].PeakC
+	first := -1
+	for k := range periods {
+		pd := &periods[k]
+		if pd.Step != k || pd.TimeS != float64(k)*opt.ControlPeriod {
+			t.Fatalf("call %d saw step %d at t=%v, want step %d at t=%v", k, pd.Step, pd.TimeS, k, float64(k)*opt.ControlPeriod)
+		}
+		if first < 0 {
+			if reflect.DeepEqual(*pd, exact[k]) {
+				continue
+			}
+			first = k
+			if d := math.Abs(exact[k].PeakC - settled); d > 2*stepAutoSnapTolC {
+				t.Fatalf("first held period %d is %.4g °C from the settled %.4f °C: the lane left the exact trajectory before its steady state",
+					k, d, settled)
+			}
+		}
+		if pd.DTM || slices.Contains(pd.Gated, true) || slices.ContainsFunc(pd.Levels, func(l int) bool { return l != level }) {
+			t.Fatalf("period %d: levels %v, gated %v, DTM %v; want the fixed level %d, nothing gated, no DTM",
+				k, pd.Levels, pd.Gated, pd.DTM, level)
+		}
+		if d := math.Abs(pd.PeakC - exact[k].PeakC); d > 2*stepAutoSnapTolC {
+			t.Fatalf("period %d: held peak %v vs exact %v", k, pd.PeakC, exact[k].PeakC)
+		}
+	}
+	if first < 0 {
+		t.Fatal("every hooked period equals StepExact: no period was held")
 	}
 }
 
