@@ -1,7 +1,9 @@
 // Command darksimd serves the dark-silicon experiments over HTTP as a
 // long-running daemon: a JSON API with request coalescing, a bounded LRU
-// result cache, per-request compute timeouts, and graceful shutdown that
-// drains in-flight computations.
+// result cache, one pool of -workers compute slots that synchronous
+// requests and async runs share under one -compute-timeout deadline, and
+// graceful shutdown that drains the async runs, then the compute pool,
+// within -drain-timeout.
 //
 // Usage:
 //

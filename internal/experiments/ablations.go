@@ -398,13 +398,6 @@ func AblationStrategies(ctx context.Context) (*AblationStrategiesResult, error) 
 	res := &AblationStrategiesResult{FGHz: 3.6}
 	names := []string{"contiguous", "checkerboard", "periphery", "maxspread"}
 	strategies := mapping.Strategies()
-	// One incremental TSP updater serves every strategy: consecutive
-	// placements overlap heavily, so SetActive applies row-sum deltas
-	// for the membership changes instead of rebuilding each set.
-	upd, err := calc.Incremental(ctx)
-	if err != nil {
-		return nil, err
-	}
 	for _, name := range names {
 		strat := strategies[name]
 		n, err := p.MaxCoresUnderTemp(a, res.FGHz, strat)
@@ -417,21 +410,17 @@ func AblationStrategies(ctx context.Context) (*AblationStrategiesResult, error) 
 			if err != nil {
 				return nil, err
 			}
-			if err := upd.SetActive(cores); err != nil {
-				return nil, err
-			}
-			if row.TSPatMax, err = upd.TSP(); err != nil {
+			if row.TSPatMax, err = calc.Given(ctx, cores); err != nil {
 				return nil, err
 			}
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	// The TSP best-case greedy as an upper-bound reference.
-	bestBudget, bestCores, err := calc.BestCase(ctx, 61)
+	bestBudget, _, err := calc.BestCase(ctx, 61)
 	if err != nil {
 		return nil, err
 	}
-	_ = bestCores
 	res.Rows = append(res.Rows, AblationStrategyRow{
 		Strategy: "tsp-greedy (61 cores)", SafeCores: 61, TSPatMax: bestBudget,
 	})

@@ -499,6 +499,8 @@ func TestBoostOptionsValidation(t *testing.T) {
 		{"fig12 below one control period", func() error { _, err := Fig12(ctx, 0.0001); return err }},
 		{"fig13 negative duration", func() error { _, err := Fig13(ctx, -1); return err }},
 		{"fig13 below one control period", func() error { _, err := Fig13(ctx, 1e-9); return err }},
+		{"fig13 over the longest transient", func() error { _, err := Fig13(ctx, 1e9); return err }},
+		{"fig11 just over its default", func() error { return CheckDuration("fig11", maxDurationS+1e-9) }},
 	}
 	for _, tc := range cases {
 		err := tc.run()
@@ -506,9 +508,9 @@ func TestBoostOptionsValidation(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrOptions", tc.name, err)
 		}
 	}
-	// Zero still means "use default", and one control period is the
-	// shortest run.
-	for _, d := range []float64{0, sim.ControlPeriodS} {
+	// Zero still means "use default", one control period is the shortest
+	// run, and Figure 11's 100 s default the longest.
+	for _, d := range []float64{0, sim.ControlPeriodS, maxDurationS} {
 		if err := CheckDuration("fig12", d); err != nil {
 			t.Errorf("duration %g rejected: %v", d, err)
 		}

@@ -25,16 +25,24 @@ import (
 // arm into a few dozen steady-state checks.
 const sweepRecordPoints = 64
 
-// CheckDuration rejects negative or non-finite run lengths, and positive
+// maxDurationS is the longest run length an experiment accepts: Figure
+// 11's default, the paper's longest transient.
+const maxDurationS = 100
+
+// CheckDuration rejects negative or non-finite run lengths, positive
 // ones shorter than one sim.ControlPeriodS (no control period would
-// run), with ErrOptions, naming experiment id. Zero is always allowed:
-// it selects the experiment's default run length.
+// run), and ones longer than maxDurationS, with ErrOptions, naming
+// experiment id. Zero is always allowed: it selects the experiment's
+// default run length.
 func CheckDuration(id string, seconds float64) error {
 	if seconds < 0 || math.IsNaN(seconds) || math.IsInf(seconds, 0) {
 		return fmt.Errorf("%w: %s: duration %g s", ErrOptions, id, seconds)
 	}
 	if seconds > 0 && seconds < sim.ControlPeriodS {
 		return fmt.Errorf("%w: %s: duration %g s is shorter than the %g s control period", ErrOptions, id, seconds, sim.ControlPeriodS)
+	}
+	if seconds > maxDurationS {
+		return fmt.Errorf("%w: %s: duration %g s is longer than the %g s limit", ErrOptions, id, seconds, float64(maxDurationS))
 	}
 	return nil
 }
@@ -122,7 +130,7 @@ func Fig11(ctx context.Context, durationS float64) (*Fig11Result, error) {
 		return nil, err
 	}
 	if durationS == 0 {
-		durationS = 100
+		durationS = maxDurationS
 	}
 	p, err := platformFor(tech.Node16, 100)
 	if err != nil {

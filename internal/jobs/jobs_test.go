@@ -34,7 +34,7 @@ func frag(i int) *report.Table {
 func newManager(t *testing.T, cfg Config) *Manager {
 	t.Helper()
 	if cfg.Pool == nil {
-		cfg.Pool, _ = runner.WithContext(context.Background(), 2)
+		cfg.Pool = runner.NewPool(2, 0)
 	}
 	m := New(cfg)
 	t.Cleanup(func() {
@@ -154,7 +154,7 @@ func TestSubmitDedupesLiveRuns(t *testing.T) {
 }
 
 func TestQueueFullRejects(t *testing.T) {
-	pool, _ := runner.WithContext(context.Background(), 1)
+	pool := runner.NewPool(1, 0)
 	m := newManager(t, Config{Pool: pool, QueueSize: 1})
 	gate := make(chan struct{})
 	defer func() {
@@ -200,7 +200,7 @@ func TestQueueFullRejects(t *testing.T) {
 }
 
 func TestCancelQueuedRun(t *testing.T) {
-	pool, _ := runner.WithContext(context.Background(), 1)
+	pool := runner.NewPool(1, 0)
 	m := newManager(t, Config{Pool: pool, QueueSize: 4})
 	gate := make(chan struct{})
 	defer close(gate)
@@ -240,7 +240,7 @@ func TestCancelQueuedRun(t *testing.T) {
 }
 
 func TestCancelRunningFreesPoolSlot(t *testing.T) {
-	pool, _ := runner.WithContext(context.Background(), 1)
+	pool := runner.NewPool(1, 0)
 	m := newManager(t, Config{Pool: pool})
 	job := func(ctx context.Context) ([]*report.Table, error) {
 		progress.Emit(ctx, progress.Point{Table: frag(1), Done: 1, Total: 2})
@@ -335,7 +335,7 @@ func TestSubscribeReplayThenFollowIsGapless(t *testing.T) {
 }
 
 func TestCloseInterruptsStragglers(t *testing.T) {
-	pool, _ := runner.WithContext(context.Background(), 1)
+	pool := runner.NewPool(1, 0)
 	m := New(Config{Pool: pool})
 	started := make(chan struct{})
 	job := func(ctx context.Context) ([]*report.Table, error) {
@@ -359,6 +359,49 @@ func TestCloseInterruptsStragglers(t *testing.T) {
 	}
 	if _, _, err := m.Submit("experiment", "y", "y", nil, job); !errors.Is(err, ErrClosed) {
 		t.Errorf("Submit after Close err = %v, want ErrClosed", err)
+	}
+}
+
+// TestCloseInterruptsRunWaitingForSlot pins the drain deadline while the
+// dispatcher waits for a slot: the running run holds the only one until
+// its context is cancelled, so Close must interrupt it and the run
+// waiting behind it at the deadline instead of waiting for the slot.
+func TestCloseInterruptsRunWaitingForSlot(t *testing.T) {
+	m := New(Config{Pool: runner.NewPool(1, 0)})
+	job := func(ctx context.Context) ([]*report.Table, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	a, _, err := m.Submit("experiment", "a", "a", nil, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, a.ID, StateRunning)
+	b, _, err := m.Submit("experiment", "b", "b", nil, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for m.Stats().QueueDepth != 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	closed := make(chan error, 1)
+	go func() { closed <- m.Close(ctx) }()
+	select {
+	case err := <-closed:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Close err = %v, want deadline exceeded (drain timed out)", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waiting 5 s after its 50 ms deadline")
+	}
+	for _, id := range []string{a.ID, b.ID} {
+		r, _ := m.Get(id)
+		if r.State != StateFailed || !strings.Contains(r.Error, "interrupted") {
+			t.Errorf("run %s = %s (%q), want failed/interrupted", id, r.State, r.Error)
+		}
 	}
 }
 
@@ -471,7 +514,7 @@ func TestFileStoreRestartRecovery(t *testing.T) {
 	var second Run
 	var secondLog []Event
 	for life := 2; life <= 3; life++ {
-		pool, _ := runner.WithContext(context.Background(), 2)
+		pool := runner.NewPool(2, 0)
 		restarted := New(Config{Journal: openJournal(t, crashed), Pool: pool})
 		r, ok := restarted.Get(run.ID)
 		if !ok {
@@ -537,7 +580,7 @@ func TestFileStoreToleratesTornFinalWrite(t *testing.T) {
 			}
 			// Restart: recovery appends r1's failed event, then a new run
 			// is submitted and finishes.
-			pool, _ := runner.WithContext(context.Background(), 2)
+			pool := runner.NewPool(2, 0)
 			m := New(Config{Journal: openJournal(t, path), Pool: pool})
 			r1, _ := m.Get("r1")
 			if r1.State != StateFailed || r1.LastSeq != int64(tc.kept+1) {
@@ -553,7 +596,7 @@ func TestFileStoreToleratesTornFinalWrite(t *testing.T) {
 			requireOneRecordPerLine(t, path)
 
 			// Reopen: both runs replay with every event.
-			pool, _ = runner.WithContext(context.Background(), 2)
+			pool = runner.NewPool(2, 0)
 			re := New(Config{Journal: openJournal(t, path), Pool: pool})
 			defer re.Close(context.Background())
 			for id, evs := range want {

@@ -45,15 +45,13 @@ type Config struct {
 	// Journal persists run history across restarts; nil keeps runs in
 	// memory only.
 	Journal *Journal
-	// Pool is the compute pool jobs execute on (required). Passing the
-	// serving layer's pool makes async runs and synchronous requests
-	// compete for the same slots.
-	Pool *runner.Group
+	// Pool is the compute pool jobs execute on (required), and the
+	// owner of their deadline. Passing the serving layer's pool makes
+	// async runs and synchronous requests compete for the same slots.
+	Pool *runner.Pool
 	// QueueSize bounds runs waiting for a pool slot (default 64). A
 	// full queue rejects Submit with ErrQueueFull.
 	QueueSize int
-	// Timeout bounds one run's execution (0 = unbounded).
-	Timeout time.Duration
 	// Logger receives journal-failure diagnostics; nil disables logging.
 	Logger *slog.Logger
 	// Now is the clock (for tests); nil means time.Now.
@@ -99,14 +97,15 @@ type run struct {
 // one dispatcher onto the compute pool, content-key dedupe across live
 // runs, and fan-out of events to subscribers.
 type Manager struct {
-	cfg     Config
 	journal *Journal
-	pool    *runner.Group
+	pool    *runner.Pool
 	now     func() time.Time
 	log     *slog.Logger
 
 	queue          chan *run
 	dispatcherDone chan struct{}
+	giveUp         context.Context // done once Close's deadline passed
+	stopWaiting    context.CancelFunc
 	runWG          sync.WaitGroup
 
 	mu     sync.Mutex
@@ -141,7 +140,6 @@ func New(cfg Config) *Manager {
 		log = slog.New(slog.DiscardHandler)
 	}
 	m := &Manager{
-		cfg:            cfg,
 		journal:        cfg.Journal,
 		pool:           cfg.Pool,
 		now:            cfg.Now,
@@ -151,6 +149,7 @@ func New(cfg Config) *Manager {
 		runs:           make(map[string]*run),
 		byKey:          make(map[string]*run),
 	}
+	m.giveUp, m.stopWaiting = context.WithCancel(context.Background())
 	m.recover()
 	go m.dispatch()
 	return m
@@ -244,16 +243,16 @@ func (m *Manager) Submit(kind, label, key string, params map[string]string, job 
 
 // dispatch drains the queue onto the pool. pool.Go blocks while every
 // worker slot is busy, which is the backpressure that lets the bounded
-// queue fill and reject further submissions.
+// queue fill and reject further submissions. It stops waiting for a
+// slot once Close gave up on the drain (the slot may be held by a
+// synchronous computation the drain cannot cancel); a run the pool
+// refuses is failed, unless the drain already interrupted it.
 func (m *Manager) dispatch() {
 	defer close(m.dispatcherDone)
 	for r := range m.queue {
-		r := r
-		m.pool.Go(func(ctx context.Context) error {
-			m.execute(ctx, r)
-			// A failed run must not cancel the pool's other work.
-			return nil
-		})
+		if err := m.pool.Go(m.giveUp, func(ctx context.Context) { m.execute(ctx, r) }); err != nil {
+			m.transition(r, StateFailed, "interrupted: "+err.Error(), nil)
+		}
 	}
 }
 
@@ -275,11 +274,6 @@ func (m *Manager) execute(poolCtx context.Context, r *run) {
 		m.transition(r, cancelState, cancelErr, nil)
 		return
 	}
-	if m.cfg.Timeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, m.cfg.Timeout)
-		defer tcancel()
-	}
 	m.transition(r, StateRunning, "", nil)
 	ctx = progress.With(ctx, func(p progress.Point) { m.emitPoint(r, p.Table, p.Done, p.Total) })
 	tables, err := r.job(ctx)
@@ -292,8 +286,9 @@ func (m *Manager) execute(poolCtx context.Context, r *run) {
 		m.transition(r, StateDone, "", tables)
 	case req && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
 		m.transition(r, cancelState, cancelErr, nil)
-	case errors.Is(err, context.DeadlineExceeded):
-		m.transition(r, StateFailed, fmt.Sprintf("timed out after %s: %v", m.cfg.Timeout, err), nil)
+	case errors.Is(err, context.DeadlineExceeded) && ctx.Err() != nil:
+		// The pool's deadline names its limit as the cause.
+		m.transition(r, StateFailed, fmt.Sprintf("%v: %v", context.Cause(ctx), err), nil)
 	default:
 		m.transition(r, StateFailed, err.Error(), nil)
 	}
@@ -530,8 +525,8 @@ func (m *Manager) Stats() Stats {
 }
 
 // Close stops accepting submissions, lets queued and running runs drain
-// within ctx, then cancels the stragglers (marking them failed) and
-// closes the journal. It is idempotent.
+// within ctx, then cancels the stragglers (marking them failed, the
+// queued ones too) and closes the journal. It is idempotent.
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
 	already := m.closed
@@ -540,10 +535,10 @@ func (m *Manager) Close(ctx context.Context) error {
 		close(m.queue)
 	}
 	m.mu.Unlock()
-	<-m.dispatcherDone
 
 	drained := make(chan struct{})
 	go func() {
+		<-m.dispatcherDone
 		m.runWG.Wait()
 		close(drained)
 	}()
@@ -551,6 +546,7 @@ func (m *Manager) Close(ctx context.Context) error {
 	case <-drained:
 	case <-ctx.Done():
 		m.interruptAll()
+		m.stopWaiting()
 		<-drained
 	}
 	if already {

@@ -6,8 +6,9 @@
 // The pieces:
 //
 //   - Manager: run lifecycle over a bounded submission queue whose jobs
-//     execute on an externally owned runner.Group, so async runs and
-//     synchronous requests compete for the same compute slots. A full
+//     execute on an externally owned runner.Pool, so async runs and
+//     synchronous requests compete for the same compute slots under the
+//     same deadline. A full
 //     queue rejects submissions (backpressure, ErrQueueFull → HTTP 429);
 //     identical concurrent submissions dedupe onto one run by content
 //     key (singleflight at run granularity). Each run holds its own

@@ -1,36 +1,36 @@
 // Package runner is the shared concurrency layer under the experiment
-// sweeps, the memos and the daemon: a bounded worker pool with context
-// cancellation and errgroup-style first-error-cancels-rest semantics,
-// and a coalescing LRU cache, built on the standard library only (the
-// module has no dependencies).
+// sweeps, the memos and the daemon, built on the standard library only
+// (the module has no dependencies).
 //
 // The package offers three entry points:
 //
 //   - Map / MapN run a fixed set of independent items through a worker
 //     pool and return the results in item order, regardless of completion
 //     order, so parallel sweeps render byte-identically to a sequential
-//     loop.
-//   - Group is a lightweight errgroup clone for heterogeneous tasks that
-//     do not fit the map shape.
+//     loop. The first failure cancels the rest.
+//   - Pool is the daemon's one set of compute slots: synchronous requests
+//     (Do) and asynchronous runs (Go) wait for the same bounded slots, run
+//     under the same deadline and drain in the same Close.
 //   - Cache is the one memo type: a bounded LRU with optional TTL whose
 //     Do coalesces concurrent builds of a key into one (singleflight).
 //
-// Cancellation is cooperative: when one item fails (or the caller's
-// context is cancelled), no further item is started and the context
-// passed to the callbacks in flight is cancelled. Those are expected to
-// check it between expensive phases; a callback that ignores it simply
-// runs to completion, and the first error is still reported.
+// Cancellation is cooperative: a cancelled context stops work from being
+// started, and the context passed to the callbacks in flight is
+// cancelled. Those are expected to check it between expensive phases; a
+// callback that ignores it simply runs to completion.
 package runner
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
+	"time"
 )
 
 // DefaultWorkers is the pool size used when Options.Workers (or the
-// workers argument of WithContext) is zero or negative: one worker per
+// workers argument of NewPool) is zero or negative: one worker per
 // available CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
@@ -141,52 +141,129 @@ func replaces(i int, err error, oldIdx int, old error) bool {
 	return i < oldIdx
 }
 
-// Group runs heterogeneous tasks with a shared concurrency bound and
-// first-error-cancels-rest semantics, like golang.org/x/sync/errgroup
-// with a limit. The zero value is not usable; construct with WithContext.
-type Group struct {
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	sem     chan struct{}
-	errOnce sync.Once
-	err     error
+// ErrClosed is what Pool.Do and Pool.Go return once Close began.
+var ErrClosed = errors.New("runner: pool is shutting down")
+
+// Pool is the one bounded set of compute slots every daemon computation
+// takes, whether its caller waits for the result (Do) or hands it off
+// (Go). It owns the three rules that work shares: at most `workers`
+// functions run at once, each runs under the pool's deadline, and Close
+// refuses new work and drains what was admitted. The zero value is not
+// usable; construct with NewPool.
+type Pool struct {
+	slots   chan struct{}
+	timeout time.Duration
+	cause   error // context.Cause of a context whose deadline passed
+	base    context.Context
+	hurry   context.CancelFunc // cancels base once Close's deadline passed
+
+	mu       sync.Mutex // guards closed; admitted.Add happens only under it
+	closed   bool
+	admitted sync.WaitGroup // Do and Go calls past admission, until fn returns
 }
 
-// WithContext returns a Group bounded to `workers` concurrent tasks
-// (<=0 means DefaultWorkers()) and the derived context that is cancelled
-// when any task fails or Wait returns.
-func WithContext(ctx context.Context, workers int) (*Group, context.Context) {
+// NewPool returns a pool of `workers` slots (<=0 means DefaultWorkers())
+// whose work each runs under a deadline of timeout from the moment it
+// takes its slot (<=0: no deadline). A context whose deadline passed
+// reports "timed out after <timeout>" as its context.Cause.
+func NewPool(workers int, timeout time.Duration) *Pool {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	return &Group{ctx: cctx, cancel: cancel, sem: make(chan struct{}, workers)}, cctx
+	base, hurry := context.WithCancel(context.Background())
+	return &Pool{
+		slots:   make(chan struct{}, workers),
+		timeout: timeout,
+		cause:   fmt.Errorf("timed out after %s", timeout),
+		base:    base,
+		hurry:   hurry,
+	}
 }
 
-// Go schedules fn, blocking while the concurrency bound is saturated.
-// fn receives the group context and should honor its cancellation.
-func (g *Group) Go(fn func(ctx context.Context) error) {
-	g.sem <- struct{}{}
-	g.wg.Add(1)
+// Do waits for a slot, runs fn on the calling goroutine and returns its
+// error, or ErrClosed without running fn once Close began.
+func (p *Pool) Do(fn func(ctx context.Context) error) error {
+	if err := p.acquire(context.Background()); err != nil {
+		return err
+	}
+	defer p.release()
+	ctx, cancel := p.deadline()
+	defer cancel()
+	return fn(ctx)
+}
+
+// Go waits for a slot on the calling goroutine, so a caller feeding the
+// pool from a queue feels the back-pressure, then runs fn on a new
+// goroutine. It returns without running fn: ErrClosed once Close began,
+// or ctx.Err() once ctx is done before a slot frees. ctx bounds only
+// that wait; fn's context derives from the pool's alone.
+func (p *Pool) Go(ctx context.Context, fn func(ctx context.Context)) error {
+	if err := p.acquire(ctx); err != nil {
+		return err
+	}
 	go func() {
-		defer func() {
-			<-g.sem
-			g.wg.Done()
-		}()
-		if err := fn(g.ctx); err != nil {
-			g.errOnce.Do(func() {
-				g.err = err
-				g.cancel()
-			})
-		}
+		defer p.release()
+		ctx, cancel := p.deadline()
+		defer cancel()
+		fn(ctx)
 	}()
+	return nil
 }
 
-// Wait blocks until every scheduled task has returned, cancels the group
-// context, and returns the first error recorded.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	g.cancel()
-	return g.err
+// acquire admits one piece of work and waits for its slot, or until ctx
+// is done. Work still waiting when Close's deadline passes is refused.
+func (p *Pool) acquire(ctx context.Context) error {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return ErrClosed
+	}
+	p.admitted.Add(1)
+	p.mu.Unlock()
+	select {
+	case p.slots <- struct{}{}:
+		return nil
+	case <-p.base.Done():
+		p.admitted.Done()
+		return ErrClosed
+	case <-ctx.Done():
+		p.admitted.Done()
+		return ctx.Err()
+	}
+}
+
+func (p *Pool) release() {
+	<-p.slots
+	p.admitted.Done()
+}
+
+// deadline returns the context one piece of work runs under.
+func (p *Pool) deadline() (context.Context, context.CancelFunc) {
+	if p.timeout <= 0 {
+		return p.base, func() {}
+	}
+	return context.WithTimeoutCause(p.base, p.timeout, p.cause)
+}
+
+// Close refuses new work and waits until every admitted piece has
+// returned. If ctx expires first, Close cancels the contexts of the
+// running work, refuses the work still waiting for a slot, waits for the
+// rest all the same and returns ctx.Err().
+func (p *Pool) Close(ctx context.Context) error {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	idle := make(chan struct{})
+	go func() {
+		p.admitted.Wait()
+		close(idle)
+	}()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		p.hurry()
+		<-idle
+		return ctx.Err()
+	}
 }

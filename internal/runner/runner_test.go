@@ -181,50 +181,133 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-func TestGroupFirstErrorWinsAndCancels(t *testing.T) {
-	sentinel := errors.New("boom")
-	g, gctx := WithContext(context.Background(), 2)
-	g.Go(func(context.Context) error { return sentinel })
-	g.Go(func(ctx context.Context) error {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(5 * time.Second):
-			return errors.New("group cancellation never arrived")
-		}
-	})
-	if err := g.Wait(); !errors.Is(err, sentinel) {
-		t.Fatalf("Wait = %v, want sentinel", err)
+// TestPoolSlotBoundAcrossDoAndGo pins the one bound: synchronous Do
+// callers and handed-off Go work wait for the same slots.
+func TestPoolSlotBoundAcrossDoAndGo(t *testing.T) {
+	p := NewPool(2, 0)
+	var mu sync.Mutex
+	active, peak, ran := 0, 0, 0
+	work := func(context.Context) {
+		mu.Lock()
+		active++
+		ran++
+		peak = max(peak, active)
+		mu.Unlock()
+		time.Sleep(5 * time.Millisecond)
+		mu.Lock()
+		active--
+		mu.Unlock()
 	}
-	if gctx.Err() == nil {
-		t.Errorf("group context should be cancelled after Wait")
+	var callers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			if err := p.Do(func(ctx context.Context) error { work(ctx); return nil }); err != nil {
+				t.Error(err)
+			}
+		}()
+		if err := p.Go(context.Background(), work); err != nil {
+			t.Fatal(err)
+		}
+	}
+	callers.Wait()
+	if err := p.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 8 || peak > 2 {
+		t.Errorf("ran %d pieces at peak concurrency %d, want 8 within the 2 slots", ran, peak)
 	}
 }
 
-func TestGroupBoundsWorkers(t *testing.T) {
-	g, _ := WithContext(context.Background(), 2)
-	var mu sync.Mutex
-	active, peak := 0, 0
-	for i := 0; i < 8; i++ {
-		g.Go(func(context.Context) error {
-			mu.Lock()
-			active++
-			if active > peak {
-				peak = active
-			}
-			mu.Unlock()
-			time.Sleep(5 * time.Millisecond)
-			mu.Lock()
-			active--
-			mu.Unlock()
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+func TestPoolRefusesWorkAfterClose(t *testing.T) {
+	p := NewPool(1, 0)
+	if err := p.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if peak > 2 {
-		t.Errorf("peak concurrency %d exceeds limit 2", peak)
+	ran := false
+	if err := p.Do(func(context.Context) error { ran = true; return nil }); !errors.Is(err, ErrClosed) {
+		t.Errorf("Do after Close = %v, want ErrClosed", err)
+	}
+	if err := p.Go(context.Background(), func(context.Context) { ran = true }); !errors.Is(err, ErrClosed) {
+		t.Errorf("Go after Close = %v, want ErrClosed", err)
+	}
+	if ran {
+		t.Error("refused work ran")
+	}
+}
+
+// TestPoolCloseDeadlineCancelsAndWaits pins the drain: at Close's
+// deadline the running work's context is cancelled, work still waiting
+// for a slot is refused, and Close returns only after the running work
+// did. A Go caller's own context bounds its wait for a slot too.
+func TestPoolCloseDeadlineCancelsAndWaits(t *testing.T) {
+	p := NewPool(1, 0)
+	started := make(chan struct{})
+	var returned atomic.Bool
+	var seen error
+	if err := p.Go(context.Background(), func(ctx context.Context) {
+		close(started)
+		<-ctx.Done()
+		seen = ctx.Err()
+		time.Sleep(20 * time.Millisecond) // a straggler finishing its phase
+		returned.Store(true)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	// A Go caller that gives up stops waiting for the slot.
+	gaveUp, giveUp := context.WithCancel(context.Background())
+	giveUp()
+	if err := p.Go(gaveUp, func(context.Context) { t.Error("work whose caller gave up ran") }); !errors.Is(err, context.Canceled) {
+		t.Errorf("Go after its caller gave up = %v, want context.Canceled", err)
+	}
+	waiter := make(chan error, 1)
+	go func() {
+		waiter <- p.Do(func(context.Context) error { return errors.New("waiting work ran") })
+	}()
+	time.Sleep(10 * time.Millisecond) // let the waiter queue for the slot
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if err := p.Close(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Close = %v, want deadline exceeded", err)
+	}
+	if !returned.Load() {
+		t.Error("Close returned before the running work did")
+	}
+	if !errors.Is(seen, context.Canceled) {
+		t.Errorf("running work saw %v, want its context cancelled", seen)
+	}
+	if err := <-waiter; !errors.Is(err, ErrClosed) {
+		t.Errorf("waiting Do = %v, want ErrClosed", err)
+	}
+}
+
+// TestPoolDeadlineNamesItsLimit pins the one deadline: each piece of
+// work's context expires timeout after it took its slot, with a cause
+// naming the limit; a pool without a timeout sets no deadline.
+func TestPoolDeadlineNamesItsLimit(t *testing.T) {
+	p := NewPool(1, 10*time.Millisecond)
+	var cause error
+	err := p.Do(func(ctx context.Context) error {
+		<-ctx.Done()
+		cause = context.Cause(ctx)
+		return ctx.Err()
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Do = %v, want deadline exceeded", err)
+	}
+	if cause == nil || cause.Error() != "timed out after 10ms" {
+		t.Errorf("cause = %v, want %q", cause, "timed out after 10ms")
+	}
+	if err := NewPool(1, 0).Do(func(ctx context.Context) error {
+		if _, ok := ctx.Deadline(); ok {
+			return errors.New("deadline set on a pool without a timeout")
+		}
+		return nil
+	}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -2,11 +2,8 @@ package service
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"net/http"
 
-	"darksim/internal/jobs"
 	"darksim/internal/policy"
 	"darksim/internal/report"
 )
@@ -18,48 +15,35 @@ import (
 // ride the same pipeline; long tunes are better submitted through
 // POST /v1/runs with a "policy" body, which streams frontier fragments.
 func (s *Server) handlePolicyPost(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	body, ok := readBody(w, r, "policy spec body")
+	if !ok {
+		return
+	}
+	c, err := parsePolicy(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading policy spec body: %w", err))
+		writeRequestError(w, err)
 		return
 	}
-	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("policy spec body exceeds %d bytes", maxSpecBytes))
-		return
-	}
-	spec, err := policy.Parse(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	key, params, fn, err := policyCompute(spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.serveResult(w, r, key, "policy", params, fn)
+	s.serveResult(w, r, c)
 }
 
-// policyCompute resolves a policy spec into its content-hash cache key,
-// response params, and sandbox-execution closure — shared by
-// POST /v1/policies and POST /v1/runs, so an async policy run dedupes
-// and caches exactly like the synchronous request.
-func policyCompute(spec policy.Spec) (string, map[string]string, jobs.Job, error) {
+// parsePolicy is the parse-and-resolve step of POST /v1/policies and of
+// a policy run: the sandbox spec's computation, keyed by its content
+// hash.
+func parsePolicy(body []byte) (computation, error) {
+	spec, err := policy.Parse(body)
+	if err != nil {
+		return computation{}, err
+	}
 	hash, err := policy.Hash(spec)
 	if err != nil {
-		return "", nil, nil, err
+		return computation{}, err
 	}
-	params := map[string]string{"hash": hash}
-	if spec.Name != "" {
-		params["name"] = spec.Name
-	}
-	fn := func(ctx context.Context) ([]*report.Table, error) {
+	return specCompute("policy", hash, spec.Name, func(ctx context.Context) ([]*report.Table, error) {
 		res, err := policy.Execute(ctx, spec)
 		if err != nil {
 			return nil, err
 		}
 		return res.Tables(), nil
-	}
-	return "policy:" + hash, params, fn, nil
+	}), nil
 }

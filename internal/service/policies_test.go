@@ -144,10 +144,14 @@ func TestPolicyRunAsync(t *testing.T) {
 		t.Fatalf("kind=experiment listing = %d %s, want empty", code, body)
 	}
 
-	// The async result wrote through to the synchronous cache.
-	code, _, hdr := post(t, ts, "/v1/policies", spec)
+	// The async result wrote through to the synchronous cache, stamped
+	// as the synchronous request stamps its own.
+	code, body, hdr := post(t, ts, "/v1/policies", spec)
 	if code != http.StatusOK || hdr.Get(cacheHeader) != "hit" {
 		t.Fatalf("synchronous follow-up: status %d cache %q, want 200 hit", code, hdr.Get(cacheHeader))
+	}
+	if res := decodeResult(t, body); res.ID != "policy" || res.Params["hash"] == "" {
+		t.Errorf("written-through result id %q params %v, want id policy with the spec hash", res.ID, res.Params)
 	}
 }
 

@@ -10,9 +10,7 @@ import (
 	"strconv"
 
 	"darksim/internal/jobs"
-	"darksim/internal/policy"
 	"darksim/internal/report"
-	"darksim/internal/scenario"
 )
 
 // runRequest is the POST /v1/runs body: exactly one of Experiment (with
@@ -40,14 +38,8 @@ type runResponse struct {
 // identical POSTs share one RunID and one computation. A full queue is
 // backpressure: 429 with a Retry-After hint.
 func (s *Server) handleRunSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading run request: %w", err))
-		return
-	}
-	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("run request exceeds %d bytes", maxSpecBytes))
+	body, ok := readBody(w, r, "run request")
+	if !ok {
 		return
 	}
 	var req runRequest
@@ -66,64 +58,32 @@ func (s *Server) handleRunSubmit(w http.ResponseWriter, r *http.Request) {
 			errors.New(`run request must name exactly one of "experiment", "scenario" or "policy"`))
 		return
 	}
-	var kind, label, key string
-	var params map[string]string
-	var fn jobs.Job
+	var (
+		kind string
+		c    computation
+		err  error
+	)
 	switch {
 	case req.Experiment != "":
-		kind, label = "experiment", req.Experiment
-		key, params, fn, err = s.experimentCompute(req.Experiment, req.Duration)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, errUnknownExperiment) {
-				status = http.StatusNotFound
-			}
-			writeError(w, status, err)
-			return
-		}
+		kind = "experiment"
+		c, err = s.experimentCompute(req.Experiment, req.Duration)
+	case req.Duration != 0 && len(req.Scenario) > 0:
+		err = errors.New("duration applies to experiment runs, not scenarios")
+	case req.Duration != 0:
+		err = errors.New("duration applies to experiment runs, not policy specs (set duration_s in the spec)")
 	case len(req.Scenario) > 0:
-		if req.Duration != 0 {
-			writeError(w, http.StatusBadRequest,
-				errors.New("duration applies to experiment runs, not scenarios"))
-			return
-		}
-		spec, perr := scenario.Parse(req.Scenario)
-		if perr != nil {
-			writeError(w, http.StatusBadRequest, perr)
-			return
-		}
-		key, params, fn, err = scenarioCompute(spec)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		kind, label = "scenario", spec.Name
-		if label == "" {
-			label = params["hash"][:12]
-		}
+		kind = "scenario"
+		c, err = parseScenario(req.Scenario)
 	default:
-		if req.Duration != 0 {
-			writeError(w, http.StatusBadRequest,
-				errors.New("duration applies to experiment runs, not policy specs (set duration_s in the spec)"))
-			return
-		}
-		spec, perr := policy.Parse(req.Policy)
-		if perr != nil {
-			writeError(w, http.StatusBadRequest, perr)
-			return
-		}
-		key, params, fn, err = policyCompute(spec)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		kind, label = "policy", spec.Name
-		if label == "" {
-			label = params["hash"][:12]
-		}
+		kind = "policy"
+		c, err = parsePolicy(req.Policy)
+	}
+	if err != nil {
+		writeRequestError(w, err)
+		return
 	}
 
-	run, joined, err := s.runs.Submit(kind, label, key, params, s.runJob(key, label, params, fn))
+	run, joined, err := s.runs.Submit(kind, c.label, c.key, c.params, s.runJob(c))
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		writeRetryError(w, http.StatusTooManyRequests, err)
@@ -138,18 +98,18 @@ func (s *Server) handleRunSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, runResponse{Run: run, Deduped: joined})
 }
 
-// runJob wraps a compute closure so a successful result is written
-// through to the synchronous result cache, and later GETs for the same
-// key are served without recomputing. Runs never read that cache — a
-// submission is an explicit request to compute.
-func (s *Server) runJob(key, id string, params map[string]string, fn jobs.Job) jobs.Job {
+// runJob wraps c's closure so a successful result is written through to
+// the synchronous result cache, and later requests for the same key are
+// served without recomputing. Runs never read that cache — a submission
+// is an explicit request to compute.
+func (s *Server) runJob(c computation) jobs.Job {
 	return func(ctx context.Context) ([]*report.Table, error) {
 		start := s.cfg.Now()
-		tables, err := fn(ctx)
+		tables, err := c.fn(ctx)
 		if err != nil {
 			return nil, err
 		}
-		s.cache.Put(key, newResult(id, params, tables, start, s.cfg.Now().Sub(start)))
+		s.cache.Put(c.key, newResult(c, tables, start, s.cfg.Now().Sub(start)))
 		return tables, nil
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -373,6 +374,105 @@ func TestRunCancelFreesComputeSlot(t *testing.T) {
 	}
 }
 
+// TestRunOverComputeTimeoutFails pins the async side of the one compute
+// deadline: a run that outlives ComputeTimeout ends failed with a reason
+// naming the limit (a deadline is not a client cancellation), writes
+// nothing through to the cache, and the synchronous endpoint for the
+// same key then computes afresh.
+func TestRunOverComputeTimeoutFails(t *testing.T) {
+	var computes atomic.Int64
+	exp := experiments.Experiment{
+		ID:          "figslow",
+		Description: "outlives the deadline on its first run only",
+		Run: func(ctx context.Context, _ float64) (experiments.Renderer, error) {
+			if computes.Add(1) == 1 {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+			return &fakeResult{tables: oneTable("figslow")}, nil
+		},
+	}
+	s := New(Config{ComputeTimeout: 50 * time.Millisecond}, []experiments.Experiment{exp})
+	closeWithin(t, s)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	code, body, _ := postRun(t, ts, `{"experiment":"figslow"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d %s", code, body)
+	}
+	final := waitRunState(t, ts, decodeRun(t, body).ID, jobs.StateFailed)
+	if want := "timed out after 50ms: context deadline exceeded"; final.Error != want {
+		t.Errorf("failed run reason = %q, want %q", final.Error, want)
+	}
+	code, body, hdr := get(t, ts, "/v1/experiments/figslow")
+	if code != http.StatusOK || hdr.Get(cacheHeader) != "miss" {
+		t.Errorf("sync GET after the timed-out run = %d (cache %q) %s, want 200 miss",
+			code, hdr.Get(cacheHeader), body)
+	}
+	if got := computes.Load(); got != 2 {
+		t.Errorf("computes = %d, want 2 (the timed-out run, then the sync request)", got)
+	}
+}
+
+// TestCloseDeadlineReachesRunBehindSyncCompute pins the one drain when a
+// queued run waits for the slot a synchronous computation holds: at the
+// deadline the run is interrupted without waiting for that slot, and the
+// pool then cancels the synchronous computation, so Close returns on
+// time instead of when the computation finishes.
+func TestCloseDeadlineReachesRunBehindSyncCompute(t *testing.T) {
+	var computes atomic.Int64
+	gate := make(chan struct{}) // released only if Close misses its deadline
+	s := New(Config{Workers: 1}, []experiments.Experiment{
+		fakeExp("figslow", &computes, gate),
+		progressExp("figp", 1, &computes, nil),
+	})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	sync := make(chan int, 1)
+	go func() {
+		code, _, _ := get(t, ts, "/v1/experiments/figslow")
+		sync <- code
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for computes.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("compute never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_, body, _ := postRun(t, ts, `{"experiment":"figp"}`)
+	id := decodeRun(t, body).ID
+	for s.runs.Stats().QueueDepth != 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close(ctx) }()
+	select {
+	case err := <-closed:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("Close = %v, want deadline exceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(gate)
+		<-closed
+		t.Fatal("Close still waiting 5 s after its 50 ms deadline")
+	}
+	if r, _ := s.runs.Get(id); r.State != jobs.StateFailed || !strings.Contains(r.Error, "interrupted") {
+		t.Errorf("queued run = %s (%q), want failed/interrupted", r.State, r.Error)
+	}
+	if code := <-sync; code != http.StatusServiceUnavailable {
+		t.Errorf("cancelled sync request = %d, want 503", code)
+	}
+	if got := computes.Load(); got != 1 {
+		t.Errorf("computes = %d, want 1 (the interrupted run never started)", got)
+	}
+}
+
 func TestRunSubmitValidation(t *testing.T) {
 	var computes atomic.Int64
 	s := New(Config{}, []experiments.Experiment{fakeExp("figx", &computes, nil)})
@@ -390,6 +490,7 @@ func TestRunSubmitValidation(t *testing.T) {
 		{`{"experiment":"figx","scenario":{"x":1}}`, http.StatusBadRequest, "exactly one"},
 		{`{"experiment":"nope"}`, http.StatusNotFound, "unknown experiment"},
 		{`{"experiment":"figx","duration":-1}`, http.StatusBadRequest, "invalid duration"},
+		{`{"experiment":"figx","duration":1e9}`, http.StatusBadRequest, "longer than"},
 		{`{"experiment":"figx","duration":5}`, http.StatusBadRequest, "transient"},
 		{`{"scenario":{"name":"broken"}}`, http.StatusBadRequest, ""},
 	}

@@ -2,18 +2,11 @@ package service
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"net/http"
 
-	"darksim/internal/jobs"
 	"darksim/internal/report"
 	"darksim/internal/scenario"
 )
-
-// maxSpecBytes bounds a POST /v1/scenarios body. Specs are small JSON
-// documents; a megabyte already fits thousands of workload entries.
-const maxSpecBytes = 1 << 20
 
 // scenarioInfo is one row of the GET /v1/scenarios pack listing.
 type scenarioInfo struct {
@@ -55,7 +48,12 @@ func (s *Server) handleScenarioByName(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	s.serveScenario(w, r, spec)
+	c, err := scenarioCompute(spec)
+	if err != nil {
+		writeRequestError(w, err)
+		return
+	}
+	s.serveResult(w, r, c)
 }
 
 // handleScenarioPost evaluates a user-defined spec from the request body.
@@ -63,49 +61,36 @@ func (s *Server) handleScenarioByName(w http.ResponseWriter, r *http.Request) {
 // differently-spelled specs for the same chip hit the same cache entry
 // and coalesce onto the same in-flight computation.
 func (s *Server) handleScenarioPost(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	body, ok := readBody(w, r, "spec body")
+	if !ok {
+		return
+	}
+	c, err := parseScenario(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading spec body: %w", err))
+		writeRequestError(w, err)
 		return
 	}
-	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("spec body exceeds %d bytes", maxSpecBytes))
-		return
-	}
+	s.serveResult(w, r, c)
+}
+
+// parseScenario is the parse-and-resolve step of POST /v1/scenarios and
+// of a scenario run.
+func parseScenario(body []byte) (computation, error) {
 	spec, err := scenario.Parse(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return computation{}, err
 	}
-	s.serveScenario(w, r, spec)
+	return scenarioCompute(spec)
 }
 
-// serveScenario validates eagerly (cheap, 400s before any compute slot is
-// taken) and runs compile + evaluate through the do pipeline.
-func (s *Server) serveScenario(w http.ResponseWriter, r *http.Request, spec scenario.Spec) {
-	key, params, fn, err := scenarioCompute(spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.serveResult(w, r, key, "scenario", params, fn)
-}
-
-// scenarioCompute resolves a spec into its content-hash cache key,
-// response params, and compile+evaluate closure — shared by the
-// synchronous scenario handlers and POST /v1/runs, so an async scenario
-// run dedupes and caches exactly like the synchronous request.
-func scenarioCompute(spec scenario.Spec) (string, map[string]string, jobs.Job, error) {
+// scenarioCompute resolves a spec into its computation, keyed by its
+// content hash: compile, then evaluate.
+func scenarioCompute(spec scenario.Spec) (computation, error) {
 	hash, err := scenario.Hash(spec)
 	if err != nil {
-		return "", nil, nil, err
+		return computation{}, err
 	}
-	params := map[string]string{"hash": hash}
-	if spec.Name != "" {
-		params["name"] = spec.Name
-	}
-	fn := func(ctx context.Context) ([]*report.Table, error) {
+	return specCompute("scenario", hash, spec.Name, func(ctx context.Context) ([]*report.Table, error) {
 		sc, err := scenario.Compile(spec)
 		if err != nil {
 			return nil, err
@@ -115,6 +100,5 @@ func scenarioCompute(spec scenario.Spec) (string, map[string]string, jobs.Job, e
 			return nil, err
 		}
 		return res.Tables(), nil
-	}
-	return "scenario:" + hash, params, fn, nil
+	}), nil
 }

@@ -10,9 +10,11 @@
 //     requests without recomputing, and its Do coalesces N concurrent
 //     requests for the same key onto exactly one computation, whose
 //     result every waiter gets;
-//   - a bounded compute pool (runner.Group) with per-compute timeouts
-//     propagated via context into experiments.Run, drained gracefully on
-//     shutdown.
+//   - one runner.Pool of compute slots, the only way onto a slot for
+//     synchronous requests (Pool.Do, from the cache's build) and
+//     asynchronous runs (Pool.Go, from the jobs dispatcher) alike. It
+//     applies ComputeTimeout to each computation through its context and
+//     drains on shutdown.
 //
 // Observability: /healthz, /metrics (expvar-style counters and a compute
 // latency histogram) and structured request logs via log/slog.
@@ -23,11 +25,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"darksim/internal/core"
@@ -39,9 +41,6 @@ import (
 	"darksim/internal/scenario"
 	"darksim/internal/tech"
 )
-
-// ErrDraining is returned for computations requested after Close began.
-var ErrDraining = errors.New("service: shutting down")
 
 // cacheHeader tells clients (and the request log) how the response was
 // produced: a runner.Outcome, "hit", "miss" (this request computed it)
@@ -104,14 +103,9 @@ type Server struct {
 	order   []experimentInfo
 	cache   *runner.Cache[string, *Result]
 	metrics *Metrics
-	pool    *runner.Group
+	pool    *runner.Pool
 	runs    *jobs.Manager
-	stop    context.CancelFunc
 	start   time.Time
-
-	mu       sync.Mutex // guards closed; computes.Add happens only under it
-	closed   bool
-	computes sync.WaitGroup // synchronous computations in flight
 }
 
 // New builds a Server over the given experiments; nil means every
@@ -126,9 +120,6 @@ func New(cfg Config, exps []experiments.Experiment) *Server {
 	if cfg.CacheTTL == 0 {
 		cfg.CacheTTL = time.Hour
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runner.DefaultWorkers()
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -139,16 +130,13 @@ func New(cfg Config, exps []experiments.Experiment) *Server {
 	if exps == nil {
 		exps = append(experiments.Registry(), experiments.AblationRegistry()...)
 	}
-	baseCtx, stop := context.WithCancel(context.Background())
-	pool, _ := runner.WithContext(baseCtx, cfg.Workers)
 	s := &Server{
 		cfg:     cfg,
 		log:     log,
 		mux:     http.NewServeMux(),
 		exps:    make(map[string]experiments.Experiment, len(exps)),
 		metrics: &Metrics{},
-		pool:    pool,
-		stop:    stop,
+		pool:    runner.NewPool(cfg.Workers, cfg.ComputeTimeout),
 		start:   cfg.Now(),
 		cache:   runner.NewCache[string, *Result](cfg.CacheSize, cfg.CacheTTL, cfg.Now),
 	}
@@ -158,9 +146,8 @@ func New(cfg Config, exps []experiments.Experiment) *Server {
 	}
 	s.runs = jobs.New(jobs.Config{
 		Journal:   cfg.RunStore,
-		Pool:      pool,
+		Pool:      s.pool,
 		QueueSize: cfg.QueueSize,
-		Timeout:   cfg.ComputeTimeout,
 		Logger:    log,
 		Now:       cfg.Now,
 	})
@@ -220,85 +207,52 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	)
 }
 
-// Close stops accepting new computations and drains the in-flight ones
-// through the runner pool; ctx bounds the drain. The run manager drains
-// first (queued and running runs finish or, at ctx expiry, are
-// interrupted and marked failed — their persisted points survive), then
-// the synchronous computations. After the drain (or on ctx expiry) the
-// base context is cancelled, so stragglers observe cancellation. Cached
-// results keep being served after Close.
+// Close stops accepting new computations and drains the in-flight
+// ones; ctx bounds the drain. The run manager drains first (queued and
+// running runs finish or, at ctx expiry, are interrupted and marked
+// failed — their persisted points survive), then the compute pool: the
+// synchronous computations finish or, at ctx expiry, see their contexts
+// cancelled. Cached results keep being served after Close.
 func (s *Server) Close(ctx context.Context) error {
 	rerr := s.runs.Close(ctx)
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	idle := make(chan struct{})
-	go func() {
-		s.computes.Wait()
-		close(idle)
-	}()
-	select {
-	case <-idle:
-		s.stop()
-		s.pool.Wait()
+	perr := s.pool.Close(ctx)
+	if rerr != nil {
 		return rerr
-	case <-ctx.Done():
-		s.stop() // hurry the stragglers via context cancellation
-		<-idle
-		s.pool.Wait()
-		return ctx.Err()
 	}
+	return perr
 }
 
-// compute runs fn once on the bounded pool under ComputeTimeout and
-// wraps its tables in a Result; it refuses with ErrDraining once Close
-// began. It is the build behind the result cache's Do, so it runs
-// detached from any one request: a leader's disconnect never kills the
-// result its followers wait on.
-func (s *Server) compute(id string, params map[string]string, fn jobs.Job) (*Result, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrDraining
-	}
-	s.computes.Add(1)
-	s.mu.Unlock()
-	defer s.computes.Done()
-
-	var (
-		res  *Result
-		err  error
-		done = make(chan struct{})
-	)
-	s.pool.Go(func(poolCtx context.Context) error {
-		defer close(done)
-		ctx, cancel := context.WithTimeout(poolCtx, s.cfg.ComputeTimeout)
-		defer cancel()
+// compute runs c once on a compute slot and wraps its tables in a
+// Result; the pool refuses with runner.ErrClosed once Close began. It is
+// the build behind the result cache's Do, so it runs detached from any
+// one request: a leader's disconnect never kills the result its
+// followers wait on.
+func (s *Server) compute(c computation) (*Result, error) {
+	var res *Result
+	err := s.pool.Do(func(ctx context.Context) error {
 		s.metrics.Computes.Add(1)
 		s.metrics.InFlight.Add(1)
 		start := s.cfg.Now()
-		var tables []*report.Table
-		tables, err = fn(ctx)
+		tables, err := c.fn(ctx)
 		elapsed := s.cfg.Now().Sub(start)
 		s.metrics.InFlight.Add(-1)
 		s.metrics.observe(elapsed)
 		if err != nil {
 			s.metrics.ComputeErrors.Add(1)
-		} else {
-			res = newResult(id, params, tables, start, elapsed)
+			return err
 		}
-		// Per-request failures must not cancel the pool's other work.
+		res = newResult(c, tables, start, elapsed)
 		return nil
 	})
-	<-done
 	return res, err
 }
 
-// newResult stamps tables computed from start for elapsed as a Result.
-func newResult(id string, params map[string]string, tables []*report.Table, start time.Time, elapsed time.Duration) *Result {
+// newResult stamps the tables of c computed from start for elapsed as a
+// Result.
+func newResult(c computation, tables []*report.Table, start time.Time, elapsed time.Duration) *Result {
 	return &Result{
-		ID:         id,
-		Params:     params,
+		ID:         c.id,
+		Params:     c.params,
 		Tables:     tables,
 		ComputedAt: start,
 		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
@@ -328,48 +282,67 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		}
 		duration = d
 	}
-	key, params, fn, err := s.experimentCompute(name, duration)
+	c, err := s.experimentCompute(name, duration)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, errUnknownExperiment) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
+		writeRequestError(w, err)
 		return
 	}
-	s.serveResult(w, r, key, name, params, fn)
+	s.serveResult(w, r, c)
+}
+
+// computation is one resolved request. The synchronous handlers and
+// POST /v1/runs resolve a request through the same step, so an async run
+// has the same key and computes the same tables as the synchronous
+// request.
+type computation struct {
+	key    string            // result-cache and run-dedupe key
+	id     string            // Result.ID: experiment name, "tsp", "scenario" or "policy"
+	label  string            // run label: experiment or spec name, else the spec hash's prefix
+	params map[string]string // response params
+	fn     jobs.Job
 }
 
 // experimentCompute resolves an experiment name (with optional duration
-// override) into its cache key, response params, and compute closure —
-// the one resolution both GET /v1/experiments/{name} and POST /v1/runs
-// share, so an async run produces the same key and the same tables as
-// the synchronous request.
-func (s *Server) experimentCompute(name string, duration float64) (string, map[string]string, jobs.Job, error) {
+// override) into its computation.
+func (s *Server) experimentCompute(name string, duration float64) (computation, error) {
 	e, ok := s.exps[name]
 	if !ok {
-		return "", nil, nil, fmt.Errorf("%w %q", errUnknownExperiment, name)
+		return computation{}, fmt.Errorf("%w %q", errUnknownExperiment, name)
 	}
 	if err := experiments.CheckDuration(name, duration); err != nil {
-		return "", nil, nil, fmt.Errorf("invalid duration %v: %w", duration, err)
+		return computation{}, fmt.Errorf("invalid duration %v: %w", duration, err)
 	}
-	key := name
-	params := map[string]string{}
+	c := computation{key: name, id: name, label: name, params: map[string]string{}}
 	if duration > 0 {
 		if !e.Transient {
-			return "", nil, nil, fmt.Errorf("duration is only supported for the transient experiments, not %q", name)
+			return computation{}, fmt.Errorf("duration is only supported for the transient experiments, not %q", name)
 		}
-		key = fmt.Sprintf("%s?duration=%g", name, duration)
-		params["duration"] = strconv.FormatFloat(duration, 'g', -1, 64)
+		c.key = fmt.Sprintf("%s?duration=%g", name, duration)
+		c.params["duration"] = strconv.FormatFloat(duration, 'g', -1, 64)
 	}
-	fn := func(ctx context.Context) ([]*report.Table, error) {
+	c.fn = func(ctx context.Context) ([]*report.Table, error) {
 		res, err := experiments.RunWithDuration(ctx, e, duration)
 		if err != nil {
 			return nil, err
 		}
 		return res.Tables(), nil
 	}
-	return key, params, fn, nil
+	return c, nil
+}
+
+// specCompute is the computation of a content-hashed spec of one kind
+// ("scenario" or "policy"): keyed by its hash, so respelled specs share
+// one cache entry and one run, and labelled by its name, else by the
+// hash's first 12 characters.
+func specCompute(kind, hash, name string, fn jobs.Job) computation {
+	c := computation{key: kind + ":" + hash, id: kind, label: name,
+		params: map[string]string{"hash": hash}, fn: fn}
+	if name != "" {
+		c.params["name"] = name
+	} else {
+		c.label = hash[:12]
+	}
+	return c
 }
 
 func (s *Server) handleTSP(w http.ResponseWriter, r *http.Request) {
@@ -399,13 +372,16 @@ func (s *Server) handleTSP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid active %q: want an integer in [1,%d]", q.Get("active"), cores))
 		return
 	}
-	params := map[string]string{
-		"node":   node.String(),
-		"cores":  strconv.Itoa(cores),
-		"active": strconv.Itoa(active),
+	c := computation{
+		key: fmt.Sprintf("tsp?node=%s&cores=%d&active=%d", node, cores, active),
+		id:  "tsp",
+		params: map[string]string{
+			"node":   node.String(),
+			"cores":  strconv.Itoa(cores),
+			"active": strconv.Itoa(active),
+		},
 	}
-	key := fmt.Sprintf("tsp?node=%s&cores=%d&active=%d", node, cores, active)
-	fn := func(ctx context.Context) ([]*report.Table, error) {
+	c.fn = func(ctx context.Context) ([]*report.Table, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -415,24 +391,24 @@ func (s *Server) handleTSP(w http.ResponseWriter, r *http.Request) {
 		}
 		return []*report.Table{t}, nil
 	}
-	s.serveResult(w, r, key, "tsp", params, fn)
+	s.serveResult(w, r, c)
 }
 
-// serveResult serves key from the result cache, or coalesces onto (or
-// starts) the one computation of fn for it, and writes the JSON response
-// with error-to-status mapping. A client that disconnects stops waiting;
-// the computation runs on for the other waiters and the cache.
-func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key, id string, params map[string]string, fn jobs.Job) {
-	res, source, err := s.cache.Do(r.Context(), key, func() (*Result, error) {
-		return s.compute(id, params, fn)
+// serveResult serves c's key from the result cache, or coalesces onto
+// (or starts) the one computation of c for it, and writes the JSON
+// response with error-to-status mapping. A client that disconnects stops
+// waiting; the computation runs on for the other waiters and the cache.
+func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, c computation) {
+	res, source, err := s.cache.Do(r.Context(), c.key, func() (*Result, error) {
+		return s.compute(c)
 	})
 	w.Header().Set(cacheHeader, string(source))
 	if err != nil {
 		switch {
-		case errors.Is(err, ErrDraining):
+		case errors.Is(err, runner.ErrClosed):
 			writeRetryError(w, http.StatusServiceUnavailable, err)
 		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, fmt.Errorf("%s: computation timed out: %w", id, err))
+			writeError(w, http.StatusGatewayTimeout, fmt.Errorf("%s: computation timed out: %w", c.id, err))
 		case errors.Is(err, context.Canceled):
 			writeError(w, http.StatusServiceUnavailable, err)
 		case errors.Is(err, experiments.ErrOptions), errors.Is(err, scenario.ErrSpec),
@@ -510,4 +486,34 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// writeRequestError answers a request that did not resolve into a
+// computation: 404 for an unknown experiment, 400 for anything else.
+func writeRequestError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, errUnknownExperiment) {
+		status = http.StatusNotFound
+	}
+	writeError(w, status, err)
+}
+
+// maxSpecBytes bounds a POST body. Specs are small JSON documents; a
+// megabyte already fits thousands of workload entries.
+const maxSpecBytes = 1 << 20
+
+// readBody reads a POST body of at most maxSpecBytes, named what in its
+// errors. On failure it has already answered (400 for a read error, 413
+// above the bound) and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading %s: %w", what, err))
+		return nil, false
+	}
+	if len(body) > maxSpecBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s exceeds %d bytes", what, maxSpecBytes))
+		return nil, false
+	}
+	return body, true
 }

@@ -132,6 +132,10 @@ func TestParamValidationAndNotFound(t *testing.T) {
 		{"/v1/experiments/figt?duration=1e-300", http.StatusBadRequest, "invalid duration"},
 		{"/v1/experiments/figt?duration=0.0001", http.StatusBadRequest, "control period"},
 		{"/v1/experiments/figt?duration=1e-9", http.StatusBadRequest, "invalid duration"},
+		// Nor one longer than Figure 11's 100 s, the paper's longest
+		// transient: it would hold a slot until the compute timeout.
+		{"/v1/experiments/figt?duration=1e9", http.StatusBadRequest, "longer than"},
+		{"/v1/experiments/figt?duration=100.5", http.StatusBadRequest, "invalid duration"},
 		{"/v1/tsp?node=7&active=1", http.StatusBadRequest, "invalid node"},
 		{"/v1/tsp?node=16&active=0", http.StatusBadRequest, "invalid active"},
 		{"/v1/tsp?node=16&active=999", http.StatusBadRequest, "invalid active"},
